@@ -19,6 +19,7 @@
 #                    assertion (validate_resize.py)     (SKIP_RESIZE=1 skips)
 #   stage 13 sharded wallclock_sharded --smoke + zero-miss/scaling
 #                    assertion (validate_sharded.py)    (SKIP_SHARDED=1 skips)
+#   stage 14 rxbench receive-path benchmark --self-test (SKIP_RXBENCH=1 skips)
 #
 # Stages 9 and 10 need LLVM tooling (clang++ / clang-tidy) and skip with a
 # notice when it is not installed, so a GCC-only box still passes the gate.
@@ -229,6 +230,17 @@ if [[ "${SKIP_SHARDED:-0}" != "1" ]]; then
       "$ROOT/build/wallclock_sharded.smoke.json"
 else
   skipped sharded SKIP_SHARDED
+fi
+
+if [[ "${SKIP_RXBENCH:-0}" != "1" ]]; then
+  stage rxbench "receive-path benchmark self-test"
+  # Builds rxbench (Release, from src/) into .bench_build and checks the
+  # benchmark itself: one seed gives one frame stream and identical exact
+  # counts (examined PCBs, transmitted segments, allocations), another seed
+  # another stream, and a corrupted-checksum frame is reported as failed.
+  (cd "$ROOT" && python3 rxbench/run.py --self-test)
+else
+  skipped rxbench SKIP_RXBENCH
 fi
 
 echo

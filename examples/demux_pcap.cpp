@@ -47,15 +47,17 @@ int main(int argc, char** argv) {
     std::cerr << path << " is not a readable pcap file\n";
     return EXIT_FAILURE;
   }
+  // A parsed Packet views its record's bytes, so the records outlive it.
+  const std::vector<net::PcapRecord> records = reader.read_all();
   std::vector<net::Packet> packets;
   std::map<std::uint16_t, std::size_t> port_votes;
   std::size_t unparseable = 0;
   const bool ethernet =
       reader.link_type() == net::PcapWriter::kLinkTypeEthernet;
-  while (const auto record = reader.next()) {
-    std::span<const std::uint8_t> datagram = record->bytes;
+  for (const net::PcapRecord& record : records) {
+    std::span<const std::uint8_t> datagram = record.bytes;
     if (ethernet) {
-      const auto inner = net::ethernet_decapsulate_ipv4(record->bytes);
+      const auto inner = net::ethernet_decapsulate_ipv4(record.bytes);
       if (!inner) {
         ++unparseable;  // ARP, IPv6, runt frames
         continue;

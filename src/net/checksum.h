@@ -12,9 +12,13 @@ namespace tcpdemux::net {
 
 /// Accumulates 16-bit one's-complement sums over arbitrary byte ranges.
 ///
-/// The accumulator is fold-free until finish(), so data may be fed in any
-/// number of chunks; an odd-length chunk may only be the final one (its last
-/// byte is padded with zero per RFC 1071).
+/// The bytes are summed as native 32-bit words into 64-bit registers and
+/// folded (and swapped to network order) once, in finish(): RFC 1071
+/// §2(B) byte-order independence plus §2(C) deferred carries. The result is
+/// bit-identical to a big-endian 16-bit word loop. Data may be fed in any
+/// number of chunks; every chunk but the last must have even length (an
+/// odd final byte is padded with zero per RFC 1071). One accumulator holds
+/// up to 16 GiB before its register could overflow.
 class ChecksumAccumulator {
  public:
   /// Adds a byte range to the running sum. If `bytes.size()` is odd the last
@@ -23,13 +27,13 @@ class ChecksumAccumulator {
   void add(std::span<const std::uint8_t> bytes) noexcept;
 
   /// Adds a single 16-bit word (host order value treated as one wire word).
-  void add_word(std::uint16_t word) noexcept { sum_ += word; }
+  void add_word(std::uint16_t word) noexcept;
 
   /// Folds carries and returns the one's-complement checksum.
   [[nodiscard]] std::uint16_t finish() const noexcept;
 
  private:
-  std::uint64_t sum_ = 0;
+  std::uint64_t sum_ = 0;  ///< native-order sum, carries not yet folded
 };
 
 /// One-shot checksum of a byte range.

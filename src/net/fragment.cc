@@ -42,7 +42,7 @@ std::vector<std::vector<std::uint8_t>> fragment_packet(
   return fragments;
 }
 
-std::optional<std::vector<std::uint8_t>> Reassembler::offer(
+std::optional<std::span<const std::uint8_t>> Reassembler::offer(
     std::span<const std::uint8_t> wire, double now) {
   const auto header = Ipv4Header::parse(wire);
   if (!header) {
@@ -51,8 +51,7 @@ std::optional<std::vector<std::uint8_t>> Reassembler::offer(
   }
   if (!header->more_fragments && header->fragment_offset == 0) {
     // Whole datagram; nothing to do.
-    return std::vector<std::uint8_t>(wire.begin(),
-                                     wire.begin() + header->total_length);
+    return wire.subspan(0, header->total_length);
   }
 
   const DatagramKey key{header->src.value(), header->dst.value(),
@@ -77,27 +76,29 @@ std::optional<std::vector<std::uint8_t>> Reassembler::offer(
     return std::nullopt;
   }
 
-  if (end > partial.data.size()) {
-    partial.data.resize(end);
+  if (end > partial.present.size()) {
+    partial.data.resize(Ipv4Header::kSize + end);
     partial.present.resize(end, false);
   }
   std::copy_n(wire.begin() + Ipv4Header::kSize, len,
-              partial.data.begin() + static_cast<std::ptrdiff_t>(offset));
+              partial.data.begin() +
+                  static_cast<std::ptrdiff_t>(Ipv4Header::kSize + offset));
   std::fill_n(partial.present.begin() + static_cast<std::ptrdiff_t>(offset),
               len, true);
 
   if (header->fragment_offset == 0) partial.header = *header;
   if (!header->more_fragments) partial.total_length = end;
 
-  return try_complete(key, partial);
+  return try_complete(it);
 }
 
-std::optional<std::vector<std::uint8_t>> Reassembler::try_complete(
-    const DatagramKey& key, Partial& partial) {
+std::optional<std::span<const std::uint8_t>> Reassembler::try_complete(
+    std::map<DatagramKey, Partial>::iterator it) {
+  Partial& partial = it->second;
   if (partial.total_length == 0 || !partial.header.has_value()) {
     return std::nullopt;
   }
-  if (partial.data.size() < partial.total_length) return std::nullopt;
+  if (partial.present.size() < partial.total_length) return std::nullopt;
   for (std::size_t i = 0; i < partial.total_length; ++i) {
     if (!partial.present[i]) return std::nullopt;
   }
@@ -108,13 +109,13 @@ std::optional<std::vector<std::uint8_t>> Reassembler::try_complete(
   h.total_length =
       static_cast<std::uint16_t>(Ipv4Header::kSize + partial.total_length);
 
-  std::vector<std::uint8_t> out(h.total_length);
-  h.serialize(out);
-  std::copy_n(partial.data.begin(),
-              static_cast<std::ptrdiff_t>(partial.total_length),
-              out.begin() + Ipv4Header::kSize);
-  pending_.erase(key);
-  return out;
+  // The payload is already in place behind the header slot: fill the slot
+  // and hand the buffer over instead of copying it.
+  assembled_ = std::move(partial.data);
+  pending_.erase(it);
+  assembled_.resize(h.total_length);
+  h.serialize(assembled_);
+  return std::span<const std::uint8_t>(assembled_);
 }
 
 std::size_t Reassembler::expire(double now) {

@@ -39,15 +39,24 @@ class Reassembler {
   Reassembler() : Reassembler(Options()) {}
   explicit Reassembler(Options options) : options_(options) {}
 
-  /// Offers one wire-format IPv4 packet at time `now`. Non-fragments are
-  /// returned immediately. A fragment that completes its datagram returns
-  /// the reassembled wire bytes (header from the first fragment, offset 0,
-  /// MF clear, checksum recomputed). Otherwise nullopt.
-  std::optional<std::vector<std::uint8_t>> offer(
+  /// Offers one wire-format IPv4 packet at time `now` and returns a view of
+  /// the datagram it completes, or nullopt.
+  ///
+  /// - A whole (unfragmented) datagram comes back as
+  ///   `wire.subspan(0, total_length)`: no copy, valid as long as `wire`.
+  /// - A fragment that completes its datagram returns the reassembled wire
+  ///   bytes (header from the first fragment, offset 0, MF clear, checksum
+  ///   recomputed). They live in one buffer this reassembler owns and stay
+  ///   valid until the next offer() or expire() call; copy them to keep
+  ///   them longer.
+  std::optional<std::span<const std::uint8_t>> offer(
       std::span<const std::uint8_t> wire, double now);
+  /// A temporary buffer would die before the returned view is used.
+  std::optional<std::span<const std::uint8_t>> offer(
+      std::vector<std::uint8_t>&& wire, double now) = delete;
 
   /// Discards partial datagrams older than the timeout. Returns how many
-  /// were dropped.
+  /// were dropped. A reassembled view from offer() is not used past this.
   std::size_t expire(double now);
 
   [[nodiscard]] std::size_t pending_datagrams() const noexcept {
@@ -69,17 +78,21 @@ class Reassembler {
   };
   struct Partial {
     double first_seen = 0.0;
-    std::vector<std::uint8_t> data;   ///< payload bytes by offset
-    std::vector<bool> present;        ///< per-byte fill map
+    /// The datagram being rebuilt: an IPv4 header slot, then the payload
+    /// bytes by offset.
+    std::vector<std::uint8_t> data =
+        std::vector<std::uint8_t>(Ipv4Header::kSize);
+    std::vector<bool> present;        ///< per-payload-byte fill map
     std::size_t total_length = 0;     ///< payload length; 0 until MF=0 seen
     std::optional<Ipv4Header> header; ///< from the offset-0 fragment
   };
 
-  std::optional<std::vector<std::uint8_t>> try_complete(
-      const DatagramKey& key, Partial& partial);
+  std::optional<std::span<const std::uint8_t>> try_complete(
+      std::map<DatagramKey, Partial>::iterator it);
 
   Options options_;
   std::map<DatagramKey, Partial> pending_;
+  std::vector<std::uint8_t> assembled_;  ///< the last completed datagram
   std::uint64_t rejected_ = 0;
 };
 

@@ -20,8 +20,7 @@ std::optional<Packet> Packet::parse(std::span<const std::uint8_t> wire) {
   Packet p;
   p.ip = *ip;
   p.tcp = std::move(*tcp);
-  p.payload.assign(segment.begin() + static_cast<std::ptrdiff_t>(p.tcp.size()),
-                   segment.end());
+  p.payload = segment.subspan(p.tcp.size());
   return p;
 }
 

@@ -14,10 +14,14 @@
 namespace tcpdemux::net {
 
 /// A fully parsed and checksum-verified TCP/IPv4 packet.
+///
+/// `payload` is a view into the bytes given to parse(), not a copy: a
+/// Packet must not outlive them. On the receive path those are the frame
+/// itself, or the Reassembler's buffer until its next offer()/expire().
 struct Packet {
   Ipv4Header ip;
   TcpHeader tcp;
-  std::vector<std::uint8_t> payload;
+  std::span<const std::uint8_t> payload;  ///< aliases the parsed datagram
 
   /// The demultiplexing key as seen by the packet's *receiver*: the
   /// packet's destination is the local half, its source the foreign half.
@@ -30,6 +34,8 @@ struct Packet {
   /// bad TCP checksum.
   [[nodiscard]] static std::optional<Packet> parse(
       std::span<const std::uint8_t> wire);
+  /// A temporary buffer would die while the payload view still points in.
+  static std::optional<Packet> parse(std::vector<std::uint8_t>&& wire) = delete;
 };
 
 /// Builds wire-format TCP/IPv4 packets with correct lengths and checksums.

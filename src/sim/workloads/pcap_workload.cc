@@ -19,6 +19,8 @@ namespace {
 
 constexpr double kEpsilon = 1e-6;
 
+/// A parsed record. `packet.payload` views the record's bytes, so a view
+/// must not outlive the `records` vector it was parsed from.
 struct TimedPacketView {
   double time = 0.0;
   net::Packet packet;
@@ -49,6 +51,7 @@ Workload make_pcap_workload(std::istream& is,
   st.clean_eof = reader.ok();
 
   // Pass 1: parse everything; vote for the server port if none was given.
+  // Declared after `records`, so it is destroyed first.
   std::vector<TimedPacketView> packets;
   packets.reserve(records.size());
   std::map<std::uint16_t, std::size_t> port_votes;

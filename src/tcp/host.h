@@ -27,7 +27,9 @@ class Host {
         reassembler_(reassembly) {}
 
   /// Receives raw bytes from the wire at time `now`. Fragments are held
-  /// for reassembly; complete datagrams flow into the socket table.
+  /// for reassembly; complete datagrams flow into the socket table. A whole
+  /// datagram is parsed and checksummed in place, so `wire` is read during
+  /// the call and never copied or kept.
   /// Returns the delivery result, or a kParseError-status result while a
   /// datagram is still incomplete (pending() tells the two apart).
   SocketTable::DeliverResult input(std::span<const std::uint8_t> wire,

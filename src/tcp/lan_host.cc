@@ -2,7 +2,7 @@
 
 namespace tcpdemux::tcp {
 
-void LanHost::receive_frame(std::vector<std::uint8_t> frame) {
+void LanHost::receive_frame(std::span<const std::uint8_t> frame) {
   const double now = clock_ ? clock_() : 0.0;
   if (const auto reply = arp_.handle_frame(frame, now)) {
     transmit_(std::move(*reply));

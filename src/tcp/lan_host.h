@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "net/arp.h"
@@ -43,8 +44,9 @@ class LanHost {
   void set_transmit(TransmitFn fn) { transmit_ = std::move(fn); }
 
   /// Frame arrival from the wire: ARP is answered and learned, queued
-  /// datagrams unblocked, IPv4-for-us delivered to the socket table.
-  void receive_frame(std::vector<std::uint8_t> frame);
+  /// datagrams unblocked, IPv4-for-us delivered to the socket table. The
+  /// frame is only read, and only during the call.
+  void receive_frame(std::span<const std::uint8_t> frame);
 
   /// Sends an IPv4 datagram toward `next_hop`, resolving its MAC first
   /// (datagrams wait in the hold queue behind an ARP request on a miss).

@@ -35,35 +35,36 @@ Pcb* SocketTable::connect(const net::FlowKey& key) {
 Pcb* SocketTable::accept() {
   if (accept_queue_.empty()) return nullptr;
   Pcb* pcb = accept_queue_.front();
-  accept_queue_.erase(accept_queue_.begin());
+  accept_queue_.pop_front();
   return pcb;
 }
 
 bool SocketTable::erase(const net::FlowKey& key) {
-  Pcb* pcb = find(key);
-  if (pcb != nullptr) {
-    accept_queue_.erase(
-        std::remove(accept_queue_.begin(), accept_queue_.end(), pcb),
-        accept_queue_.end());
-    retransmit_.erase(pcb);
-    closing_since_.erase(pcb);
-  }
+  if (Pcb* pcb = find(key)) return release(*pcb);
+  return demuxer_->erase(key);
+}
+
+bool SocketTable::release(Pcb& pcb) {
+  std::erase(accept_queue_, &pcb);
+  retransmit_.erase(&pcb);
+  closing_since_.erase(&pcb);
+  const net::FlowKey key = pcb.key;  // erase() destroys the PCB
   return demuxer_->erase(key);
 }
 
 std::size_t SocketTable::reap_closed(double msl) {
   if (!clock_) return 0;
   const double now = clock_();
-  std::vector<net::FlowKey> victims;
+  std::vector<Pcb*> victims;
   for (const auto& [pcb, since] : closing_since_) {
     const bool expired = pcb->state == core::TcpState::kClosed ||
                          (pcb->state == core::TcpState::kTimeWait &&
                           now - since >= 2.0 * msl);
-    if (expired) victims.push_back(pcb->key);
+    if (expired) victims.push_back(pcb);
   }
   std::size_t reaped = 0;
-  for (const net::FlowKey& key : victims) {
-    if (erase(key)) ++reaped;
+  for (Pcb* pcb : victims) {
+    if (release(*pcb)) ++reaped;
   }
   return reaped;
 }

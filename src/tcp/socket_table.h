@@ -12,6 +12,7 @@
 #define TCPDEMUX_TCP_SOCKET_TABLE_H_
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
@@ -160,6 +161,9 @@ class SocketTable {
     std::uint16_t port;
   };
 
+  /// Drops every reference the table holds to `pcb` (accept queue,
+  /// retransmission and closing state), then destroys it in the demuxer.
+  bool release(core::Pcb& pcb);
   void transmit_segment(core::Pcb& pcb, const Emit& emit);
   void transmit_rst(const net::Packet& packet);
   [[nodiscard]] const Listener* find_listener(
@@ -173,7 +177,7 @@ class SocketTable {
   TransmitFn transmit_;
   TcpMachine machine_;
   Counters counters_;
-  std::vector<core::Pcb*> accept_queue_;
+  std::deque<core::Pcb*> accept_queue_;
   std::function<double()> clock_;
   std::unordered_map<core::Pcb*, RetransmitQueue> retransmit_;
   std::unordered_map<core::Pcb*, double> closing_since_;

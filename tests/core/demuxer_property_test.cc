@@ -212,6 +212,8 @@ INSTANTIATE_TEST_SUITE_P(
         std::pair("rcu:1:jenkins", "sequent:1:jenkins")),
     [](const auto& info) {
       std::string name = info.param.first;
+      // A bare algorithm name runs with the registry's default options.
+      if (name.find(':') == std::string::npos) name += "_default_spec";
       for (char& c : name) {
         if (c == ':') c = '_';
       }

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
+#include <random>
 #include <vector>
 
 namespace tcpdemux::net {
@@ -13,7 +16,30 @@ TEST(Checksum, RFC1071ReferenceExample) {
   // sum to 0xddf2 before complement.
   const std::array<std::uint8_t, 8> bytes = {0x00, 0x01, 0xf2, 0x03,
                                              0xf4, 0xf5, 0xf6, 0xf7};
-  EXPECT_EQ(internet_checksum(bytes), static_cast<std::uint16_t>(~0xddf2));
+  const auto expected = static_cast<std::uint16_t>(~0xddf2);
+  EXPECT_EQ(internet_checksum(bytes), expected);
+
+  // The same bytes at every word alignment, split into two even chunks at
+  // every even point, and fed as host-order words.
+  std::array<std::uint8_t, 16> buffer{};
+  for (std::size_t align = 0; align < 8; ++align) {
+    std::copy(bytes.begin(), bytes.end(), buffer.begin() + align);
+    const auto view = std::span(buffer).subspan(align, bytes.size());
+    EXPECT_EQ(internet_checksum(view), expected) << "alignment " << align;
+    for (std::size_t split = 0; split <= bytes.size(); split += 2) {
+      ChecksumAccumulator acc;
+      acc.add(view.subspan(0, split));
+      acc.add(view.subspan(split));
+      EXPECT_EQ(acc.finish(), expected)
+          << "alignment " << align << " split " << split;
+    }
+  }
+  ChecksumAccumulator words;
+  words.add_word(0x0001);
+  words.add_word(0xf203);
+  words.add_word(0xf4f5);
+  words.add_word(0xf6f7);
+  EXPECT_EQ(words.finish(), expected);
 }
 
 TEST(Checksum, EmptyInputIsAllOnes) {
@@ -75,6 +101,94 @@ TEST(Checksum, TcpChecksumVerifiesWhenEmbedded) {
   seg[16] = static_cast<std::uint8_t>(sum >> 8);
   seg[17] = static_cast<std::uint8_t>(sum & 0xff);
   EXPECT_EQ(tcp_checksum(src, dst, seg), 0);
+}
+
+/// The RFC 1071 definition, one big-endian byte pair at a time: the oracle
+/// for the word-wide accumulator.
+std::uint16_t byte_pair_reference(std::span<const std::uint8_t> bytes) {
+  std::uint32_t sum = 0;
+  for (std::size_t i = 0; i < bytes.size(); i += 2) {
+    const std::uint32_t hi = bytes[i];
+    const std::uint32_t lo = i + 1 < bytes.size() ? bytes[i + 1] : 0;
+    sum += (hi << 8) | lo;
+    sum = (sum & 0xffff) + (sum >> 16);
+  }
+  return static_cast<std::uint16_t>(~sum & 0xffff);
+}
+
+std::vector<std::uint8_t> random_bytes(std::size_t n, std::uint32_t seed) {
+  std::mt19937 rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng());
+  return out;
+}
+
+TEST(Checksum, WordWideMatchesBytePairReferenceOnRandomData) {
+  // Every length 0..1500, odd ones included, at every alignment mod 8 so
+  // the 8- and 4-byte word loads see each possible tail.
+  const auto data = random_bytes(1500 + 8, 1071);
+  for (std::size_t len = 0; len <= 1500; ++len) {
+    for (std::size_t align = 0; align < 8; ++align) {
+      const auto view = std::span(data).subspan(align, len);
+      ASSERT_EQ(internet_checksum(view), byte_pair_reference(view))
+          << "length " << len << " alignment " << align;
+    }
+  }
+}
+
+TEST(Checksum, ChunksOfTwoModFourMatchOneShot) {
+  // Even chunk lengths that are 2 mod 4 end every chunk half-way through a
+  // 32-bit word, so the next chunk's words straddle the previous split.
+  const auto data = random_bytes(1500, 7);
+  std::mt19937 rng(3);
+  for (int trial = 0; trial < 200; ++trial) {
+    ChecksumAccumulator chunked;
+    std::size_t at = 0;
+    while (at < data.size()) {
+      const std::size_t len =
+          std::min<std::size_t>(4 * (rng() % 8) + 2, data.size() - at);
+      chunked.add(std::span(data).subspan(at, len));
+      at += len;
+    }
+    ASSERT_EQ(chunked.finish(), byte_pair_reference(data)) << "trial " << trial;
+  }
+  // An odd final chunk after 2-mod-4 chunks.
+  ChecksumAccumulator tail;
+  tail.add(std::span(data).subspan(0, 6));
+  tail.add(std::span(data).subspan(6, 10));
+  tail.add(std::span(data).subspan(16, 7));
+  EXPECT_EQ(tail.finish(), byte_pair_reference(std::span(data).subspan(0, 23)));
+}
+
+TEST(Checksum, AllZeroAndAllOnesFoldEdges) {
+  // All zero bytes sum to +0 (checksum 0xffff); all 0xff bytes to the
+  // one's-complement -0 (checksum 0x0000). An odd all-0xff tail pads to
+  // 0xff00, whose complement is 0x00ff.
+  for (std::size_t len = 0; len <= 1500; ++len) {
+    const std::vector<std::uint8_t> zeros(len, 0x00);
+    const std::vector<std::uint8_t> ones(len, 0xff);
+    ASSERT_EQ(internet_checksum(zeros), 0xffff) << "length " << len;
+    const std::uint16_t ones_expected =
+        len == 0 ? 0xffff : (len % 2 == 0 ? 0x0000 : 0x00ff);
+    ASSERT_EQ(internet_checksum(ones), ones_expected) << "length " << len;
+    ASSERT_EQ(internet_checksum(ones), byte_pair_reference(ones));
+  }
+}
+
+TEST(Checksum, TcpChecksumMatchesReferenceOverPseudoHeader) {
+  // The pseudo-header words and the segment bytes land in one sum.
+  const Ipv4Addr src(192, 168, 7, 9);
+  const Ipv4Addr dst(10, 200, 30, 4);
+  for (const std::size_t len : {0u, 1u, 2u, 3u, 20u, 21u, 1480u}) {
+    const auto segment = random_bytes(len, static_cast<std::uint32_t>(len));
+    std::vector<std::uint8_t> pseudo = {
+        192, 168, 7, 9, 10, 200, 30, 4, 0, 6,
+        static_cast<std::uint8_t>(len >> 8),
+        static_cast<std::uint8_t>(len & 0xff)};
+    pseudo.insert(pseudo.end(), segment.begin(), segment.end());
+    EXPECT_EQ(tcp_checksum(src, dst, segment), byte_pair_reference(pseudo))
+        << "length " << len;
+  }
 }
 
 }  // namespace

@@ -2,10 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "net/packet.h"
 
 namespace tcpdemux::net {
 namespace {
+
+/// Copies a view: a reassembled datagram lives only until the next offer().
+std::vector<std::uint8_t> bytes(std::span<const std::uint8_t> view) {
+  return {view.begin(), view.end()};
+}
 
 std::vector<std::uint8_t> datagram(std::size_t payload,
                                    std::uint16_t ip_id = 77,
@@ -69,13 +76,13 @@ TEST(Reassembly, InOrderRoundTrip) {
   const auto wire = datagram(1000);
   const auto fragments = fragment_packet(wire, 300);
   Reassembler r;
-  std::optional<std::vector<std::uint8_t>> result;
+  std::optional<std::span<const std::uint8_t>> result;
   for (const auto& f : fragments) {
     EXPECT_FALSE(result.has_value());
     result = r.offer(f, 0.0);
   }
   ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(*result, wire);
+  EXPECT_EQ(bytes(*result), wire);
   // The reassembled datagram parses as a full TCP packet again.
   EXPECT_TRUE(Packet::parse(*result).has_value());
   EXPECT_EQ(r.pending_datagrams(), 0u);
@@ -87,19 +94,19 @@ TEST(Reassembly, OutOfOrderRoundTrip) {
   ASSERT_GT(fragments.size(), 3u);
   // Deliver in reverse.
   Reassembler r;
-  std::optional<std::vector<std::uint8_t>> result;
+  std::optional<std::span<const std::uint8_t>> result;
   for (auto it = fragments.rbegin(); it != fragments.rend(); ++it) {
     result = r.offer(*it, 0.0);
   }
   ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(*result, wire);
+  EXPECT_EQ(bytes(*result), wire);
 }
 
 TEST(Reassembly, DuplicateFragmentsHarmless) {
   const auto wire = datagram(900);
   const auto fragments = fragment_packet(wire, 300);
   Reassembler r;
-  std::optional<std::vector<std::uint8_t>> result;
+  std::optional<std::span<const std::uint8_t>> result;
   for (const auto& f : fragments) {
     (void)r.offer(f, 0.0);  // deliver everything twice
     result = r.offer(f, 0.0);
@@ -111,7 +118,7 @@ TEST(Reassembly, DuplicateFragmentsHarmless) {
     if (!result) result = r.offer(f, 0.0);
   }
   ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(*result, wire);
+  EXPECT_EQ(bytes(*result), wire);
 }
 
 TEST(Reassembly, NonFragmentPassesThrough) {
@@ -119,8 +126,47 @@ TEST(Reassembly, NonFragmentPassesThrough) {
   Reassembler r;
   const auto result = r.offer(wire, 0.0);
   ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(*result, wire);
+  EXPECT_EQ(bytes(*result), wire);
   EXPECT_EQ(r.pending_datagrams(), 0u);
+}
+
+TEST(Reassembly, WholeDatagramIsAViewOfTheWire) {
+  // Zero copy: a whole datagram comes back as the caller's own bytes, cut
+  // at the IPv4 total length (link-layer padding excluded).
+  auto wire = datagram(64);
+  const std::size_t total = wire.size();
+  wire.resize(total + 6, 0x00);
+  Reassembler r;
+  const auto result = r.offer(wire, 0.0);
+  ASSERT_TRUE(result.has_value());
+  EXPECT_EQ(result->data(), wire.data());
+  EXPECT_EQ(result->size(), total);
+  // The parsed payload aliases those same bytes.
+  const auto packet = Packet::parse(*result);
+  ASSERT_TRUE(packet.has_value());
+  EXPECT_EQ(packet->payload.data(), wire.data() + 40);
+  EXPECT_EQ(packet->payload.size(), 64u);
+}
+
+TEST(Reassembly, ReassembledViewOwnedByReassembler) {
+  // A completed datagram is built in the reassembler's buffer, not in any
+  // fragment, and a packet parsed from it points into that buffer.
+  const auto wire = datagram(1000);
+  const auto fragments = fragment_packet(wire, 300);
+  Reassembler r;
+  std::optional<std::span<const std::uint8_t>> result;
+  for (const auto& f : fragments) result = r.offer(f, 0.0);
+  ASSERT_TRUE(result.has_value());
+  for (const auto& f : fragments) {
+    // std::less gives the total pointer order the built-in < does not.
+    EXPECT_FALSE(std::less_equal<>{}(f.data(), result->data()) &&
+                 std::less<>{}(result->data(), f.data() + f.size()));
+  }
+  const auto packet = Packet::parse(*result);
+  ASSERT_TRUE(packet.has_value());
+  EXPECT_EQ(packet->payload.data(), result->data() + 40);
+  EXPECT_EQ(bytes(packet->payload),
+            std::vector<std::uint8_t>(wire.begin() + 40, wire.end()));
 }
 
 TEST(Reassembly, InterleavedDatagramsKeptSeparate) {
@@ -132,10 +178,9 @@ TEST(Reassembly, InterleavedDatagramsKeptSeparate) {
   std::optional<std::vector<std::uint8_t>> got_a;
   std::optional<std::vector<std::uint8_t>> got_b;
   for (std::size_t i = 0; i < fa.size(); ++i) {
-    auto ra = r.offer(fa[i], 0.0);
-    auto rb = r.offer(fb[i], 0.0);
-    if (ra) got_a = ra;
-    if (rb) got_b = rb;
+    // Each view dies at the next offer(), so copy it before offering more.
+    if (const auto ra = r.offer(fa[i], 0.0)) got_a = bytes(*ra);
+    if (const auto rb = r.offer(fb[i], 0.0)) got_b = bytes(*rb);
   }
   ASSERT_TRUE(got_a.has_value());
   ASSERT_TRUE(got_b.has_value());
@@ -203,7 +248,7 @@ TEST(Reassembly, TwoLevelFragmentationStillReassembles) {
   for (const auto& f : fragment_packet(wire, 600)) {
     for (const auto& ff : fragment_packet(f, 300)) {
       const auto got = r.offer(ff, 0.0);
-      if (got) result = got;
+      if (got) result = bytes(*got);
     }
   }
   ASSERT_TRUE(result.has_value());

@@ -34,7 +34,8 @@ TEST(Packet, BuildParseRoundTrip) {
 }
 
 TEST(Packet, ReceiverFlowKeyIsDestinationCentric) {
-  const auto p = Packet::parse(sample_wire());
+  const auto wire = sample_wire();
+  const auto p = Packet::parse(wire);
   ASSERT_TRUE(p.has_value());
   const FlowKey k = p->receiver_flow_key();
   EXPECT_EQ(k.local_addr, Ipv4Addr(10, 0, 0, 1));
@@ -121,7 +122,20 @@ TEST(Packet, PayloadBytesArePreserved) {
                         .build();
   const auto p = Packet::parse(wire);
   ASSERT_TRUE(p.has_value());
-  EXPECT_EQ(p->payload, data);
+  EXPECT_EQ(std::vector<std::uint8_t>(p->payload.begin(), p->payload.end()),
+            data);
+}
+
+TEST(Packet, PayloadAliasesTheParsedBytes) {
+  // Zero copy: the payload is a view of the wire buffer, right behind the
+  // IPv4 and TCP headers, and it ends at the IPv4 total length (link-layer
+  // padding behind the datagram is not payload).
+  auto wire = sample_wire(64);
+  wire.resize(wire.size() + 6, 0x00);
+  const auto p = Packet::parse(wire);
+  ASSERT_TRUE(p.has_value());
+  EXPECT_EQ(p->payload.data(), wire.data() + 20 + 20);
+  EXPECT_EQ(p->payload.size(), 64u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 // sampling (with Karn's rule), RTO backoff, and the accept queue.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "net/packet.h"
@@ -210,6 +211,76 @@ TEST_F(ReliabilityTest, ReapLeavesLiveConnectionsAlone) {
   EXPECT_EQ(client_.reap_closed(10.0), 0u);
   EXPECT_EQ(server_.reap_closed(10.0), 0u);
   EXPECT_EQ(server_.connection_count(), 1u);
+}
+
+TEST_F(ReliabilityTest, ReapingKOfNLeavesNoStaleState) {
+  // N connections wait unaccepted; K of them get outstanding server data
+  // (retransmission state) and are then reset to CLOSED. Reaping must
+  // remove exactly those K from the demuxer, the accept queue, the
+  // retransmission queues and the closing set.
+  constexpr std::uint16_t kN = 8;
+  constexpr std::uint16_t kK = 3;
+  for (std::uint16_t i = 0; i < kN; ++i) {
+    client_.connect({kClientAddr, static_cast<std::uint16_t>(40001 + i),
+                     kServerAddr, kPort});
+    pump();
+  }
+  ASSERT_EQ(server_.connection_count(), kN);
+  ASSERT_EQ(server_.accept_backlog(), kN);
+  for (std::uint16_t i = 0; i < kK; ++i) {
+    const std::uint16_t port = static_cast<std::uint16_t>(40001 + 2 * i);
+    core::Pcb* victim = server_.find({kServerAddr, kPort, kClientAddr, port});
+    ASSERT_NE(victim, nullptr);
+    server_.send_data(*victim, 50);
+    to_client_.clear();  // lost: the segment stays queued for retransmission
+    const auto rst = net::PacketBuilder()
+                         .from({kClientAddr, port})
+                         .to({kServerAddr, kPort})
+                         .seq(victim->rcv_nxt)
+                         .flags(TcpFlag::kRst)
+                         .build();
+    server_.deliver_wire(rst);
+    ASSERT_EQ(victim->state, core::TcpState::kClosed);
+  }
+
+  EXPECT_EQ(server_.reap_closed(10.0), kK);
+  EXPECT_EQ(server_.connection_count(), kN - kK);
+  EXPECT_EQ(server_.reap_closed(10.0), 0u) << "closing set kept a victim";
+  now_ += 5.0;
+  EXPECT_EQ(server_.poll_retransmits(), 0u) << "retransmit queue kept a victim";
+
+  // The accept queue holds exactly the survivors, still in arrival order:
+  // the odd ports (40002, 40004) between the victims, then the rest.
+  std::vector<const core::Pcb*> live;
+  server_.demuxer().for_each_pcb(
+      [&](const core::Pcb& pcb) { live.push_back(&pcb); });
+  EXPECT_EQ(server_.accept_backlog(), kN - kK);
+  std::vector<std::uint16_t> accepted;
+  while (core::Pcb* pcb = server_.accept()) {
+    ASSERT_NE(std::find(live.begin(), live.end(), pcb), live.end())
+        << "accept queue kept a victim";
+    EXPECT_EQ(pcb->state, core::TcpState::kEstablished);
+    accepted.push_back(pcb->key.foreign_port);
+  }
+  EXPECT_EQ(accepted, (std::vector<std::uint16_t>{40002, 40004, 40006, 40007,
+                                                  40008}));
+}
+
+TEST_F(ReliabilityTest, AcceptQueueKeepsOrderAcrossMiddleErase) {
+  // Accepting pops the front; erasing a queued connection removes it from
+  // the middle without disturbing the others' order.
+  for (std::uint16_t port = 50001; port <= 50005; ++port) {
+    client_.connect({kClientAddr, port, kServerAddr, kPort});
+    pump();
+  }
+  ASSERT_EQ(server_.accept_backlog(), 5u);
+  EXPECT_EQ(server_.accept()->key.foreign_port, 50001);
+  EXPECT_TRUE(server_.erase({kServerAddr, kPort, kClientAddr, 50003}));
+  EXPECT_EQ(server_.accept_backlog(), 3u);
+  EXPECT_EQ(server_.accept()->key.foreign_port, 50002);
+  EXPECT_EQ(server_.accept()->key.foreign_port, 50004);
+  EXPECT_EQ(server_.accept()->key.foreign_port, 50005);
+  EXPECT_EQ(server_.accept(), nullptr);
 }
 
 TEST_F(ReliabilityTest, WithoutClockNoRetransmitState) {
