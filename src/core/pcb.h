@@ -55,6 +55,7 @@ struct Pcb {
 
   // --- transport state (maintained by tcp::TcpMachine) --------------------
   TcpState state = TcpState::kClosed;
+  bool delack_pending = false;  ///< delayed ACK owed (TF_DELACK)
   std::uint32_t iss = 0;      ///< initial send sequence number
   std::uint32_t irs = 0;      ///< initial receive sequence number
   std::uint32_t snd_una = 0;  ///< oldest unacknowledged sequence number
@@ -70,7 +71,9 @@ struct Pcb {
   std::uint32_t ssthresh = 0xffffffff;
   std::uint32_t rto_us = 1'000'000;
   std::uint32_t dupacks = 0;  ///< consecutive non-advancing ACKs (t_dupacks)
-  bool delack_pending = false;  ///< delayed ACK owed (TF_DELACK)
+  /// Head of this connection's unacknowledged segments in the socket
+  /// table's tcp::RetransmitQueue pool; 0 = nothing outstanding.
+  std::uint32_t rtx = 0;
 
   // --- counters ------------------------------------------------------------
   std::uint64_t segs_in = 0;
@@ -78,6 +81,10 @@ struct Pcb {
   std::uint64_t bytes_in = 0;
   std::uint64_t bytes_out = 0;
 };
+
+// 128 B is a 144 B glibc malloc chunk; one more byte costs a 160 B chunk per
+// connection. New fields go into padding or replace an existing one.
+static_assert(sizeof(Pcb) == 128, "Pcb outgrew its 128-byte budget");
 
 }  // namespace tcpdemux::core
 

@@ -31,17 +31,22 @@ void LanHost::send_ipv4(net::Ipv4Addr next_hop,
 }
 
 void LanHost::flush_pending() {
+  // One stable compaction pass: resolved datagrams go out in arrival
+  // order and the rest slide down, keeping theirs. Indices, not iterators,
+  // so a send_ipv4 from inside transmit_ may append safely.
   const double now = clock_ ? clock_() : 0.0;
-  for (std::size_t i = 0; i < pending_.size();) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < pending_.size(); ++i) {
     const auto dst_mac = arp_.resolve(pending_[i].next_hop, now);
     if (dst_mac) {
       transmit_(net::ethernet_encapsulate(*dst_mac, mac_,
                                           pending_[i].datagram));
-      pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(i));
     } else {
-      ++i;
+      if (kept != i) pending_[kept] = std::move(pending_[i]);
+      ++kept;
     }
   }
+  pending_.resize(kept);
 }
 
 }  // namespace tcpdemux::tcp

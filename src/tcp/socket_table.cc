@@ -46,7 +46,7 @@ bool SocketTable::erase(const net::FlowKey& key) {
 
 bool SocketTable::release(Pcb& pcb) {
   std::erase(accept_queue_, &pcb);
-  retransmit_.erase(&pcb);
+  retransmit_.release(pcb);
   closing_since_.erase(&pcb);
   const net::FlowKey key = pcb.key;  // erase() destroys the PCB
   return demuxer_->erase(key);
@@ -186,15 +186,12 @@ SocketTable::DeliverResult SocketTable::deliver(const net::Packet& packet) {
 }
 
 void SocketTable::note_acked(Pcb& pcb) {
-  if (!clock_) return;
-  const auto it = retransmit_.find(&pcb);
-  if (it == retransmit_.end()) return;
-  const std::size_t outstanding_before = it->second.size();
-  const auto sample = it->second.on_ack(pcb.snd_una, clock_());
-  if (it->second.size() < outstanding_before) {
+  if (!clock_ || pcb.rtx == 0) return;
+  const auto acked = retransmit_.on_ack(pcb, pcb.snd_una, clock_());
+  if (acked.segments > 0) {
     pcb.dupacks = 0;
-    if (sample.has_value() && *sample >= 0.0) {
-      update_pcb_rtt(pcb, static_cast<std::uint32_t>(*sample * 1e6));
+    if (acked.rtt.has_value() && *acked.rtt >= 0.0) {
+      update_pcb_rtt(pcb, static_cast<std::uint32_t>(*acked.rtt * 1e6));
     } else {
       // Forward progress acknowledged via a retransmission: Karn forbids a
       // sample, but the backed-off RTO may return to the estimator's value
@@ -206,18 +203,17 @@ void SocketTable::note_acked(Pcb& pcb) {
                            1'000'000u, 60'000'000u)
               : 1'000'000u;
     }
-  } else if (!it->second.empty()) {
+  } else {
     // A non-advancing ACK while data is outstanding: a duplicate. Three in
     // a row trigger fast retransmit of the oldest segment (RFC 5681 §3.2,
     // without the congestion-window machinery).
     if (++pcb.dupacks >= 3) {
       pcb.dupacks = 0;
-      if (const auto segment = it->second.take_front(clock_())) {
+      if (const auto segment = retransmit_.take_front(pcb, clock_())) {
         retransmit_segment(pcb, *segment);
       }
     }
   }
-  if (it->second.empty()) retransmit_.erase(it);
 }
 
 void SocketTable::retransmit_segment(Pcb& pcb,
@@ -242,13 +238,18 @@ std::size_t SocketTable::poll_retransmits() {
   if (!clock_) return 0;
   const double now = clock_();
   std::size_t resent = 0;
-  for (auto& [pcb, queue] : retransmit_) {
+  // Walk the pool by slot, re-reading its size: the transmit callback may
+  // send on another connection and grow the pool. take_expired returns a
+  // copy, so no reference into the pool is held across the transmit.
+  for (std::uint32_t slot = 1; slot < retransmit_.slots(); ++slot) {
+    Pcb* pcb = retransmit_.owner_at(slot);
+    if (pcb == nullptr) continue;
     const double rto = pcb->rto_us / 1e6;
     // Classic RTO behavior: resend only the oldest outstanding segment and
     // back the timer off once; the cumulative ACK it provokes re-arms
     // recovery for the rest (retransmitting the whole queue would mark
     // every segment with Karn's bit and starve the RTT estimator forever).
-    if (const auto segment = queue.take_expired(now, rto)) {
+    if (const auto segment = retransmit_.take_expired(*pcb, now, rto)) {
       retransmit_segment(*pcb, *segment);
       ++resent;
       pcb->rto_us = std::min<std::uint32_t>(pcb->rto_us * 2, 60'000'000u);
@@ -269,7 +270,7 @@ void SocketTable::transmit_segment(Pcb& pcb, const Emit& emit) {
     builder.ack_seq(emit.ack);
   }
   if (clock_ && emit.payload_len > 0) {
-    retransmit_[&pcb].on_send(emit.seq, emit.payload_len, clock_());
+    retransmit_.on_send(pcb, emit.seq, emit.payload_len, clock_());
   }
   demuxer_->note_sent(&pcb);
   transmit_(builder.build(), pcb);

@@ -97,8 +97,9 @@ class SocketTable {
   bool erase(const net::FlowKey& key);
 
   // --- reliability (optional) ---------------------------------------------
-  // When a clock is installed, data segments enter a per-connection
-  // retransmission queue, cumulative ACKs produce RTT samples feeding the
+  // When a clock is installed, data segments enter the connection's
+  // retransmission queue (a FIFO in the table-wide pool, headed by
+  // Pcb::rtx), cumulative ACKs produce RTT samples feeding the
   // PCB's RFC 6298 estimator (Karn's rule applied), and poll_retransmits()
   // re-emits segments whose RTO expired, backing the RTO off per timeout.
 
@@ -179,7 +180,7 @@ class SocketTable {
   Counters counters_;
   std::deque<core::Pcb*> accept_queue_;
   std::function<double()> clock_;
-  std::unordered_map<core::Pcb*, RetransmitQueue> retransmit_;
+  RetransmitQueue retransmit_;  ///< every connection's, reached via Pcb::rtx
   std::unordered_map<core::Pcb*, double> closing_since_;
   std::optional<SynCache> syn_cache_;
 };

@@ -7,8 +7,12 @@
 // in-order data transfer with cumulative acknowledgements, duplicate-ACK
 // generation for out-of-order segments, RST handling, and the full
 // close sequence (FIN_WAIT_1/2, CLOSE_WAIT, LAST_ACK, CLOSING, TIME_WAIT).
-// Not modeled: retransmission timers, reassembly queues, window scaling,
-// congestion control dynamics — none of which affect demultiplexing.
+// The machine keeps no timers. Loss recovery lives one layer up:
+// SocketTable (with a clock installed) queues every data segment it
+// transmits in its RetransmitQueue, samples RTTs from the ACKs, and
+// re-sends on RTO expiry or the third duplicate ACK. Not modeled at all:
+// reassembly queues, window scaling, congestion control dynamics — none of
+// which affect demultiplexing.
 #ifndef TCPDEMUX_TCP_TCP_MACHINE_H_
 #define TCPDEMUX_TCP_TCP_MACHINE_H_
 

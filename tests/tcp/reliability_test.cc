@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <vector>
 
 #include "net/packet.h"
@@ -30,6 +31,7 @@ class ReliabilityTest : public ::testing::Test {
         client_(core::DemuxConfig{core::Algorithm::kBsd},
                 [this](std::vector<std::uint8_t> wire, const core::Pcb&) {
                   to_server_.push_back(std::move(wire));
+                  if (client_tap_) client_tap_();
                 }) {
     server_.set_clock([this] { return now_; });
     client_.set_clock([this] { return now_; });
@@ -57,6 +59,7 @@ class ReliabilityTest : public ::testing::Test {
   }
 
   double now_ = 0.0;
+  std::function<void()> client_tap_;  ///< runs after each client transmit
   std::vector<std::vector<std::uint8_t>> to_client_;
   std::vector<std::vector<std::uint8_t>> to_server_;
   SocketTable server_;
@@ -152,6 +155,48 @@ TEST_F(ReliabilityTest, NoSpuriousRetransmissionBeforeRto) {
   EXPECT_EQ(pcb->snd_una, pcb->snd_nxt);
   now_ += 5.0;
   EXPECT_EQ(client_.poll_retransmits(), 0u) << "acked data retransmitted";
+}
+
+TEST_F(ReliabilityTest, SendFromTransmitCallbackDuringPollIsSafe) {
+  // Four connections each lose a segment. The transmit callback of the
+  // first retransmission sends on twelve connections that have no
+  // retransmission state yet, growing the table's retransmission state
+  // while poll_retransmits is walking it. The walk must neither hold a
+  // reference across the transmit nor lose its place: all four expired
+  // segments still go out, each once.
+  constexpr std::size_t kLost = 4;
+  std::vector<core::Pcb*> pcbs;
+  for (std::uint16_t i = 0; i < 16; ++i) {
+    pcbs.push_back(client_.connect({kClientAddr,
+                                    static_cast<std::uint16_t>(41001 + i),
+                                    kServerAddr, kPort}));
+    pump();
+    ASSERT_EQ(pcbs.back()->state, core::TcpState::kEstablished);
+  }
+  for (std::size_t i = 0; i < kLost; ++i) client_.send_data(*pcbs[i], 100);
+  to_server_.clear();  // lost
+
+  bool fired = false;
+  client_tap_ = [&] {
+    if (fired) return;
+    fired = true;
+    for (std::size_t i = kLost; i < pcbs.size(); ++i) {
+      EXPECT_TRUE(client_.send_data(*pcbs[i], 200));
+    }
+  };
+  now_ += 1.5;
+  EXPECT_EQ(client_.poll_retransmits(), kLost);
+  EXPECT_TRUE(fired);
+  client_tap_ = nullptr;
+  EXPECT_EQ(client_.counters().retransmissions, kLost);
+  EXPECT_EQ(to_server_.size(), pcbs.size());  // 4 resends + 12 new segments
+
+  pump();
+  for (const core::Pcb* pcb : pcbs) {
+    EXPECT_EQ(pcb->snd_una, pcb->snd_nxt) << pcb->key.local_port;
+  }
+  now_ += 5.0;
+  EXPECT_EQ(client_.poll_retransmits(), 0u) << "acked data still queued";
 }
 
 TEST_F(ReliabilityTest, CountersTrackTraffic) {
