@@ -150,9 +150,10 @@ CellResult run_cell(const std::string& spec, std::uint32_t n,
         *std::max_element(pauses.begin(), pauses.end()));
     out.max_pause =
         round == 0 ? round_max : std::min(out.max_pause, round_max);
+    // Every doubling of the round, populate phase included; both drain
+    // schedules count each one exactly once.
     if (round == 0) {
-      out.resizes = demuxer->telemetry().counters().rehashes +
-                    demuxer->telemetry().counters().resizes_started;
+      out.resizes = demuxer->telemetry().counters().resizes_started;
     }
   }
   out.steady_p50 = percentile(steady, 0.50);

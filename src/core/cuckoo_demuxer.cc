@@ -7,7 +7,6 @@
 
 #include "core/fault_inject.h"
 #include "core/prefetch.h"
-#include "core/resize_policy.h"
 #include "core/simd.h"
 
 namespace tcpdemux::core {
@@ -27,25 +26,27 @@ CuckooDemuxer::CuckooDemuxer(Options options) : options_(options) {
   }
   const std::size_t slots = round_up_pow2(
       std::max(options_.initial_capacity, kMinBuckets * kBucketWidth));
-  const std::size_t buckets = slots / kBucketWidth;
-  bucket_mask_ = buckets - 1;
-  meta_.assign(buckets, BucketMeta{});
-  filter_counts_.assign(buckets, {});
-  hashes_.assign(slots, 0);
-  keys_.assign(slots, net::FlowKey{});
-  pcbs_.resize(slots);
+  table_ = Table(slots / kBucketWidth);
 }
 
+CuckooDemuxer::Table::Table(std::size_t buckets)
+    : bucket_mask(buckets - 1),
+      meta(buckets),
+      hashes(buckets * kBucketWidth, 0),
+      keys(buckets * kBucketWidth, net::FlowKey{}),
+      pcbs(buckets * kBucketWidth),
+      filter_counts(buckets) {}
+
 CuckooDemuxer::Probe CuckooDemuxer::find_slot(
-    std::uint32_t h, const net::FlowKey& key) const noexcept {
+    const Table& t, std::uint32_t h, const net::FlowKey& key) noexcept {
   Probe r;
   const std::uint8_t tag = tag_of(h);
-  const std::size_t b1 = bucket_of(h);
-  std::uint32_t match = bucket_match(meta_[b1].tags.data(), tag);
+  const std::size_t b1 = h & t.bucket_mask;
+  std::uint32_t match = bucket_match(t.meta[b1].tags.data(), tag);
   while (match != 0) {
     const auto s = static_cast<std::size_t>(std::countr_zero(match));
     ++r.examined;
-    if (keys_[b1 * kBucketWidth + s] == key) {
+    if (t.keys[b1 * kBucketWidth + s] == key) {
       r.slot = b1 * kBucketWidth + s;
       return r;
     }
@@ -55,14 +56,14 @@ CuckooDemuxer::Probe CuckooDemuxer::find_slot(
   // resident with this fingerprint nibble overflowed out of b1 — which
   // registered the bit. No bit, no second probe: the common negative
   // lookup ends after one bucket's metadata.
-  if ((meta_[b1].filter & (1U << filter_index(tag))) == 0) return r;
+  if ((t.meta[b1].filter & (1U << filter_index(tag))) == 0) return r;
   r.buckets = 2;
-  const std::size_t b2 = alt_bucket(b1, tag);
-  match = bucket_match(meta_[b2].tags.data(), tag);
+  const std::size_t b2 = t.alt_bucket(b1, tag);
+  match = bucket_match(t.meta[b2].tags.data(), tag);
   while (match != 0) {
     const auto s = static_cast<std::size_t>(std::countr_zero(match));
     ++r.examined;
-    if (keys_[b2 * kBucketWidth + s] == key) {
+    if (t.keys[b2 * kBucketWidth + s] == key) {
       r.slot = b2 * kBucketWidth + s;
       return r;
     }
@@ -71,65 +72,77 @@ CuckooDemuxer::Probe CuckooDemuxer::find_slot(
   return r;
 }
 
-void CuckooDemuxer::filter_add(std::size_t bucket, std::uint8_t tag) noexcept {
+void CuckooDemuxer::filter_add(Table& t, std::size_t bucket,
+                               std::uint8_t tag) noexcept {
   const std::uint32_t idx = filter_index(tag);
-  ++filter_counts_[bucket][idx];
-  meta_[bucket].filter |= static_cast<std::uint16_t>(1U << idx);
+  ++t.filter_counts[bucket][idx];
+  t.meta[bucket].filter |= static_cast<std::uint16_t>(1U << idx);
 }
 
-void CuckooDemuxer::filter_remove(std::size_t bucket,
+void CuckooDemuxer::filter_remove(Table& t, std::size_t bucket,
                                   std::uint8_t tag) noexcept {
   const std::uint32_t idx = filter_index(tag);
-  if (--filter_counts_[bucket][idx] == 0) {
-    meta_[bucket].filter &= static_cast<std::uint16_t>(~(1U << idx));
+  if (--t.filter_counts[bucket][idx] == 0) {
+    t.meta[bucket].filter &= static_cast<std::uint16_t>(~(1U << idx));
   }
 }
 
-void CuckooDemuxer::set_slot(std::size_t slot, std::uint32_t h,
-                             const net::FlowKey& key,
-                             std::unique_ptr<Pcb> pcb) noexcept {
-  meta_[slot / kBucketWidth].tags[slot % kBucketWidth] = tag_of(h);
-  hashes_[slot] = h;
-  keys_[slot] = key;
-  pcbs_[slot] = std::move(pcb);
+void CuckooDemuxer::clear_slot(Table& t, std::size_t slot) noexcept {
+  const std::size_t bucket = slot / kBucketWidth;
+  const std::uint8_t tag = t.tag_at(slot);
+  const std::size_t primary = t.hashes[slot] & t.bucket_mask;
+  if (bucket != primary) filter_remove(t, primary, tag);
+  t.meta[bucket].tags[slot % kBucketWidth] = 0;
+  t.pcbs[slot].reset();
 }
 
-void CuckooDemuxer::move_slot(std::size_t from, std::size_t to) noexcept {
+void CuckooDemuxer::set_slot(Table& t, std::size_t slot, std::uint32_t h,
+                             const net::FlowKey& key,
+                             std::unique_ptr<Pcb> pcb) noexcept {
+  t.meta[slot / kBucketWidth].tags[slot % kBucketWidth] = tag_of(h);
+  t.hashes[slot] = h;
+  t.keys[slot] = key;
+  t.pcbs[slot] = std::move(pcb);
+}
+
+void CuckooDemuxer::move_slot(Table& t, std::size_t from,
+                              std::size_t to) noexcept {
   const std::size_t from_bucket = from / kBucketWidth;
-  const std::uint8_t tag = meta_[from_bucket].tags[from % kBucketWidth];
-  const std::size_t primary = bucket_of(hashes_[from]);
-  meta_[to / kBucketWidth].tags[to % kBucketWidth] = tag;
-  meta_[from_bucket].tags[from % kBucketWidth] = 0;
-  hashes_[to] = hashes_[from];
-  keys_[to] = keys_[from];
-  pcbs_[to] = std::move(pcbs_[from]);
+  const std::uint8_t tag = t.tag_at(from);
+  const std::size_t primary = t.hashes[from] & t.bucket_mask;
+  t.meta[to / kBucketWidth].tags[to % kBucketWidth] = tag;
+  t.meta[from_bucket].tags[from % kBucketWidth] = 0;
+  t.hashes[to] = t.hashes[from];
+  t.keys[to] = t.keys[from];
+  t.pcbs[to] = std::move(t.pcbs[from]);
   // A move is always between the entry's two candidate buckets, so it
   // either leaves home (register in the filter) or returns home
   // (deregister). The counted backing store keeps shared bits exact.
   if (from_bucket == primary) {
-    filter_add(primary, tag);
+    filter_add(t, primary, tag);
   } else {
-    filter_remove(primary, tag);
+    filter_remove(t, primary, tag);
   }
 }
 
-bool CuckooDemuxer::place_entry(std::uint32_t h, const net::FlowKey& key,
+bool CuckooDemuxer::place_entry(Table& t, std::uint32_t h,
+                                const net::FlowKey& key,
                                 std::unique_ptr<Pcb>& pcb,
                                 std::size_t* effort) {
   const std::uint8_t tag = tag_of(h);
-  const std::size_t b1 = bucket_of(h);
-  const std::size_t b2 = alt_bucket(b1, tag);
+  const std::size_t b1 = h & t.bucket_mask;
+  const std::size_t b2 = t.alt_bucket(b1, tag);
   *effort = 0;
   for (std::size_t s = 0; s < kBucketWidth; ++s) {
-    if (meta_[b1].tags[s] == 0) {
-      set_slot(b1 * kBucketWidth + s, h, key, std::move(pcb));
+    if (t.meta[b1].tags[s] == 0) {
+      set_slot(t, b1 * kBucketWidth + s, h, key, std::move(pcb));
       return true;
     }
   }
   for (std::size_t s = 0; s < kBucketWidth; ++s) {
-    if (meta_[b2].tags[s] == 0) {
-      set_slot(b2 * kBucketWidth + s, h, key, std::move(pcb));
-      filter_add(b1, tag);
+    if (t.meta[b2].tags[s] == 0) {
+      set_slot(t, b2 * kBucketWidth + s, h, key, std::move(pcb));
+      filter_add(t, b1, tag);
       return true;
     }
   }
@@ -151,13 +164,12 @@ bool CuckooDemuxer::place_entry(std::uint32_t h, const net::FlowKey& key,
   for (std::size_t qi = 0; qi < count; ++qi) {
     const std::size_t from_bucket = nodes[qi].bucket;
     for (std::size_t s = 0; s < kBucketWidth; ++s) {
-      const std::uint8_t rtag = meta_[from_bucket].tags[s];
+      const std::uint8_t rtag = t.meta[from_bucket].tags[s];
       if (rtag == 0) continue;  // only full buckets are ever expanded
-      const std::size_t other =
-          (from_bucket ^ (net::mix32_avalanche(rtag) | 1U)) & bucket_mask_;
+      const std::size_t other = t.alt_bucket(from_bucket, rtag);
       std::size_t empty = kNpos;
       for (std::size_t e = 0; e < kBucketWidth; ++e) {
-        if (meta_[other].tags[e] == 0) {
+        if (t.meta[other].tags[e] == 0) {
           empty = e;
           break;
         }
@@ -166,7 +178,7 @@ bool CuckooDemuxer::place_entry(std::uint32_t h, const net::FlowKey& key,
         *effort = count;
         // Unwind: vacate along the parent chain, then install the new
         // entry in the freed root slot (root is b1 or b2 by construction).
-        move_slot(from_bucket * kBucketWidth + s,
+        move_slot(t, from_bucket * kBucketWidth + s,
                   other * kBucketWidth + empty);
         std::size_t free = from_bucket * kBucketWidth + s;
         std::size_t cur = qi;
@@ -174,12 +186,12 @@ bool CuckooDemuxer::place_entry(std::uint32_t h, const net::FlowKey& key,
           const auto p = static_cast<std::size_t>(nodes[cur].parent);
           const std::size_t from =
               nodes[p].bucket * kBucketWidth + nodes[cur].via;
-          move_slot(from, free);
+          move_slot(t, from, free);
           free = from;
           cur = p;
         }
-        set_slot(free, h, key, std::move(pcb));
-        if (free / kBucketWidth != b1) filter_add(b1, tag);
+        set_slot(t, free, h, key, std::move(pcb));
+        if (free / kBucketWidth != b1) filter_add(t, b1, tag);
         return true;
       }
       if (count < kMaxBfsNodes) {
@@ -200,8 +212,11 @@ bool CuckooDemuxer::place_entry(std::uint32_t h, const net::FlowKey& key,
 
 Pcb* CuckooDemuxer::insert(const net::FlowKey& key) {
   std::uint32_t h = hash_of(key);
-  if (find_slot(h, key).slot != kNpos) return nullptr;
-  if (old_ != nullptr && find_slot_old(h, key).slot != kNpos) return nullptr;
+  if (find_slot(table_, h, key).slot != kNpos) return nullptr;
+  if (const auto* old = resize_.old();
+      old != nullptr && find_slot(old->table, h, key).slot != kNpos) {
+    return nullptr;
+  }
   if (options_.max_pcbs != 0 && size_ >= options_.max_pcbs) {
     ++inserts_shed_;
     telemetry_->on_shed();
@@ -209,10 +224,7 @@ Pcb* CuckooDemuxer::insert(const net::FlowKey& key) {
   }
   if (FaultInjector::instance().poll_alloc()) return nullptr;
   maybe_grow();
-  // Ladder rung 2: growth is allocation-blocked and the live array has
-  // hit its hard 15/16 watermark — shed rather than let kick searches
-  // thrash a nearly full table.
-  if (grow_blocked_ && (size_ + 1) * 16 > capacity() * 15) {
+  if (resize_.sheds_at_watermark(size_, capacity())) {
     ++inserts_shed_;
     telemetry_->on_shed();
     return nullptr;
@@ -220,7 +232,7 @@ Pcb* CuckooDemuxer::insert(const net::FlowKey& key) {
   auto pcb = std::make_unique<Pcb>(key, next_conn_id());
   Pcb* const raw = pcb.get();
   std::size_t effort = 0;
-  bool placed = place_entry(h, key, pcb, &effort);
+  bool placed = place_entry(table_, h, key, pcb, &effort);
   for (int attempt = 0; attempt < 2 && !placed; ++attempt) {
     watermark_ = std::max<std::uint64_t>(watermark_, effort);
     // Kick search exhausted its budget. A keyed-seed rotation scatters
@@ -232,12 +244,12 @@ Pcb* CuckooDemuxer::insert(const net::FlowKey& key) {
         inserts_since_rehash_ >= rehash_cooldown_) {
       rehash_with_fresh_seed();
       h = hash_of(key);
-      placed = place_entry(h, key, pcb, &effort);
+      placed = place_entry(table_, h, key, pcb, &effort);
       if (placed) break;
     }
     if (size_ * 2 < capacity()) break;
-    grow();
-    placed = place_entry(h, key, pcb, &effort);
+    resize_.grow(*this, table_, options_.incremental);
+    placed = place_entry(table_, h, key, pcb, &effort);
   }
   if (!placed) {
     ++inserts_shed_;
@@ -247,7 +259,9 @@ Pcb* CuckooDemuxer::insert(const net::FlowKey& key) {
   ++size_;
   telemetry_->on_insert();
   note_insert(effort);
-  if (old_ != nullptr) [[unlikely]] migrate_batch(kMigrateBatch);
+  if (resize_.migrating()) [[unlikely]] {
+    resize_.migrate_batch(*this, kMigrateBatch);
+  }
   return raw;
 }
 
@@ -255,175 +269,30 @@ void CuckooDemuxer::maybe_grow() {
   // Grow at 7/8 occupancy: 4-way buckets keep kick paths short below
   // that, and the filter bits stay sparse.
   if ((size_ + 1) * 8 <= capacity() * 7) return;
-  if (!options_.incremental) {
-    grow();
-    return;
-  }
-  if (old_ != nullptr) {
-    // The *new* array itself hit the trigger while the old one still
-    // drains: churn outpaced migration. Finish the drain (bounded by the
-    // remaining debt), then start the next doubling below.
-    finish_migration();
-  }
-  if (grow_blocked_ && grow_retry_in_ > 0) {
-    --grow_retry_in_;
-    return;
-  }
-  start_migration();
+  resize_.grow(*this, table_, options_.incremental);
 }
 
-bool CuckooDemuxer::start_migration() {
-  if (FaultInjector::instance().poll_alloc()) {
-    defer_migration();
-    return false;
+bool CuckooDemuxer::migrate_unit(Table& old, std::size_t slot,
+                                 DrainMode /*mode*/) {
+  if (old.tag_at(slot) == 0) return false;
+  std::size_t effort = 0;
+  while (!place_entry(table_, old.hashes[slot], old.keys[slot],
+                      old.pcbs[slot], &effort)) {
+    // Kick search exhausted mid-drain — possible only for degenerate hash
+    // sets (the live array is at most half full here). Double the live
+    // table in place; the entry stays in its old slot meanwhile. The
+    // doubling still enters the resize ledger.
+    rebuild(bucket_count() * 2, options_.hasher);
+    telemetry_->on_resize_start();
+    telemetry_->on_resize_complete();
   }
-  const std::size_t buckets = bucket_count() * 2;
-  const std::size_t slots = buckets * kBucketWidth;
-  std::unique_ptr<OldTable> old;
-  std::vector<BucketMeta> meta;
-  std::vector<std::array<std::uint16_t, 16>> filter_counts;
-  std::vector<std::uint32_t> hashes;
-  std::vector<net::FlowKey> keys;
-  std::vector<std::unique_ptr<Pcb>> pcbs;
-  try {
-    old = std::make_unique<OldTable>();
-    meta.assign(buckets, BucketMeta{});
-    filter_counts.assign(buckets, {});
-    hashes.assign(slots, 0);
-    keys.assign(slots, net::FlowKey{});
-    pcbs.resize(slots);
-  } catch (const std::bad_alloc&) {
-    defer_migration();
-    return false;
-  }
-  // Everything allocated: swing the live arrays behind the drain cursor.
-  // No failure path from here on, so no intermediate state can leak.
-  old->bucket_mask = bucket_mask_;
-  old->residents = size_;
-  old->meta = std::move(meta_);
-  old->hashes = std::move(hashes_);
-  old->keys = std::move(keys_);
-  old->pcbs = std::move(pcbs_);
-  old->filter_counts = std::move(filter_counts_);
-  old_ = std::move(old);
-  bucket_mask_ = buckets - 1;
-  meta_ = std::move(meta);
-  hashes_ = std::move(hashes);
-  keys_ = std::move(keys);
-  pcbs_ = std::move(pcbs);
-  filter_counts_ = std::move(filter_counts);
-  grow_blocked_ = false;
-  grow_backoff_ = 0;
-  grow_retry_in_ = 0;
-  telemetry_->on_resize_start();
+  clear_slot(old, slot);
   return true;
 }
 
-void CuckooDemuxer::defer_migration() {
-  grow_blocked_ = true;
-  grow_backoff_ =
-      grow_backoff_ == 0
-          ? kGrowBackoffMin
-          : std::min<std::uint64_t>(grow_backoff_ * 2, kGrowBackoffMax);
-  grow_retry_in_ = grow_backoff_;
-  telemetry_->on_resize_defer();
-}
-
-void CuckooDemuxer::migrate_batch(std::size_t budget) {
-  if (old_ == nullptr) return;
-  OldTable& old = *old_;
-  std::size_t moved = 0;
-  std::size_t scanned = 0;
-  const std::size_t scan_budget = budget * kMigrateScanFactor;
-  while (moved < budget && old.residents > 0) {
-    // residents > 0 guarantees an occupied slot at or past the cursor:
-    // nothing is ever placed or kicked into the old array, so the
-    // drained prefix [0, cursor) never refills.
-    const std::size_t slot = old.cursor;
-    if (old.meta[slot / kBucketWidth].tags[slot % kBucketWidth] == 0) {
-      ++old.cursor;
-      if (++scanned >= scan_budget) break;
-      continue;
-    }
-    const std::uint32_t h = old.hashes[slot];
-    const net::FlowKey key = old.keys[slot];
-    std::unique_ptr<Pcb> pcb = std::move(old.pcbs[slot]);
-    std::size_t effort = 0;
-    while (!place_entry(h, key, pcb, &effort)) {
-      // Kick search exhausted mid-drain — possible only for degenerate
-      // hash sets (the live array is at most half full here). The
-      // stop-the-world rebuild ladder separates them; pointer-stable.
-      grow();
-    }
-    clear_slot_old(slot);
-    --old.residents;
-    ++moved;
-  }
-  telemetry_->on_resize_step(moved, old.residents);
-  if (old.residents == 0) {
-    old_.reset();
-    telemetry_->on_resize_complete();
-  }
-}
-
-void CuckooDemuxer::finish_migration() {
-  while (old_ != nullptr) migrate_batch(old_->residents + 1);
-}
-
 bool CuckooDemuxer::migration_step() {
-  migrate_batch(kMigrateBatch);
-  return old_ != nullptr;
-}
-
-CuckooDemuxer::Probe CuckooDemuxer::find_slot_old(
-    std::uint32_t h, const net::FlowKey& key) const noexcept {
-  const OldTable& old = *old_;
-  Probe r;
-  const std::uint8_t tag = tag_of(h);
-  const std::size_t b1 = h & old.bucket_mask;
-  std::uint32_t match = bucket_match(old.meta[b1].tags.data(), tag);
-  while (match != 0) {
-    const auto s = static_cast<std::size_t>(std::countr_zero(match));
-    ++r.examined;
-    if (old.keys[b1 * kBucketWidth + s] == key) {
-      r.slot = b1 * kBucketWidth + s;
-      return r;
-    }
-    match &= match - 1;
-  }
-  if ((old.meta[b1].filter & (1U << filter_index(tag))) == 0) return r;
-  r.buckets = 2;
-  const std::size_t b2 =
-      (b1 ^ (net::mix32_avalanche(tag) | 1U)) & old.bucket_mask;
-  match = bucket_match(old.meta[b2].tags.data(), tag);
-  while (match != 0) {
-    const auto s = static_cast<std::size_t>(std::countr_zero(match));
-    ++r.examined;
-    if (old.keys[b2 * kBucketWidth + s] == key) {
-      r.slot = b2 * kBucketWidth + s;
-      return r;
-    }
-    match &= match - 1;
-  }
-  return r;
-}
-
-void CuckooDemuxer::old_filter_remove(std::size_t bucket,
-                                      std::uint8_t tag) noexcept {
-  const std::uint32_t idx = filter_index(tag);
-  if (--old_->filter_counts[bucket][idx] == 0) {
-    old_->meta[bucket].filter &= static_cast<std::uint16_t>(~(1U << idx));
-  }
-}
-
-void CuckooDemuxer::clear_slot_old(std::size_t slot) noexcept {
-  OldTable& old = *old_;
-  const std::size_t bucket = slot / kBucketWidth;
-  const std::uint8_t tag = old.meta[bucket].tags[slot % kBucketWidth];
-  const std::size_t primary = old.hashes[slot] & old.bucket_mask;
-  if (bucket != primary) old_filter_remove(primary, tag);
-  old.meta[bucket].tags[slot % kBucketWidth] = 0;
-  old.pcbs[slot].reset();
+  resize_.migrate_batch(*this, kMigrateBatch);
+  return resize_.migrating();
 }
 
 void CuckooDemuxer::note_insert(std::size_t effort) {
@@ -435,124 +304,108 @@ void CuckooDemuxer::rehash_with_fresh_seed() {
   // The old array's stored hashes and filters were computed under the
   // outgoing seed; re-probing it after rotation would miss every
   // resident. Drain it first (rare: needs an overload mid-migration).
-  finish_migration();
-  options_.hasher.seed = net::next_seed(options_.hasher.seed);
-  rebuild(bucket_count());
+  resize_.finish_migration(*this);
+  inserts_since_rehash_ = 0;
+  // Hysteresis: even if every key collides under every seed, at most one
+  // rotation attempt per `limit` further inserts — bounded thrash.
+  rehash_cooldown_ = watermark_limit();
+  net::HashSpec spec = options_.hasher;
+  spec.seed = net::next_seed(spec.seed);
+  try {
+    rebuild(bucket_count(), spec);
+  } catch (const std::bad_alloc&) {
+    return;  // keep serving under the current seed; retry after cooldown
+  }
   watermark_ = 0;  // search effort restarts under the fresh seed
   ++overload_rehashes_;
   telemetry_->on_rehash();
-  inserts_since_rehash_ = 0;
-  // Hysteresis: even if every key collides under every seed, at most one
-  // rehash per `limit` further inserts — bounded thrash.
-  rehash_cooldown_ = watermark_limit();
 }
 
-void CuckooDemuxer::rebuild(std::size_t buckets) {
-  struct Entry {
-    net::FlowKey key;
-    std::unique_ptr<Pcb> pcb;
-  };
-  std::vector<Entry> entries;
-  entries.reserve(size_);
-  const std::size_t old_capacity = capacity();
-  for (std::size_t slot = 0; slot < old_capacity; ++slot) {
-    if (meta_[slot / kBucketWidth].tags[slot % kBucketWidth] != 0) {
-      entries.push_back(Entry{keys_[slot], std::move(pcbs_[slot])});
-    }
-  }
+void CuckooDemuxer::rebuild(std::size_t buckets, const net::HashSpec& spec) {
   while (true) {
-    bucket_mask_ = buckets - 1;
-    meta_.assign(buckets, BucketMeta{});
-    filter_counts_.assign(buckets, {});
-    hashes_.assign(buckets * kBucketWidth, 0);
-    keys_.assign(buckets * kBucketWidth, net::FlowKey{});
-    pcbs_.clear();
-    pcbs_.resize(buckets * kBucketWidth);
-    bool ok = true;
-    for (auto& e : entries) {
-      std::size_t effort = 0;
-      if (!place_entry(hash_of(e.key), e.key, e.pcb, &effort)) {
-        ok = false;
+    Table fresh(buckets);
+    const std::size_t cap = capacity();
+    std::size_t slot = 0;
+    std::size_t effort = 0;
+    for (; slot < cap; ++slot) {
+      if (table_.tag_at(slot) == 0) continue;
+      const net::FlowKey& key = table_.keys[slot];
+      if (!place_entry(fresh, hash_with(spec, key), key, table_.pcbs[slot],
+                       &effort)) {
         break;
       }
     }
-    if (ok) return;
+    if (slot == cap) {
+      table_ = std::move(fresh);
+      options_.hasher = spec;
+      return;
+    }
     // Re-placement failed (possible only for near-degenerate hash sets at
-    // this geometry). Reclaim what was placed, keep what was not, and
+    // this geometry). Hand every moved PCB back to its live slot and
     // double: co-residents can share both candidate buckets at *every*
     // capacity only by sharing their full hash, and at most 2*kBucketWidth
     // of those ever co-reside — so doubling always separates the rest.
-    std::vector<Entry> remaining;
-    remaining.reserve(entries.size());
-    const std::size_t cap = capacity();
-    for (std::size_t slot = 0; slot < cap; ++slot) {
-      if (meta_[slot / kBucketWidth].tags[slot % kBucketWidth] != 0) {
-        remaining.push_back(Entry{keys_[slot], std::move(pcbs_[slot])});
-      }
+    for (std::size_t s = 0; s < slot; ++s) {
+      if (table_.tag_at(s) == 0) continue;
+      const net::FlowKey& key = table_.keys[s];
+      table_.pcbs[s] = std::move(
+          fresh.pcbs[find_slot(fresh, hash_with(spec, key), key).slot]);
     }
-    for (auto& e : entries) {
-      if (e.pcb != nullptr) remaining.push_back(std::move(e));
-    }
-    entries = std::move(remaining);
     buckets *= 2;
   }
 }
 
-void CuckooDemuxer::grow() { rebuild(bucket_count() * 2); }
-
 bool CuckooDemuxer::erase(const net::FlowKey& key) {
   const std::uint32_t h = hash_of(key);
-  const Probe p = find_slot(h, key);
+  const Probe p = find_slot(table_, h, key);
   if (p.slot != kNpos) {
-    const std::size_t bucket = p.slot / kBucketWidth;
-    const std::uint8_t tag = meta_[bucket].tags[p.slot % kBucketWidth];
-    const std::size_t primary = bucket_of(hashes_[p.slot]);
-    if (bucket != primary) filter_remove(primary, tag);
-    meta_[bucket].tags[p.slot % kBucketWidth] = 0;
-    pcbs_[p.slot].reset();
+    clear_slot(table_, p.slot);
   } else {
-    if (old_ == nullptr) return false;
-    const Probe q = find_slot_old(h, key);
+    auto* old = resize_.old();
+    if (old == nullptr) return false;
+    const Probe q = find_slot(old->table, h, key);
     if (q.slot == kNpos) return false;
-    clear_slot_old(q.slot);
-    if (--old_->residents == 0) {
-      old_.reset();
-      telemetry_->on_resize_complete();
-    }
+    clear_slot(old->table, q.slot);
+    resize_.note_erased(*this);
   }
   --size_;
   telemetry_->on_erase();
-  if (old_ != nullptr) [[unlikely]] migrate_batch(kMigrateBatch);
+  if (resize_.migrating()) [[unlikely]] {
+    resize_.migrate_batch(*this, kMigrateBatch);
+  }
   return true;
 }
 
 LookupResult CuckooDemuxer::lookup(const net::FlowKey& key,
                                    SegmentKind /*kind*/) {
   const std::uint32_t h = hash_of(key);
-  const Probe p = find_slot(h, key);
+  const Probe p = find_slot(table_, h, key);
   buckets_probed_ += p.buckets;
   LookupResult r;
   r.examined = p.examined;
   if (p.slot != kNpos) {
-    r.pcb = pcbs_[p.slot].get();
-  } else if (old_ != nullptr) [[unlikely]] {
+    r.pcb = table_.pcbs[p.slot].get();
+  } else if (resize_.migrating()) [[unlikely]] {
     // Mid-migration a resident may still sit in the draining array; both
     // probes' examined counts are charged (the paper's metric counts
     // every key compared, whichever array holds it).
-    const Probe q = find_slot_old(h, key);
+    const Table& old = resize_.old()->table;
+    const Probe q = find_slot(old, h, key);
     buckets_probed_ += q.buckets;
     r.examined += q.examined;
-    if (q.slot != kNpos) r.pcb = old_->pcbs[q.slot].get();
+    if (q.slot != kNpos) r.pcb = old.pcbs[q.slot].get();
   }
   note_lookup(r);
-  if (old_ != nullptr) [[unlikely]] migrate_batch(kMigrateLookupBatch);
+  if (resize_.migrating()) [[unlikely]] {
+    resize_.migrate_batch(*this, kMigrateLookupBatch);
+  }
   return r;
 }
 
 void CuckooDemuxer::lookup_batch(std::span<const net::FlowKey> keys,
                                  std::span<LookupResult> results,
                                  SegmentKind kind) {
-  if (old_ != nullptr) [[unlikely]] {
+  if (resize_.migrating()) [[unlikely]] {
     // Mid-migration the pipelined prefetch would have to target both
     // arrays; take the scalar path, which also paces the drain (one
     // migrated entry per lookup). Results and stats stay bit-identical
@@ -572,17 +425,17 @@ void CuckooDemuxer::lookup_batch(std::span<const net::FlowKey> keys,
     const std::size_t n = std::min(kChunk, keys.size() - base);
     for (std::size_t i = 0; i < n; ++i) {
       h[i] = hash_of(keys[base + i]);
-      prefetch_read(&meta_[bucket_of(h[i])]);
+      prefetch_read(&table_.meta[h[i] & table_.bucket_mask]);
     }
     for (std::size_t i = 0; i < n; ++i) {
-      prefetch_read(&keys_[bucket_of(h[i]) * kBucketWidth]);
+      prefetch_read(&table_.keys[(h[i] & table_.bucket_mask) * kBucketWidth]);
     }
     for (std::size_t i = 0; i < n; ++i) {
-      const Probe p = find_slot(h[i], keys[base + i]);
+      const Probe p = find_slot(table_, h[i], keys[base + i]);
       buckets_probed_ += p.buckets;
       LookupResult r;
       r.examined = p.examined;
-      if (p.slot != kNpos) r.pcb = pcbs_[p.slot].get();
+      if (p.slot != kNpos) r.pcb = table_.pcbs[p.slot].get();
       note_lookup(r);
       results[base + i] = r;
     }
@@ -595,78 +448,67 @@ LookupResult CuckooDemuxer::lookup_wildcard(const net::FlowKey& key) {
   // find them. Same contract as the flat table. Both arrays are probed
   // and swept while a migration drains.
   const std::uint32_t h = hash_of(key);
-  const Probe p = find_slot(h, key);
+  const Probe p = find_slot(table_, h, key);
   LookupResult best;
   best.examined = p.examined;
   if (p.slot != kNpos) {
-    best.pcb = pcbs_[p.slot].get();
+    best.pcb = table_.pcbs[p.slot].get();
     return best;
   }
-  if (old_ != nullptr) {
-    const Probe q = find_slot_old(h, key);
+  const Table* old = resize_.migrating() ? &resize_.old()->table : nullptr;
+  if (old != nullptr) {
+    const Probe q = find_slot(*old, h, key);
     best.examined += q.examined;
     if (q.slot != kNpos) {
-      best.pcb = old_->pcbs[q.slot].get();
+      best.pcb = old->pcbs[q.slot].get();
       return best;
     }
   }
   int best_score = -1;
-  const auto sweep = [&](const std::vector<BucketMeta>& meta,
-                         const std::vector<net::FlowKey>& table_keys,
-                         const std::vector<std::unique_ptr<Pcb>>& table_pcbs,
-                         std::size_t cap) {
-    for (std::size_t i = 0; i < cap; ++i) {
-      if (meta[i / kBucketWidth].tags[i % kBucketWidth] == 0) continue;
+  const auto sweep = [&](const Table& t) {
+    for (std::size_t i = 0; i < t.capacity(); ++i) {
+      if (t.tag_at(i) == 0) continue;
       ++best.examined;
-      const int score = table_keys[i].match_score(key);
+      const int score = t.keys[i].match_score(key);
       if (score < 0) continue;
       if (score == 0) {
-        best.pcb = table_pcbs[i].get();
+        best.pcb = t.pcbs[i].get();
         return true;
       }
       if (best_score < 0 || score < best_score) {
         best_score = score;
-        best.pcb = table_pcbs[i].get();
+        best.pcb = t.pcbs[i].get();
       }
     }
     return false;
   };
-  if (sweep(meta_, keys_, pcbs_, capacity())) return best;
-  if (old_ != nullptr) {
-    sweep(old_->meta, old_->keys, old_->pcbs, old_->capacity());
-  }
+  if (sweep(table_)) return best;
+  if (old != nullptr) sweep(*old);
   return best;
 }
 
 void CuckooDemuxer::for_each_pcb(
     const std::function<void(const Pcb&)>& fn) const {
-  const std::size_t cap = capacity();
-  for (std::size_t i = 0; i < cap; ++i) {
-    if (meta_[i / kBucketWidth].tags[i % kBucketWidth] != 0) fn(*pcbs_[i]);
-  }
-  if (old_ == nullptr) return;
-  const std::size_t old_cap = old_->capacity();
-  for (std::size_t i = 0; i < old_cap; ++i) {
-    if (old_->meta[i / kBucketWidth].tags[i % kBucketWidth] != 0) {
-      fn(*old_->pcbs[i]);
+  const auto visit = [&fn](const Table& t) {
+    for (std::size_t i = 0; i < t.capacity(); ++i) {
+      if (t.tag_at(i) != 0) fn(*t.pcbs[i]);
     }
-  }
+  };
+  visit(table_);
+  if (const auto* old = resize_.old()) visit(old->table);
 }
 
 std::vector<std::size_t> CuckooDemuxer::occupancy() const {
-  const std::size_t old_buckets =
-      old_ == nullptr ? 0 : old_->bucket_mask + 1;
-  std::vector<std::size_t> buckets(bucket_count() + old_buckets, 0);
-  for (std::size_t b = 0; b < bucket_count(); ++b) {
-    for (std::size_t s = 0; s < kBucketWidth; ++s) {
-      if (meta_[b].tags[s] != 0) ++buckets[b];
+  std::vector<std::size_t> buckets;
+  const auto append = [&buckets](const Table& t) {
+    for (const BucketMeta& m : t.meta) {
+      buckets.push_back(static_cast<std::size_t>(
+          std::count_if(m.tags.begin(), m.tags.end(),
+                        [](std::uint8_t tag) { return tag != 0; })));
     }
-  }
-  for (std::size_t b = 0; b < old_buckets; ++b) {
-    for (std::size_t s = 0; s < kBucketWidth; ++s) {
-      if (old_->meta[b].tags[s] != 0) ++buckets[bucket_count() + b];
-    }
-  }
+  };
+  append(table_);
+  if (const auto* old = resize_.old()) append(old->table);
   return buckets;
 }
 
@@ -682,9 +524,9 @@ std::size_t CuckooDemuxer::memory_bytes() const {
                                    sizeof(std::unique_ptr<Pcb>);
   std::size_t bytes = size_ * sizeof(Pcb) + sizeof(*this) +
                       bucket_count() * kPerBucket + capacity() * kPerSlot;
-  if (old_ != nullptr) {
-    bytes += sizeof(OldTable) + (old_->bucket_mask + 1) * kPerBucket +
-             old_->capacity() * kPerSlot;
+  if (const auto* old = resize_.old()) {
+    bytes += sizeof(*old) + old->table.bucket_count() * kPerBucket +
+             old->table.capacity() * kPerSlot;
   }
   return bytes;
 }

@@ -21,10 +21,12 @@
 //     exactly when the last overflowed resident leaves — no false
 //     negatives, ever (the StructuralValidator proves it after every
 //     mutation in the fuzz suites);
-//   * growth doubles the bucket array at 7/8 occupancy; an insert whose
-//     kick search exhausts its budget triggers the keyed-seed rotation
-//     (`rehash` option) and then growth, and is shed only if the table
-//     stays unplaceable while half empty — the signature of crafted
+//   * growth doubles the bucket array at 7/8 occupancy through the shared
+//     resize engine (core/resize_policy.h): allocate the doubled table,
+//     then drain the old one into it, at once or incrementally. An insert
+//     whose kick search exhausts its budget triggers the keyed-seed
+//     rotation (`rehash` option) and then growth, and is shed only if the
+//     table stays unplaceable while half empty — the signature of crafted
 //     full-hash collisions, which no table geometry can absorb.
 //
 // Accounting: `examined` counts key comparisons (fingerprint hits), as in
@@ -41,6 +43,7 @@
 #include <vector>
 
 #include "core/demuxer.h"
+#include "core/resize_policy.h"
 #include "net/hashers.h"
 
 namespace tcpdemux::core {
@@ -60,10 +63,9 @@ class CuckooDemuxer final : public Demuxer {
     /// Refuse inserts beyond this many PCBs (0 = unbounded). Refused
     /// inserts return nullptr and count in resilience().inserts_shed.
     std::size_t max_pcbs = 0;
-    /// Grow by incremental migration instead of stop-the-world rebuild:
-    /// the outgoing bucket array drains behind a slot cursor, a bounded
-    /// batch per operation, so no insert ever pays an O(size) pause (see
-    /// DESIGN.md "Incremental resize & degradation ladder").
+    /// Drain the outgoing bucket array incrementally behind a slot cursor,
+    /// a bounded batch per operation, so no insert ever pays an O(size)
+    /// pause (see DESIGN.md "Incremental resize & degradation ladder").
     bool incremental = false;
   };
 
@@ -86,10 +88,10 @@ class CuckooDemuxer final : public Demuxer {
 
   /// Current slot count (buckets * 4; doubles as the table grows).
   [[nodiscard]] std::size_t capacity() const noexcept {
-    return (bucket_mask_ + 1) * kBucketWidth;
+    return table_.capacity();
   }
   [[nodiscard]] std::size_t bucket_count() const noexcept {
-    return bucket_mask_ + 1;
+    return table_.bucket_count();
   }
 
   /// Cumulative buckets examined across all lookups (test/bench hook: the
@@ -116,13 +118,15 @@ class CuckooDemuxer final : public Demuxer {
 
   bool migration_step() override;
   /// True while an outgoing bucket array is still draining.
-  [[nodiscard]] bool migrating() const noexcept { return old_ != nullptr; }
+  [[nodiscard]] bool migrating() const noexcept { return resize_.migrating(); }
   /// PCBs still resident in the outgoing array (0 when not migrating).
   [[nodiscard]] std::size_t migration_debt() const noexcept {
-    return old_ == nullptr ? 0 : old_->residents;
+    return resize_.debt();
   }
   /// True while growth is allocation-blocked (ladder rung 1 engaged).
-  [[nodiscard]] bool growth_blocked() const noexcept { return grow_blocked_; }
+  [[nodiscard]] bool growth_blocked() const noexcept {
+    return resize_.blocked();
+  }
 
   static constexpr std::size_t kBucketWidth = 4;
 
@@ -152,21 +156,50 @@ class CuckooDemuxer final : public Demuxer {
     return tag & 15U;
   }
 
+  /// Hot metadata (one 6-byte record per bucket), then the slot arrays
+  /// (slot = bucket * 4 + i). The counted-filter backing store is cold:
+  /// only mutations touch it. The outgoing table of a migration has this
+  /// same type.
+  struct Table {
+    std::size_t bucket_mask = 0;  ///< bucket_count - 1 (power of two)
+    std::vector<BucketMeta> meta;
+    std::vector<std::uint32_t> hashes;
+    std::vector<net::FlowKey> keys;
+    std::vector<std::unique_ptr<Pcb>> pcbs;
+    std::vector<std::array<std::uint16_t, 16>> filter_counts;
+
+    Table() = default;
+    /// An empty table of `buckets` buckets (a power of two >= 4).
+    explicit Table(std::size_t buckets);
+    [[nodiscard]] std::size_t bucket_count() const noexcept {
+      return bucket_mask + 1;
+    }
+    [[nodiscard]] std::size_t capacity() const noexcept {
+      return bucket_count() * kBucketWidth;
+    }
+    [[nodiscard]] std::uint8_t tag_at(std::size_t slot) const noexcept {
+      return meta[slot / kBucketWidth].tags[slot % kBucketWidth];
+    }
+    /// Partial-key alternate bucket [LeS17]: derived from the bucket and
+    /// the tag only, via an xor involution. The offset is forced odd so it
+    /// never masks to zero (bucket counts are powers of two >= 4),
+    /// guaranteeing b1 != b2.
+    [[nodiscard]] std::size_t alt_bucket(std::size_t bucket,
+                                         std::uint8_t tag) const noexcept {
+      return (bucket ^ (net::mix32_avalanche(tag) | 1U)) & bucket_mask;
+    }
+  };
+  template <class>
+  friend class ResizeEngine;
+
   /// Avalanche-finalized hash (same repair as the flat table: the bucket
   /// index masks low bits, the fingerprint takes top bits).
+  [[nodiscard]] static std::uint32_t hash_with(
+      const net::HashSpec& spec, const net::FlowKey& key) noexcept {
+    return net::mix32_avalanche(net::hash_flow(spec, key));
+  }
   [[nodiscard]] std::uint32_t hash_of(const net::FlowKey& key) const noexcept {
-    return net::mix32_avalanche(net::hash_flow(options_.hasher, key));
-  }
-  [[nodiscard]] std::size_t bucket_of(std::uint32_t h) const noexcept {
-    return h & bucket_mask_;
-  }
-  /// Partial-key alternate bucket [LeS17]: derived from the bucket and the
-  /// tag only, via an xor involution. The offset is forced odd so it never
-  /// masks to zero (bucket counts are powers of two >= 4), guaranteeing
-  /// b1 != b2.
-  [[nodiscard]] std::size_t alt_bucket(std::size_t bucket,
-                                       std::uint8_t tag) const noexcept {
-    return (bucket ^ (net::mix32_avalanche(tag) | 1U)) & bucket_mask_;
+    return hash_with(options_.hasher, key);
   }
 
   struct Probe {
@@ -174,76 +207,58 @@ class CuckooDemuxer final : public Demuxer {
     std::uint32_t examined = 0;  ///< key comparisons performed
     std::uint32_t buckets = 1;   ///< buckets touched (1 or 2)
   };
-  [[nodiscard]] Probe find_slot(std::uint32_t h,
-                                const net::FlowKey& key) const noexcept;
+  /// Probes `t` (the live table, or the outgoing one mid-migration).
+  [[nodiscard]] static Probe find_slot(const Table& t, std::uint32_t h,
+                                       const net::FlowKey& key) noexcept;
 
-  /// The outgoing table during an incremental migration: a full shadow of
-  /// the hot/cold arrays under their pre-doubling bucket mask. Nothing is
-  /// ever placed or kicked into it, so slots [0, cursor) stay empty once
-  /// drained and `residents > 0` guarantees an occupied slot at or past
-  /// the cursor. Its counted filters are maintained through erase/drain,
-  /// so old-side negative probes keep the one-bucket guarantee.
-  struct OldTable {
-    std::size_t bucket_mask = 0;
-    std::size_t cursor = 0;  ///< slot index; advances only past empties
-    std::size_t residents = 0;
-    std::vector<BucketMeta> meta;
-    std::vector<std::uint32_t> hashes;
-    std::vector<net::FlowKey> keys;
-    std::vector<std::unique_ptr<Pcb>> pcbs;
-    std::vector<std::array<std::uint16_t, 16>> filter_counts;
-    [[nodiscard]] std::size_t capacity() const noexcept {
-      return (bucket_mask + 1) * kBucketWidth;
-    }
-  };
+  static void filter_add(Table& t, std::size_t bucket,
+                         std::uint8_t tag) noexcept;
+  static void filter_remove(Table& t, std::size_t bucket,
+                            std::uint8_t tag) noexcept;
+  /// Empties `slot` of `t`, deregistering an overflowed resident from its
+  /// primary bucket's counted filter.
+  static void clear_slot(Table& t, std::size_t slot) noexcept;
 
-  [[nodiscard]] Probe find_slot_old(std::uint32_t h,
-                                    const net::FlowKey& key) const noexcept;
-  void old_filter_remove(std::size_t bucket, std::uint8_t tag) noexcept;
-  void clear_slot_old(std::size_t slot) noexcept;
-
+  /// Growth trigger at 7/8 occupancy; the shared engine does the rest.
   void maybe_grow();
-  bool start_migration();
-  void defer_migration();
-  void migrate_batch(std::size_t budget);
-  void finish_migration();
+  [[nodiscard]] Table grown_table() const {
+    return Table(bucket_count() * 2);
+  }
+  /// Moves the resident of outgoing slot `slot` into the live table.
+  /// Nothing is ever placed or kicked into the outgoing table, so the
+  /// drained prefix [0, cursor) never refills; its counted filters are
+  /// kept exact, so old-side negative probes keep the one-bucket
+  /// guarantee.
+  bool migrate_unit(Table& old, std::size_t slot, DrainMode mode);
 
-  void filter_add(std::size_t bucket, std::uint8_t tag) noexcept;
-  void filter_remove(std::size_t bucket, std::uint8_t tag) noexcept;
-
-  /// Installs the (pre-hashed, known-absent) entry, kicking residents
-  /// along a BFS-shortest displacement path if both candidate buckets are
-  /// full. On success consumes `pcb`, reports the path length + search
+  /// Installs the (pre-hashed, known-absent) entry into `t`, kicking
+  /// residents along a BFS-shortest displacement path if both candidate
+  /// buckets are full. On success consumes `pcb`, reports the search
   /// effort, and returns true; on false the table is unchanged and `pcb`
   /// is still owned by the caller.
-  bool place_entry(std::uint32_t h, const net::FlowKey& key,
-                   std::unique_ptr<Pcb>& pcb, std::size_t* effort);
+  static bool place_entry(Table& t, std::uint32_t h, const net::FlowKey& key,
+                          std::unique_ptr<Pcb>& pcb, std::size_t* effort);
   /// Moves the resident of `from` into the empty slot `to` (the other
   /// member of its bucket pair), maintaining the filter registration.
-  void move_slot(std::size_t from, std::size_t to) noexcept;
-  void set_slot(std::size_t slot, std::uint32_t h, const net::FlowKey& key,
-                std::unique_ptr<Pcb> pcb) noexcept;
+  static void move_slot(Table& t, std::size_t from, std::size_t to) noexcept;
+  static void set_slot(Table& t, std::size_t slot, std::uint32_t h,
+                       const net::FlowKey& key,
+                       std::unique_ptr<Pcb> pcb) noexcept;
 
-  /// Re-places every resident into a table of `buckets` buckets (doubling
-  /// further if placement fails — only degenerate hash sets need it).
-  /// Pointer-stable.
-  void rebuild(std::size_t buckets);
-  void grow();
+  /// Re-places every live resident into a freshly allocated table of
+  /// `buckets` buckets hashed under `spec`, doubling further if placement
+  /// fails (only degenerate hash sets need it), then adopts `spec`.
+  /// Pointer-stable, and the live table stays intact until the swap.
+  void rebuild(std::size_t buckets, const net::HashSpec& spec);
   /// Watermark bookkeeping after a successful insert.
   void note_insert(std::size_t effort);
   /// Rotates the seed and rebuilds at the same capacity (pointer-stable).
   void rehash_with_fresh_seed();
 
   Options options_;
-  std::size_t bucket_mask_ = 0;  ///< bucket_count - 1 (power of two)
+  Table table_;
   /// Total PCBs across the live and (during migration) outgoing arrays.
   std::size_t size_ = 0;
-
-  /// Degradation-ladder state: growth allocation-blocked, with the
-  /// current backoff window and inserts remaining until the next retry.
-  bool grow_blocked_ = false;
-  std::uint64_t grow_backoff_ = 0;
-  std::uint64_t grow_retry_in_ = 0;
 
   // Overload / shedding state (see DESIGN.md "Adversarial resilience").
   std::uint64_t watermark_ = 0;
@@ -252,16 +267,7 @@ class CuckooDemuxer final : public Demuxer {
   std::uint64_t inserts_since_rehash_ = 0;
   std::uint64_t rehash_cooldown_ = 0;  ///< 0 until the first rehash
   std::uint64_t buckets_probed_ = 0;
-
-  // Hot metadata (one 6-byte record per bucket), then the slot arrays
-  // (slot = bucket * 4 + i). The counted-filter backing store is cold:
-  // only mutations touch it.
-  std::vector<BucketMeta> meta_;
-  std::vector<std::uint32_t> hashes_;
-  std::vector<net::FlowKey> keys_;
-  std::vector<std::unique_ptr<Pcb>> pcbs_;
-  std::vector<std::array<std::uint16_t, 16>> filter_counts_;
-  std::unique_ptr<OldTable> old_;
+  ResizeEngine<Table> resize_;
 };
 
 }  // namespace tcpdemux::core

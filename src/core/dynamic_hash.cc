@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <stdexcept>
-#include <utility>
 
 #include "core/fault_inject.h"
-#include "core/resize_policy.h"
 
 namespace tcpdemux::core {
 namespace {
@@ -42,120 +40,35 @@ void DynamicHashDemuxer::maybe_grow() {
       options_.max_load * static_cast<double>(buckets_.size())) {
     return;
   }
-  if (options_.incremental && old_ != nullptr) {
-    // The *new* array itself hit the trigger while the old one still
-    // drains: churn outpaced migration. Finish the drain (bounded by the
-    // remaining debt), then start the next doubling below.
-    finish_migration();
-  }
-  const std::uint32_t new_size =
-      next_table_size(static_cast<std::uint32_t>(buckets_.size()));
-  if (new_size <= buckets_.size()) return;  // ladder exhausted
-
-  if (options_.incremental) {
-    if (grow_blocked_ && grow_retry_in_ > 0) {
-      --grow_retry_in_;
-      return;
-    }
-    start_migration(new_size);
-    return;
-  }
-
-  std::vector<Bucket> grown(new_size);
-  for (Bucket& old : buckets_) {
-    while (Pcb* pcb = old.list.extract_front()) {
-      const std::uint32_t c =
-          net::hash_chain(options_.hasher, pcb->key, new_size);
-      grown[c].list.adopt_front(pcb);
-    }
-  }
-  buckets_ = std::move(grown);  // all per-chain caches start cold
-  ++rehashes_;
-  telemetry_->on_rehash();
+  if (next_table_size(chains()) <= chains()) return;  // ladder exhausted
+  if (resize_.grow(*this, buckets_, options_.incremental)) ++doublings_;
 }
 
-bool DynamicHashDemuxer::start_migration(std::uint32_t new_size) {
-  if (FaultInjector::instance().poll_alloc()) {
-    defer_migration();
-    return false;
-  }
-  std::unique_ptr<OldBuckets> old;
-  std::vector<Bucket> grown;
-  try {
-    old = std::make_unique<OldBuckets>();
-    grown.resize(new_size);
-  } catch (const std::bad_alloc&) {
-    defer_migration();
-    return false;
-  }
-  // Everything allocated: swing the live array behind the drain cursor.
-  // No failure path from here on, so no intermediate state can leak.
-  old->residents = size_;
-  old->buckets = std::move(buckets_);
-  old_ = std::move(old);
-  buckets_ = std::move(grown);
-  grow_blocked_ = false;
-  grow_backoff_ = 0;
-  grow_retry_in_ = 0;
-  ++rehashes_;
-  telemetry_->on_rehash();
-  telemetry_->on_resize_start();
+bool DynamicHashDemuxer::migrate_unit(Table& old, std::size_t c,
+                                      DrainMode /*mode*/) {
+  Bucket& ob = old[c];
+  Pcb* pcb = ob.list.extract_front();
+  if (pcb == nullptr) return false;
+  // Nothing is ever inserted into the old array, so the cache can only
+  // reference old residents; draining the bucket retires it.
+  ob.cache = nullptr;
+  buckets_[chain_of(pcb->key)].list.adopt_front(pcb);
   return true;
 }
 
-void DynamicHashDemuxer::defer_migration() {
-  grow_blocked_ = true;
-  grow_backoff_ =
-      grow_backoff_ == 0
-          ? kGrowBackoffMin
-          : std::min<std::uint64_t>(grow_backoff_ * 2, kGrowBackoffMax);
-  grow_retry_in_ = grow_backoff_;
-  telemetry_->on_resize_defer();
-}
-
-void DynamicHashDemuxer::migrate_batch(std::size_t budget) {
-  if (old_ == nullptr) return;
-  OldBuckets& old = *old_;
-  std::size_t moved = 0;
-  std::size_t scanned = 0;
-  const std::size_t scan_budget = budget * kMigrateScanFactor;
-  while (moved < budget && old.residents > 0) {
-    Bucket& ob = old.buckets[old.cursor];
-    if (ob.list.empty()) {
-      ++old.cursor;
-      if (++scanned >= scan_budget) break;
-      continue;
-    }
-    // Nothing is ever inserted into the old array, so the cache can only
-    // reference old residents; draining the bucket retires it.
-    ob.cache = nullptr;
-    Pcb* pcb = ob.list.extract_front();
-    buckets_[chain_of(pcb->key)].list.adopt_front(pcb);
-    --old.residents;
-    ++moved;
-  }
-  telemetry_->on_resize_step(moved, old.residents);
-  if (old.residents == 0) {
-    old_.reset();
-    telemetry_->on_resize_complete();
-  }
-}
-
-void DynamicHashDemuxer::finish_migration() {
-  while (old_ != nullptr) migrate_batch(old_->residents + 1);
-}
-
 bool DynamicHashDemuxer::migration_step() {
-  migrate_batch(kMigrateBatch);
-  return old_ != nullptr;
+  resize_.migrate_batch(*this, kMigrateBatch);
+  return resize_.migrating();
 }
 
 Pcb* DynamicHashDemuxer::insert(const net::FlowKey& key) {
   if (buckets_[chain_of(key)].list.find_scan(key).pcb != nullptr) {
     return nullptr;
   }
-  if (old_ != nullptr &&
-      old_->buckets[old_chain_of(key)].list.find_scan(key).pcb != nullptr) {
+  if (const auto* old = resize_.old();
+      old != nullptr &&
+      old->table[chain_in(old->table, key)].list.find_scan(key).pcb !=
+          nullptr) {
     return nullptr;
   }
   if (options_.max_pcbs != 0 && size_ >= options_.max_pcbs) {
@@ -172,11 +85,9 @@ Pcb* DynamicHashDemuxer::insert(const net::FlowKey& key) {
   // doubling. Without it a table wedged at the watermark would stay
   // blocked forever (no insert succeeds, so the post-insert maybe_grow
   // below never runs again).
-  if (grow_blocked_ &&
-      static_cast<double>(size_ + 1) >
-          2.0 * options_.max_load * static_cast<double>(buckets_.size())) {
+  if (resize_.sheds_at_load(size_, buckets_.size(), options_.max_load)) {
     maybe_grow();
-    if (grow_blocked_) {
+    if (resize_.blocked()) {
       ++inserts_shed_;
       telemetry_->on_shed();
       return nullptr;
@@ -188,7 +99,9 @@ Pcb* DynamicHashDemuxer::insert(const net::FlowKey& key) {
   telemetry_->on_insert();
   watermark_ = std::max<std::uint64_t>(watermark_, b.list.size());
   maybe_grow();
-  if (old_ != nullptr) [[unlikely]] migrate_batch(kMigrateBatch);
+  if (resize_.migrating()) [[unlikely]] {
+    resize_.migrate_batch(*this, kMigrateBatch);
+  }
   return pcb;
 }
 
@@ -203,20 +116,20 @@ bool DynamicHashDemuxer::erase(const net::FlowKey& key) {
     if (b.cache == scan.pcb) b.cache = nullptr;
     b.list.erase(scan.pcb);
   } else {
-    if (old_ == nullptr) return false;
-    Bucket& ob = old_->buckets[old_chain_of(key)];
+    auto* old = resize_.old();
+    if (old == nullptr) return false;
+    Bucket& ob = old->table[chain_in(old->table, key)];
     const auto old_scan = ob.list.find_scan(key);
     if (old_scan.pcb == nullptr) return false;
     if (ob.cache == old_scan.pcb) ob.cache = nullptr;
     ob.list.erase(old_scan.pcb);
-    if (--old_->residents == 0) {
-      old_.reset();
-      telemetry_->on_resize_complete();
-    }
+    resize_.note_erased(*this);
   }
   --size_;
   telemetry_->on_erase();
-  if (old_ != nullptr) [[unlikely]] migrate_batch(kMigrateBatch);
+  if (resize_.migrating()) [[unlikely]] {
+    resize_.migrate_batch(*this, kMigrateBatch);
+  }
   return true;
 }
 
@@ -237,11 +150,12 @@ LookupResult DynamicHashDemuxer::lookup(const net::FlowKey& key,
   r.examined += scan.examined;
   r.pcb = scan.pcb;
   if (options_.per_chain_cache && scan.pcb != nullptr) b.cache = scan.pcb;
-  if (r.pcb == nullptr && old_ != nullptr) [[unlikely]] {
+  if (r.pcb == nullptr && resize_.migrating()) [[unlikely]] {
     // Mid-migration a PCB may still sit on its outgoing chain; both
     // scans' examined counts are charged (the paper's metric counts every
     // PCB compared, whichever array holds it).
-    Bucket& ob = old_->buckets[old_chain_of(key)];
+    Table& old = resize_.old()->table;
+    Bucket& ob = old[chain_in(old, key)];
     const auto old_scan = ob.list.find_scan(key);
     r.examined += old_scan.examined;
     r.pcb = old_scan.pcb;
@@ -250,14 +164,16 @@ LookupResult DynamicHashDemuxer::lookup(const net::FlowKey& key,
     }
   }
   note_lookup(r);
-  if (old_ != nullptr) [[unlikely]] migrate_batch(kMigrateLookupBatch);
+  if (resize_.migrating()) [[unlikely]] {
+    resize_.migrate_batch(*this, kMigrateLookupBatch);
+  }
   return r;
 }
 
 LookupResult DynamicHashDemuxer::lookup_wildcard(const net::FlowKey& key) {
   LookupResult best;
   int best_score = -1;
-  const auto sweep = [&](std::vector<Bucket>& buckets) {
+  const auto sweep = [&](Table& buckets) {
     for (Bucket& b : buckets) {
       const auto scan = b.list.find_best_match(key);
       best.examined += scan.examined;
@@ -275,7 +191,7 @@ LookupResult DynamicHashDemuxer::lookup_wildcard(const net::FlowKey& key) {
     return false;
   };
   if (sweep(buckets_)) return best;
-  if (old_ != nullptr) sweep(old_->buckets);
+  if (auto* old = resize_.old()) sweep(old->table);
   return best;
 }
 
@@ -284,10 +200,29 @@ void DynamicHashDemuxer::for_each_pcb(
   for (const Bucket& b : buckets_) {
     b.list.for_each(fn);
   }
-  if (old_ == nullptr) return;
-  for (const Bucket& b : old_->buckets) {
-    b.list.for_each(fn);
+  if (const auto* old = resize_.old()) {
+    for (const Bucket& b : old->table) b.list.for_each(fn);
   }
+}
+
+std::size_t DynamicHashDemuxer::memory_bytes() const {
+  std::size_t bytes = size() * sizeof(Pcb) + sizeof(*this) +
+                      buckets_.capacity() * sizeof(Bucket);
+  if (const auto* old = resize_.old()) {
+    bytes += sizeof(*old) + old->table.capacity() * sizeof(Bucket);
+  }
+  return bytes;
+}
+
+std::vector<std::size_t> DynamicHashDemuxer::occupancy() const {
+  const auto* old = resize_.old();
+  std::vector<std::size_t> sizes;
+  sizes.reserve(buckets_.size() + (old == nullptr ? 0 : old->table.size()));
+  for (const auto& b : buckets_) sizes.push_back(b.list.size());
+  if (old != nullptr) {
+    for (const auto& b : old->table) sizes.push_back(b.list.size());
+  }
+  return sizes;
 }
 
 std::string DynamicHashDemuxer::name() const {

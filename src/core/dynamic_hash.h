@@ -12,11 +12,11 @@
 #define TCPDEMUX_CORE_DYNAMIC_HASH_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/demuxer.h"
 #include "core/pcb_list.h"
+#include "core/resize_policy.h"
 #include "net/hashers.h"
 
 namespace tcpdemux::core {
@@ -34,10 +34,10 @@ class DynamicHashDemuxer final : public Demuxer {
     /// growth, which dilutes benign skew but not a collision flood — pair
     /// a keyed hasher with the cap for hostile deployments.
     std::size_t max_pcbs = 0;
-    /// Grow by incremental migration instead of stop-the-world relink:
-    /// the outgoing bucket array drains behind a cursor, a bounded batch
-    /// per operation, so no insert ever pays an O(size) pause (see
-    /// DESIGN.md "Incremental resize & degradation ladder").
+    /// Drain the outgoing bucket array incrementally, a bounded batch per
+    /// operation, instead of relinking it all at the growth trigger, so no
+    /// insert ever pays an O(size) pause (see DESIGN.md "Incremental
+    /// resize & degradation ladder").
     bool incremental = false;
   };
 
@@ -53,41 +53,29 @@ class DynamicHashDemuxer final : public Demuxer {
   void for_each_pcb(
       const std::function<void(const Pcb&)>& fn) const override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::size_t memory_bytes() const override {
-    std::size_t bytes = size() * sizeof(Pcb) + sizeof(*this) +
-                        buckets_.capacity() * sizeof(Bucket);
-    if (old_ != nullptr) {
-      bytes += sizeof(OldBuckets) + old_->buckets.capacity() * sizeof(Bucket);
-    }
-    return bytes;
-  }
+  [[nodiscard]] std::size_t memory_bytes() const override;
 
   bool migration_step() override;
   /// True while an outgoing bucket array is still draining.
-  [[nodiscard]] bool migrating() const noexcept { return old_ != nullptr; }
+  [[nodiscard]] bool migrating() const noexcept { return resize_.migrating(); }
   /// PCBs still resident in the outgoing array (0 when not migrating).
   [[nodiscard]] std::size_t migration_debt() const noexcept {
-    return old_ == nullptr ? 0 : old_->residents;
+    return resize_.debt();
   }
   /// True while growth is allocation-blocked (ladder rung 1 engaged).
-  [[nodiscard]] bool growth_blocked() const noexcept { return grow_blocked_; }
+  [[nodiscard]] bool growth_blocked() const noexcept {
+    return resize_.blocked();
+  }
 
   [[nodiscard]] std::uint32_t chains() const noexcept {
     return static_cast<std::uint32_t>(buckets_.size());
   }
+  /// Table doublings so far (the paper's "increase H"); seed rotations are
+  /// a different event, and this table has none.
   [[nodiscard]] std::uint64_t rehash_count() const noexcept {
-    return rehashes_;
+    return doublings_;
   }
-  [[nodiscard]] std::vector<std::size_t> occupancy() const override {
-    std::vector<std::size_t> sizes;
-    sizes.reserve(buckets_.size() +
-                  (old_ == nullptr ? 0 : old_->buckets.size()));
-    for (const auto& b : buckets_) sizes.push_back(b.list.size());
-    if (old_ != nullptr) {
-      for (const auto& b : old_->buckets) sizes.push_back(b.list.size());
-    }
-    return sizes;
-  }
+  [[nodiscard]] std::vector<std::size_t> occupancy() const override;
 
   [[nodiscard]] ResilienceStats resilience() const override;
   /// Longest chain an overload check would tolerate at the current size
@@ -109,45 +97,33 @@ class DynamicHashDemuxer final : public Demuxer {
     PcbList list;
     Pcb* cache = nullptr;
   };
-
-  /// The outgoing bucket array during an incremental migration. Nothing
-  /// is ever inserted into it; buckets [0, cursor) are fully drained and
-  /// the cursor only advances past empty buckets, so `residents > 0`
-  /// guarantees a non-empty bucket at or past the cursor.
-  struct OldBuckets {
-    std::vector<Bucket> buckets;
-    std::size_t cursor = 0;
-    std::size_t residents = 0;
-  };
+  using Table = std::vector<Bucket>;
+  template <class>
+  friend class ResizeEngine;
 
   [[nodiscard]] std::uint32_t chain_of(const net::FlowKey& key) const noexcept {
-    return net::hash_chain(options_.hasher, key,
-                           static_cast<std::uint32_t>(buckets_.size()));
+    return chain_in(buckets_, key);
   }
-  [[nodiscard]] std::uint32_t old_chain_of(
-      const net::FlowKey& key) const noexcept {
+  [[nodiscard]] std::uint32_t chain_in(const Table& table,
+                                       const net::FlowKey& key) const noexcept {
     return net::hash_chain(options_.hasher, key,
-                           static_cast<std::uint32_t>(old_->buckets.size()));
+                           static_cast<std::uint32_t>(table.size()));
   }
   void maybe_grow();
-  bool start_migration(std::uint32_t new_size);
-  void defer_migration();
-  void migrate_batch(std::size_t budget);
-  void finish_migration();
+  [[nodiscard]] Table grown_table() const {
+    return Table(next_table_size(chains()));
+  }
+  /// Relinks the head PCB of outgoing chain `c` onto its live chain.
+  bool migrate_unit(Table& old, std::size_t c, DrainMode mode);
 
   Options options_;
-  std::vector<Bucket> buckets_;
+  Table buckets_;
   /// Total PCBs across the live and (during migration) outgoing arrays.
   std::size_t size_ = 0;
-  std::uint64_t rehashes_ = 0;
+  std::uint64_t doublings_ = 0;
   std::uint64_t watermark_ = 0;
   std::uint64_t inserts_shed_ = 0;
-  /// Degradation-ladder state: growth allocation-blocked, with the
-  /// current backoff window and inserts remaining until the next retry.
-  bool grow_blocked_ = false;
-  std::uint64_t grow_backoff_ = 0;
-  std::uint64_t grow_retry_in_ = 0;
-  std::unique_ptr<OldBuckets> old_;
+  ResizeEngine<Table> resize_;
 };
 
 }  // namespace tcpdemux::core

@@ -8,7 +8,6 @@
 
 #include "core/fault_inject.h"
 #include "core/prefetch.h"
-#include "core/resize_policy.h"
 #include "core/simd.h"
 
 namespace tcpdemux::core {
@@ -26,28 +25,29 @@ FlatDemuxer::FlatDemuxer(Options options) : options_(options) {
   if (options_.initial_capacity == 0) {
     throw std::invalid_argument("FlatDemuxer: capacity must be >= 1");
   }
-  const std::size_t capacity =
-      round_up_pow2(std::max(options_.initial_capacity, kMinCapacity));
-  mask_ = capacity - 1;
-  tags_.assign(capacity, 0);
-  hashes_.assign(capacity, 0);
-  keys_.assign(capacity, net::FlowKey{});
-  pcbs_.resize(capacity);
+  table_ = Table(
+      round_up_pow2(std::max(options_.initial_capacity, kMinCapacity)));
 }
 
-FlatDemuxer::Probe FlatDemuxer::find_slot(
-    std::uint32_t h, const net::FlowKey& key) const noexcept {
-  if (options_.group_probe) return find_slot_grouped(h, key);
+FlatDemuxer::Table::Table(std::size_t capacity)
+    : mask(capacity - 1),
+      tags(capacity, 0),
+      hashes(capacity, 0),
+      keys(capacity, net::FlowKey{}),
+      pcbs(capacity) {}
+
+FlatDemuxer::Probe FlatDemuxer::find_slot_scalar(
+    const Table& t, std::uint32_t h, const net::FlowKey& key) noexcept {
   Probe r;
   const std::uint8_t tag = tag_of(h);
-  std::size_t i = h & mask_;
+  std::size_t i = h & t.mask;
   std::size_t dist = 0;
-  while (dist <= mask_) {
-    const std::uint8_t t = tags_[i];
-    if (t == 0) return r;  // empty slot terminates the probe run
-    if (t == tag) {
+  while (dist <= t.mask) {
+    const std::uint8_t slot_tag = t.tags[i];
+    if (slot_tag == 0) return r;  // empty slot terminates the probe run
+    if (slot_tag == tag) {
       ++r.examined;
-      if (keys_[i] == key) {
+      if (t.keys[i] == key) {
         r.slot = i;
         return r;
       }
@@ -55,26 +55,26 @@ FlatDemuxer::Probe FlatDemuxer::find_slot(
     // Robin-hood bound: residents are ordered by displacement, so a
     // resident closer to its own home than we are to ours proves the key
     // was never placed at or beyond this slot.
-    if (probe_distance(i) < dist) return r;
-    i = (i + 1) & mask_;
+    if (t.probe_distance(i) < dist) return r;
+    i = (i + 1) & t.mask;
     ++dist;
   }
   return r;  // unreachable in a well-formed table (load factor < 1)
 }
 
 FlatDemuxer::Probe FlatDemuxer::find_slot_grouped(
-    std::uint32_t h, const net::FlowKey& key) const noexcept {
+    const Table& t, std::uint32_t h, const net::FlowKey& key) noexcept {
   Probe r;
   const std::uint8_t tag = tag_of(h);
-  const std::size_t home = h & mask_;
+  const std::size_t home = h & t.mask;
   std::size_t base = home & ~(kGroupWidth - 1);
   // The home group starts mid-run: slots before `home` belong to earlier
   // probe runs, so mask them out of both the match and empty views.
   std::uint32_t live = 0xffffU << (home - base);
-  const std::size_t groups = capacity() / kGroupWidth;
+  const std::size_t groups = t.capacity() / kGroupWidth;
   for (std::size_t g = 0; g < groups; ++g) {
-    std::uint32_t match = group_match(&tags_[base], tag) & live;
-    const std::uint32_t empty = group_empty(&tags_[base]) & live;
+    std::uint32_t match = group_match(&t.tags[base], tag) & live;
+    const std::uint32_t empty = group_empty(&t.tags[base]) & live;
     if (empty != 0) {
       // The probe run ends at the first empty slot; fingerprint matches
       // beyond it are residents of later runs and cannot be our key.
@@ -83,14 +83,14 @@ FlatDemuxer::Probe FlatDemuxer::find_slot_grouped(
     while (match != 0) {
       const auto bit = static_cast<std::size_t>(std::countr_zero(match));
       ++r.examined;
-      if (keys_[base + bit] == key) {
+      if (t.keys[base + bit] == key) {
         r.slot = base + bit;
         return r;
       }
       match &= match - 1;
     }
     if (empty != 0) return r;  // run exhausted without a key match: absent
-    base = (base + kGroupWidth) & mask_;
+    base = (base + kGroupWidth) & t.mask;
     live = 0xffffU;
   }
   return r;  // unreachable: load factor < 1 guarantees an empty slot
@@ -99,7 +99,10 @@ FlatDemuxer::Probe FlatDemuxer::find_slot_grouped(
 Pcb* FlatDemuxer::insert(const net::FlowKey& key) {
   std::uint32_t h = hash_of(key);
   if (find_slot(h, key).slot != kNpos) return nullptr;
-  if (old_ != nullptr && find_slot_old(h, key).slot != kNpos) return nullptr;
+  if (const auto* old = resize_.old();
+      old != nullptr && find_slot_scalar(old->table, h, key).slot != kNpos) {
+    return nullptr;
+  }
   if (options_.max_pcbs != 0 && size_ >= options_.max_pcbs) {
     ++inserts_shed_;
     telemetry_->on_shed();
@@ -107,21 +110,20 @@ Pcb* FlatDemuxer::insert(const net::FlowKey& key) {
   }
   if (FaultInjector::instance().poll_alloc()) return nullptr;
   maybe_grow();
-  // Ladder rung 2: growth is allocation-blocked and the array has hit its
-  // hard 15/16 watermark — shed rather than let probe runs degrade
-  // unboundedly toward a full table.
-  if (grow_blocked_ && (size_ + 1) * 16 > capacity() * 15) {
+  if (resize_.sheds_at_watermark(size_, capacity())) {
     ++inserts_shed_;
     telemetry_->on_shed();
     return nullptr;
   }
   auto pcb = std::make_unique<Pcb>(key, next_conn_id());
   Pcb* const raw = pcb.get();
-  const std::size_t dist = place(h, key, std::move(pcb));
+  const std::size_t dist = place(table_, h, key, std::move(pcb));
   ++size_;
   telemetry_->on_insert();
   note_insert(dist);
-  if (old_ != nullptr) [[unlikely]] migrate_batch(kMigrateBatch);
+  if (resize_.migrating()) [[unlikely]] {
+    resize_.migrate_batch(*this, kMigrateBatch);
+  }
   return raw;
 }
 
@@ -129,183 +131,53 @@ void FlatDemuxer::maybe_grow() {
   // Grow at 7/8 occupancy: beyond that, probe runs lengthen sharply and
   // the tag array stops saving traffic.
   if ((size_ + 1) * 8 <= capacity() * 7) return;
-  if (!options_.incremental) {
-    grow();
-    return;
-  }
-  if (old_ != nullptr) {
-    // The *new* array itself hit the trigger while the old one still
-    // drains: churn outpaced migration. Finish the drain (bounded by the
-    // remaining debt), then start the next doubling below.
-    finish_migration();
-  }
-  if (grow_blocked_ && grow_retry_in_ > 0) {
-    --grow_retry_in_;
-    return;
-  }
-  start_migration();
+  resize_.grow(*this, table_, options_.incremental);
 }
 
-bool FlatDemuxer::start_migration() {
-  if (FaultInjector::instance().poll_alloc()) {
-    defer_migration();
-    return false;
+bool FlatDemuxer::migrate_unit(Table& old, std::size_t i, DrainMode mode) {
+  if (old.tags[i] == 0) return false;
+  // Place into the new array first, then clear the old slot; placement
+  // into the preallocated array cannot allocate. A step backward-shifts
+  // the old run so lookups can still probe it; the closing sweep discards
+  // the whole array, so clearing the tag is enough.
+  place(table_, old.hashes[i], old.keys[i], std::move(old.pcbs[i]));
+  if (mode == DrainMode::kStep) {
+    remove_at(old, i);
+  } else {
+    old.tags[i] = 0;
   }
-  const std::size_t cap = capacity() * 2;
-  std::unique_ptr<OldTable> old;
-  std::vector<std::uint8_t> tags;
-  std::vector<std::uint32_t> hashes;
-  std::vector<net::FlowKey> keys;
-  std::vector<std::unique_ptr<Pcb>> pcbs;
-  try {
-    old = std::make_unique<OldTable>();
-    tags.assign(cap, 0);
-    hashes.assign(cap, 0);
-    keys.assign(cap, net::FlowKey{});
-    pcbs.resize(cap);
-  } catch (const std::bad_alloc&) {
-    defer_migration();
-    return false;
-  }
-  // Everything allocated: swing the live array behind the drain cursor.
-  // No failure path from here on, so no intermediate state can leak.
-  old->mask = mask_;
-  old->residents = size_;
-  old->tags = std::move(tags_);
-  old->hashes = std::move(hashes_);
-  old->keys = std::move(keys_);
-  old->pcbs = std::move(pcbs_);
-  old_ = std::move(old);
-  mask_ = cap - 1;
-  tags_ = std::move(tags);
-  hashes_ = std::move(hashes);
-  keys_ = std::move(keys);
-  pcbs_ = std::move(pcbs);
-  grow_blocked_ = false;
-  grow_backoff_ = 0;
-  grow_retry_in_ = 0;
-  telemetry_->on_resize_start();
   return true;
 }
 
-void FlatDemuxer::defer_migration() {
-  grow_blocked_ = true;
-  grow_backoff_ =
-      grow_backoff_ == 0
-          ? kGrowBackoffMin
-          : std::min<std::uint64_t>(grow_backoff_ * 2, kGrowBackoffMax);
-  grow_retry_in_ = grow_backoff_;
-  telemetry_->on_resize_defer();
-}
-
-void FlatDemuxer::migrate_batch(std::size_t budget) {
-  if (old_ == nullptr) return;
-  OldTable& old = *old_;
-  std::size_t moved = 0;
-  std::size_t scanned = 0;
-  const std::size_t scan_budget = budget * kMigrateScanFactor;
-  while (moved < budget && old.residents > 0) {
-    // residents > 0 guarantees an occupied slot at or past the cursor:
-    // nothing is ever placed into the old array, and backward-shift only
-    // vacates slots, so the drained prefix [0, cursor) never refills.
-    if (old.tags[old.cursor] == 0) {
-      ++old.cursor;
-      if (++scanned >= scan_budget) break;
-      continue;
-    }
-    const std::size_t i = old.cursor;
-    const std::uint32_t h = old.hashes[i];
-    const net::FlowKey key = old.keys[i];
-    std::unique_ptr<Pcb> pcb = std::move(old.pcbs[i]);
-    // Copy-place into the new array first, then clear the old slot; the
-    // old array stays intact up to the moment the entry is live in the
-    // new one. Placement into the preallocated array cannot allocate.
-    place(h, key, std::move(pcb));
-    remove_at_old(i);
-    --old.residents;
-    ++moved;
-  }
-  telemetry_->on_resize_step(moved, old.residents);
-  if (old.residents == 0) {
-    old_.reset();
-    telemetry_->on_resize_complete();
-  }
-}
-
-void FlatDemuxer::finish_migration() {
-  while (old_ != nullptr) migrate_batch(old_->residents + 1);
-}
-
 bool FlatDemuxer::migration_step() {
-  migrate_batch(kMigrateBatch);
-  return old_ != nullptr;
+  resize_.migrate_batch(*this, kMigrateBatch);
+  return resize_.migrating();
 }
 
-FlatDemuxer::Probe FlatDemuxer::find_slot_old(
-    std::uint32_t h, const net::FlowKey& key) const noexcept {
-  const OldTable& old = *old_;
-  Probe r;
-  const std::uint8_t tag = tag_of(h);
-  std::size_t i = h & old.mask;
-  std::size_t dist = 0;
-  while (dist <= old.mask) {
-    const std::uint8_t t = old.tags[i];
-    if (t == 0) return r;
-    if (t == tag) {
-      ++r.examined;
-      if (old.keys[i] == key) {
-        r.slot = i;
-        return r;
-      }
-    }
-    if (old.probe_distance(i) < dist) return r;
-    i = (i + 1) & old.mask;
-    ++dist;
-  }
-  return r;
-}
-
-void FlatDemuxer::remove_at_old(std::size_t i) {
-  OldTable& old = *old_;
-  old.pcbs[i].reset();
-  std::size_t j = i;
-  while (true) {
-    const std::size_t n = (j + 1) & old.mask;
-    if (old.tags[n] == 0 || old.probe_distance(n) == 0) break;
-    old.tags[j] = old.tags[n];
-    old.hashes[j] = old.hashes[n];
-    old.keys[j] = old.keys[n];
-    old.pcbs[j] = std::move(old.pcbs[n]);
-    j = n;
-  }
-  old.tags[j] = 0;
-  old.pcbs[j].reset();
-}
-
-std::size_t FlatDemuxer::place(std::uint32_t h, net::FlowKey key,
+std::size_t FlatDemuxer::place(Table& t, std::uint32_t h, net::FlowKey key,
                                std::unique_ptr<Pcb> pcb) {
-  std::size_t i = h & mask_;
+  std::size_t i = h & t.mask;
   std::size_t dist = 0;
   std::size_t max_dist = 0;
-  while (tags_[i] != 0) {
-    const std::size_t d = probe_distance(i);
+  while (t.tags[i] != 0) {
+    const std::size_t d = t.probe_distance(i);
     if (d < dist) {
       // Rob the rich: the resident is closer to home than we are, so it
       // can better afford the longer walk. Swap and keep placing it.
-      std::swap(h, hashes_[i]);
-      std::swap(key, keys_[i]);
-      std::swap(pcb, pcbs_[i]);
-      tags_[i] = tag_of(hashes_[i]);
+      std::swap(h, t.hashes[i]);
+      std::swap(key, t.keys[i]);
+      std::swap(pcb, t.pcbs[i]);
+      t.tags[i] = tag_of(t.hashes[i]);
       dist = d;
     }
-    i = (i + 1) & mask_;
+    i = (i + 1) & t.mask;
     ++dist;
     max_dist = std::max(max_dist, dist);
   }
-  tags_[i] = tag_of(h);
-  hashes_[i] = h;
-  keys_[i] = key;
-  pcbs_[i] = std::move(pcb);
+  t.tags[i] = tag_of(h);
+  t.hashes[i] = h;
+  t.keys[i] = key;
+  t.pcbs[i] = std::move(pcb);
   return max_dist;
 }
 
@@ -322,30 +194,29 @@ void FlatDemuxer::rehash_with_fresh_seed() {
   // The old array's stored hashes were computed under the outgoing seed;
   // re-probing it after rotation would miss every resident. Drain it
   // first (rare: requires an overload trigger mid-migration).
-  finish_migration();
-  options_.hasher.seed = net::next_seed(options_.hasher.seed);
-  const std::size_t cap = capacity();
-  std::vector<std::uint8_t> old_tags = std::move(tags_);
-  std::vector<net::FlowKey> old_keys = std::move(keys_);
-  std::vector<std::unique_ptr<Pcb>> old_pcbs = std::move(pcbs_);
-  tags_.assign(cap, 0);
-  hashes_.assign(cap, 0);
-  keys_.assign(cap, net::FlowKey{});
-  pcbs_.clear();
-  pcbs_.resize(cap);
-  for (std::size_t i = 0; i < cap; ++i) {
-    if (old_tags[i] == 0) continue;
-    // Hashes must be recomputed: the seed just changed.
-    place(hash_of(old_keys[i]), old_keys[i], std::move(old_pcbs[i]));
-  }
-  watermark_ = max_probe_distance();
-  ++overload_rehashes_;
-  telemetry_->on_rehash();
+  resize_.finish_migration(*this);
   inserts_since_rehash_ = 0;
   // Hysteresis: even if every key collides under every seed (full-32-bit
   // collisions survive the seeded post-mix of non-SipHash kinds), at most
-  // one rehash per `limit` further inserts — bounded thrash.
+  // one rotation attempt per `limit` further inserts — bounded thrash.
   rehash_cooldown_ = watermark_limit();
+  Table fresh;
+  try {
+    fresh = Table(capacity());
+  } catch (const std::bad_alloc&) {
+    return;  // keep serving under the current seed; retry after cooldown
+  }
+  options_.hasher.seed = net::next_seed(options_.hasher.seed);
+  for (std::size_t i = 0; i < table_.capacity(); ++i) {
+    if (table_.tags[i] == 0) continue;
+    // Hashes must be recomputed: the seed just changed.
+    place(fresh, hash_of(table_.keys[i]), table_.keys[i],
+          std::move(table_.pcbs[i]));
+  }
+  table_ = std::move(fresh);
+  watermark_ = max_probe_distance();
+  ++overload_rehashes_;
+  telemetry_->on_rehash();
 }
 
 ResilienceStats FlatDemuxer::resilience() const {
@@ -356,61 +227,40 @@ bool FlatDemuxer::erase(const net::FlowKey& key) {
   const std::uint32_t h = hash_of(key);
   const Probe p = find_slot(h, key);
   if (p.slot != kNpos) {
-    remove_at(p.slot);
+    remove_at(table_, p.slot);
   } else {
-    if (old_ == nullptr) return false;
-    const Probe q = find_slot_old(h, key);
+    auto* old = resize_.old();
+    if (old == nullptr) return false;
+    const Probe q = find_slot_scalar(old->table, h, key);
     if (q.slot == kNpos) return false;
-    remove_at_old(q.slot);
-    if (--old_->residents == 0) {
-      old_.reset();
-      telemetry_->on_resize_complete();
-    }
+    remove_at(old->table, q.slot);
+    resize_.note_erased(*this);
   }
   --size_;
   telemetry_->on_erase();
-  if (old_ != nullptr) [[unlikely]] migrate_batch(kMigrateBatch);
+  if (resize_.migrating()) [[unlikely]] {
+    resize_.migrate_batch(*this, kMigrateBatch);
+  }
   return true;
 }
 
-void FlatDemuxer::remove_at(std::size_t i) {
-  pcbs_[i].reset();
+void FlatDemuxer::remove_at(Table& t, std::size_t i) {
+  t.pcbs[i].reset();
   // Backward shift: slide the rest of the probe run down one slot so no
   // tombstone is needed. The run ends at an empty slot or a resident
   // already sitting in its home slot (which a shift would only hurt).
   std::size_t j = i;
   while (true) {
-    const std::size_t n = (j + 1) & mask_;
-    if (tags_[n] == 0 || probe_distance(n) == 0) break;
-    tags_[j] = tags_[n];
-    hashes_[j] = hashes_[n];
-    keys_[j] = keys_[n];
-    pcbs_[j] = std::move(pcbs_[n]);
+    const std::size_t n = (j + 1) & t.mask;
+    if (t.tags[n] == 0 || t.probe_distance(n) == 0) break;
+    t.tags[j] = t.tags[n];
+    t.hashes[j] = t.hashes[n];
+    t.keys[j] = t.keys[n];
+    t.pcbs[j] = std::move(t.pcbs[n]);
     j = n;
   }
-  tags_[j] = 0;
-  pcbs_[j].reset();
-}
-
-void FlatDemuxer::grow() {
-  const std::size_t old_capacity = capacity();
-  std::vector<std::uint8_t> old_tags = std::move(tags_);
-  std::vector<std::uint32_t> old_hashes = std::move(hashes_);
-  std::vector<net::FlowKey> old_keys = std::move(keys_);
-  std::vector<std::unique_ptr<Pcb>> old_pcbs = std::move(pcbs_);
-
-  const std::size_t capacity = old_capacity * 2;
-  mask_ = capacity - 1;
-  tags_.assign(capacity, 0);
-  hashes_.assign(capacity, 0);
-  keys_.assign(capacity, net::FlowKey{});
-  pcbs_.clear();
-  pcbs_.resize(capacity);
-
-  for (std::size_t i = 0; i < old_capacity; ++i) {
-    if (old_tags[i] == 0) continue;
-    place(old_hashes[i], old_keys[i], std::move(old_pcbs[i]));
-  }
+  t.tags[j] = 0;
+  t.pcbs[j].reset();
 }
 
 LookupResult FlatDemuxer::lookup(const net::FlowKey& key,
@@ -420,24 +270,27 @@ LookupResult FlatDemuxer::lookup(const net::FlowKey& key,
   LookupResult r;
   r.examined = p.examined;
   if (p.slot != kNpos) {
-    r.pcb = pcbs_[p.slot].get();
-  } else if (old_ != nullptr) [[unlikely]] {
+    r.pcb = table_.pcbs[p.slot].get();
+  } else if (resize_.migrating()) [[unlikely]] {
     // Mid-migration a resident may still sit in the draining array; both
     // probes' examined counts are charged (the paper's metric counts every
     // key compared, whichever array holds it).
-    const Probe q = find_slot_old(h, key);
+    const Table& old = resize_.old()->table;
+    const Probe q = find_slot_scalar(old, h, key);
     r.examined += q.examined;
-    if (q.slot != kNpos) r.pcb = old_->pcbs[q.slot].get();
+    if (q.slot != kNpos) r.pcb = old.pcbs[q.slot].get();
   }
   note_lookup(r);
-  if (old_ != nullptr) [[unlikely]] migrate_batch(kMigrateLookupBatch);
+  if (resize_.migrating()) [[unlikely]] {
+    resize_.migrate_batch(*this, kMigrateLookupBatch);
+  }
   return r;
 }
 
 void FlatDemuxer::lookup_batch(std::span<const net::FlowKey> keys,
                                std::span<LookupResult> results,
                                SegmentKind kind) {
-  if (old_ != nullptr) [[unlikely]] {
+  if (resize_.migrating()) [[unlikely]] {
     // Mid-migration the pipelined prefetch would have to target both
     // arrays; take the scalar path, which also paces the drain (one
     // migrated entry per lookup). Results and stats stay bit-identical
@@ -457,18 +310,18 @@ void FlatDemuxer::lookup_batch(std::span<const net::FlowKey> keys,
     const std::size_t n = std::min(kChunk, keys.size() - base);
     for (std::size_t i = 0; i < n; ++i) {
       h[i] = hash_of(keys[base + i]);
-      const std::size_t home = h[i] & mask_;
-      prefetch_read(&tags_[home]);
-      prefetch_read(&hashes_[home]);
+      const std::size_t home = h[i] & table_.mask;
+      prefetch_read(&table_.tags[home]);
+      prefetch_read(&table_.hashes[home]);
     }
     for (std::size_t i = 0; i < n; ++i) {
-      prefetch_read(&keys_[h[i] & mask_]);
+      prefetch_read(&table_.keys[h[i] & table_.mask]);
     }
     for (std::size_t i = 0; i < n; ++i) {
       const Probe p = find_slot(h[i], keys[base + i]);
       LookupResult r;
       r.examined = p.examined;
-      if (p.slot != kNpos) r.pcb = pcbs_[p.slot].get();
+      if (p.slot != kNpos) r.pcb = table_.pcbs[p.slot].get();
       note_lookup(r);
       results[base + i] = r;
     }
@@ -485,63 +338,61 @@ LookupResult FlatDemuxer::lookup_wildcard(const net::FlowKey& key) {
   LookupResult best;
   best.examined = p.examined;
   if (p.slot != kNpos) {
-    best.pcb = pcbs_[p.slot].get();
+    best.pcb = table_.pcbs[p.slot].get();
     return best;
   }
-  if (old_ != nullptr) {
-    const Probe q = find_slot_old(h, key);
+  const Table* old = resize_.migrating() ? &resize_.old()->table : nullptr;
+  if (old != nullptr) {
+    const Probe q = find_slot_scalar(*old, h, key);
     best.examined += q.examined;
     if (q.slot != kNpos) {
-      best.pcb = old_->pcbs[q.slot].get();
+      best.pcb = old->pcbs[q.slot].get();
       return best;
     }
   }
   int best_score = -1;
-  const auto sweep = [&](const std::vector<std::uint8_t>& tags,
-                         const std::vector<net::FlowKey>& table_keys,
-                         const std::vector<std::unique_ptr<Pcb>>& table_pcbs) {
-    for (std::size_t i = 0; i < tags.size(); ++i) {
-      if (tags[i] == 0) continue;
+  const auto sweep = [&](const Table& t) {
+    for (std::size_t i = 0; i < t.capacity(); ++i) {
+      if (t.tags[i] == 0) continue;
       ++best.examined;
-      const int score = table_keys[i].match_score(key);
+      const int score = t.keys[i].match_score(key);
       if (score < 0) continue;
       if (score == 0) {
-        best.pcb = table_pcbs[i].get();
+        best.pcb = t.pcbs[i].get();
         return true;
       }
       if (best_score < 0 || score < best_score) {
         best_score = score;
-        best.pcb = table_pcbs[i].get();
+        best.pcb = t.pcbs[i].get();
       }
     }
     return false;
   };
-  if (sweep(tags_, keys_, pcbs_)) return best;
-  if (old_ != nullptr) sweep(old_->tags, old_->keys, old_->pcbs);
+  if (sweep(table_)) return best;
+  if (old != nullptr) sweep(*old);
   return best;
 }
 
 void FlatDemuxer::for_each_pcb(
     const std::function<void(const Pcb&)>& fn) const {
-  for (std::size_t i = 0; i <= mask_; ++i) {
-    if (tags_[i] != 0) fn(*pcbs_[i]);
-  }
-  if (old_ == nullptr) return;
-  for (std::size_t i = 0; i <= old_->mask; ++i) {
-    if (old_->tags[i] != 0) fn(*old_->pcbs[i]);
-  }
+  const auto visit = [&fn](const Table& t) {
+    for (std::size_t i = 0; i < t.capacity(); ++i) {
+      if (t.tags[i] != 0) fn(*t.pcbs[i]);
+    }
+  };
+  visit(table_);
+  if (const auto* old = resize_.old()) visit(old->table);
 }
 
 std::size_t FlatDemuxer::max_probe_distance() const noexcept {
   std::size_t max = 0;
-  for (std::size_t i = 0; i <= mask_; ++i) {
-    if (tags_[i] != 0) max = std::max(max, probe_distance(i));
-  }
-  if (old_ != nullptr) {
-    for (std::size_t i = 0; i <= old_->mask; ++i) {
-      if (old_->tags[i] != 0) max = std::max(max, old_->probe_distance(i));
+  const auto scan = [&max](const Table& t) {
+    for (std::size_t i = 0; i < t.capacity(); ++i) {
+      if (t.tags[i] != 0) max = std::max(max, t.probe_distance(i));
     }
-  }
+  };
+  scan(table_);
+  if (const auto* old = resize_.old()) scan(old->table);
   return max;
 }
 
@@ -552,19 +403,18 @@ std::vector<std::size_t> FlatDemuxer::occupancy() const {
   // in two; a full table is one run. During a migration the old array's
   // runs are appended after the live array's, so the total still sums to
   // size() and skew reflects both generations.
-  const auto append_runs = [&runs](const std::vector<std::uint8_t>& tags,
-                                   std::size_t mask) {
-    const std::size_t cap = mask + 1;
+  const auto append_runs = [&runs](const Table& t) {
+    const std::size_t cap = t.capacity();
     std::size_t start = 0;
-    while (start < cap && tags[start] != 0) ++start;
+    while (start < cap && t.tags[start] != 0) ++start;
     if (start == cap) {
       runs.push_back(cap);
       return;
     }
     std::size_t run = 0;
     for (std::size_t n = 0; n < cap; ++n) {
-      const std::size_t i = (start + n) & mask;
-      if (tags[i] != 0) {
+      const std::size_t i = (start + n) & t.mask;
+      if (t.tags[i] != 0) {
         ++run;
       } else if (run != 0) {
         runs.push_back(run);
@@ -573,8 +423,8 @@ std::vector<std::size_t> FlatDemuxer::occupancy() const {
     }
     if (run != 0) runs.push_back(run);
   };
-  append_runs(tags_, mask_);
-  if (old_ != nullptr) append_runs(old_->tags, old_->mask);
+  append_runs(table_);
+  if (const auto* old = resize_.old()) append_runs(old->table);
   return runs;
 }
 
@@ -584,8 +434,8 @@ std::size_t FlatDemuxer::memory_bytes() const {
       sizeof(std::unique_ptr<Pcb>);
   std::size_t bytes = size_ * sizeof(Pcb) + sizeof(*this) +
                       capacity() * kPerSlot;
-  if (old_ != nullptr) {
-    bytes += sizeof(OldTable) + old_->capacity() * kPerSlot;
+  if (const auto* old = resize_.old()) {
+    bytes += sizeof(*old) + old->table.capacity() * kPerSlot;
   }
   return bytes;
 }

@@ -21,17 +21,17 @@
 //   * deletion backward-shifts the following probe run instead of leaving
 //     tombstones, so load factor — and therefore probe length — never
 //     degrades with churn;
-//   * growth doubles the table at 7/8 occupancy and rehashes in place
-//     (amortized O(1) per insert). Pcb objects are individually owned, so
-//     Pcb* stay stable across growth and slot shifts;
-//   * with Options::incremental the rehash is no longer stop-the-world:
-//     the old slot array is kept behind a drain cursor and every
-//     insert/erase/lookup migrates a bounded batch of residents into the
-//     doubled array, so worst-case per-operation work is O(batch), not
-//     O(n). When the doubled array cannot be allocated the table degrades
-//     down a ladder — defer-and-retry with exponential backoff, then
-//     shed-at-watermark — instead of corrupting state (see DESIGN.md
-//     "Incremental resize & degradation ladder").
+//   * growth doubles the table at 7/8 occupancy (amortized O(1) per
+//     insert): the doubled array is allocated first, then the old one
+//     drains into it — in one sweep by default, or with
+//     Options::incremental a bounded batch per insert/erase/lookup, so
+//     worst-case per-operation work is O(batch), not O(n). Pcb objects are
+//     individually owned, so Pcb* stay stable across growth and slot
+//     shifts. When the doubled array cannot be allocated the table
+//     degrades down a ladder — defer-and-retry with exponential backoff,
+//     then shed-at-watermark — instead of corrupting state (see
+//     core/resize_policy.h and DESIGN.md "Incremental resize &
+//     degradation ladder").
 //
 // Accounting: `examined` counts key comparisons (fingerprint hits), the
 // moments this structure actually touches a connection's identity. Tag
@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "core/demuxer.h"
+#include "core/resize_policy.h"
 #include "net/hashers.h"
 
 namespace tcpdemux::core {
@@ -73,9 +74,8 @@ class FlatDemuxer final : public Demuxer {
     /// robin-hood keeps every probe run contiguous from the home slot to
     /// the first empty slot, which is exactly what group termination needs.
     bool group_probe = false;
-    /// Grow by incremental migration instead of a stop-the-world rehash:
-    /// the old array drains behind a cursor, a bounded batch per
-    /// operation, with the allocation-failure degradation ladder armed.
+    /// Drain the outgoing array incrementally, a bounded batch per
+    /// operation, instead of all at once at the growth trigger.
     bool incremental = false;
   };
 
@@ -99,18 +99,22 @@ class FlatDemuxer final : public Demuxer {
   /// Current slot count (doubles as the table grows). Test/bench hook.
   /// While an incremental migration is in flight this is the *new* array's
   /// capacity; the draining old array is extra (see memory_bytes()).
-  [[nodiscard]] std::size_t capacity() const noexcept { return mask_ + 1; }
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return table_.capacity();
+  }
 
   bool migration_step() override;
   /// True while an incremental migration is draining the old array.
-  [[nodiscard]] bool migrating() const noexcept { return old_ != nullptr; }
+  [[nodiscard]] bool migrating() const noexcept { return resize_.migrating(); }
   /// Residents still waiting in the old array (0 when not migrating).
   [[nodiscard]] std::size_t migration_debt() const noexcept {
-    return old_ != nullptr ? old_->residents : 0;
+    return resize_.debt();
   }
   /// True while the degradation ladder has growth blocked on allocation
   /// failure (inserts shed once occupancy reaches 15/16).
-  [[nodiscard]] bool growth_blocked() const noexcept { return grow_blocked_; }
+  [[nodiscard]] bool growth_blocked() const noexcept {
+    return resize_.blocked();
+  }
   /// Longest probe sequence any resident key currently needs (test hook:
   /// robin-hood keeps this small even at high load).
   [[nodiscard]] std::size_t max_probe_distance() const noexcept;
@@ -141,6 +145,30 @@ class FlatDemuxer final : public Demuxer {
   static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
   static constexpr std::size_t kMinCapacity = 16;
 
+  /// Structure-of-arrays slot storage. Parallel, all sized capacity(): a
+  /// probe touches tags (1 B/slot), then hashes for the robin-hood bound
+  /// (4 B/slot), and keys (12 B/slot) only on a fingerprint match. The PCB
+  /// itself is touched only when returned to the caller. The outgoing
+  /// table of a migration has this same type.
+  struct Table {
+    std::size_t mask = 0;  ///< capacity - 1 (capacity is a power of two)
+    std::vector<std::uint8_t> tags;
+    std::vector<std::uint32_t> hashes;
+    std::vector<net::FlowKey> keys;
+    std::vector<std::unique_ptr<Pcb>> pcbs;
+
+    Table() = default;
+    /// An empty table of `capacity` slots (a power of two).
+    explicit Table(std::size_t capacity);
+    [[nodiscard]] std::size_t capacity() const noexcept { return mask + 1; }
+    /// Distance of slot `i`'s resident from its home slot, in probe steps.
+    [[nodiscard]] std::size_t probe_distance(std::size_t i) const noexcept {
+      return (i - (hashes[i] & mask)) & mask;
+    }
+  };
+  template <class>
+  friend class ResizeEngine;
+
   /// Tag byte: occupied bit (0x80) | top 7 hash bits. 0 means empty.
   [[nodiscard]] static constexpr std::uint8_t tag_of(std::uint32_t h) noexcept {
     return static_cast<std::uint8_t>(0x80U | (h >> 25));
@@ -152,91 +180,55 @@ class FlatDemuxer final : public Demuxer {
     return net::mix32_avalanche(net::hash_flow(options_.hasher, key));
   }
 
-  /// Distance of slot `i`'s resident from its home slot, in probe steps.
-  [[nodiscard]] std::size_t probe_distance(std::size_t i) const noexcept {
-    return (i - (hashes_[i] & mask_)) & mask_;
-  }
-
   struct Probe {
     std::size_t slot = kNpos;      ///< kNpos when absent
     std::uint32_t examined = 0;    ///< key comparisons performed
   };
+  /// Probes the live table, group-wise when Options::group_probe is set.
   [[nodiscard]] Probe find_slot(std::uint32_t h,
-                                const net::FlowKey& key) const noexcept;
-  /// Group-probed variant of find_slot (Options::group_probe): examines
-  /// 16-aligned tag groups with one vector compare each. Capacity is a
-  /// power of two >= 16, so groups never straddle the array end and the
-  /// wrap is a mask on the group base. Slots before the home slot in its
-  /// own group are masked out — they belong to an earlier probe run.
-  [[nodiscard]] Probe find_slot_grouped(std::uint32_t h,
-                                        const net::FlowKey& key) const noexcept;
+                                const net::FlowKey& key) const noexcept {
+    return options_.group_probe ? find_slot_grouped(table_, h, key)
+                                : find_slot_scalar(table_, h, key);
+  }
+  /// Byte-at-a-time robin-hood probe of `t`. The outgoing table of a
+  /// migration always takes this path: it is cold by construction and
+  /// dies within one migration.
+  [[nodiscard]] static Probe find_slot_scalar(const Table& t, std::uint32_t h,
+                                              const net::FlowKey& key) noexcept;
+  /// Group-probed variant (Options::group_probe): examines 16-aligned tag
+  /// groups with one vector compare each. Capacity is a power of two
+  /// >= 16, so groups never straddle the array end and the wrap is a mask
+  /// on the group base. Slots before the home slot in its own group are
+  /// masked out — they belong to an earlier probe run.
+  [[nodiscard]] static Probe find_slot_grouped(
+      const Table& t, std::uint32_t h, const net::FlowKey& key) noexcept;
 
-  /// Robin-hood placement of a (pre-hashed) entry; the caller has already
-  /// established the key is absent and the load factor is acceptable.
-  /// Returns the longest probe distance the placement walked (the overload
-  /// watermark signal).
-  std::size_t place(std::uint32_t h, net::FlowKey key,
-                    std::unique_ptr<Pcb> pcb);
-  /// Backward-shift removal of the resident at slot `i`.
-  void remove_at(std::size_t i);
-  /// Doubles the slot array and re-places every resident (stop-the-world;
-  /// the non-incremental growth path).
-  void grow();
-  /// Growth policy switch: stop-the-world grow(), or the incremental
-  /// start/force-finish/ladder machinery, at the 7/8 trigger.
+  /// Robin-hood placement of a (pre-hashed) entry into `t`; the caller has
+  /// already established the key is absent and the load factor is
+  /// acceptable. Returns the longest probe distance the placement walked
+  /// (the overload watermark signal).
+  static std::size_t place(Table& t, std::uint32_t h, net::FlowKey key,
+                           std::unique_ptr<Pcb> pcb);
+  /// Backward-shift removal of the resident at slot `i` of `t`.
+  static void remove_at(Table& t, std::size_t i);
+  /// Growth trigger at 7/8 occupancy; the shared engine does the rest.
   void maybe_grow();
+  [[nodiscard]] Table grown_table() const { return Table(capacity() * 2); }
+  /// Moves the resident of outgoing slot `i` into the live table. Nothing
+  /// is ever placed into the outgoing table and a step's backward shift
+  /// only vacates slots, so the drained prefix [0, cursor) never refills.
+  bool migrate_unit(Table& old, std::size_t i, DrainMode mode);
   /// Watermark bookkeeping after a successful insert; triggers a
   /// seed-rotating rehash when the overload policy says so.
   void note_insert(std::size_t place_distance);
-  /// Rotates the seed and re-places every resident at the same capacity
-  /// (pointer-stable). Force-finishes any in-flight migration first — the
-  /// old array's stored hashes would go stale under the new seed.
+  /// Rotates the seed and re-places every resident into a freshly
+  /// allocated table of the same capacity (pointer-stable). Force-finishes
+  /// any in-flight migration first — the old array's stored hashes would
+  /// go stale under the new seed.
   void rehash_with_fresh_seed();
 
-  // --- incremental migration (Options::incremental) ----------------------
-  // The previous slot array, kept fully probe-able while it drains. Only
-  // removal ever touches it (nothing is placed or displaced into it), so
-  // it stays a valid robin-hood table and slots [0, cursor) stay empty:
-  // backward-shift pulls entries *toward* the removal slot and vacates the
-  // tail of the run, never refilling the drained prefix.
-  struct OldTable {
-    std::size_t mask = 0;
-    std::size_t cursor = 0;     ///< slots [0, cursor) are drained
-    std::size_t residents = 0;  ///< entries not yet migrated
-    std::vector<std::uint8_t> tags;
-    std::vector<std::uint32_t> hashes;
-    std::vector<net::FlowKey> keys;
-    std::vector<std::unique_ptr<Pcb>> pcbs;
-
-    [[nodiscard]] std::size_t capacity() const noexcept { return mask + 1; }
-    [[nodiscard]] std::size_t probe_distance(std::size_t i) const noexcept {
-      return (i - (hashes[i] & mask)) & mask;
-    }
-  };
-
-  /// Scalar probe of the draining old array (no group probing: the old
-  /// array is cold by construction and dies within one migration).
-  [[nodiscard]] Probe find_slot_old(std::uint32_t h,
-                                    const net::FlowKey& key) const noexcept;
-  /// Backward-shift removal in the old array (keeps it robin-hood valid).
-  void remove_at_old(std::size_t i);
-  /// Allocates the doubled array and swings the current one behind the
-  /// drain cursor. Returns false — after stepping the degradation ladder —
-  /// if the allocation failed (injected or real).
-  bool start_migration();
-  /// Migrates up to `budget` residents (and advances the cursor over at
-  /// most 64*budget empty slots, so a sparse old array still finishes in
-  /// bounded steps). No-op when not migrating.
-  void migrate_batch(std::size_t budget);
-  /// Drains the old array completely (the rare stop-the-world fallback:
-  /// a second growth trigger or a seed rotation mid-migration).
-  void finish_migration();
-  /// Ladder rung 1: growth refused by the allocator. Blocks growth and
-  /// arms an exponentially backed-off retry countdown (in inserts).
-  void defer_migration();
-
   Options options_;
-  std::size_t mask_ = 0;   ///< capacity - 1 (capacity is a power of two)
+  Table table_;
   std::size_t size_ = 0;   ///< residents across the live and old arrays
 
   // Overload / shedding state (see DESIGN.md "Adversarial resilience").
@@ -245,19 +237,7 @@ class FlatDemuxer final : public Demuxer {
   std::uint64_t inserts_shed_ = 0;
   std::uint64_t inserts_since_rehash_ = 0;
   std::uint64_t rehash_cooldown_ = 0;  ///< 0 until the first rehash
-  // Degradation-ladder state (incremental mode only).
-  bool grow_blocked_ = false;       ///< allocation for the next array failed
-  std::uint64_t grow_backoff_ = 0;  ///< current retry backoff, in inserts
-  std::uint64_t grow_retry_in_ = 0;  ///< inserts until the next retry
-  // Structure-of-arrays slot storage. Parallel, all sized capacity():
-  // a probe touches tags_ (1 B/slot), then hashes_ for the robin-hood
-  // bound (4 B/slot), and keys_ (12 B/slot) only on a fingerprint match.
-  // The PCB itself is touched only when returned to the caller.
-  std::vector<std::uint8_t> tags_;
-  std::vector<std::uint32_t> hashes_;
-  std::vector<net::FlowKey> keys_;
-  std::vector<std::unique_ptr<Pcb>> pcbs_;
-  std::unique_ptr<OldTable> old_;  ///< non-null while migrating
+  ResizeEngine<Table> resize_;
 };
 
 }  // namespace tcpdemux::core

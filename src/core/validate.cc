@@ -245,19 +245,19 @@ ValidationReport StructuralValidator::validate(
     all.insert(all.end(), members.begin(), members.end());
   }
 
-  if (demuxer.old_ != nullptr) {
-    const auto& old = *demuxer.old_;
+  if (const auto* out = demuxer.resize_.old()) {
+    const auto& old = *out;
     if (old.residents == 0) {
       errors.add(
           "dynamic(old): migration adjunct present with zero residents");
     }
-    if (old.cursor > old.buckets.size()) {
+    if (old.cursor > old.table.size()) {
       errors.add("dynamic(old): cursor ", old.cursor,
-                 " exceeds bucket count ", old.buckets.size());
+                 " exceeds bucket count ", old.table.size());
     }
     std::size_t old_total = 0;
-    for (std::uint32_t c = 0; c < old.buckets.size(); ++c) {
-      const DynamicHashDemuxer::Bucket& bucket = old.buckets[c];
+    for (std::uint32_t c = 0; c < old.table.size(); ++c) {
+      const DynamicHashDemuxer::Bucket& bucket = old.table[c];
       std::vector<const Pcb*> members;
       std::ostringstream what;
       what << "dynamic(old) chain " << c;
@@ -271,10 +271,10 @@ ValidationReport StructuralValidator::validate(
                    ") is non-empty");
       }
       for (const Pcb* p : members) {
-        if (demuxer.old_chain_of(p->key) != c) {
+        const std::uint32_t home = demuxer.chain_in(old.table, p->key);
+        if (home != c) {
           errors.add("dynamic(old): PCB ", p->key.to_string(),
-                     " hashes to chain ", demuxer.old_chain_of(p->key),
-                     " but sits on chain ", c);
+                     " hashes to chain ", home, " but sits on chain ", c);
         }
       }
       check_cache_member(bucket.cache, what.str().c_str(), members, errors);
@@ -432,8 +432,13 @@ ValidationReport StructuralValidator::validate(const FlatDemuxer& demuxer) {
     errors.add("flat: capacity ", capacity, " is not a power of two");
     return report;
   }
-  if (demuxer.tags_.size() != capacity || demuxer.hashes_.size() != capacity ||
-      demuxer.keys_.size() != capacity || demuxer.pcbs_.size() != capacity) {
+  // Every parallel array of `t` must hold exactly t.capacity() slots.
+  const auto sized = [](const FlatDemuxer::Table& t) {
+    const std::size_t cap = t.capacity();
+    return t.tags.size() == cap && t.hashes.size() == cap &&
+           t.keys.size() == cap && t.pcbs.size() == cap;
+  };
+  if (!sized(demuxer.table_)) {
     errors.add("flat: slot arrays are not all sized to capacity ", capacity);
     return report;
   }
@@ -443,13 +448,10 @@ ValidationReport StructuralValidator::validate(const FlatDemuxer& demuxer) {
   // duplicate. Returns the table's occupied-slot count.
   std::unordered_set<net::FlowKey> keys;
   const auto check_table =
-      [&](const std::vector<std::uint8_t>& tags,
-          const std::vector<std::uint32_t>& hashes,
-          const std::vector<net::FlowKey>& slot_keys,
-          const std::vector<std::unique_ptr<Pcb>>& pcbs, std::size_t mask,
-          const char* what) {
+      [&](const FlatDemuxer::Table& t, const char* what) {
+        const auto& [mask, tags, hashes, slot_keys, pcbs] = t;
         std::size_t occupied = 0;
-        const std::size_t cap = mask + 1;
+        const std::size_t cap = t.capacity();
         for (std::size_t i = 0; i < cap; ++i) {
           if (tags[i] == 0) {
             if (pcbs[i] != nullptr) {
@@ -507,16 +509,12 @@ ValidationReport StructuralValidator::validate(const FlatDemuxer& demuxer) {
         return occupied;
       };
 
-  std::size_t occupied =
-      check_table(demuxer.tags_, demuxer.hashes_, demuxer.keys_,
-                  demuxer.pcbs_, demuxer.mask_, "flat");
+  std::size_t occupied = check_table(demuxer.table_, "flat");
 
-  if (demuxer.old_ != nullptr) {
-    const auto& old = *demuxer.old_;
-    const std::size_t old_capacity = old.mask + 1;
-    if (old.tags.size() != old_capacity ||
-        old.hashes.size() != old_capacity ||
-        old.keys.size() != old_capacity || old.pcbs.size() != old_capacity) {
+  if (const auto* out = demuxer.resize_.old()) {
+    const auto& old = *out;
+    const std::size_t old_capacity = old.table.capacity();
+    if (!sized(old.table)) {
       errors.add("flat(old): slot arrays are not all sized to capacity ",
                  old_capacity);
       return report;
@@ -538,15 +536,14 @@ ValidationReport StructuralValidator::validate(const FlatDemuxer& demuxer) {
                  old_capacity);
     }
     for (std::size_t i = 0; i < std::min(old.cursor, old_capacity); ++i) {
-      if (old.tags[i] != 0) {
+      if (old.table.tags[i] != 0) {
         errors.add("flat(old): slot ", i,
                    " in the drained prefix [0, cursor=", old.cursor,
                    ") is occupied");
         break;
       }
     }
-    const std::size_t old_occupied = check_table(
-        old.tags, old.hashes, old.keys, old.pcbs, old.mask, "flat(old)");
+    const std::size_t old_occupied = check_table(old.table, "flat(old)");
     if (old_occupied != old.residents) {
       errors.add("flat(old): occupied slots (", old_occupied,
                  ") != residents counter (", old.residents, ")");
@@ -562,7 +559,7 @@ ValidationReport StructuralValidator::validate(const FlatDemuxer& demuxer) {
   // insert was allowed to degrade probe runs past the design bound. While
   // growth is allocation-blocked the degradation ladder admits up to the
   // hard 15/16 shed watermark instead.
-  if (demuxer.grow_blocked_) {
+  if (demuxer.resize_.blocked()) {
     if (demuxer.size_ * 16 > capacity * 15) {
       errors.add("flat: occupancy ", demuxer.size_,
                  " exceeds the blocked-growth 15/16 watermark of capacity ",
@@ -587,10 +584,15 @@ ValidationReport StructuralValidator::validate(const CuckooDemuxer& demuxer) {
                " is not a power of two >= 4");
     return report;
   }
-  if (demuxer.meta_.size() != buckets ||
-      demuxer.filter_counts_.size() != buckets ||
-      demuxer.hashes_.size() != capacity ||
-      demuxer.keys_.size() != capacity || demuxer.pcbs_.size() != capacity) {
+  // Every per-bucket and per-slot array of `t` must match its geometry.
+  const auto sized = [](const CuckooDemuxer::Table& t) {
+    const std::size_t b = t.bucket_count();
+    const std::size_t cap = t.capacity();
+    return t.meta.size() == b && t.filter_counts.size() == b &&
+           t.hashes.size() == cap && t.keys.size() == cap &&
+           t.pcbs.size() == cap;
+  };
+  if (!sized(demuxer.table_)) {
     errors.add("cuckoo: arrays are not all sized to ", buckets, " buckets");
     return report;
   }
@@ -601,14 +603,10 @@ ValidationReport StructuralValidator::validate(const CuckooDemuxer& demuxer) {
   // resident placement. Returns the table's occupied-slot count.
   std::unordered_set<net::FlowKey> keys;
   const auto check_table =
-      [&](const std::vector<CuckooDemuxer::BucketMeta>& meta,
-          const std::vector<std::uint32_t>& hashes,
-          const std::vector<net::FlowKey>& slot_keys,
-          const std::vector<std::unique_ptr<Pcb>>& pcbs,
-          const std::vector<std::array<std::uint16_t, 16>>& filter_counts,
-          std::size_t mask, const char* what) {
-        const std::size_t table_buckets = mask + 1;
-        const std::size_t table_capacity = table_buckets * kW;
+      [&](const CuckooDemuxer::Table& t, const char* what) {
+        const auto& [mask, meta, hashes, slot_keys, pcbs, filter_counts] = t;
+        const std::size_t table_buckets = t.bucket_count();
+        const std::size_t table_capacity = t.capacity();
         std::vector<std::array<std::uint16_t, 16>> expected(table_buckets);
         std::size_t occupied = 0;
         for (std::size_t i = 0; i < table_capacity; ++i) {
@@ -682,19 +680,13 @@ ValidationReport StructuralValidator::validate(const CuckooDemuxer& demuxer) {
         return occupied;
       };
 
-  std::size_t occupied =
-      check_table(demuxer.meta_, demuxer.hashes_, demuxer.keys_,
-                  demuxer.pcbs_, demuxer.filter_counts_, demuxer.bucket_mask_,
-                  "cuckoo");
+  std::size_t occupied = check_table(demuxer.table_, "cuckoo");
 
-  if (demuxer.old_ != nullptr) {
-    const auto& old = *demuxer.old_;
-    const std::size_t old_buckets = old.bucket_mask + 1;
-    const std::size_t old_capacity = old.capacity();
-    if (old.meta.size() != old_buckets ||
-        old.filter_counts.size() != old_buckets ||
-        old.hashes.size() != old_capacity ||
-        old.keys.size() != old_capacity || old.pcbs.size() != old_capacity) {
+  if (const auto* out = demuxer.resize_.old()) {
+    const auto& old = *out;
+    const std::size_t old_buckets = old.table.bucket_count();
+    const std::size_t old_capacity = old.table.capacity();
+    if (!sized(old.table)) {
       errors.add("cuckoo(old): arrays are not all sized to ", old_buckets,
                  " buckets");
       return report;
@@ -715,16 +707,14 @@ ValidationReport StructuralValidator::validate(const CuckooDemuxer& demuxer) {
                  old_capacity);
     }
     for (std::size_t i = 0; i < std::min(old.cursor, old_capacity); ++i) {
-      if (old.meta[i / kW].tags[i % kW] != 0) {
+      if (old.table.tag_at(i) != 0) {
         errors.add("cuckoo(old): slot ", i,
                    " in the drained prefix [0, cursor=", old.cursor,
                    ") is occupied");
         break;
       }
     }
-    const std::size_t old_occupied =
-        check_table(old.meta, old.hashes, old.keys, old.pcbs,
-                    old.filter_counts, old.bucket_mask, "cuckoo(old)");
+    const std::size_t old_occupied = check_table(old.table, "cuckoo(old)");
     if (old_occupied != old.residents) {
       errors.add("cuckoo(old): occupied slots (", old_occupied,
                  ") != residents counter (", old.residents, ")");
@@ -739,7 +729,7 @@ ValidationReport StructuralValidator::validate(const CuckooDemuxer& demuxer) {
   // Growth keeps occupancy at or below 7/8; while growth is
   // allocation-blocked the degradation ladder admits up to the hard 15/16
   // shed watermark instead.
-  if (demuxer.grow_blocked_) {
+  if (demuxer.resize_.blocked()) {
     if (demuxer.size_ * 16 > capacity * 15) {
       errors.add("cuckoo: occupancy ", demuxer.size_,
                  " exceeds the blocked-growth 15/16 watermark of capacity ",
@@ -925,29 +915,30 @@ void ValidatorTestAccess::rcu_adjust_size(RcuSequentDemuxer& d,
 }
 
 std::vector<std::uint8_t>& ValidatorTestAccess::flat_tags(FlatDemuxer& d) {
-  return d.tags_;
+  return d.table_.tags;
 }
 std::size_t& ValidatorTestAccess::flat_size(FlatDemuxer& d) {
   return d.size_;
 }
 void ValidatorTestAccess::flat_move_slot(FlatDemuxer& d, std::size_t from,
                                          std::size_t to) {
-  d.tags_[to] = d.tags_[from];
-  d.hashes_[to] = d.hashes_[from];
-  d.keys_[to] = d.keys_[from];
-  d.pcbs_[to] = std::move(d.pcbs_[from]);
-  d.tags_[from] = 0;
+  FlatDemuxer::Table& t = d.table_;
+  t.tags[to] = t.tags[from];
+  t.hashes[to] = t.hashes[from];
+  t.keys[to] = t.keys[from];
+  t.pcbs[to] = std::move(t.pcbs[from]);
+  t.tags[from] = 0;
 }
 
 std::uint8_t& ValidatorTestAccess::cuckoo_tag(CuckooDemuxer& d,
                                               std::size_t slot) {
-  return d.meta_[slot / CuckooDemuxer::kBucketWidth]
+  return d.table_.meta[slot / CuckooDemuxer::kBucketWidth]
       .tags[slot % CuckooDemuxer::kBucketWidth];
 }
 
 std::uint16_t& ValidatorTestAccess::cuckoo_filter(CuckooDemuxer& d,
                                                   std::size_t bucket) {
-  return d.meta_[bucket].filter;
+  return d.table_.meta[bucket].filter;
 }
 
 std::size_t& ValidatorTestAccess::cuckoo_size(CuckooDemuxer& d) {
@@ -957,9 +948,10 @@ std::size_t& ValidatorTestAccess::cuckoo_size(CuckooDemuxer& d) {
 void ValidatorTestAccess::cuckoo_move_slot(CuckooDemuxer& d, std::size_t from,
                                            std::size_t to) {
   cuckoo_tag(d, to) = cuckoo_tag(d, from);
-  d.hashes_[to] = d.hashes_[from];
-  d.keys_[to] = d.keys_[from];
-  d.pcbs_[to] = std::move(d.pcbs_[from]);
+  CuckooDemuxer::Table& t = d.table_;
+  t.hashes[to] = t.hashes[from];
+  t.keys[to] = t.keys[from];
+  t.pcbs[to] = std::move(t.pcbs[from]);
   cuckoo_tag(d, from) = 0;
 }
 

@@ -104,13 +104,16 @@ struct TelemetryCounters {
   std::uint64_t erases = 0;        ///< successful PCB removals
   std::uint64_t inserts_shed = 0;  ///< inserts refused at a max_pcbs cap
   std::uint64_t rehashes = 0;      ///< overload-triggered seed rotations
-  // Incremental-resize ledger (growing backends with `incremental` only;
-  // see DESIGN.md "Incremental resize & degradation ladder").
-  std::uint64_t resizes_started = 0;    ///< migrations begun (new table up)
-  std::uint64_t resizes_completed = 0;  ///< migrations fully drained
+                                   ///  (never table doublings)
+  // Resize ledger (every growing backend, both drain schedules; see
+  // DESIGN.md "Incremental resize & degradation ladder"). Each table
+  // doubling counts exactly once in started and once in completed.
+  std::uint64_t resizes_started = 0;    ///< doublings begun (new table up)
+  std::uint64_t resizes_completed = 0;  ///< doublings fully drained
   std::uint64_t resizes_deferred = 0;   ///< growth attempts refused by the
                                         ///  allocator (ladder rung 1)
-  std::uint64_t resize_steps = 0;       ///< bounded migration batches run
+  std::uint64_t resize_steps = 0;       ///< drain passes run: a bounded
+                                        ///  batch, or one whole-table sweep
 };
 
 /// The per-demuxer registry: fixed-slot counters plus opt-in histograms.
@@ -146,13 +149,13 @@ class Telemetry {
   void on_shed() noexcept { ++counters_.inserts_shed; }
   void on_rehash() noexcept { ++counters_.rehashes; }
 
-  // Incremental-resize events (growing backends with `incremental`).
+  // Resize events (every growing backend, both drain schedules).
   void on_resize_start() noexcept { ++counters_.resizes_started; }
   void on_resize_complete() noexcept { ++counters_.resizes_completed; }
   void on_resize_defer() noexcept { ++counters_.resizes_deferred; }
-  /// Records one bounded migration batch: `moved` entries re-placed this
-  /// step (the per-operation pause surrogate) and `debt` entries still
-  /// waiting in the old table afterwards. Counters always; histograms only
+  /// Records one drain pass: `moved` entries re-placed this step (the
+  /// per-operation pause surrogate; a stop-the-world sweep moves the whole
+  /// table) and `debt` entries still waiting in the old table afterwards. Counters always; histograms only
   /// when enabled, like on_lookup.
   void on_resize_step(std::uint64_t moved, std::uint64_t debt) noexcept {
     ++counters_.resize_steps;

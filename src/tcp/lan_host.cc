@@ -24,6 +24,8 @@ void LanHost::send_ipv4(net::Ipv4Addr next_hop,
   const auto dst_mac = arp_.resolve(next_hop, now);
   if (!dst_mac) {
     pending_.push_back({next_hop, std::move(datagram)});
+    // A flush in progress compacts by index; it trims when it is done.
+    if (!flushing_) trim_pending();
     transmit_(arp_.make_request(next_hop));
     return;
   }
@@ -35,6 +37,7 @@ void LanHost::flush_pending() {
   // order and the rest slide down, keeping theirs. Indices, not iterators,
   // so a send_ipv4 from inside transmit_ may append safely.
   const double now = clock_ ? clock_() : 0.0;
+  flushing_ = true;
   std::size_t kept = 0;
   for (std::size_t i = 0; i < pending_.size(); ++i) {
     const auto dst_mac = arp_.resolve(pending_[i].next_hop, now);
@@ -47,6 +50,15 @@ void LanHost::flush_pending() {
     }
   }
   pending_.resize(kept);
+  flushing_ = false;
+  trim_pending();
+}
+
+void LanHost::trim_pending() {
+  while (pending_.size() > kMaxPending) {
+    pending_.pop_front();
+    ++pending_dropped_;
+  }
 }
 
 }  // namespace tcpdemux::tcp

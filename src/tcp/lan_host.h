@@ -62,9 +62,21 @@ class LanHost {
   [[nodiscard]] std::size_t pending() const noexcept {
     return pending_.size();
   }
+  /// Held datagrams dropped because the hold queue was full.
+  [[nodiscard]] std::uint64_t pending_dropped() const noexcept {
+    return pending_dropped_;
+  }
+
+  /// Bound on the ARP hold queue, across all next hops. An IPv4 frame
+  /// never teaches the ARP table, so every spoofed-source segment would
+  /// otherwise leave its SYN-ACK or RST held forever; when full, the
+  /// oldest held datagram is dropped (TCP retransmits what matters).
+  static constexpr std::size_t kMaxPending = 256;
 
  private:
   void flush_pending();
+  /// Drops the oldest held datagrams until the queue is within its bound.
+  void trim_pending();
 
   struct Pending {
     net::Ipv4Addr next_hop;
@@ -78,6 +90,8 @@ class LanHost {
   SocketTable table_;
   TransmitFn transmit_;
   std::deque<Pending> pending_;
+  std::uint64_t pending_dropped_ = 0;
+  bool flushing_ = false;
 };
 
 }  // namespace tcpdemux::tcp

@@ -156,6 +156,37 @@ TEST_P(DemuxerProperty, RepeatedLookupOfSameKeyCostsAtMostFirstCost) {
   }
 }
 
+// Stop-the-world growth drains the outgoing table in one sweep, and the
+// sweep must visit residents in slot/chain order: relinking or re-placing
+// them in any other order reshuffles chains and probe runs, which moves
+// the paper's cost metric. Each growing backend replays one seeded
+// insert + lookup stream across at least three doublings; the exact
+// examined and cache-hit totals are pinned.
+TEST(GrowthOrder, StopTheWorldSweepKeepsExactCosts) {
+  struct Pin {
+    const char* spec;
+    std::uint64_t examined;
+    std::uint64_t cache_hits;
+  };
+  const Pin pins[] = {{"dynamic:5:crc32", 8002, 1356},
+                      {"flat:64:crc32", 3640, 0},
+                      {"flat16:64:crc32", 3666, 0},
+                      {"cuckoo:64:crc32c", 3667, 0}};
+  for (const Pin& pin : pins) {
+    auto d = make_demuxer(*parse_demux_spec(pin.spec));
+    std::mt19937_64 rng(1992);
+    for (std::uint32_t i = 0; i < 1200; ++i) {
+      ASSERT_NE(d->insert(key(i)), nullptr) << pin.spec << " key " << i;
+      for (int j = 0; j < 3; ++j) {
+        (void)d->lookup(key(static_cast<std::uint32_t>(rng() % (i + 1))));
+      }
+      (void)d->lookup(key(1200 + static_cast<std::uint32_t>(rng() % 64)));
+    }
+    EXPECT_EQ(d->stats().pcbs_examined, pin.examined) << pin.spec;
+    EXPECT_EQ(d->stats().cache_hits, pin.cache_hits) << pin.spec;
+  }
+}
+
 // The RCU demuxer is the Sequent algorithm under a different memory
 // discipline, so driven single-threaded through the registry it must be
 // *indistinguishable*: same hits, same PCB keys, same examined counts,

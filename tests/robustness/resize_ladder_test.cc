@@ -1,5 +1,5 @@
-// Degradation-ladder coverage for incremental resize (DESIGN.md
-// "Incremental resize & degradation ladder"): rung 1 (allocation failure
+// Degradation-ladder coverage for table growth (DESIGN.md "Incremental
+// resize & degradation ladder"), for both drain schedules: rung 1 (allocation failure
 // at the growth trigger defers the doubling and keeps serving), rung 2
 // (the hard 15/16 watermark sheds instead of letting probe runs rot),
 // recovery (backoff expiry retries the doubling and drains to a single
@@ -159,8 +159,9 @@ TEST_P(ResizeLadderTest, AllocFailureMidMigrationDrainsClean) {
   InjectorGuard guard;
   auto& injector = FaultInjector::instance();
 
-  // Healthy growth: insert until a doubling starts. The starting insert
-  // migrates only a bounded batch, so the old table still holds debt.
+  // Healthy growth: insert until a doubling starts. Under an incremental
+  // spec the starting insert migrates only a bounded batch, so the old
+  // table still holds debt; a stop-the-world spec has drained it already.
   for (std::uint32_t attempt = 0; attempt < kMaxAttempts; ++attempt) {
     ASSERT_TRUE(insert_next()) << GetParam() << ": refused while healthy";
     if (demuxer_->telemetry().counters().resizes_started > 0) break;
@@ -198,10 +199,42 @@ TEST_P(ResizeLadderTest, AllocFailureMidMigrationDrainsClean) {
   expect_all_inserted_found("after full recovery");
 }
 
+// The resize ledger: every table doubling counts exactly once in
+// resizes_started and resizes_completed, whichever drain schedule the
+// spec uses, and none counts as a seed rotation. Doublings are observed
+// independently through name(), which reports the live table's size.
+TEST_P(ResizeLadderTest, EachDoublingCountsOnce) {
+  std::string shape = demuxer_->name();
+  std::uint64_t doublings = 0;
+  while (doublings < 4) {
+    ASSERT_LT(next_, kMaxAttempts) << GetParam() << ": too few doublings";
+    ASSERT_TRUE(insert_next()) << GetParam() << ": refused while healthy";
+    if (demuxer_->name() != shape) {
+      shape = demuxer_->name();
+      ++doublings;
+    }
+  }
+  while (demuxer_->migration_step()) {
+  }
+  const report::Telemetry telemetry = demuxer_->telemetry();
+  const auto& counters = telemetry.counters();
+  EXPECT_EQ(counters.resizes_started, doublings) << GetParam();
+  EXPECT_EQ(counters.resizes_completed, doublings) << GetParam();
+  EXPECT_EQ(counters.resizes_deferred, 0u) << GetParam();
+  EXPECT_EQ(counters.rehashes, 0u) << GetParam();
+  EXPECT_EQ(demuxer_->resilience().overload_rehashes, counters.rehashes)
+      << GetParam();
+  expect_all_inserted_found("after four doublings");
+}
+
+// Both drain schedules run the same ladder: stop-the-world specs defer
+// and shed on allocation failure exactly as their incremental twins do.
 INSTANTIATE_TEST_SUITE_P(
     GrowingBackends, ResizeLadderTest,
     ::testing::Values("dynamic:5:crc32:incremental", "flat:64:incremental",
-                      "flat16:64:incremental", "cuckoo:64:crc32c:incremental"),
+                      "flat16:64:incremental", "cuckoo:64:crc32c:incremental",
+                      "dynamic:5:crc32", "flat:64", "flat16:64",
+                      "cuckoo:64:crc32c"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       std::string name = info.param;
       for (char& c : name) {

@@ -9,6 +9,7 @@
 
 #include "net/arp.h"
 #include "net/ethernet.h"
+#include "net/packet.h"
 
 namespace tcpdemux::tcp {
 namespace {
@@ -67,6 +68,59 @@ TEST(LanHostTest, HeldDatagramsLeaveInOriginalOrderPerNextHop) {
   host.send_ipv4(c, std::vector<std::uint8_t>(20, 7));
   EXPECT_EQ(sent.back(), 7);
   EXPECT_EQ(host.pending(), 0u);
+}
+
+// Spoofed-source SYNs: each draws a SYN-ACK toward a next hop that never
+// answers ARP (an IPv4 frame teaches the ARP table nothing). The hold
+// queue keeps the newest kMaxPending and counts every datagram it drops.
+TEST(LanHostTest, HoldQueueIsBoundedAndDropsOldestFirst) {
+  const Ipv4Addr self(10, 0, 0, 1);
+  LanHost host(self, core::DemuxConfig{core::Algorithm::kSequent},
+               [] { return 0.0; });
+  std::size_t sent = 0;
+  std::vector<std::vector<std::uint8_t>> requests;
+  host.set_transmit([&](std::vector<std::uint8_t> frame) {
+    if (net::ethernet_decapsulate_ipv4(frame)) {
+      ++sent;
+    } else {
+      requests.push_back(std::move(frame));
+    }
+  });
+  host.table().listen(self, 1521);
+
+  constexpr std::size_t kExcess = 44;
+  constexpr std::size_t kSources = LanHost::kMaxPending + kExcess;
+  const auto source = [](std::size_t i) {
+    return Ipv4Addr(0x0a800000U + static_cast<std::uint32_t>(i));
+  };
+  for (std::size_t i = 0; i < kSources; ++i) {
+    const auto syn = net::PacketBuilder()
+                         .from({source(i), 40000})
+                         .to({self, 1521})
+                         .seq(100)
+                         .flags(net::TcpFlag::kSyn)
+                         .build();
+    host.receive_frame(net::ethernet_encapsulate(
+        host.mac(), net::MacAddr::from_ipv4(source(i).value()), syn));
+  }
+  EXPECT_EQ(sent, 0u);
+  EXPECT_EQ(host.pending(), LanHost::kMaxPending);
+  EXPECT_EQ(host.pending_dropped(), kExcess);
+  ASSERT_EQ(requests.size(), kSources);
+
+  // The oldest SYN-ACKs were the ones dropped: resolving the first source
+  // releases nothing, resolving the newest releases its reply.
+  const auto answer = [&](std::size_t i) {
+    net::ArpTable arp(net::MacAddr::from_ipv4(source(i).value()), source(i));
+    auto reply = arp.handle_frame(requests[i], 0.0);
+    ASSERT_TRUE(reply.has_value());
+    host.receive_frame(*reply);
+  };
+  answer(0);
+  EXPECT_EQ(sent, 0u);
+  answer(kSources - 1);
+  EXPECT_EQ(sent, 1u);
+  EXPECT_EQ(host.pending(), LanHost::kMaxPending - 1);
 }
 
 }  // namespace

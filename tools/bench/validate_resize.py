@@ -15,6 +15,10 @@ row:
   2. p99 flatness: the incremental mode's growth-phase lookup p99 stays
      within P99_GROWTH_FACTOR of its own steady-state p99 — the
      "latency stays flat through the doubling" acceptance criterion.
+  3. one ledger: both rows report the same non-zero `resizes` count.
+     The two modes share one resize engine and differ only in when the
+     outgoing table drains, so each doubling must count exactly once in
+     either mode.
 
 Both thresholds are deliberately loose enough for a 1-core CI container;
 the full-size (--sizes 2m) margins recorded in EXPERIMENTS.md are far
@@ -61,6 +65,14 @@ def main() -> int:
         checked += 1
         label = f"{key[0]} users={key[1]} thp_disabled={key[2]}"
 
+        base_resizes = int(base["resizes"])
+        incr_resizes = int(incr["resizes"])
+        if base_resizes == 0 or base_resizes != incr_resizes:
+            failures.append(
+                f"{label}: resizes differ or are zero (baseline "
+                f"{base_resizes}, incremental {incr_resizes}) — each "
+                f"doubling must count once in both modes")
+
         base_max = base["max_pause_ns"]
         incr_max = incr["max_pause_ns"]
         if base_max < MIN_BASELINE_PAUSE_NS:
@@ -87,7 +99,8 @@ def main() -> int:
     if not failures:
         print(f"validate_resize: {checked} cells OK "
               f"(max-pause fraction <= {MAX_PAUSE_FRACTION}, "
-              f"growth p99 <= {P99_GROWTH_FACTOR}x steady)")
+              f"growth p99 <= {P99_GROWTH_FACTOR}x steady, "
+              f"equal non-zero resizes)")
     return 1 if failures else 0
 
 
