@@ -4,7 +4,8 @@
 //
 // Sweeps H over three decades at N = 2000 TPC/A users, reporting the
 // analytic and simulated search cost *and* the memory bill, then lets the
-// self-tuning DynamicHashDemuxer pick its own table size for comparison.
+// same table with growth switched on (`dynamic`) pick its own H for
+// comparison.
 #include <iostream>
 
 #include "analytic/sequent_model.h"

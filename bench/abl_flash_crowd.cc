@@ -2,8 +2,8 @@
 //
 // The paper sizes H for a known population ("the installation default of
 // 19 hash chains"). A ramping population makes that a moving target: fixed
-// H=19 degrades linearly with the crowd, while the self-resizing table
-// (core/dynamic_hash) rehashes as it fills and holds its cost flat. Cost
+// H=19 degrades linearly with the crowd, while the same table with growth
+// on (`dynamic`) doubles H as it fills and holds its cost flat. Cost
 // is reported per ramp phase to show the divergence over time.
 #include <iostream>
 

@@ -8,7 +8,8 @@
 #   stage 3  tsan    TSan rebuild, `-L concurrency`     (SKIP_TSAN=1 skips)
 #   stage 4  lint    repo lint ctest (`-L lint`)        (SKIP_LINT=1 skips)
 #   stage 5  bench   wallclock suite --smoke + JSON     (SKIP_BENCH=1 skips)
-#   stage 6  robust  `-L robustness` + attack smoke     (SKIP_ROBUSTNESS=1 skips)
+#   stage 6  robust  `-L robustness` + fuzz soaks (alloc-
+#                    failure, forced drain) + attack smoke (SKIP_ROBUSTNESS=1 skips)
 #   stage 7  telem   telemetry replay smoke + schema    (SKIP_TELEMETRY=1 skips)
 #   stage 8  scenario workload x demuxer matrix smoke   (SKIP_SCENARIO=1 skips)
 #   stage 9  tsafety Clang -Wthread-safety build        (SKIP_THREAD_SAFETY=1 skips)
@@ -99,12 +100,20 @@ if [[ "${SKIP_ROBUSTNESS:-0}" != "1" ]]; then
     cmake -B "$ROOT/build" -S "$ROOT" -DTCPDEMUX_WERROR=ON
   fi
   cmake --build "$ROOT/build" -j "$JOBS" \
-        --target robustness_tests wallclock_attack
+        --target robustness_tests fuzz_ops_test wallclock_attack
   ctest --test-dir "$ROOT/build" -L robustness --output-on-failure -j "$JOBS"
-  # Alloc-failure soak: every 13th allocation refused across the whole
-  # differential fuzz run; invariants must hold and no op may leak.
+  # Alloc-failure soak: every 13th allocation (PCB, growth table, seed
+  # rotation table) refused across both differential fuzz pools, random
+  # and adversarial; invariants must hold and no op may leak.
   TCPDEMUX_FUZZ_ALLOC_EVERY=13 \
-    ctest --test-dir "$ROOT/build" -R FuzzOps --output-on-failure -j "$JOBS"
+    ctest --test-dir "$ROOT/build" -R 'Fuzz(Ops|Adversarial)' \
+          --output-on-failure -j "$JOBS"
+  # Drain soak: a forced migration step before every op of the
+  # incremental specs, validated at each step, so every drain phase of
+  # the two-table state is checked.
+  TCPDEMUX_FUZZ_RESIZE_EVERY=1 \
+    ctest --test-dir "$ROOT/build" -R 'Fuzz(Ops|Adversarial).*incremental' \
+          --output-on-failure -j "$JOBS"
   "$ROOT/build/bench/wallclock_attack" --smoke
 else
   skipped robust SKIP_ROBUSTNESS

@@ -309,6 +309,7 @@ void CuckooDemuxer::rehash_with_fresh_seed() {
   // Hysteresis: even if every key collides under every seed, at most one
   // rotation attempt per `limit` further inserts — bounded thrash.
   rehash_cooldown_ = watermark_limit();
+  if (FaultInjector::instance().poll_alloc()) return;
   net::HashSpec spec = options_.hasher;
   spec.seed = net::next_seed(spec.seed);
   try {

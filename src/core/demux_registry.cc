@@ -6,7 +6,6 @@
 #include "core/bsd_list.h"
 #include "core/connection_id.h"
 #include "core/cuckoo_demuxer.h"
-#include "core/dynamic_hash.h"
 #include "core/flat_demuxer.h"
 #include "core/hashed_mtf.h"
 #include "core/move_to_front.h"
@@ -48,18 +47,17 @@ std::unique_ptr<Demuxer> make_demuxer(const DemuxConfig& config) {
     case Algorithm::kSrCache:
       return std::make_unique<SendReceiveCacheDemuxer>();
     case Algorithm::kSequent:
+    case Algorithm::kDynamic:  // the Sequent table with growth switched on
       return std::make_unique<SequentDemuxer>(SequentDemuxer::Options{
           config.chains, hasher, config.per_chain_cache,
-          config.rehash_on_overload, config.max_pcbs});
+          config.rehash_on_overload, config.max_pcbs,
+          /*grow=*/config.algorithm == Algorithm::kDynamic,
+          config.incremental});
     case Algorithm::kHashedMtf:
       return std::make_unique<HashedMtfDemuxer>(
           HashedMtfDemuxer::Options{config.chains, config.hasher});
     case Algorithm::kConnectionId:
       return std::make_unique<ConnectionIdDemuxer>(config.id_capacity);
-    case Algorithm::kDynamic:
-      return std::make_unique<DynamicHashDemuxer>(DynamicHashDemuxer::Options{
-          config.chains, 2.0, hasher, config.per_chain_cache,
-          config.max_pcbs, config.incremental});
     case Algorithm::kRcu:
       return std::make_unique<RcuDemuxerAdapter>(RcuSequentDemuxer::Options{
           config.chains, hasher, config.per_chain_cache});

@@ -5,7 +5,9 @@
 // duplicate check and *before* any allocation or mutation; a `true` return
 // means "pretend the allocator failed" and the caller must back out with no
 // state change — exactly the contract a real std::bad_alloc at that point
-// would impose. Tests arm the injector, hammer the structure, and run the
+// would impose. A table's growth and its seed rotation poll too, before
+// they allocate their new table; a refusal there defers the growth or
+// skips the rotation and leaves every resident where it was. Tests arm the injector, hammer the structure, and run the
 // StructuralValidator after every refusal to prove no partial state leaks.
 //
 // Disarmed cost is a single relaxed atomic load — cheap enough to leave the

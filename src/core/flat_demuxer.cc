@@ -200,6 +200,7 @@ void FlatDemuxer::rehash_with_fresh_seed() {
   // collisions survive the seeded post-mix of non-SipHash kinds), at most
   // one rotation attempt per `limit` further inserts — bounded thrash.
   rehash_cooldown_ = watermark_limit();
+  if (FaultInjector::instance().poll_alloc()) return;
   Table fresh;
   try {
     fresh = Table(capacity());

@@ -8,27 +8,69 @@
 #include "core/prefetch.h"
 
 namespace tcpdemux::core {
+namespace {
+
+// Primes that roughly double; the ladder a kernel hashtable would bake in.
+constexpr std::array<std::uint32_t, 20> kPrimes = {
+    19,    41,    83,     167,    337,    673,    1361,
+    2729,  5471,  10949,  21911,  43853,  87719,  175447,
+    350899, 701819, 1403641, 2807303, 5614657, 11229331};
+
+}  // namespace
+
+std::uint32_t SequentDemuxer::next_table_size(std::uint32_t n) noexcept {
+  for (const std::uint32_t p : kPrimes) {
+    if (p >= 2 * n) return p;
+  }
+  return kPrimes.back();
+}
 
 SequentDemuxer::SequentDemuxer(Options options) : options_(options) {
   if (options_.chains == 0) {
     throw std::invalid_argument("SequentDemuxer: chain count must be >= 1");
   }
+  if (options_.grow && options_.max_load <= 0.0) {
+    throw std::invalid_argument("SequentDemuxer: max_load must be > 0");
+  }
   buckets_.resize(options_.chains);
 }
 
 Pcb* SequentDemuxer::insert(const net::FlowKey& key) {
-  Bucket& b = buckets_[chain_of(key)];
-  if (b.list.find_scan(key).pcb != nullptr) return nullptr;
+  Bucket* b = &buckets_[chain_of(key)];
+  if (b->list.find_scan(key).pcb != nullptr) return nullptr;
+  if (const auto* old = resize_.old();
+      old != nullptr &&
+      old->table[chain_in(old->table, key)].list.find_scan(key).pcb !=
+          nullptr) {
+    return nullptr;
+  }
   if (options_.max_pcbs != 0 && size_ >= options_.max_pcbs) {
     ++inserts_shed_;
     telemetry_->on_shed();
     return nullptr;
   }
   if (FaultInjector::instance().poll_alloc()) return nullptr;
-  Pcb* pcb = b.list.emplace_front(key, next_conn_id());
+  // Ladder rung 2: growth is allocation-blocked and mean load has reached
+  // twice the growth trigger — shed rather than let chains degrade toward
+  // the linear scan the paper set out to kill. The refused attempt still
+  // runs maybe_grow() first: at this load the growth trigger is long
+  // past, so each shed burns down the backoff and eventually retries the
+  // doubling. Without it a table wedged at the watermark would stay
+  // blocked forever (no insert succeeds, so the post-insert maybe_grow
+  // never runs again).
+  if (resize_.sheds_at_load(size_, buckets_.size(), options_.max_load)) {
+    maybe_grow();
+    if (resize_.blocked()) {
+      ++inserts_shed_;
+      telemetry_->on_shed();
+      return nullptr;
+    }
+    b = &buckets_[chain_of(key)];  // a new table was swung in
+  }
+  Pcb* pcb = b->list.emplace_front(key, next_conn_id());
   ++size_;
   telemetry_->on_insert();
-  note_insert(b);
+  note_insert(*b);
   return pcb;
 }
 
@@ -39,30 +81,68 @@ void SequentDemuxer::note_insert(const Bucket& b) {
       inserts_since_rehash_ >= rehash_cooldown_) {
     rehash_with_fresh_seed();
   }
+  if (options_.grow) maybe_grow();
+  if (resize_.migrating()) [[unlikely]] {
+    resize_.migrate_batch(*this, kMigrateBatch);
+  }
 }
 
 void SequentDemuxer::rehash_with_fresh_seed() {
+  // The outgoing chains hash under the outgoing seed too; drain them
+  // first (rare: needs an overload trigger mid-migration).
+  resize_.finish_migration(*this);
+  inserts_since_rehash_ = 0;
+  // Hysteresis: even if every key collides under every seed (full-32-bit
+  // collisions survive the seeded post-mix of non-SipHash kinds), at most
+  // one rotation attempt per `limit` further inserts — bounded thrash, and
+  // benign workloads that momentarily crossed the line get a fresh start.
+  rehash_cooldown_ = watermark_limit();
+  if (FaultInjector::instance().poll_alloc()) return;
+  Table fresh;
+  try {
+    fresh = Table(chains());
+  } catch (const std::bad_alloc&) {
+    return;  // keep serving under the current seed; retry after cooldown
+  }
   options_.hasher.seed = net::next_seed(options_.hasher.seed);
-  std::vector<Bucket> old;
-  old.swap(buckets_);
-  buckets_.resize(options_.chains);
-  for (Bucket& ob : old) {
+  for (Bucket& ob : buckets_) {
     while (Pcb* pcb = ob.list.extract_front()) {
-      buckets_[chain_of(pcb->key)].list.adopt_front(pcb);
+      fresh[chain_in(fresh, pcb->key)].list.adopt_front(pcb);
     }
   }
+  buckets_ = std::move(fresh);
   watermark_ = 0;
   for (const Bucket& nb : buckets_) {
     watermark_ = std::max<std::uint64_t>(watermark_, nb.list.size());
   }
   ++overload_rehashes_;
   telemetry_->on_rehash();
-  inserts_since_rehash_ = 0;
-  // Hysteresis: even if every key collides under every seed (full-32-bit
-  // collisions survive the seeded post-mix of non-SipHash kinds), at most
-  // one rehash per `limit` further inserts — bounded thrash, and benign
-  // workloads that momentarily crossed the line get a fresh start.
-  rehash_cooldown_ = watermark_limit();
+}
+
+void SequentDemuxer::maybe_grow() {
+  if (static_cast<double>(size_) <=
+      options_.max_load * static_cast<double>(buckets_.size())) {
+    return;
+  }
+  if (next_table_size(chains()) <= chains()) return;  // ladder exhausted
+  if (resize_.grow(*this, buckets_, options_.incremental)) ++doublings_;
+}
+
+bool SequentDemuxer::migrate_unit(Table& old, std::size_t c,
+                                  DrainMode /*mode*/) {
+  Bucket& ob = old[c];
+  Pcb* pcb = ob.list.extract_front();
+  if (pcb == nullptr) return false;
+  // Nothing is ever inserted into the outgoing chains, so the cache can
+  // only reference old residents; draining the bucket retires it.
+  ob.cache = nullptr;
+  buckets_[chain_of(pcb->key)].list.adopt_front(pcb);
+  return true;
+}
+
+bool SequentDemuxer::migration_step() {
+  resize_.migrate_batch(*this, kMigrateBatch);
+  return resize_.migrating();
 }
 
 ResilienceStats SequentDemuxer::resilience() const {
@@ -72,11 +152,24 @@ ResilienceStats SequentDemuxer::resilience() const {
 bool SequentDemuxer::erase(const net::FlowKey& key) {
   Bucket& b = buckets_[chain_of(key)];
   const auto scan = b.list.find_scan(key);
-  if (scan.pcb == nullptr) return false;
-  if (b.cache == scan.pcb) b.cache = nullptr;
-  b.list.erase(scan.pcb);
+  if (scan.pcb != nullptr) {
+    if (b.cache == scan.pcb) b.cache = nullptr;
+    b.list.erase(scan.pcb);
+  } else {
+    auto* old = resize_.old();
+    if (old == nullptr) return false;
+    Bucket& ob = old->table[chain_in(old->table, key)];
+    const auto old_scan = ob.list.find_scan(key);
+    if (old_scan.pcb == nullptr) return false;
+    if (ob.cache == old_scan.pcb) ob.cache = nullptr;
+    ob.list.erase(old_scan.pcb);
+    resize_.note_erased(*this);
+  }
   --size_;
   telemetry_->on_erase();
+  if (resize_.migrating()) [[unlikely]] {
+    resize_.migrate_batch(*this, kMigrateBatch);
+  }
   return true;
 }
 
@@ -98,16 +191,42 @@ LookupResult SequentDemuxer::lookup_in_bucket(Bucket& b,
   return r;
 }
 
+void SequentDemuxer::lookup_outgoing(const net::FlowKey& key,
+                                     LookupResult& r) {
+  if (r.pcb == nullptr) {
+    Table& old = resize_.old()->table;
+    Bucket& ob = old[chain_in(old, key)];
+    const auto old_scan = ob.list.find_scan(key);
+    r.examined += old_scan.examined;
+    r.pcb = old_scan.pcb;
+    if (options_.per_chain_cache && old_scan.pcb != nullptr) {
+      ob.cache = old_scan.pcb;
+    }
+  }
+  resize_.migrate_batch(*this, kMigrateLookupBatch);
+}
+
 LookupResult SequentDemuxer::lookup(const net::FlowKey& key,
                                     SegmentKind /*kind*/) {
-  const LookupResult r = lookup_in_bucket(buckets_[chain_of(key)], key);
+  LookupResult r = lookup_in_bucket(buckets_[chain_of(key)], key);
+  // A cache hit is final: it neither probes the outgoing chains nor pays
+  // a drain step.
+  if (resize_.migrating() && !r.cache_hit) [[unlikely]] {
+    lookup_outgoing(key, r);
+  }
   note_lookup(r);
   return r;
 }
 
 void SequentDemuxer::lookup_batch(std::span<const net::FlowKey> keys,
                                   std::span<LookupResult> results,
-                                  SegmentKind /*kind*/) {
+                                  SegmentKind kind) {
+  if (resize_.migrating()) [[unlikely]] {
+    // Mid-migration each lookup may probe the outgoing chains and relink
+    // PCBs as it drains them; the scalar loop keeps that order exact.
+    Demuxer::lookup_batch(keys, results, kind);
+    return;
+  }
   // Three-stage pipeline per chunk: (1) hash every key and prefetch its
   // bucket header (cache pointer + chain head); (2) with the headers
   // landing, prefetch the first PCB each probe will touch — the cached
@@ -142,40 +261,56 @@ LookupResult SequentDemuxer::lookup_wildcard(const net::FlowKey& key) {
   // matches still short-circuit within the packet's own chain first.
   LookupResult best;
   int best_score = -1;
-  const std::uint32_t home = chain_of(key);
-  for (std::uint32_t i = 0; i < options_.chains; ++i) {
-    const std::uint32_t c = (home + i) % options_.chains;
-    const auto scan = buckets_[c].list.find_best_match(key);
-    best.examined += scan.examined;
-    if (scan.pcb == nullptr) continue;
-    const int score = scan.pcb->key.match_score(key);
-    if (score == 0) {
-      best.pcb = scan.pcb;
-      return best;
+  const auto sweep = [&](const Table& table) {
+    const auto n = static_cast<std::uint32_t>(table.size());
+    const std::uint32_t home = chain_in(table, key);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      const auto scan = table[(home + i) % n].list.find_best_match(key);
+      best.examined += scan.examined;
+      if (scan.pcb == nullptr) continue;
+      const int score = scan.pcb->key.match_score(key);
+      if (score == 0) {
+        best.pcb = scan.pcb;
+        return true;
+      }
+      if (best_score < 0 || score < best_score) {
+        best_score = score;
+        best.pcb = scan.pcb;
+      }
     }
-    if (best_score < 0 || score < best_score) {
-      best_score = score;
-      best.pcb = scan.pcb;
-    }
-  }
+    return false;
+  };
+  if (sweep(buckets_)) return best;
+  if (const auto* old = resize_.old()) sweep(old->table);
   return best;
 }
 
 void SequentDemuxer::for_each_pcb(
     const std::function<void(const Pcb&)>& fn) const {
-  for (const Bucket& b : buckets_) {
-    b.list.for_each(fn);
+  for (const Bucket& b : buckets_) b.list.for_each(fn);
+  if (const auto* old = resize_.old()) {
+    for (const Bucket& b : old->table) b.list.for_each(fn);
   }
 }
 
+std::size_t SequentDemuxer::memory_bytes() const {
+  std::size_t bytes = size() * sizeof(Pcb) + sizeof(*this) +
+                      buckets_.capacity() * sizeof(Bucket);
+  if (const auto* old = resize_.old()) {
+    bytes += sizeof(*old) + old->table.capacity() * sizeof(Bucket);
+  }
+  return bytes;
+}
+
 std::string SequentDemuxer::name() const {
-  std::string n = "sequent(h=";
-  n += std::to_string(options_.chains);
+  std::string n = options_.grow ? "dynamic(h=" : "sequent(h=";
+  n += std::to_string(chains());
   n += ',';
   n += net::hash_spec_name(options_.hasher);
   if (!options_.per_chain_cache) n += ",nocache";
   if (options_.rehash_on_overload) n += ",rehash";
   if (options_.max_pcbs != 0) n += ",max=" + std::to_string(options_.max_pcbs);
+  if (options_.incremental) n += ",incremental";
   n += ')';
   return n;
 }
@@ -184,6 +319,14 @@ std::vector<std::size_t> SequentDemuxer::chain_sizes() const {
   std::vector<std::size_t> sizes;
   sizes.reserve(buckets_.size());
   for (const Bucket& b : buckets_) sizes.push_back(b.list.size());
+  return sizes;
+}
+
+std::vector<std::size_t> SequentDemuxer::occupancy() const {
+  std::vector<std::size_t> sizes = chain_sizes();
+  if (const auto* old = resize_.old()) {
+    for (const Bucket& b : old->table) sizes.push_back(b.list.size());
+  }
   return sizes;
 }
 

@@ -1,5 +1,5 @@
 // The Sequent hashed PCB lookup algorithm (paper §3.4) — the paper's
-// primary contribution.
+// primary contribution — and, with growth switched on, the host default.
 //
 // H hash chains, each a linear list with its own single-entry last-found
 // cache. The flow key is hashed to pick a chain; the chain's cache is
@@ -13,6 +13,16 @@
 // to reproduce the ablation in §3.4's closing discussion: the miss penalty
 // dominates the hit ratio, so the cache's benefit is modest once chains are
 // short.
+//
+// `Options::grow` turns the paper's "the system administrator may increase
+// the value of H" into policy (the registry's `dynamic`): when the mean
+// load exceeds `max_load`, the table moves to the next prime roughly twice
+// the size through the shared ResizeEngine, relinking the existing PCBs in
+// place (no PCB is reallocated, so Pcb* handles stay valid — the same
+// guarantee a kernel needs). This is the direction production stacks took
+// (dynamically sized inpcb hash tables in later BSDs, Linux's ehash).
+// Growth is a construction-time switch: with it off the table never
+// migrates, and the fast path pays one predicted branch for it.
 #ifndef TCPDEMUX_CORE_SEQUENT_HASH_H_
 #define TCPDEMUX_CORE_SEQUENT_HASH_H_
 
@@ -21,6 +31,7 @@
 
 #include "core/demuxer.h"
 #include "core/pcb_list.h"
+#include "core/resize_policy.h"
 #include "net/hashers.h"
 
 namespace tcpdemux::core {
@@ -28,6 +39,7 @@ namespace tcpdemux::core {
 class SequentDemuxer final : public Demuxer {
  public:
   struct Options {
+    /// H, the chain count (the starting one when `grow` is set).
     std::uint32_t chains = 19;  ///< installation default in Sequent PTX
     net::HashSpec hasher = net::HasherKind::kXorFold;  ///< seed 0 = unkeyed
     bool per_chain_cache = true;
@@ -37,6 +49,19 @@ class SequentDemuxer final : public Demuxer {
     /// Refuse inserts beyond this many PCBs (0 = unbounded). Refused
     /// inserts return nullptr and count in resilience().inserts_shed.
     std::size_t max_pcbs = 0;
+    /// Grow H when size > max_load * H. Growth dilutes benign skew but not
+    /// a collision flood: pair a keyed hasher with the cap (or rotation)
+    /// for hostile deployments.
+    bool grow = false;
+    /// Drain the outgoing chains incrementally, a bounded batch per
+    /// operation, instead of relinking them all at the growth trigger, so
+    /// no insert ever pays an O(size) pause (see DESIGN.md "Incremental
+    /// resize & degradation ladder").
+    bool incremental = false;
+    /// A float keeps Options at 32 bytes, so everything lookup() reads
+    /// (options_, buckets_, the engine's outgoing-table pointer) fits in
+    /// the 64 bytes right after the Demuxer base.
+    float max_load = 2.0F;
   };
 
   SequentDemuxer() : SequentDemuxer(Options()) {}
@@ -57,19 +82,22 @@ class SequentDemuxer final : public Demuxer {
   void for_each_pcb(
       const std::function<void(const Pcb&)>& fn) const override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::size_t memory_bytes() const override {
-    return size() * sizeof(Pcb) + sizeof(*this) +
-           buckets_.capacity() * sizeof(Bucket);
-  }
+  [[nodiscard]] std::size_t memory_bytes() const override;
+  bool migration_step() override;
 
+  /// The live chain count H.
   [[nodiscard]] std::uint32_t chains() const noexcept {
-    return options_.chains;
+    return static_cast<std::uint32_t>(buckets_.size());
   }
-  /// Occupancy of each chain (test/bench hook).
+  /// Table doublings so far (the paper's "increase H"); seed rotations
+  /// are counted in resilience().overload_rehashes.
+  [[nodiscard]] std::uint64_t doublings() const noexcept {
+    return doublings_;
+  }
+  /// Occupancy of each live chain (test/bench hook).
   [[nodiscard]] std::vector<std::size_t> chain_sizes() const;
-  [[nodiscard]] std::vector<std::size_t> occupancy() const override {
-    return chain_sizes();
-  }
+  /// Live chains, then (mid-migration) the outgoing ones.
+  [[nodiscard]] std::vector<std::size_t> occupancy() const override;
   /// The PCB cached on `chain` (test hook).
   [[nodiscard]] const Pcb* cached(std::uint32_t chain) const {
     return buckets_[chain].cache;
@@ -85,8 +113,12 @@ class SequentDemuxer final : public Demuxer {
   /// small factor of load N/H), while a flood aimed at one chain crosses it
   /// after ~the constant term.
   [[nodiscard]] std::uint64_t watermark_limit() const noexcept {
-    return 16 + 8 * (size_ / options_.chains + 1);
+    return 16 + 8 * (size_ / chains() + 1);
   }
+
+  /// The next prime >= 2 * n from a fixed doubling-prime ladder (exposed
+  /// for tests).
+  [[nodiscard]] static std::uint32_t next_table_size(std::uint32_t n) noexcept;
 
  private:
   friend class StructuralValidator;   // src/core/validate.h
@@ -96,25 +128,50 @@ class SequentDemuxer final : public Demuxer {
     PcbList list;
     Pcb* cache = nullptr;
   };
+  using Table = std::vector<Bucket>;
+  template <class>
+  friend class ResizeEngine;
 
   [[nodiscard]] std::uint32_t chain_of(const net::FlowKey& key) const noexcept {
-    return net::hash_chain(options_.hasher, key, options_.chains);
+    return chain_in(buckets_, key);
+  }
+  [[nodiscard]] std::uint32_t chain_in(const Table& table,
+                                       const net::FlowKey& key) const noexcept {
+    return net::hash_chain(options_.hasher, key,
+                           static_cast<std::uint32_t>(table.size()));
   }
 
   /// The lookup fast path against one bucket (cache probe, then chain
   /// scan, cache install); shared by lookup() and lookup_batch().
   LookupResult lookup_in_bucket(Bucket& b, const net::FlowKey& key);
 
-  /// Watermark bookkeeping after a successful insert into `b`; triggers a
-  /// seed-rotating rehash when the overload policy says so.
+  /// Mid-migration miss path: a live-chain miss also scans the key's
+  /// outgoing chain (both scans are charged: the paper's metric counts
+  /// every PCB compared, whichever table holds it), then retires one
+  /// drain step.
+  void lookup_outgoing(const net::FlowKey& key, LookupResult& r);
+
+  /// Watermark bookkeeping after a successful insert into `b`; then the
+  /// overload policy (seed rotation) and the growth policy.
   void note_insert(const Bucket& b);
 
   /// Rotates the seed and redistributes every PCB onto fresh chains
-  /// (pointer-stable; caches restart cold).
+  /// (pointer-stable; caches restart cold). The fresh chains are
+  /// allocated before the seed changes, so a refused allocation leaves the
+  /// table serving under the current seed.
   void rehash_with_fresh_seed();
 
+  void maybe_grow();
+  [[nodiscard]] Table grown_table() const {
+    return Table(next_table_size(chains()));
+  }
+  /// Relinks the head PCB of outgoing chain `c` onto its live chain.
+  bool migrate_unit(Table& old, std::size_t c, DrainMode mode);
+
   Options options_;
-  std::vector<Bucket> buckets_;
+  Table buckets_;
+  ResizeEngine<Table> resize_;
+  /// Total PCBs across the live and (during migration) outgoing chains.
   std::size_t size_ = 0;
 
   // Overload / shedding state (see DESIGN.md "Adversarial resilience").
@@ -123,6 +180,7 @@ class SequentDemuxer final : public Demuxer {
   std::uint64_t inserts_shed_ = 0;
   std::uint64_t inserts_since_rehash_ = 0;
   std::uint64_t rehash_cooldown_ = 0;  ///< 0 until the first rehash
+  std::uint64_t doublings_ = 0;
 };
 
 }  // namespace tcpdemux::core

@@ -10,7 +10,6 @@
 #include "core/connection_id.h"
 #include "core/cuckoo_demuxer.h"
 #include "core/demuxer.h"
-#include "core/dynamic_hash.h"
 #include "core/flat_demuxer.h"
 #include "core/hashed_mtf.h"
 #include "core/move_to_front.h"
@@ -155,33 +154,71 @@ ValidationReport StructuralValidator::validate(
 ValidationReport StructuralValidator::validate(const SequentDemuxer& demuxer) {
   ValidationReport report;
   Errors errors(report);
+  // Messages name the table as name() does: "sequent", or "dynamic" when
+  // growth is on.
+  const std::string tag = demuxer.options_.grow ? "dynamic" : "sequent";
+  if (demuxer.buckets_.empty()) {
+    errors.add(tag, ": bucket table is empty");
+    return report;
+  }
   std::vector<const Pcb*> all;
-  std::size_t total = 0;
-  for (std::uint32_t c = 0; c < demuxer.buckets_.size(); ++c) {
-    const SequentDemuxer::Bucket& bucket = demuxer.buckets_[c];
-    std::vector<const Pcb*> members;
-    std::ostringstream what;
-    what << "sequent chain " << c;
-    check_list(bucket.list, what.str().c_str(), errors, &members);
-    for (const Pcb* p : members) {
-      if (demuxer.chain_of(p->key) != c) {
-        errors.add("sequent: PCB ", p->key.to_string(), " hashes to chain ",
-                   demuxer.chain_of(p->key), " but sits on chain ", c);
+  // Checks one chain table (live, or outgoing during a migration) and
+  // returns its occupancy. Chains [0, drained) must be empty: the drain
+  // cursor advances only past empty chains and nothing is ever inserted
+  // into the outgoing table, so its drained prefix stays empty for the
+  // whole migration.
+  const auto check_table = [&](const SequentDemuxer::Table& table,
+                               const std::string& label,
+                               std::size_t drained) {
+    std::size_t total = 0;
+    for (std::uint32_t c = 0; c < table.size(); ++c) {
+      const SequentDemuxer::Bucket& bucket = table[c];
+      std::vector<const Pcb*> members;
+      const std::string what = label + " chain " + std::to_string(c);
+      check_list(bucket.list, what.c_str(), errors, &members);
+      if (c < drained && !members.empty()) {
+        errors.add(label, ": chain ", c, " in the drained prefix [0, cursor=",
+                   drained, ") is non-empty");
       }
+      for (const Pcb* p : members) {
+        const std::uint32_t home = demuxer.chain_in(table, p->key);
+        if (home != c) {
+          errors.add(label, ": PCB ", p->key.to_string(), " hashes to chain ",
+                     home, " but sits on chain ", c);
+        }
+      }
+      if (!demuxer.options_.per_chain_cache && bucket.cache != nullptr) {
+        errors.add(what, ": cache installed but per_chain_cache is disabled");
+      }
+      check_cache_member(bucket.cache, what.c_str(), members, errors);
+      total += members.size();
+      all.insert(all.end(), members.begin(), members.end());
     }
-    if (!demuxer.options_.per_chain_cache && bucket.cache != nullptr) {
-      errors.add("sequent chain ", c,
-                 ": cache installed but per_chain_cache is disabled");
+    return total;
+  };
+
+  std::size_t total = check_table(demuxer.buckets_, tag, 0);
+  if (const auto* old = demuxer.resize_.old()) {
+    const std::string label = tag + "(old)";
+    if (old->residents == 0) {
+      errors.add(label, ": migration adjunct present with zero residents");
     }
-    check_cache_member(bucket.cache, what.str().c_str(), members, errors);
-    total += members.size();
-    all.insert(all.end(), members.begin(), members.end());
+    if (old->cursor > old->table.size()) {
+      errors.add(label, ": cursor ", old->cursor, " exceeds bucket count ",
+                 old->table.size());
+    }
+    const std::size_t old_total = check_table(old->table, label, old->cursor);
+    if (old_total != old->residents) {
+      errors.add(label, ": chain occupancy total (", old_total,
+                 ") != residents counter (", old->residents, ")");
+    }
+    total += old_total;
   }
   if (total != demuxer.size_) {
-    errors.add("sequent: chain occupancy total (", total,
-               ") != size counter (", demuxer.size_, ")");
+    errors.add(tag, ": chain occupancy total (", total, ") != size counter (",
+               demuxer.size_, ")");
   }
-  check_unique(all, "sequent", errors);
+  check_unique(all, tag.c_str(), errors);
   return report;
 }
 
@@ -211,88 +248,6 @@ ValidationReport StructuralValidator::validate(
                ") != size counter (", demuxer.size_, ")");
   }
   check_unique(all, "hashed_mtf", errors);
-  return report;
-}
-
-ValidationReport StructuralValidator::validate(
-    const DynamicHashDemuxer& demuxer) {
-  ValidationReport report;
-  Errors errors(report);
-  if (demuxer.buckets_.empty()) {
-    errors.add("dynamic: bucket table is empty");
-    return report;
-  }
-  std::vector<const Pcb*> all;
-  std::size_t total = 0;
-  for (std::uint32_t c = 0; c < demuxer.buckets_.size(); ++c) {
-    const DynamicHashDemuxer::Bucket& bucket = demuxer.buckets_[c];
-    std::vector<const Pcb*> members;
-    std::ostringstream what;
-    what << "dynamic chain " << c;
-    check_list(bucket.list, what.str().c_str(), errors, &members);
-    for (const Pcb* p : members) {
-      if (demuxer.chain_of(p->key) != c) {
-        errors.add("dynamic: PCB ", p->key.to_string(), " hashes to chain ",
-                   demuxer.chain_of(p->key), " but sits on chain ", c);
-      }
-    }
-    if (!demuxer.options_.per_chain_cache && bucket.cache != nullptr) {
-      errors.add("dynamic chain ", c,
-                 ": cache installed but per_chain_cache is disabled");
-    }
-    check_cache_member(bucket.cache, what.str().c_str(), members, errors);
-    total += members.size();
-    all.insert(all.end(), members.begin(), members.end());
-  }
-
-  if (const auto* out = demuxer.resize_.old()) {
-    const auto& old = *out;
-    if (old.residents == 0) {
-      errors.add(
-          "dynamic(old): migration adjunct present with zero residents");
-    }
-    if (old.cursor > old.table.size()) {
-      errors.add("dynamic(old): cursor ", old.cursor,
-                 " exceeds bucket count ", old.table.size());
-    }
-    std::size_t old_total = 0;
-    for (std::uint32_t c = 0; c < old.table.size(); ++c) {
-      const DynamicHashDemuxer::Bucket& bucket = old.table[c];
-      std::vector<const Pcb*> members;
-      std::ostringstream what;
-      what << "dynamic(old) chain " << c;
-      check_list(bucket.list, what.str().c_str(), errors, &members);
-      // Drained-prefix invariant: the cursor advances only past empty
-      // buckets and nothing is ever inserted into the old array, so
-      // [0, cursor) stays empty for the whole migration.
-      if (c < old.cursor && !members.empty()) {
-        errors.add("dynamic(old): chain ", c,
-                   " in the drained prefix [0, cursor=", old.cursor,
-                   ") is non-empty");
-      }
-      for (const Pcb* p : members) {
-        const std::uint32_t home = demuxer.chain_in(old.table, p->key);
-        if (home != c) {
-          errors.add("dynamic(old): PCB ", p->key.to_string(),
-                     " hashes to chain ", home, " but sits on chain ", c);
-        }
-      }
-      check_cache_member(bucket.cache, what.str().c_str(), members, errors);
-      old_total += members.size();
-      all.insert(all.end(), members.begin(), members.end());
-    }
-    if (old_total != old.residents) {
-      errors.add("dynamic(old): chain occupancy total (", old_total,
-                 ") != residents counter (", old.residents, ")");
-    }
-    total += old_total;
-  }
-
-  if (total != demuxer.size_) {
-    errors.add("dynamic: chain occupancy total (", total,
-               ") != size counter (", demuxer.size_, ")");
-  }
-  check_unique(all, "dynamic", errors);
   return report;
 }
 
@@ -804,9 +759,6 @@ ValidationReport validate_demuxer(const Demuxer& demuxer) {
   if (const auto* d = dynamic_cast<const HashedMtfDemuxer*>(&demuxer)) {
     return StructuralValidator::validate(*d);
   }
-  if (const auto* d = dynamic_cast<const DynamicHashDemuxer*>(&demuxer)) {
-    return StructuralValidator::validate(*d);
-  }
   if (const auto* d = dynamic_cast<const ConnectionIdDemuxer*>(&demuxer)) {
     return StructuralValidator::validate(*d);
   }
@@ -850,17 +802,6 @@ PcbList& ValidatorTestAccess::chain(HashedMtfDemuxer& d, std::uint32_t chain) {
   return d.buckets_[chain];
 }
 std::size_t& ValidatorTestAccess::size(HashedMtfDemuxer& d) { return d.size_; }
-PcbList& ValidatorTestAccess::chain(DynamicHashDemuxer& d,
-                                    std::uint32_t chain) {
-  return d.buckets_[chain].list;
-}
-Pcb*& ValidatorTestAccess::cache(DynamicHashDemuxer& d, std::uint32_t chain) {
-  return d.buckets_[chain].cache;
-}
-std::size_t& ValidatorTestAccess::size(DynamicHashDemuxer& d) {
-  return d.size_;
-}
-
 void ValidatorTestAccess::rebind_id(ConnectionIdDemuxer& d, const Pcb& pcb,
                                     std::uint32_t id) {
   d.id_by_key_[pcb.key] = id;

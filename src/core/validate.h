@@ -36,7 +36,6 @@ class MoveToFrontDemuxer;
 class SendReceiveCacheDemuxer;
 class SequentDemuxer;
 class HashedMtfDemuxer;
-class DynamicHashDemuxer;
 class ConnectionIdDemuxer;
 class RcuSequentDemuxer;
 class FlatDemuxer;
@@ -64,7 +63,6 @@ class StructuralValidator {
   static ValidationReport validate(const SendReceiveCacheDemuxer& demuxer);
   static ValidationReport validate(const SequentDemuxer& demuxer);
   static ValidationReport validate(const HashedMtfDemuxer& demuxer);
-  static ValidationReport validate(const DynamicHashDemuxer& demuxer);
   static ValidationReport validate(const ConnectionIdDemuxer& demuxer);
   /// RCU variant: caller must be quiescent (no concurrent readers/writers).
   static ValidationReport validate(const RcuSequentDemuxer& demuxer);
@@ -106,9 +104,6 @@ struct ValidatorTestAccess {
   static std::size_t& size(SequentDemuxer& d);
   static PcbList& chain(HashedMtfDemuxer& d, std::uint32_t chain);
   static std::size_t& size(HashedMtfDemuxer& d);
-  static PcbList& chain(DynamicHashDemuxer& d, std::uint32_t chain);
-  static Pcb*& cache(DynamicHashDemuxer& d, std::uint32_t chain);
-  static std::size_t& size(DynamicHashDemuxer& d);
   /// Rebinds `key`'s table entry to `id` (planting a key->slot mismatch).
   static void rebind_id(ConnectionIdDemuxer& d, const Pcb& pcb,
                         std::uint32_t id);

@@ -4,8 +4,8 @@
 // region failing over) sees thousands of users connect over minutes. Each
 // user joins at a random time in the ramp window (kOpen), then behaves as
 // a TPC/A user. This stresses exactly what the fixed-H Sequent structure
-// cannot do — re-size — and what the dynamic table (core/dynamic_hash)
-// exists for.
+// cannot do — re-size — and what its growth switch (the registry's
+// `dynamic`, core/sequent_hash) exists for.
 #ifndef TCPDEMUX_SIM_FLASH_CROWD_WORKLOAD_H_
 #define TCPDEMUX_SIM_FLASH_CROWD_WORKLOAD_H_
 

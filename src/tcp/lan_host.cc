@@ -14,7 +14,7 @@ void LanHost::receive_frame(std::span<const std::uint8_t> frame) {
     return;  // flooded unicast for another host
   }
   if (const auto inner = net::ethernet_decapsulate_ipv4(frame)) {
-    table_.deliver_wire(*inner);
+    host_.input(*inner, now);
   }
 }
 

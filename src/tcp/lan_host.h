@@ -1,7 +1,8 @@
 // LanHost: a complete simulated LAN endpoint — NIC framing, ARP
-// resolution with an output hold queue, and the TCP socket table.
+// resolution with an output hold queue, and the receive pipeline of a
+// tcp::Host (IPv4 reassembly in front of the socket table).
 //
-//   frames in  -> ARP handling -> decapsulate -> SocketTable::deliver
+//   frames in  -> ARP handling -> decapsulate -> Host::input
 //   IPv4 out   -> ARP resolve (queue + request on miss) -> encapsulate
 //
 // This is the composition a real driver + stack performs, packaged so
@@ -19,6 +20,7 @@
 
 #include "net/arp.h"
 #include "net/ethernet.h"
+#include "tcp/host.h"
 #include "tcp/socket_table.h"
 
 namespace tcpdemux::tcp {
@@ -35,8 +37,8 @@ class LanHost {
         mac_(net::MacAddr::from_ipv4(ip.value())),
         clock_(std::move(clock)),
         arp_(mac_, ip),
-        table_(demux, [this](std::vector<std::uint8_t> wire,
-                             const core::Pcb& pcb) {
+        host_(demux, [this](std::vector<std::uint8_t> wire,
+                            const core::Pcb& pcb) {
           send_ipv4(pcb.key.foreign_addr, std::move(wire));
         }) {}
 
@@ -44,16 +46,19 @@ class LanHost {
   void set_transmit(TransmitFn fn) { transmit_ = std::move(fn); }
 
   /// Frame arrival from the wire: ARP is answered and learned, queued
-  /// datagrams unblocked, IPv4-for-us delivered to the socket table. The
-  /// frame is only read, and only during the call.
+  /// datagrams unblocked, IPv4-for-us handed to the host's receive
+  /// pipeline (fragments are reassembled there). The frame is only read,
+  /// and only during the call.
   void receive_frame(std::span<const std::uint8_t> frame);
 
   /// Sends an IPv4 datagram toward `next_hop`, resolving its MAC first
   /// (datagrams wait in the hold queue behind an ARP request on a miss).
   void send_ipv4(net::Ipv4Addr next_hop, std::vector<std::uint8_t> datagram);
 
-  [[nodiscard]] SocketTable& table() noexcept { return table_; }
-  [[nodiscard]] const SocketTable& table() const noexcept { return table_; }
+  [[nodiscard]] SocketTable& table() noexcept { return host_.table(); }
+  [[nodiscard]] const SocketTable& table() const noexcept {
+    return host_.table();
+  }
   [[nodiscard]] const net::MacAddr& mac() const noexcept { return mac_; }
   [[nodiscard]] net::Ipv4Addr ip() const noexcept { return ip_; }
   [[nodiscard]] std::size_t arp_entries() const noexcept {
@@ -87,7 +92,7 @@ class LanHost {
   net::MacAddr mac_;
   ClockFn clock_;
   net::ArpTable arp_;
-  SocketTable table_;
+  Host host_;
   TransmitFn transmit_;
   std::deque<Pending> pending_;
   std::uint64_t pending_dropped_ = 0;

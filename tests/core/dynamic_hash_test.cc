@@ -1,4 +1,5 @@
-#include "core/dynamic_hash.h"
+// SequentDemuxer with growth switched on: the registry's `dynamic`.
+#include "core/sequent_hash.h"
 
 #include <gtest/gtest.h>
 
@@ -12,26 +13,27 @@ net::FlowKey key(std::uint32_t i) {
                       static_cast<std::uint16_t>(30000 + (i % 30000))};
 }
 
-DynamicHashDemuxer::Options opts() {
-  return DynamicHashDemuxer::Options{19, 2.0, net::HasherKind::kCrc32, true};
+SequentDemuxer::Options opts() {
+  return SequentDemuxer::Options{
+      .chains = 19, .hasher = net::HasherKind::kCrc32, .grow = true};
 }
 
 TEST(DynamicHash, StartsAtInitialChains) {
-  DynamicHashDemuxer d(opts());
+  SequentDemuxer d(opts());
   EXPECT_EQ(d.chains(), 19u);
-  EXPECT_EQ(d.rehash_count(), 0u);
+  EXPECT_EQ(d.doublings(), 0u);
 }
 
 TEST(DynamicHash, GrowsWhenLoadExceeded) {
-  DynamicHashDemuxer d(opts());
+  SequentDemuxer d(opts());
   // 19 chains * load 2.0 = 38; the 39th insert triggers a rehash to 41.
   for (std::uint32_t i = 0; i < 39; ++i) ASSERT_NE(d.insert(key(i)), nullptr);
   EXPECT_EQ(d.chains(), 41u);
-  EXPECT_EQ(d.rehash_count(), 1u);
+  EXPECT_EQ(d.doublings(), 1u);
 }
 
 TEST(DynamicHash, AllKeysFindableAfterManyRehashes) {
-  DynamicHashDemuxer d(opts());
+  SequentDemuxer d(opts());
   constexpr std::uint32_t kN = 5000;
   std::vector<Pcb*> pcbs;
   for (std::uint32_t i = 0; i < kN; ++i) {
@@ -39,7 +41,7 @@ TEST(DynamicHash, AllKeysFindableAfterManyRehashes) {
     ASSERT_NE(p, nullptr) << i;
     pcbs.push_back(p);
   }
-  EXPECT_GT(d.rehash_count(), 4u);
+  EXPECT_GT(d.doublings(), 4u);
   for (std::uint32_t i = 0; i < kN; ++i) {
     const auto r = d.lookup(key(i));
     ASSERT_NE(r.pcb, nullptr) << i;
@@ -48,7 +50,7 @@ TEST(DynamicHash, AllKeysFindableAfterManyRehashes) {
 }
 
 TEST(DynamicHash, LoadStaysBoundedSoLookupsStayCheap) {
-  DynamicHashDemuxer d(opts());
+  SequentDemuxer d(opts());
   for (std::uint32_t i = 0; i < 20000; ++i) d.insert(key(i));
   d.reset_stats();
   for (std::uint32_t i = 0; i < 20000; ++i) (void)d.lookup(key(i));
@@ -58,13 +60,13 @@ TEST(DynamicHash, LoadStaysBoundedSoLookupsStayCheap) {
 }
 
 TEST(DynamicHash, NextTableSizeLadder) {
-  EXPECT_EQ(DynamicHashDemuxer::next_table_size(19), 41u);
-  EXPECT_EQ(DynamicHashDemuxer::next_table_size(41), 83u);
-  EXPECT_GE(DynamicHashDemuxer::next_table_size(100), 200u);
+  EXPECT_EQ(SequentDemuxer::next_table_size(19), 41u);
+  EXPECT_EQ(SequentDemuxer::next_table_size(41), 83u);
+  EXPECT_GE(SequentDemuxer::next_table_size(100), 200u);
 }
 
 TEST(DynamicHash, EraseAndShrinkAccounting) {
-  DynamicHashDemuxer d(opts());
+  SequentDemuxer d(opts());
   for (std::uint32_t i = 0; i < 100; ++i) d.insert(key(i));
   for (std::uint32_t i = 0; i < 100; ++i) EXPECT_TRUE(d.erase(key(i)));
   EXPECT_EQ(d.size(), 0u);
@@ -73,7 +75,7 @@ TEST(DynamicHash, EraseAndShrinkAccounting) {
 }
 
 TEST(DynamicHash, CachesColdAfterRehashButCorrect) {
-  DynamicHashDemuxer d(opts());
+  SequentDemuxer d(opts());
   for (std::uint32_t i = 0; i < 38; ++i) d.insert(key(i));
   (void)d.lookup(key(0));
   const auto warm = d.lookup(key(0));
@@ -85,27 +87,23 @@ TEST(DynamicHash, CachesColdAfterRehashButCorrect) {
 }
 
 TEST(DynamicHash, InvalidOptionsThrow) {
-  EXPECT_THROW(
-      DynamicHashDemuxer(DynamicHashDemuxer::Options{0, 2.0,
-                                                     net::HasherKind::kCrc32,
-                                                     true}),
-      std::invalid_argument);
-  EXPECT_THROW(
-      DynamicHashDemuxer(DynamicHashDemuxer::Options{19, 0.0,
-                                                     net::HasherKind::kCrc32,
-                                                     true}),
-      std::invalid_argument);
+  SequentDemuxer::Options no_chains = opts();
+  no_chains.chains = 0;
+  EXPECT_THROW(SequentDemuxer{no_chains}, std::invalid_argument);
+  SequentDemuxer::Options no_load = opts();
+  no_load.max_load = 0.0F;
+  EXPECT_THROW(SequentDemuxer{no_load}, std::invalid_argument);
 }
 
 TEST(DynamicHash, NameReflectsCurrentSize) {
-  DynamicHashDemuxer d(opts());
+  SequentDemuxer d(opts());
   EXPECT_EQ(d.name(), "dynamic(h=19,crc32)");
   for (std::uint32_t i = 0; i < 39; ++i) d.insert(key(i));
   EXPECT_EQ(d.name(), "dynamic(h=41,crc32)");
 }
 
 TEST(DynamicHash, WildcardLookupAcrossChains) {
-  DynamicHashDemuxer d(opts());
+  SequentDemuxer d(opts());
   d.insert(net::FlowKey{net::Ipv4Addr(10, 0, 0, 1), 1521,
                         net::Ipv4Addr::any(), 0});
   for (std::uint32_t i = 0; i < 50; ++i) d.insert(key(i));

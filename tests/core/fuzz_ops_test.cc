@@ -20,8 +20,9 @@
 // ci/check.sh acceptance floor). TCPDEMUX_FUZZ_SEED reseeds the whole run
 // for soak testing; failures print the seed so any run is reproducible.
 // TCPDEMUX_FUZZ_ALLOC_EVERY=N (default 0 = off) arms the allocation-
-// failure injector to refuse every N-th insert-path allocation, proving
-// recovery from memory pressure mid-sequence never corrupts a structure.
+// failure injector to refuse every N-th insert-path allocation (the PCB,
+// a growth's new table, a seed rotation's fresh table), proving recovery
+// from memory pressure mid-sequence never corrupts a structure.
 // TCPDEMUX_FUZZ_RESIZE_EVERY=N (default 0 = off) forces an explicit
 // incremental-migration step (Demuxer::migration_step) every N ops and
 // validates immediately after, so the two-table invariants (drained
@@ -99,6 +100,8 @@ void run_fuzz_ops(const std::string& spec,
 
   const auto config = parse_demux_spec(spec);
   ASSERT_TRUE(config.has_value()) << spec;
+  // Seed rotation is on (for a sharded spec, in its inner spec).
+  const bool rehash_spec = spec.find(":rehash") != std::string::npos;
   const auto demuxer = make_demuxer(*config);
   ASSERT_NE(demuxer, nullptr);
   // Histograms on for the whole run: the end-of-run differential check
@@ -162,20 +165,40 @@ void run_fuzz_ops(const std::string& spec,
         ASSERT_EQ(r.pcb->key, k);
       }
     } else if (roll < 75) {
-      // An insert can fail three ways: duplicate (expected), injected
-      // allocation failure, or (not configured here) a max_pcbs shed. The
-      // injector delta disambiguates; either way a refusal must leave the
-      // reference state untouched.
+      // An insert of a new key is refused only by an injected allocation
+      // failure, or by the ladder's rung-2 shed while an earlier injection
+      // holds growth blocked (no max_pcbs shed is configured here). An
+      // injection need not refuse it, though: growth and seed rotation
+      // poll the injector after the PCB is placed, and a refusal there
+      // only defers the growth (counted in resizes_deferred) or skips the
+      // rotation (rehash specs). Either way a refusal leaves the reference
+      // state untouched.
       const std::uint64_t injected_before = injector.injected();
+      const std::uint64_t deferred_before =
+          demuxer->telemetry().counters().resizes_deferred;
+      const std::uint64_t shed_before = demuxer->resilience().inserts_shed;
       Pcb* const pcb = demuxer->insert(k);
-      if (injector.injected() != injected_before) {
-        ASSERT_EQ(pcb, nullptr) << "op " << op;
+      const bool injected = injector.injected() != injected_before;
+      if (injected) {
         ASSERT_FALSE(expected) << "op " << op;  // duplicates never allocate
-      } else {
-        ASSERT_EQ(pcb == nullptr, expected) << "op " << op;
       }
-      if (pcb != nullptr) {
+      if (pcb == nullptr) {
+        const bool blocked_shed =
+            demuxer->resilience().inserts_shed == shed_before + 1 &&
+            demuxer->telemetry().counters().resizes_deferred > 0;
+        ASSERT_TRUE(expected || injected || blocked_shed)
+            << "op " << op << ": new key refused with no injection";
+      } else {
+        ASSERT_FALSE(expected) << "op " << op;
         ASSERT_EQ(pcb->key, k);
+        if (injected) {
+          ASSERT_TRUE(demuxer->telemetry().counters().resizes_deferred >
+                          deferred_before ||
+                      rehash_spec)
+              << "op " << op
+              << ": an injection during a successful insert refused "
+                 "neither a growth nor a seed rotation";
+        }
         reference.insert(k);
       }
       ASSERT_EQ(invariant_errors(), "") << "after insert op " << op;

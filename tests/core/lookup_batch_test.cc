@@ -3,8 +3,8 @@
 // lookups one at a time — found/not-found per key, returned identity,
 // and the full stats ledger (lookups / found / cache_hits / examined).
 // This covers the base-class default loop and every pipelined override
-// (flat, sequent, rcu) with the same oracle: a twin demuxer, identically
-// populated, driven scalar.
+// (flat, sequent/dynamic, rcu) with the same oracle: a twin demuxer,
+// identically populated, driven scalar.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -97,10 +97,57 @@ TEST_P(LookupBatchParity, ResultSpanMayExceedKeySpan) {
   EXPECT_EQ(d->stats().lookups, 2u) << "only keys.size() lookups may run";
 }
 
+// The parity population above leaves no migration in flight when its
+// batches run. Here the twins stop inserting just after a doubling has
+// started, so every batch runs while the outgoing chains are still
+// draining: the growing chained table's scalar fallback.
+TEST(LookupBatchMidMigration, IncrementalDynamicBatchEqualsScalarSequence) {
+  const auto config = parse_demux_spec("dynamic:5:incremental");
+  ASSERT_TRUE(config.has_value());
+  const auto batched = make_demuxer(*config);
+  const auto scalar = make_demuxer(*config);
+  const auto migrating = [](const Demuxer& d) {
+    const report::Telemetry t = d.telemetry();
+    return t.counters().resizes_started > t.counters().resizes_completed;
+  };
+  std::uint32_t live = 0;
+  while (live < 300 || !migrating(*batched)) {
+    ASSERT_LT(live, 4096u) << "no doubling started";
+    ASSERT_NE(batched->insert(key(live)), nullptr);
+    ASSERT_NE(scalar->insert(key(live)), nullptr);
+    ++live;
+  }
+
+  std::mt19937 rng(778);
+  std::uniform_int_distribution<std::uint32_t> pick(0, live * 2);
+  for (const std::size_t batch_size : {std::size_t{1}, std::size_t{7},
+                                       std::size_t{32}, std::size_t{129}}) {
+    ASSERT_TRUE(migrating(*batched)) << "batch_size=" << batch_size;
+    std::vector<net::FlowKey> keys(batch_size);
+    for (auto& k : keys) k = key(pick(rng));
+    std::vector<LookupResult> results(batch_size);
+    batched->lookup_batch(keys, results);
+    for (std::size_t i = 0; i < batch_size; ++i) {
+      const LookupResult want = scalar->lookup(keys[i]);
+      ASSERT_EQ(results[i].pcb != nullptr, want.pcb != nullptr)
+          << "batch_size=" << batch_size << " index " << i;
+      EXPECT_EQ(results[i].examined, want.examined)
+          << "batch_size=" << batch_size << " index " << i;
+      EXPECT_EQ(results[i].cache_hit, want.cache_hit)
+          << "batch_size=" << batch_size << " index " << i;
+    }
+    ASSERT_EQ(batched->stats().pcbs_examined, scalar->stats().pcbs_examined);
+    ASSERT_EQ(batched->stats().cache_hits, scalar->stats().cache_hits);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllDemuxers, LookupBatchParity,
     ::testing::Values("bsd", "mtf", "srcache", "connection_id", "sequent",
                       "sequent:7:crc32:nocache", "hashed_mtf", "dynamic:5",
+                      // 400 keys from 5 chains: the incremental twin runs
+                      // its batches against a draining outgoing table.
+                      "dynamic:5:incremental", "dynamic:5:xor_fold",
                       "rcu", "rcu:7:crc32:nocache", "flat", "flat:64",
                       "flat:1024:crc32", "flat16", "flat16:64",
                       "flat16:1024:crc32", "cuckoo", "cuckoo:64",

@@ -15,7 +15,6 @@
 #include "core/connection_id.h"
 #include "core/cuckoo_demuxer.h"
 #include "core/demux_registry.h"
-#include "core/dynamic_hash.h"
 #include "core/flat_demuxer.h"
 #include "core/hashed_mtf.h"
 #include "core/move_to_front.h"
@@ -189,10 +188,10 @@ TEST(ValidateTest, HashedMtfBadSizeCounterIsReported) {
 }
 
 TEST(ValidateTest, DynamicPcbOnWrongChainIsReported) {
-  DynamicHashDemuxer demuxer(
-      DynamicHashDemuxer::Options{5, 2.0, net::HasherKind::kCrc32, true});
-  populate(demuxer, 40);  // forces at least one rehash from 5 chains
-  ASSERT_GE(demuxer.rehash_count(), 1u);
+  SequentDemuxer demuxer(SequentDemuxer::Options{
+      .chains = 5, .hasher = net::HasherKind::kCrc32, .grow = true});
+  populate(demuxer, 40);  // forces at least one doubling from 5 chains
+  ASSERT_GE(demuxer.doublings(), 1u);
   std::uint32_t from = 0;
   while (ValidatorTestAccess::chain(demuxer, from).empty()) ++from;
   const std::uint32_t to = (from + 1) % demuxer.chains();

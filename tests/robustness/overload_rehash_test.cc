@@ -5,10 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <random>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cuckoo_demuxer.h"
+#include "core/demux_registry.h"
+#include "core/fault_inject.h"
 #include "core/flat_demuxer.h"
 #include "core/sequent_hash.h"
 #include "core/validate.h"
@@ -254,6 +259,125 @@ TEST(OverloadRehash, RehashSurvivesChurnAfterRotation) {
     EXPECT_NE(demuxer.lookup(flood[i]).pcb, nullptr);
   }
 }
+
+// A seed rotation allocates its fresh table before it swings the seed, and
+// polls the allocation-failure injector first. A refused rotation must
+// keep serving under the current seed with every PCB where it was, and
+// the rotation must happen once the allocator recovers.
+struct RotationCase {
+  const char* spec;
+  /// Keys that drive the spec's overload trigger from an empty table.
+  std::vector<net::FlowKey> (*flood)();
+};
+
+// Lists the case by its spec, so the test name is the same in every build.
+void PrintTo(const RotationCase& c, std::ostream* os) { *os << c.spec; }
+
+// Full 32-bit xor_fold collisions: one chain / one home slot at any size.
+std::vector<net::FlowKey> xorfold_flood() {
+  sim::CollisionFloodParams params;
+  params.count = 200;
+  return sim::craft_xorfold_collisions(params, 0x1234abcd);
+}
+
+// Keys sharing the primary bucket's low 7 bits and the fingerprint tag
+// share both cuckoo buckets up to 128 buckets; past 8 of them the kick
+// search fails, which is the cuckoo table's rotation trigger.
+std::vector<net::FlowKey> cuckoo_pair_flood() {
+  sim::CollisionFloodParams params;
+  params.count = 24;
+  return sim::craft_colliding_keys(
+      params,
+      [](const net::FlowKey& k) {
+        const std::uint32_t mix = net::mix32_avalanche(
+            net::hash_flow({net::HasherKind::kCrc32c, 0}, k));
+        return (mix & 0x7fU) | ((mix >> 25) << 7);
+      },
+      (0x2aU << 7) | 0x15U);
+}
+
+net::HashSpec hash_spec_of(const Demuxer& d) {
+  if (const auto* s = dynamic_cast<const SequentDemuxer*>(&d)) {
+    return s->hash_spec();
+  }
+  if (const auto* f = dynamic_cast<const FlatDemuxer*>(&d)) {
+    return f->hash_spec();
+  }
+  return dynamic_cast<const CuckooDemuxer&>(d).hash_spec();
+}
+
+class RefusedRotationTest : public ::testing::TestWithParam<RotationCase> {
+ protected:
+  // The injector is process-wide; leave it disarmed even on failure.
+  void TearDown() override { FaultInjector::instance().reset(); }
+};
+
+TEST_P(RefusedRotationTest, KeepsSeedAndEveryPcbThenRotatesOnRecovery) {
+  const auto demuxer = make_demuxer(*parse_demux_spec(GetParam().spec));
+  ASSERT_NE(demuxer, nullptr);
+  const net::HashSpec before = hash_spec_of(*demuxer);
+  const std::vector<net::FlowKey> flood = GetParam().flood();
+  auto& injector = FaultInjector::instance();
+
+  // Each insert polls once for its own PCB; arm_after(2) refuses the next
+  // poll, which on the insert that trips the overload trigger is the
+  // rotation's.
+  std::vector<std::pair<net::FlowKey, Pcb*>> placed;
+  std::size_t next = 0;
+  bool refused = false;
+  while (!refused && next < flood.size()) {
+    injector.reset();
+    injector.arm_after(2);
+    const net::FlowKey& key = flood[next++];
+    if (Pcb* pcb = demuxer->insert(key)) placed.emplace_back(key, pcb);
+    refused = injector.injected() != 0;
+  }
+  injector.reset();
+  ASSERT_TRUE(refused) << "the flood never reached the rotation trigger";
+  // The refused poll was the rotation's, not a growth's.
+  EXPECT_EQ(demuxer->telemetry().counters().resizes_deferred, 0u);
+
+  EXPECT_EQ(hash_spec_of(*demuxer).kind, before.kind);
+  EXPECT_EQ(hash_spec_of(*demuxer).seed, before.seed);
+  EXPECT_EQ(demuxer->resilience().overload_rehashes, 0u);
+  EXPECT_EQ(demuxer->size(), placed.size());
+  for (const auto& [key, pcb] : placed) {
+    EXPECT_EQ(demuxer->lookup(key).pcb, pcb);
+  }
+  EXPECT_EQ(validate_demuxer(*demuxer).to_string(), "");
+
+  // Disarmed, the trigger fires again once its cooldown has passed: the
+  // flood keeps coming, with benign arrivals to run the cooldown down.
+  const auto benign = random_keys(1024, 0xfeed);
+  for (std::size_t i = 0;
+       i < benign.size() && demuxer->resilience().overload_rehashes == 0;
+       ++i) {
+    for (const net::FlowKey& key : {flood[next++ % flood.size()], benign[i]}) {
+      if (Pcb* pcb = demuxer->insert(key)) placed.emplace_back(key, pcb);
+    }
+  }
+  EXPECT_GE(demuxer->resilience().overload_rehashes, 1u);
+  EXPECT_NE(hash_spec_of(*demuxer).seed, before.seed);
+  for (const auto& [key, pcb] : placed) {
+    EXPECT_EQ(demuxer->lookup(key).pcb, pcb);
+  }
+  EXPECT_EQ(validate_demuxer(*demuxer).to_string(), "");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RotatingTables, RefusedRotationTest,
+    ::testing::Values(RotationCase{"sequent:19:xor_fold:rehash", xorfold_flood},
+                      RotationCase{"flat:64:xor_fold:rehash", xorfold_flood},
+                      RotationCase{"flat16:64:xor_fold:rehash", xorfold_flood},
+                      RotationCase{"cuckoo:64:crc32c:rehash",
+                                   cuckoo_pair_flood}),
+    [](const ::testing::TestParamInfo<RotationCase>& info) {
+      std::string name = info.param.spec;
+      for (char& c : name) {
+        if (c == ':') c = '_';
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace tcpdemux::core

@@ -7,7 +7,6 @@
 
 #include "core/cuckoo_demuxer.h"
 #include "core/demux_registry.h"
-#include "core/dynamic_hash.h"
 #include "core/flat_demuxer.h"
 #include "core/sequent_hash.h"
 #include "core/validate.h"
@@ -56,8 +55,10 @@ TEST(Shedding, SequentEnforcesMaxPcbs) {
 }
 
 TEST(Shedding, DynamicEnforcesMaxPcbs) {
-  DynamicHashDemuxer demuxer(
-      {19, 2.0, net::HasherKind::kCrc32, true, /*max_pcbs=*/64});
+  SequentDemuxer demuxer({.chains = 19,
+                          .hasher = net::HasherKind::kCrc32,
+                          .max_pcbs = 64,
+                          .grow = true});
   expect_cap_enforced(demuxer, 64);
 }
 

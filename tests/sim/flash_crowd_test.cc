@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/dynamic_hash.h"
 #include "core/sequent_hash.h"
 #include "sim/replay.h"
 
@@ -78,10 +77,12 @@ TEST(FlashCrowd, DynamicTableGrowsWithTheCrowd) {
   p.ramp = 60.0;
   p.duration = 120.0;
   const Trace t = generate_flash_crowd_trace(p);
-  core::DynamicHashDemuxer d;
+  core::SequentDemuxer d({.chains = 19,
+                          .hasher = net::HasherKind::kCrc32,
+                          .grow = true});
   const auto r = replay_trace(t, d);
   EXPECT_EQ(r.misses, 0u);
-  EXPECT_GT(d.rehash_count(), 3u);
+  EXPECT_GT(d.doublings(), 3u);
   EXPECT_GE(d.chains(), 1361u);
   // Despite a 100x population swing, cost stayed bounded by the load cap.
   EXPECT_LT(r.overall.mean(), 4.0);

@@ -1,5 +1,7 @@
 // LanHost's ARP hold queue: datagrams wait behind an unresolved next hop
-// and leave, in their original order, once its ARP reply arrives.
+// and leave, in their original order, once its ARP reply arrives. Also its
+// receive path: IPv4 fragments arriving as Ethernet frames are reassembled
+// before the socket table sees them.
 #include "tcp/lan_host.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +11,8 @@
 
 #include "net/arp.h"
 #include "net/ethernet.h"
+#include "net/fragment.h"
+#include "net/headers.h"
 #include "net/packet.h"
 
 namespace tcpdemux::tcp {
@@ -121,6 +125,79 @@ TEST(LanHostTest, HoldQueueIsBoundedAndDropsOldestFirst) {
   answer(kSources - 1);
   EXPECT_EQ(sent, 1u);
   EXPECT_EQ(host.pending(), LanHost::kMaxPending - 1);
+}
+
+// A query larger than the LAN's MTU crosses it as IPv4 fragments. The
+// host reassembles them, so the segment is delivered whole and no
+// fragment is mistaken for a malformed datagram.
+TEST(LanHostTest, FragmentedSegmentIsReassembledThenDelivered) {
+  const Ipv4Addr self(10, 0, 0, 1);
+  const Ipv4Addr peer(10, 0, 0, 2);
+  const net::MacAddr peer_mac = net::MacAddr::from_ipv4(peer.value());
+  LanHost host(self, core::DemuxConfig{core::Algorithm::kSequent},
+               [] { return 0.0; });
+  std::vector<std::vector<std::uint8_t>> datagrams;  // IPv4 the host sent
+  std::vector<std::vector<std::uint8_t>> requests;   // ARP request frames
+  host.set_transmit([&](std::vector<std::uint8_t> frame) {
+    if (const auto ip = net::ethernet_decapsulate_ipv4(frame)) {
+      datagrams.emplace_back(ip->begin(), ip->end());
+    } else {
+      requests.push_back(std::move(frame));
+    }
+  });
+  host.table().listen(self, 1521);
+  const auto receive = [&](std::span<const std::uint8_t> datagram) {
+    host.receive_frame(net::ethernet_encapsulate(host.mac(), peer_mac,
+                                                 datagram));
+  };
+
+  // Handshake: the SYN-ACK waits behind an ARP request until the peer
+  // answers it.
+  receive(net::PacketBuilder()
+              .from({peer, 40001})
+              .to({self, 1521})
+              .seq(100)
+              .flags(net::TcpFlag::kSyn)
+              .build());
+  ASSERT_EQ(requests.size(), 1u);
+  net::ArpTable peer_arp(peer_mac, peer);
+  const auto arp_reply = peer_arp.handle_frame(requests[0], 0.0);
+  ASSERT_TRUE(arp_reply.has_value());
+  host.receive_frame(*arp_reply);
+  ASSERT_EQ(datagrams.size(), 1u);
+  const auto synack = net::Packet::parse(datagrams[0]);
+  ASSERT_TRUE(synack.has_value());
+  receive(net::PacketBuilder()
+              .from({peer, 40001})
+              .to({self, 1521})
+              .seq(101)
+              .ack_seq(synack->tcp.seq + 1)
+              .build());
+
+  // A 1200-byte query fragmented at MTU 400.
+  auto query = net::PacketBuilder()
+                   .from({peer, 40001})
+                   .to({self, 1521})
+                   .seq(101)
+                   .ack_seq(synack->tcp.seq + 1)
+                   .flags(net::TcpFlag::kPsh)
+                   .payload_size(1200)
+                   .build();
+  auto header = net::Ipv4Header::parse(query);
+  ASSERT_TRUE(header.has_value());
+  header->dont_fragment = false;
+  header->serialize(query);
+  const auto fragments = net::fragment_packet(query, 400);
+  ASSERT_GT(fragments.size(), 2u);
+  const std::uint64_t delivered = host.table().counters().delivered;
+  for (const auto& fragment : fragments) receive(fragment);
+
+  EXPECT_EQ(host.table().counters().parse_errors, 0u);
+  EXPECT_EQ(host.table().counters().delivered, delivered + 1);
+  const core::Pcb* pcb =
+      host.table().find(net::FlowKey{self, 1521, peer, 40001});
+  ASSERT_NE(pcb, nullptr);
+  EXPECT_EQ(pcb->bytes_in, 1200u);
 }
 
 }  // namespace
