@@ -9,6 +9,7 @@
 
 #include "core/demuxer.h"
 #include "core/pcb_list.h"
+#include "core/pcb_slab.h"
 
 namespace tcpdemux::core {
 
@@ -24,7 +25,7 @@ class BsdListDemuxer final : public Demuxer {
       const std::function<void(const Pcb&)>& fn) const override;
   [[nodiscard]] std::string name() const override { return "bsd"; }
   [[nodiscard]] std::size_t memory_bytes() const override {
-    return size() * sizeof(Pcb) + sizeof(*this);
+    return slab_.bytes() + sizeof(*this);
   }
 
   /// The PCB currently held by the one-entry cache (test hook).
@@ -36,6 +37,7 @@ class BsdListDemuxer final : public Demuxer {
 
   PcbList list_;
   Pcb* cache_ = nullptr;
+  PcbSlab slab_;
 };
 
 }  // namespace tcpdemux::core

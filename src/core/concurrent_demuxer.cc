@@ -20,8 +20,12 @@ Pcb* ConcurrentSequentDemuxer::insert(const net::FlowKey& key) {
   Bucket& b = *buckets_[chain_of(key)];
   const MutexLock lock(b.mutex);
   if (b.list.find_scan(key).pcb != nullptr) return nullptr;
-  Pcb* pcb = b.list.emplace_front(
-      key, conn_seq_.fetch_add(1, std::memory_order_relaxed));
+  Pcb* pcb = nullptr;
+  {
+    const MutexLock slab_lock(slab_mutex_);
+    pcb = slab_.make(key, conn_seq_.fetch_add(1, std::memory_order_relaxed));
+  }
+  b.list.link_front(pcb);
   size_.fetch_add(1, std::memory_order_relaxed);
   return pcb;
 }
@@ -32,7 +36,11 @@ bool ConcurrentSequentDemuxer::erase(const net::FlowKey& key) {
   const auto scan = b.list.find_scan(key);
   if (scan.pcb == nullptr) return false;
   if (b.cache == scan.pcb) b.cache = nullptr;
-  b.list.erase(scan.pcb);
+  b.list.unlink(scan.pcb);
+  {
+    const MutexLock slab_lock(slab_mutex_);
+    slab_.destroy(scan.pcb);
+  }
   size_.fetch_sub(1, std::memory_order_relaxed);
   return true;
 }

@@ -24,6 +24,7 @@
 
 #include "core/demuxer.h"
 #include "core/pcb_list.h"
+#include "core/pcb_slab.h"
 #include "core/thread_annotations.h"
 #include "net/hashers.h"
 
@@ -73,6 +74,10 @@ class ConcurrentSequentDemuxer {
 
   Options options_;
   std::vector<std::unique_ptr<Bucket>> buckets_;
+  /// One slab for every chain. insert/erase take its mutex while holding
+  /// their bucket's (lock order: bucket, then slab); lookup never does.
+  Mutex slab_mutex_;
+  PcbSlab slab_ GUARDED_BY(slab_mutex_);
   std::atomic<std::size_t> size_{0};
   std::atomic<std::uint64_t> lookups_{0};
   std::atomic<std::uint64_t> examined_{0};

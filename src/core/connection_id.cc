@@ -23,17 +23,18 @@ Pcb* ConnectionIdDemuxer::insert(const net::FlowKey& key) {
   if (FaultInjector::instance().poll_alloc()) return nullptr;
   const std::uint32_t id = free_ids_.back();
   free_ids_.pop_back();
-  slots_[id] = std::make_unique<Pcb>(key, id);
+  slots_[id] = slab_.make(key, id);
   id_by_key_.emplace(key, id);
   telemetry_->on_insert();
-  return slots_[id].get();
+  return slots_[id];
 }
 
 bool ConnectionIdDemuxer::erase(const net::FlowKey& key) {
   const auto it = id_by_key_.find(key);
   if (it == id_by_key_.end()) return false;
   const std::uint32_t id = it->second;
-  slots_[id].reset();
+  slab_.destroy(slots_[id]);
+  slots_[id] = nullptr;
   free_ids_.push_back(id);
   id_by_key_.erase(it);
   telemetry_->on_erase();
@@ -46,7 +47,7 @@ LookupResult ConnectionIdDemuxer::lookup(const net::FlowKey& key,
   r.examined = 1;  // the single array slot the carried ID indexes
   const auto it = id_by_key_.find(key);
   if (it != id_by_key_.end()) {
-    r.pcb = slots_[it->second].get();
+    r.pcb = slots_[it->second];
   }
   note_lookup(r);
   return r;
@@ -57,18 +58,18 @@ LookupResult ConnectionIdDemuxer::lookup_wildcard(const net::FlowKey& key) {
   // the ID explicitly); fall back to scanning the slot table.
   LookupResult best;
   int best_score = -1;
-  for (const auto& slot : slots_) {
+  for (Pcb* const slot : slots_) {
     if (slot == nullptr) continue;
     ++best.examined;
     const int score = slot->key.match_score(key);
     if (score < 0) continue;
     if (score == 0) {
-      best.pcb = slot.get();
+      best.pcb = slot;
       return best;
     }
     if (best_score < 0 || score < best_score) {
       best_score = score;
-      best.pcb = slot.get();
+      best.pcb = slot;
     }
   }
   return best;
@@ -76,12 +77,12 @@ LookupResult ConnectionIdDemuxer::lookup_wildcard(const net::FlowKey& key) {
 
 Pcb* ConnectionIdDemuxer::lookup_by_id(std::uint32_t id) const noexcept {
   if (id >= capacity_) return nullptr;
-  return slots_[id].get();
+  return slots_[id];
 }
 
 void ConnectionIdDemuxer::for_each_pcb(
     const std::function<void(const Pcb&)>& fn) const {
-  for (const auto& slot : slots_) {
+  for (const Pcb* slot : slots_) {
     if (slot != nullptr) fn(*slot);
   }
 }

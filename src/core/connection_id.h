@@ -17,11 +17,11 @@
 #define TCPDEMUX_CORE_CONNECTION_ID_H_
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "core/demuxer.h"
+#include "core/pcb_slab.h"
 
 namespace tcpdemux::core {
 
@@ -41,7 +41,7 @@ class ConnectionIdDemuxer final : public Demuxer {
   [[nodiscard]] std::string name() const override { return "connection_id"; }
   [[nodiscard]] std::size_t memory_bytes() const override {
     // Slot array + free list + exact-match side table (node estimate).
-    return size() * sizeof(Pcb) + sizeof(*this) +
+    return slab_.bytes() + sizeof(*this) +
            slots_.capacity() * sizeof(slots_[0]) +
            free_ids_.capacity() * sizeof(std::uint32_t) +
            id_by_key_.size() * (sizeof(net::FlowKey) + 2 * sizeof(void*));
@@ -63,9 +63,10 @@ class ConnectionIdDemuxer final : public Demuxer {
   friend struct ValidatorTestAccess;  // negative validator tests only
 
   std::size_t capacity_;
-  std::vector<std::unique_ptr<Pcb>> slots_;
+  std::vector<Pcb*> slots_;
   std::vector<std::uint32_t> free_ids_;
   std::unordered_map<net::FlowKey, std::uint32_t> id_by_key_;
+  PcbSlab slab_;
 };
 
 }  // namespace tcpdemux::core

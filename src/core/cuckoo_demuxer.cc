@@ -93,16 +93,15 @@ void CuckooDemuxer::clear_slot(Table& t, std::size_t slot) noexcept {
   const std::size_t primary = t.hashes[slot] & t.bucket_mask;
   if (bucket != primary) filter_remove(t, primary, tag);
   t.meta[bucket].tags[slot % kBucketWidth] = 0;
-  t.pcbs[slot].reset();
+  t.pcbs[slot] = nullptr;
 }
 
 void CuckooDemuxer::set_slot(Table& t, std::size_t slot, std::uint32_t h,
-                             const net::FlowKey& key,
-                             std::unique_ptr<Pcb> pcb) noexcept {
+                             const net::FlowKey& key, Pcb* pcb) noexcept {
   t.meta[slot / kBucketWidth].tags[slot % kBucketWidth] = tag_of(h);
   t.hashes[slot] = h;
   t.keys[slot] = key;
-  t.pcbs[slot] = std::move(pcb);
+  t.pcbs[slot] = pcb;
 }
 
 void CuckooDemuxer::move_slot(Table& t, std::size_t from,
@@ -114,7 +113,8 @@ void CuckooDemuxer::move_slot(Table& t, std::size_t from,
   t.meta[from_bucket].tags[from % kBucketWidth] = 0;
   t.hashes[to] = t.hashes[from];
   t.keys[to] = t.keys[from];
-  t.pcbs[to] = std::move(t.pcbs[from]);
+  t.pcbs[to] = t.pcbs[from];
+  t.pcbs[from] = nullptr;
   // A move is always between the entry's two candidate buckets, so it
   // either leaves home (register in the filter) or returns home
   // (deregister). The counted backing store keeps shared bits exact.
@@ -126,8 +126,7 @@ void CuckooDemuxer::move_slot(Table& t, std::size_t from,
 }
 
 bool CuckooDemuxer::place_entry(Table& t, std::uint32_t h,
-                                const net::FlowKey& key,
-                                std::unique_ptr<Pcb>& pcb,
+                                const net::FlowKey& key, Pcb* pcb,
                                 std::size_t* effort) {
   const std::uint8_t tag = tag_of(h);
   const std::size_t b1 = h & t.bucket_mask;
@@ -135,13 +134,13 @@ bool CuckooDemuxer::place_entry(Table& t, std::uint32_t h,
   *effort = 0;
   for (std::size_t s = 0; s < kBucketWidth; ++s) {
     if (t.meta[b1].tags[s] == 0) {
-      set_slot(t, b1 * kBucketWidth + s, h, key, std::move(pcb));
+      set_slot(t, b1 * kBucketWidth + s, h, key, pcb);
       return true;
     }
   }
   for (std::size_t s = 0; s < kBucketWidth; ++s) {
     if (t.meta[b2].tags[s] == 0) {
-      set_slot(t, b2 * kBucketWidth + s, h, key, std::move(pcb));
+      set_slot(t, b2 * kBucketWidth + s, h, key, pcb);
       filter_add(t, b1, tag);
       return true;
     }
@@ -190,7 +189,7 @@ bool CuckooDemuxer::place_entry(Table& t, std::uint32_t h,
           free = from;
           cur = p;
         }
-        set_slot(t, free, h, key, std::move(pcb));
+        set_slot(t, free, h, key, pcb);
         if (free / kBucketWidth != b1) filter_add(t, b1, tag);
         return true;
       }
@@ -229,8 +228,7 @@ Pcb* CuckooDemuxer::insert(const net::FlowKey& key) {
     telemetry_->on_shed();
     return nullptr;
   }
-  auto pcb = std::make_unique<Pcb>(key, next_conn_id());
-  Pcb* const raw = pcb.get();
+  Pcb* const pcb = slab_.make(key, next_conn_id());
   std::size_t effort = 0;
   bool placed = place_entry(table_, h, key, pcb, &effort);
   for (int attempt = 0; attempt < 2 && !placed; ++attempt) {
@@ -252,6 +250,7 @@ Pcb* CuckooDemuxer::insert(const net::FlowKey& key) {
     placed = place_entry(table_, h, key, pcb, &effort);
   }
   if (!placed) {
+    slab_.destroy(pcb);
     ++inserts_shed_;
     telemetry_->on_shed();
     return nullptr;
@@ -262,7 +261,7 @@ Pcb* CuckooDemuxer::insert(const net::FlowKey& key) {
   if (resize_.migrating()) [[unlikely]] {
     resize_.migrate_batch(*this, kMigrateBatch);
   }
-  return raw;
+  return pcb;
 }
 
 void CuckooDemuxer::maybe_grow() {
@@ -342,16 +341,11 @@ void CuckooDemuxer::rebuild(std::size_t buckets, const net::HashSpec& spec) {
       return;
     }
     // Re-placement failed (possible only for near-degenerate hash sets at
-    // this geometry). Hand every moved PCB back to its live slot and
-    // double: co-residents can share both candidate buckets at *every*
-    // capacity only by sharing their full hash, and at most 2*kBucketWidth
-    // of those ever co-reside — so doubling always separates the rest.
-    for (std::size_t s = 0; s < slot; ++s) {
-      if (table_.tag_at(s) == 0) continue;
-      const net::FlowKey& key = table_.keys[s];
-      table_.pcbs[s] = std::move(
-          fresh.pcbs[find_slot(fresh, hash_with(spec, key), key).slot]);
-    }
+    // this geometry). The live table still holds every PCB, so drop the
+    // attempt and double: co-residents can share both candidate buckets at
+    // *every* capacity only by sharing their full hash, and at most
+    // 2*kBucketWidth of those ever co-reside — so doubling always
+    // separates the rest.
     buckets *= 2;
   }
 }
@@ -360,12 +354,14 @@ bool CuckooDemuxer::erase(const net::FlowKey& key) {
   const std::uint32_t h = hash_of(key);
   const Probe p = find_slot(table_, h, key);
   if (p.slot != kNpos) {
+    slab_.destroy(table_.pcbs[p.slot]);
     clear_slot(table_, p.slot);
   } else {
     auto* old = resize_.old();
     if (old == nullptr) return false;
     const Probe q = find_slot(old->table, h, key);
     if (q.slot == kNpos) return false;
+    slab_.destroy(old->table.pcbs[q.slot]);
     clear_slot(old->table, q.slot);
     resize_.note_erased(*this);
   }
@@ -385,7 +381,7 @@ LookupResult CuckooDemuxer::lookup(const net::FlowKey& key,
   LookupResult r;
   r.examined = p.examined;
   if (p.slot != kNpos) {
-    r.pcb = table_.pcbs[p.slot].get();
+    r.pcb = table_.pcbs[p.slot];
   } else if (resize_.migrating()) [[unlikely]] {
     // Mid-migration a resident may still sit in the draining array; both
     // probes' examined counts are charged (the paper's metric counts
@@ -394,7 +390,7 @@ LookupResult CuckooDemuxer::lookup(const net::FlowKey& key,
     const Probe q = find_slot(old, h, key);
     buckets_probed_ += q.buckets;
     r.examined += q.examined;
-    if (q.slot != kNpos) r.pcb = old.pcbs[q.slot].get();
+    if (q.slot != kNpos) r.pcb = old.pcbs[q.slot];
   }
   note_lookup(r);
   if (resize_.migrating()) [[unlikely]] {
@@ -436,7 +432,7 @@ void CuckooDemuxer::lookup_batch(std::span<const net::FlowKey> keys,
       buckets_probed_ += p.buckets;
       LookupResult r;
       r.examined = p.examined;
-      if (p.slot != kNpos) r.pcb = table_.pcbs[p.slot].get();
+      if (p.slot != kNpos) r.pcb = table_.pcbs[p.slot];
       note_lookup(r);
       results[base + i] = r;
     }
@@ -453,7 +449,7 @@ LookupResult CuckooDemuxer::lookup_wildcard(const net::FlowKey& key) {
   LookupResult best;
   best.examined = p.examined;
   if (p.slot != kNpos) {
-    best.pcb = table_.pcbs[p.slot].get();
+    best.pcb = table_.pcbs[p.slot];
     return best;
   }
   const Table* old = resize_.migrating() ? &resize_.old()->table : nullptr;
@@ -461,7 +457,7 @@ LookupResult CuckooDemuxer::lookup_wildcard(const net::FlowKey& key) {
     const Probe q = find_slot(*old, h, key);
     best.examined += q.examined;
     if (q.slot != kNpos) {
-      best.pcb = old->pcbs[q.slot].get();
+      best.pcb = old->pcbs[q.slot];
       return best;
     }
   }
@@ -473,12 +469,12 @@ LookupResult CuckooDemuxer::lookup_wildcard(const net::FlowKey& key) {
       const int score = t.keys[i].match_score(key);
       if (score < 0) continue;
       if (score == 0) {
-        best.pcb = t.pcbs[i].get();
+        best.pcb = t.pcbs[i];
         return true;
       }
       if (best_score < 0 || score < best_score) {
         best_score = score;
-        best.pcb = t.pcbs[i].get();
+        best.pcb = t.pcbs[i];
       }
     }
     return false;
@@ -522,8 +518,8 @@ std::size_t CuckooDemuxer::memory_bytes() const {
       sizeof(BucketMeta) + sizeof(std::array<std::uint16_t, 16>);
   constexpr std::size_t kPerSlot = sizeof(std::uint32_t) +
                                    sizeof(net::FlowKey) +
-                                   sizeof(std::unique_ptr<Pcb>);
-  std::size_t bytes = size_ * sizeof(Pcb) + sizeof(*this) +
+                                   sizeof(Pcb*);
+  std::size_t bytes = slab_.bytes() + sizeof(*this) +
                       bucket_count() * kPerBucket + capacity() * kPerSlot;
   if (const auto* old = resize_.old()) {
     bytes += sizeof(*old) + old->table.bucket_count() * kPerBucket +

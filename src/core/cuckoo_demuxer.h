@@ -14,8 +14,8 @@
 //     other), so displacing a resident never needs its key re-hashed;
 //   * insertion breadth-first-searches the kick graph for the shortest
 //     displacement path (bounded node budget), moving at most a handful of
-//     entries; Pcbs are individually owned so Pcb* survive kicks, growth,
-//     and seed rotation;
+//     entries; Pcbs live in the demuxer's PcbSlab and the slot arrays hold
+//     only pointers, so Pcb* survive kicks, growth, and seed rotation;
 //   * the filter is *counted* (per-bucket count per filter index, cold
 //     array off the lookup path), so deletions and kick-backs clear bits
 //     exactly when the last overflowed resident leaves — no false
@@ -39,10 +39,10 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/demuxer.h"
+#include "core/pcb_slab.h"
 #include "core/resize_policy.h"
 #include "net/hashers.h"
 
@@ -165,7 +165,7 @@ class CuckooDemuxer final : public Demuxer {
     std::vector<BucketMeta> meta;
     std::vector<std::uint32_t> hashes;
     std::vector<net::FlowKey> keys;
-    std::vector<std::unique_ptr<Pcb>> pcbs;
+    std::vector<Pcb*> pcbs;
     std::vector<std::array<std::uint16_t, 16>> filter_counts;
 
     Table() = default;
@@ -233,17 +233,15 @@ class CuckooDemuxer final : public Demuxer {
 
   /// Installs the (pre-hashed, known-absent) entry into `t`, kicking
   /// residents along a BFS-shortest displacement path if both candidate
-  /// buckets are full. On success consumes `pcb`, reports the search
-  /// effort, and returns true; on false the table is unchanged and `pcb`
-  /// is still owned by the caller.
+  /// buckets are full. Reports the search effort and returns true on
+  /// success; on false the table is unchanged.
   static bool place_entry(Table& t, std::uint32_t h, const net::FlowKey& key,
-                          std::unique_ptr<Pcb>& pcb, std::size_t* effort);
+                          Pcb* pcb, std::size_t* effort);
   /// Moves the resident of `from` into the empty slot `to` (the other
   /// member of its bucket pair), maintaining the filter registration.
   static void move_slot(Table& t, std::size_t from, std::size_t to) noexcept;
   static void set_slot(Table& t, std::size_t slot, std::uint32_t h,
-                       const net::FlowKey& key,
-                       std::unique_ptr<Pcb> pcb) noexcept;
+                       const net::FlowKey& key, Pcb* pcb) noexcept;
 
   /// Re-places every live resident into a freshly allocated table of
   /// `buckets` buckets hashed under `spec`, doubling further if placement
@@ -268,6 +266,7 @@ class CuckooDemuxer final : public Demuxer {
   std::uint64_t rehash_cooldown_ = 0;  ///< 0 until the first rehash
   std::uint64_t buckets_probed_ = 0;
   ResizeEngine<Table> resize_;
+  PcbSlab slab_;
 };
 
 }  // namespace tcpdemux::core

@@ -115,16 +115,15 @@ Pcb* FlatDemuxer::insert(const net::FlowKey& key) {
     telemetry_->on_shed();
     return nullptr;
   }
-  auto pcb = std::make_unique<Pcb>(key, next_conn_id());
-  Pcb* const raw = pcb.get();
-  const std::size_t dist = place(table_, h, key, std::move(pcb));
+  Pcb* const pcb = slab_.make(key, next_conn_id());
+  const std::size_t dist = place(table_, h, key, pcb);
   ++size_;
   telemetry_->on_insert();
   note_insert(dist);
   if (resize_.migrating()) [[unlikely]] {
     resize_.migrate_batch(*this, kMigrateBatch);
   }
-  return raw;
+  return pcb;
 }
 
 void FlatDemuxer::maybe_grow() {
@@ -140,7 +139,7 @@ bool FlatDemuxer::migrate_unit(Table& old, std::size_t i, DrainMode mode) {
   // into the preallocated array cannot allocate. A step backward-shifts
   // the old run so lookups can still probe it; the closing sweep discards
   // the whole array, so clearing the tag is enough.
-  place(table_, old.hashes[i], old.keys[i], std::move(old.pcbs[i]));
+  place(table_, old.hashes[i], old.keys[i], old.pcbs[i]);
   if (mode == DrainMode::kStep) {
     remove_at(old, i);
   } else {
@@ -155,7 +154,7 @@ bool FlatDemuxer::migration_step() {
 }
 
 std::size_t FlatDemuxer::place(Table& t, std::uint32_t h, net::FlowKey key,
-                               std::unique_ptr<Pcb> pcb) {
+                               Pcb* pcb) {
   std::size_t i = h & t.mask;
   std::size_t dist = 0;
   std::size_t max_dist = 0;
@@ -177,7 +176,7 @@ std::size_t FlatDemuxer::place(Table& t, std::uint32_t h, net::FlowKey key,
   t.tags[i] = tag_of(h);
   t.hashes[i] = h;
   t.keys[i] = key;
-  t.pcbs[i] = std::move(pcb);
+  t.pcbs[i] = pcb;
   return max_dist;
 }
 
@@ -211,8 +210,7 @@ void FlatDemuxer::rehash_with_fresh_seed() {
   for (std::size_t i = 0; i < table_.capacity(); ++i) {
     if (table_.tags[i] == 0) continue;
     // Hashes must be recomputed: the seed just changed.
-    place(fresh, hash_of(table_.keys[i]), table_.keys[i],
-          std::move(table_.pcbs[i]));
+    place(fresh, hash_of(table_.keys[i]), table_.keys[i], table_.pcbs[i]);
   }
   table_ = std::move(fresh);
   watermark_ = max_probe_distance();
@@ -228,12 +226,14 @@ bool FlatDemuxer::erase(const net::FlowKey& key) {
   const std::uint32_t h = hash_of(key);
   const Probe p = find_slot(h, key);
   if (p.slot != kNpos) {
+    slab_.destroy(table_.pcbs[p.slot]);
     remove_at(table_, p.slot);
   } else {
     auto* old = resize_.old();
     if (old == nullptr) return false;
     const Probe q = find_slot_scalar(old->table, h, key);
     if (q.slot == kNpos) return false;
+    slab_.destroy(old->table.pcbs[q.slot]);
     remove_at(old->table, q.slot);
     resize_.note_erased(*this);
   }
@@ -246,7 +246,6 @@ bool FlatDemuxer::erase(const net::FlowKey& key) {
 }
 
 void FlatDemuxer::remove_at(Table& t, std::size_t i) {
-  t.pcbs[i].reset();
   // Backward shift: slide the rest of the probe run down one slot so no
   // tombstone is needed. The run ends at an empty slot or a resident
   // already sitting in its home slot (which a shift would only hurt).
@@ -257,11 +256,11 @@ void FlatDemuxer::remove_at(Table& t, std::size_t i) {
     t.tags[j] = t.tags[n];
     t.hashes[j] = t.hashes[n];
     t.keys[j] = t.keys[n];
-    t.pcbs[j] = std::move(t.pcbs[n]);
+    t.pcbs[j] = t.pcbs[n];
     j = n;
   }
   t.tags[j] = 0;
-  t.pcbs[j].reset();
+  t.pcbs[j] = nullptr;
 }
 
 LookupResult FlatDemuxer::lookup(const net::FlowKey& key,
@@ -271,7 +270,7 @@ LookupResult FlatDemuxer::lookup(const net::FlowKey& key,
   LookupResult r;
   r.examined = p.examined;
   if (p.slot != kNpos) {
-    r.pcb = table_.pcbs[p.slot].get();
+    r.pcb = table_.pcbs[p.slot];
   } else if (resize_.migrating()) [[unlikely]] {
     // Mid-migration a resident may still sit in the draining array; both
     // probes' examined counts are charged (the paper's metric counts every
@@ -279,7 +278,7 @@ LookupResult FlatDemuxer::lookup(const net::FlowKey& key,
     const Table& old = resize_.old()->table;
     const Probe q = find_slot_scalar(old, h, key);
     r.examined += q.examined;
-    if (q.slot != kNpos) r.pcb = old.pcbs[q.slot].get();
+    if (q.slot != kNpos) r.pcb = old.pcbs[q.slot];
   }
   note_lookup(r);
   if (resize_.migrating()) [[unlikely]] {
@@ -322,7 +321,7 @@ void FlatDemuxer::lookup_batch(std::span<const net::FlowKey> keys,
       const Probe p = find_slot(h[i], keys[base + i]);
       LookupResult r;
       r.examined = p.examined;
-      if (p.slot != kNpos) r.pcb = table_.pcbs[p.slot].get();
+      if (p.slot != kNpos) r.pcb = table_.pcbs[p.slot];
       note_lookup(r);
       results[base + i] = r;
     }
@@ -339,7 +338,7 @@ LookupResult FlatDemuxer::lookup_wildcard(const net::FlowKey& key) {
   LookupResult best;
   best.examined = p.examined;
   if (p.slot != kNpos) {
-    best.pcb = table_.pcbs[p.slot].get();
+    best.pcb = table_.pcbs[p.slot];
     return best;
   }
   const Table* old = resize_.migrating() ? &resize_.old()->table : nullptr;
@@ -347,7 +346,7 @@ LookupResult FlatDemuxer::lookup_wildcard(const net::FlowKey& key) {
     const Probe q = find_slot_scalar(*old, h, key);
     best.examined += q.examined;
     if (q.slot != kNpos) {
-      best.pcb = old->pcbs[q.slot].get();
+      best.pcb = old->pcbs[q.slot];
       return best;
     }
   }
@@ -359,12 +358,12 @@ LookupResult FlatDemuxer::lookup_wildcard(const net::FlowKey& key) {
       const int score = t.keys[i].match_score(key);
       if (score < 0) continue;
       if (score == 0) {
-        best.pcb = t.pcbs[i].get();
+        best.pcb = t.pcbs[i];
         return true;
       }
       if (best_score < 0 || score < best_score) {
         best_score = score;
-        best.pcb = t.pcbs[i].get();
+        best.pcb = t.pcbs[i];
       }
     }
     return false;
@@ -432,8 +431,8 @@ std::vector<std::size_t> FlatDemuxer::occupancy() const {
 std::size_t FlatDemuxer::memory_bytes() const {
   constexpr std::size_t kPerSlot =
       sizeof(std::uint8_t) + sizeof(std::uint32_t) + sizeof(net::FlowKey) +
-      sizeof(std::unique_ptr<Pcb>);
-  std::size_t bytes = size_ * sizeof(Pcb) + sizeof(*this) +
+      sizeof(Pcb*);
+  std::size_t bytes = slab_.bytes() + sizeof(*this) +
                       capacity() * kPerSlot;
   if (const auto* old = resize_.old()) {
     bytes += sizeof(*old) + old->table.capacity() * kPerSlot;

@@ -25,9 +25,9 @@
 //     insert): the doubled array is allocated first, then the old one
 //     drains into it — in one sweep by default, or with
 //     Options::incremental a bounded batch per insert/erase/lookup, so
-//     worst-case per-operation work is O(batch), not O(n). Pcb objects are
-//     individually owned, so Pcb* stay stable across growth and slot
-//     shifts. When the doubled array cannot be allocated the table
+//     worst-case per-operation work is O(batch), not O(n). Pcb objects
+//     live in the demuxer's PcbSlab and the slot arrays hold only
+//     pointers, so Pcb* stay stable across growth and slot shifts. When the doubled array cannot be allocated the table
 //     degrades down a ladder — defer-and-retry with exponential backoff,
 //     then shed-at-watermark — instead of corrupting state (see
 //     core/resize_policy.h and DESIGN.md "Incremental resize &
@@ -47,10 +47,10 @@
 #define TCPDEMUX_CORE_FLAT_DEMUXER_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/demuxer.h"
+#include "core/pcb_slab.h"
 #include "core/resize_policy.h"
 #include "net/hashers.h"
 
@@ -155,7 +155,7 @@ class FlatDemuxer final : public Demuxer {
     std::vector<std::uint8_t> tags;
     std::vector<std::uint32_t> hashes;
     std::vector<net::FlowKey> keys;
-    std::vector<std::unique_ptr<Pcb>> pcbs;
+    std::vector<Pcb*> pcbs;
 
     Table() = default;
     /// An empty table of `capacity` slots (a power of two).
@@ -208,8 +208,10 @@ class FlatDemuxer final : public Demuxer {
   /// acceptable. Returns the longest probe distance the placement walked
   /// (the overload watermark signal).
   static std::size_t place(Table& t, std::uint32_t h, net::FlowKey key,
-                           std::unique_ptr<Pcb> pcb);
-  /// Backward-shift removal of the resident at slot `i` of `t`.
+                           Pcb* pcb);
+  /// Backward-shift removal of the resident at slot `i` of `t`; the PCB
+  /// itself is left alone (erase returns it to the slab, a migration has
+  /// already placed it in the live table).
   static void remove_at(Table& t, std::size_t i);
   /// Growth trigger at 7/8 occupancy; the shared engine does the rest.
   void maybe_grow();
@@ -238,6 +240,7 @@ class FlatDemuxer final : public Demuxer {
   std::uint64_t inserts_since_rehash_ = 0;
   std::uint64_t rehash_cooldown_ = 0;  ///< 0 until the first rehash
   ResizeEngine<Table> resize_;
+  PcbSlab slab_;
 };
 
 }  // namespace tcpdemux::core

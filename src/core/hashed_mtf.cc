@@ -17,7 +17,8 @@ Pcb* HashedMtfDemuxer::insert(const net::FlowKey& key) {
   PcbList& list = buckets_[chain_of(key)];
   if (list.find_scan(key).pcb != nullptr) return nullptr;
   if (FaultInjector::instance().poll_alloc()) return nullptr;
-  Pcb* pcb = list.emplace_front(key, next_conn_id());
+  Pcb* pcb = slab_.make(key, next_conn_id());
+  list.link_front(pcb);
   ++size_;
   telemetry_->on_insert();
   return pcb;
@@ -27,7 +28,8 @@ bool HashedMtfDemuxer::erase(const net::FlowKey& key) {
   PcbList& list = buckets_[chain_of(key)];
   const auto scan = list.find_scan(key);
   if (scan.pcb == nullptr) return false;
-  list.erase(scan.pcb);
+  list.unlink(scan.pcb);
+  slab_.destroy(scan.pcb);
   --size_;
   telemetry_->on_erase();
   return true;

@@ -14,6 +14,7 @@
 
 #include "core/demuxer.h"
 #include "core/pcb_list.h"
+#include "core/pcb_slab.h"
 #include "net/hashers.h"
 
 namespace tcpdemux::core {
@@ -38,7 +39,7 @@ class HashedMtfDemuxer final : public Demuxer {
       const std::function<void(const Pcb&)>& fn) const override;
   [[nodiscard]] std::string name() const override;
   [[nodiscard]] std::size_t memory_bytes() const override {
-    return size() * sizeof(Pcb) + sizeof(*this) +
+    return slab_.bytes() + sizeof(*this) +
            buckets_.capacity() * sizeof(PcbList);
   }
   [[nodiscard]] std::vector<std::size_t> occupancy() const override {
@@ -59,6 +60,7 @@ class HashedMtfDemuxer final : public Demuxer {
   Options options_;
   std::vector<PcbList> buckets_;
   std::size_t size_ = 0;
+  PcbSlab slab_;
 };
 
 }  // namespace tcpdemux::core

@@ -7,14 +7,17 @@ namespace tcpdemux::core {
 Pcb* MoveToFrontDemuxer::insert(const net::FlowKey& key) {
   if (list_.find_scan(key).pcb != nullptr) return nullptr;
   if (FaultInjector::instance().poll_alloc()) return nullptr;
+  Pcb* pcb = slab_.make(key, next_conn_id());
+  list_.link_front(pcb);
   telemetry_->on_insert();
-  return list_.emplace_front(key, next_conn_id());
+  return pcb;
 }
 
 bool MoveToFrontDemuxer::erase(const net::FlowKey& key) {
   const auto scan = list_.find_scan(key);
   if (scan.pcb == nullptr) return false;
-  list_.erase(scan.pcb);
+  list_.unlink(scan.pcb);
+  slab_.destroy(scan.pcb);
   telemetry_->on_erase();
   return true;
 }

@@ -12,6 +12,7 @@
 
 #include "core/demuxer.h"
 #include "core/pcb_list.h"
+#include "core/pcb_slab.h"
 
 namespace tcpdemux::core {
 
@@ -27,7 +28,7 @@ class MoveToFrontDemuxer final : public Demuxer {
       const std::function<void(const Pcb&)>& fn) const override;
   [[nodiscard]] std::string name() const override { return "mtf"; }
   [[nodiscard]] std::size_t memory_bytes() const override {
-    return size() * sizeof(Pcb) + sizeof(*this);
+    return slab_.bytes() + sizeof(*this);
   }
 
   /// Head of the list (test hook: most recently used PCB).
@@ -38,6 +39,7 @@ class MoveToFrontDemuxer final : public Demuxer {
   friend struct ValidatorTestAccess;  // negative validator tests only
 
   PcbList list_;
+  PcbSlab slab_;
 };
 
 }  // namespace tcpdemux::core

@@ -11,6 +11,7 @@
 #ifndef TCPDEMUX_CORE_PCB_H_
 #define TCPDEMUX_CORE_PCB_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 
@@ -35,9 +36,10 @@ enum class TcpState : std::uint8_t {
 
 [[nodiscard]] std::string_view to_string(TcpState state) noexcept;
 
-/// Protocol control block. Created and owned by a Demuxer; the embedded
-/// list linkage (`next`/`prev`) belongs to the owning demuxer's PcbList and
-/// must not be touched by other code.
+/// Protocol control block. Created and owned by a Demuxer, which draws it
+/// from its PcbSlab (core/pcb_slab.h); the embedded list linkage
+/// (`next`/`prev`) belongs to the owning demuxer's PcbList and must not be
+/// touched by other code.
 struct Pcb {
   explicit Pcb(const net::FlowKey& k, std::uint64_t id) noexcept
       : key(k), conn_id(id) {}
@@ -82,9 +84,16 @@ struct Pcb {
   std::uint64_t bytes_out = 0;
 };
 
-// 128 B is a 144 B glibc malloc chunk; one more byte costs a 160 B chunk per
-// connection. New fields go into padding or replace an existing one.
+// 128 B is one PcbSlab slot: two 64-byte lines, with no allocator header
+// beside it. One more byte would cost a third line per connection. New
+// fields go into padding or replace an existing one.
 static_assert(sizeof(Pcb) == 128, "Pcb outgrew its 128-byte budget");
+// Slots are line-aligned, so examining a PCB — comparing its key and
+// following its chain link — reads exactly one line, as the paper's
+// figure of merit assumes.
+static_assert(offsetof(Pcb, key) == 0, "the key must open the first line");
+static_assert(offsetof(Pcb, next) + sizeof(Pcb*) <= 64,
+              "a chain step must read only the PCB's first line");
 
 }  // namespace tcpdemux::core
 

@@ -2,8 +2,6 @@
 
 namespace tcpdemux::core {
 
-PcbList::~PcbList() { clear(); }
-
 PcbList::PcbList(PcbList&& other) noexcept
     : head_(std::exchange(other.head_, nullptr)),
       tail_(std::exchange(other.tail_, nullptr)),
@@ -11,18 +9,11 @@ PcbList::PcbList(PcbList&& other) noexcept
 
 PcbList& PcbList::operator=(PcbList&& other) noexcept {
   if (this != &other) {
-    clear();
     head_ = std::exchange(other.head_, nullptr);
     tail_ = std::exchange(other.tail_, nullptr);
     size_ = std::exchange(other.size_, 0);
   }
   return *this;
-}
-
-Pcb* PcbList::emplace_front(const net::FlowKey& key, std::uint64_t conn_id) {
-  Pcb* pcb = new Pcb(key, conn_id);  // NOLINT(raw-owning-memory)
-  link_front(pcb);
-  return pcb;
 }
 
 PcbList::ScanResult PcbList::find_scan(
@@ -64,28 +55,10 @@ void PcbList::move_to_front(Pcb* pcb) noexcept {
   link_front(pcb);
 }
 
-void PcbList::erase(Pcb* pcb) noexcept {
-  unlink(pcb);
-  delete pcb;  // NOLINT(raw-owning-memory)
-}
-
-Pcb* PcbList::extract_front() noexcept {
+Pcb* PcbList::pop_front() noexcept {
   Pcb* pcb = head_;
   if (pcb != nullptr) unlink(pcb);
   return pcb;
-}
-
-void PcbList::adopt_front(Pcb* pcb) noexcept { link_front(pcb); }
-
-void PcbList::clear() noexcept {
-  Pcb* p = head_;
-  while (p != nullptr) {
-    Pcb* next = p->next;
-    delete p;  // NOLINT(raw-owning-memory)
-    p = next;
-  }
-  head_ = tail_ = nullptr;
-  size_ = 0;
 }
 
 void PcbList::unlink(Pcb* pcb) noexcept {

@@ -1,11 +1,13 @@
-// PcbList: an owning, intrusive, doubly linked list of PCBs with
-// examined-count accounting.
+// PcbList: an intrusive, doubly linked list of PCBs with examined-count
+// accounting.
 //
 // Every list-structured demuxer in the paper (BSD, move-to-front,
 // send/receive cache, each Sequent hash chain) is built on this primitive.
 // find_scan() returns how many PCBs the linear scan touched — the paper's
 // figure of merit — so the demuxers only add their cache-probe accounting
-// on top.
+// on top. The list is pure linkage: it allocates and frees nothing. The
+// PCBs belong to the owning demuxer's PcbSlab, which is why a rehash can
+// relink them between lists without reallocating one.
 #ifndef TCPDEMUX_CORE_PCB_LIST_H_
 #define TCPDEMUX_CORE_PCB_LIST_H_
 
@@ -27,16 +29,15 @@ class PcbList {
   };
 
   PcbList() noexcept = default;
-  ~PcbList();
 
   PcbList(const PcbList&) = delete;
   PcbList& operator=(const PcbList&) = delete;
   PcbList(PcbList&& other) noexcept;
   PcbList& operator=(PcbList&& other) noexcept;
 
-  /// Allocates a PCB for `key` and links it at the head (BSD inserts new
-  /// PCBs at the front of the list). The list owns the PCB.
-  Pcb* emplace_front(const net::FlowKey& key, std::uint64_t conn_id);
+  /// Links the detached `pcb` at the head (BSD inserts new PCBs at the
+  /// front of the list).
+  void link_front(Pcb* pcb) noexcept;
 
   /// Linear scan for an exact key match, counting every node inspected.
   [[nodiscard]] ScanResult find_scan(const net::FlowKey& key) const noexcept;
@@ -52,20 +53,13 @@ class PcbList {
   /// `pcb` must be a member of this list.
   void move_to_front(Pcb* pcb) noexcept;
 
-  /// Unlinks and destroys `pcb`. `pcb` must be a member of this list.
-  void erase(Pcb* pcb) noexcept;
+  /// Unlinks `pcb`, leaving it detached. `pcb` must be a member of this
+  /// list.
+  void unlink(Pcb* pcb) noexcept;
 
-  /// Unlinks the head and transfers ownership to the caller (nullptr when
-  /// empty). Used by rehashing demuxers to move PCBs between chains
-  /// without reallocating them.
-  [[nodiscard]] Pcb* extract_front() noexcept;
-
-  /// Takes ownership of a detached PCB (as returned by extract_front) and
-  /// links it at the head.
-  void adopt_front(Pcb* pcb) noexcept;
-
-  /// Destroys all PCBs.
-  void clear() noexcept;
+  /// Unlinks and returns the head (nullptr when empty). Rehashing demuxers
+  /// drain a chain with it.
+  [[nodiscard]] Pcb* pop_front() noexcept;
 
   [[nodiscard]] Pcb* head() const noexcept { return head_; }
   [[nodiscard]] Pcb* tail() const noexcept { return tail_; }
@@ -81,9 +75,6 @@ class PcbList {
   }
 
  private:
-  void unlink(Pcb* pcb) noexcept;
-  void link_front(Pcb* pcb) noexcept;
-
   Pcb* head_ = nullptr;
   Pcb* tail_ = nullptr;
   std::size_t size_ = 0;

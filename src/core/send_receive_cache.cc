@@ -7,8 +7,10 @@ namespace tcpdemux::core {
 Pcb* SendReceiveCacheDemuxer::insert(const net::FlowKey& key) {
   if (list_.find_scan(key).pcb != nullptr) return nullptr;
   if (FaultInjector::instance().poll_alloc()) return nullptr;
+  Pcb* pcb = slab_.make(key, next_conn_id());
+  list_.link_front(pcb);
   telemetry_->on_insert();
-  return list_.emplace_front(key, next_conn_id());
+  return pcb;
 }
 
 bool SendReceiveCacheDemuxer::erase(const net::FlowKey& key) {
@@ -16,7 +18,8 @@ bool SendReceiveCacheDemuxer::erase(const net::FlowKey& key) {
   if (scan.pcb == nullptr) return false;
   if (recv_cache_ == scan.pcb) recv_cache_ = nullptr;
   if (send_cache_ == scan.pcb) send_cache_ = nullptr;
-  list_.erase(scan.pcb);
+  list_.unlink(scan.pcb);
+  slab_.destroy(scan.pcb);
   telemetry_->on_erase();
   return true;
 }

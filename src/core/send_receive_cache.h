@@ -13,6 +13,7 @@
 
 #include "core/demuxer.h"
 #include "core/pcb_list.h"
+#include "core/pcb_slab.h"
 
 namespace tcpdemux::core {
 
@@ -29,7 +30,7 @@ class SendReceiveCacheDemuxer final : public Demuxer {
       const std::function<void(const Pcb&)>& fn) const override;
   [[nodiscard]] std::string name() const override { return "srcache"; }
   [[nodiscard]] std::size_t memory_bytes() const override {
-    return size() * sizeof(Pcb) + sizeof(*this);
+    return slab_.bytes() + sizeof(*this);
   }
 
   [[nodiscard]] const Pcb* receive_cached() const noexcept {
@@ -48,6 +49,7 @@ class SendReceiveCacheDemuxer final : public Demuxer {
   PcbList list_;
   Pcb* recv_cache_ = nullptr;
   Pcb* send_cache_ = nullptr;
+  PcbSlab slab_;
 };
 
 }  // namespace tcpdemux::core

@@ -67,7 +67,8 @@ Pcb* SequentDemuxer::insert(const net::FlowKey& key) {
     }
     b = &buckets_[chain_of(key)];  // a new table was swung in
   }
-  Pcb* pcb = b->list.emplace_front(key, next_conn_id());
+  Pcb* pcb = slab_.make(key, next_conn_id());
+  b->list.link_front(pcb);
   ++size_;
   telemetry_->on_insert();
   note_insert(*b);
@@ -106,8 +107,8 @@ void SequentDemuxer::rehash_with_fresh_seed() {
   }
   options_.hasher.seed = net::next_seed(options_.hasher.seed);
   for (Bucket& ob : buckets_) {
-    while (Pcb* pcb = ob.list.extract_front()) {
-      fresh[chain_in(fresh, pcb->key)].list.adopt_front(pcb);
+    while (Pcb* pcb = ob.list.pop_front()) {
+      fresh[chain_in(fresh, pcb->key)].list.link_front(pcb);
     }
   }
   buckets_ = std::move(fresh);
@@ -131,12 +132,12 @@ void SequentDemuxer::maybe_grow() {
 bool SequentDemuxer::migrate_unit(Table& old, std::size_t c,
                                   DrainMode /*mode*/) {
   Bucket& ob = old[c];
-  Pcb* pcb = ob.list.extract_front();
+  Pcb* pcb = ob.list.pop_front();
   if (pcb == nullptr) return false;
   // Nothing is ever inserted into the outgoing chains, so the cache can
   // only reference old residents; draining the bucket retires it.
   ob.cache = nullptr;
-  buckets_[chain_of(pcb->key)].list.adopt_front(pcb);
+  buckets_[chain_of(pcb->key)].list.link_front(pcb);
   return true;
 }
 
@@ -154,7 +155,8 @@ bool SequentDemuxer::erase(const net::FlowKey& key) {
   const auto scan = b.list.find_scan(key);
   if (scan.pcb != nullptr) {
     if (b.cache == scan.pcb) b.cache = nullptr;
-    b.list.erase(scan.pcb);
+    b.list.unlink(scan.pcb);
+    slab_.destroy(scan.pcb);
   } else {
     auto* old = resize_.old();
     if (old == nullptr) return false;
@@ -162,7 +164,8 @@ bool SequentDemuxer::erase(const net::FlowKey& key) {
     const auto old_scan = ob.list.find_scan(key);
     if (old_scan.pcb == nullptr) return false;
     if (ob.cache == old_scan.pcb) ob.cache = nullptr;
-    ob.list.erase(old_scan.pcb);
+    ob.list.unlink(old_scan.pcb);
+    slab_.destroy(old_scan.pcb);
     resize_.note_erased(*this);
   }
   --size_;
@@ -294,7 +297,7 @@ void SequentDemuxer::for_each_pcb(
 }
 
 std::size_t SequentDemuxer::memory_bytes() const {
-  std::size_t bytes = size() * sizeof(Pcb) + sizeof(*this) +
+  std::size_t bytes = slab_.bytes() + sizeof(*this) +
                       buckets_.capacity() * sizeof(Bucket);
   if (const auto* old = resize_.old()) {
     bytes += sizeof(*old) + old->table.capacity() * sizeof(Bucket);

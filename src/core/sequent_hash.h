@@ -31,6 +31,7 @@
 
 #include "core/demuxer.h"
 #include "core/pcb_list.h"
+#include "core/pcb_slab.h"
 #include "core/resize_policy.h"
 #include "net/hashers.h"
 
@@ -181,6 +182,7 @@ class SequentDemuxer final : public Demuxer {
   std::uint64_t inserts_since_rehash_ = 0;
   std::uint64_t rehash_cooldown_ = 0;  ///< 0 until the first rehash
   std::uint64_t doublings_ = 0;
+  PcbSlab slab_;
 };
 
 }  // namespace tcpdemux::core

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "core/bsd_list.h"
 #include "core/connection_id.h"
@@ -14,6 +15,7 @@
 #include "core/hashed_mtf.h"
 #include "core/move_to_front.h"
 #include "core/pcb_list.h"
+#include "core/pcb_slab.h"
 #include "core/rcu_demuxer.h"
 #include "core/send_receive_cache.h"
 #include "core/sequent_hash.h"
@@ -101,6 +103,34 @@ void check_unique(const std::vector<const Pcb*>& members, const char* what,
   }
 }
 
+// Every slab-backed demuxer accounts for every slot: the slab's live count
+// must equal the structure's size (a live slot linked nowhere is a leak,
+// which LSan cannot see — the chunk holding it is still referenced), and
+// every PCB the structure reaches must be a slot its own slab handed out
+// and has not freed since. Messages name no key: a freed slot's key is
+// gone (and poisoned under ASan).
+void check_slab(const PcbSlab& slab, const std::vector<const Pcb*>& members,
+                std::size_t size, const std::string& what, Errors& errors) {
+  if (slab.live() != size) {
+    errors.add(what, ": slab holds ", slab.live(), " live PCBs but size() is ",
+               size,
+               slab.live() > size
+                   ? " (a slot is taken but linked nowhere: leak)"
+                   : "");
+  }
+  std::unordered_set<const Pcb*> free_slots;
+  slab.for_each_free([&](const Pcb* p) { free_slots.insert(p); });
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    if (!slab.handed_out(members[i])) {
+      errors.add(what, ": reachable PCB #", i,
+                 " is not a 64-byte-aligned slot of this demuxer's slab");
+    } else if (free_slots.contains(members[i])) {
+      errors.add(what, ": reachable PCB #", i,
+                 " is a freed slot (use after free)");
+    }
+  }
+}
+
 }  // namespace
 
 std::string ValidationReport::to_string() const {
@@ -124,6 +154,7 @@ ValidationReport StructuralValidator::validate(const BsdListDemuxer& demuxer) {
   Errors errors(report);
   std::vector<const Pcb*> members;
   check_list(demuxer.list_, "bsd", errors, &members);
+  check_slab(demuxer.slab_, members, demuxer.size(), "bsd", errors);
   check_unique(members, "bsd", errors);
   check_cache_member(demuxer.cache_, "bsd", members, errors);
   return report;
@@ -135,6 +166,7 @@ ValidationReport StructuralValidator::validate(
   Errors errors(report);
   std::vector<const Pcb*> members;
   check_list(demuxer.list_, "mtf", errors, &members);
+  check_slab(demuxer.slab_, members, demuxer.size(), "mtf", errors);
   check_unique(members, "mtf", errors);
   return report;
 }
@@ -145,6 +177,7 @@ ValidationReport StructuralValidator::validate(
   Errors errors(report);
   std::vector<const Pcb*> members;
   check_list(demuxer.list_, "srcache", errors, &members);
+  check_slab(demuxer.slab_, members, demuxer.size(), "srcache", errors);
   check_unique(members, "srcache", errors);
   check_cache_member(demuxer.recv_cache_, "srcache(recv)", members, errors);
   check_cache_member(demuxer.send_cache_, "srcache(send)", members, errors);
@@ -218,6 +251,7 @@ ValidationReport StructuralValidator::validate(const SequentDemuxer& demuxer) {
     errors.add(tag, ": chain occupancy total (", total, ") != size counter (",
                demuxer.size_, ")");
   }
+  check_slab(demuxer.slab_, all, demuxer.size_, tag, errors);
   check_unique(all, tag.c_str(), errors);
   return report;
 }
@@ -247,6 +281,7 @@ ValidationReport StructuralValidator::validate(
     errors.add("hashed_mtf: chain occupancy total (", total,
                ") != size counter (", demuxer.size_, ")");
   }
+  check_slab(demuxer.slab_, all, demuxer.size_, "hashed_mtf", errors);
   check_unique(all, "hashed_mtf", errors);
   return report;
 }
@@ -258,17 +293,19 @@ ValidationReport StructuralValidator::validate(
 
   // Side table -> slot array: every mapping must land on a live slot whose
   // PCB carries the mapped key and whose conn_id is its own slot index.
-  std::size_t occupied = 0;
-  for (const auto& slot : demuxer.slots_) {
-    if (slot != nullptr) ++occupied;
+  std::vector<const Pcb*> members;
+  for (const Pcb* slot : demuxer.slots_) {
+    if (slot != nullptr) members.push_back(slot);
   }
+  const std::size_t occupied = members.size();
+  check_slab(demuxer.slab_, members, demuxer.size(), "connection_id", errors);
   for (const auto& [key, id] : demuxer.id_by_key_) {
     if (id >= demuxer.slots_.size()) {
       errors.add("connection_id: key ", key.to_string(),
                  " maps to out-of-range id ", id);
       continue;
     }
-    const Pcb* pcb = demuxer.slots_[id].get();
+    const Pcb* pcb = demuxer.slots_[id];
     if (pcb == nullptr) {
       errors.add("connection_id: key ", key.to_string(),
                  " maps to empty slot ", id);
@@ -402,6 +439,7 @@ ValidationReport StructuralValidator::validate(const FlatDemuxer& demuxer) {
   // migrating) old arrays so a key resident in both is caught as a
   // duplicate. Returns the table's occupied-slot count.
   std::unordered_set<net::FlowKey> keys;
+  std::vector<const Pcb*> members;
   const auto check_table =
       [&](const FlatDemuxer::Table& t, const char* what) {
         const auto& [mask, tags, hashes, slot_keys, pcbs] = t;
@@ -411,16 +449,17 @@ ValidationReport StructuralValidator::validate(const FlatDemuxer& demuxer) {
           if (tags[i] == 0) {
             if (pcbs[i] != nullptr) {
               errors.add(what, " slot ", i,
-                         ": empty tag but a PCB is still owned");
+                         ": empty tag but a PCB is still held");
             }
             continue;
           }
           ++occupied;
-          const Pcb* const pcb = pcbs[i].get();
+          const Pcb* const pcb = pcbs[i];
           if (pcb == nullptr) {
             errors.add(what, " slot ", i, ": occupied tag but no PCB");
             continue;
           }
+          members.push_back(pcb);
           // Tag <-> hash <-> key agreement: the fingerprint array and the
           // hash array must both describe the key actually stored in the
           // slot, or lookups silently stop finding it.
@@ -510,6 +549,7 @@ ValidationReport StructuralValidator::validate(const FlatDemuxer& demuxer) {
     errors.add("flat: occupied slots (", occupied, ") != size counter (",
                demuxer.size_, ")");
   }
+  check_slab(demuxer.slab_, members, demuxer.size_, "flat", errors);
   // Growth keeps occupancy at or below 7/8; a violation means the next
   // insert was allowed to degrade probe runs past the design bound. While
   // growth is allocation-blocked the degradation ladder admits up to the
@@ -557,6 +597,7 @@ ValidationReport StructuralValidator::validate(const CuckooDemuxer& demuxer) {
   // duplicate. Expected counted-filter state is recomputed per table from
   // resident placement. Returns the table's occupied-slot count.
   std::unordered_set<net::FlowKey> keys;
+  std::vector<const Pcb*> members;
   const auto check_table =
       [&](const CuckooDemuxer::Table& t, const char* what) {
         const auto& [mask, meta, hashes, slot_keys, pcbs, filter_counts] = t;
@@ -570,16 +611,17 @@ ValidationReport StructuralValidator::validate(const CuckooDemuxer& demuxer) {
           if (tag == 0) {
             if (pcbs[i] != nullptr) {
               errors.add(what, " slot ", i,
-                         ": empty tag but a PCB is still owned");
+                         ": empty tag but a PCB is still held");
             }
             continue;
           }
           ++occupied;
-          const Pcb* const pcb = pcbs[i].get();
+          const Pcb* const pcb = pcbs[i];
           if (pcb == nullptr) {
             errors.add(what, " slot ", i, ": occupied tag but no PCB");
             continue;
           }
+          members.push_back(pcb);
           if (pcb->key != slot_keys[i]) {
             errors.add(what, " slot ", i, ": PCB key ", pcb->key.to_string(),
                        " != slot key ", slot_keys[i].to_string());
@@ -681,6 +723,7 @@ ValidationReport StructuralValidator::validate(const CuckooDemuxer& demuxer) {
     errors.add("cuckoo: occupied slots (", occupied, ") != size counter (",
                demuxer.size_, ")");
   }
+  check_slab(demuxer.slab_, members, demuxer.size_, "cuckoo", errors);
   // Growth keeps occupancy at or below 7/8; while growth is
   // allocation-blocked the degradation ladder admits up to the hard 15/16
   // shed watermark instead.
@@ -798,6 +841,7 @@ Pcb*& ValidatorTestAccess::cache(SequentDemuxer& d, std::uint32_t chain) {
   return d.buckets_[chain].cache;
 }
 std::size_t& ValidatorTestAccess::size(SequentDemuxer& d) { return d.size_; }
+PcbSlab& ValidatorTestAccess::slab(SequentDemuxer& d) { return d.slab_; }
 PcbList& ValidatorTestAccess::chain(HashedMtfDemuxer& d, std::uint32_t chain) {
   return d.buckets_[chain];
 }
@@ -867,7 +911,7 @@ void ValidatorTestAccess::flat_move_slot(FlatDemuxer& d, std::size_t from,
   t.tags[to] = t.tags[from];
   t.hashes[to] = t.hashes[from];
   t.keys[to] = t.keys[from];
-  t.pcbs[to] = std::move(t.pcbs[from]);
+  t.pcbs[to] = std::exchange(t.pcbs[from], nullptr);
   t.tags[from] = 0;
 }
 
@@ -892,7 +936,7 @@ void ValidatorTestAccess::cuckoo_move_slot(CuckooDemuxer& d, std::size_t from,
   CuckooDemuxer::Table& t = d.table_;
   t.hashes[to] = t.hashes[from];
   t.keys[to] = t.keys[from];
-  t.pcbs[to] = std::move(t.pcbs[from]);
+  t.pcbs[to] = std::exchange(t.pcbs[from], nullptr);
   cuckoo_tag(d, from) = 0;
 }
 

@@ -13,6 +13,9 @@
 //   * every PCB sits on exactly the chain its key hashes to;
 //   * per-chain occupancy totals reconcile with the advertised size();
 //   * no PCB is reachable twice and no two PCBs share a key;
+//   * (slab-backed demuxers) every reachable PCB is a live 64-byte-aligned
+//     slot of the demuxer's own PcbSlab, and the slab's live count equals
+//     size() — a slot taken but linked nowhere is a leak;
 //   * (RCU) no reachable node is flagged retired, no cache resurrects a
 //     retired node, and the epoch manager's freed count never exceeds its
 //     retired count.
@@ -31,6 +34,7 @@
 namespace tcpdemux::core {
 
 class PcbList;
+class PcbSlab;
 class BsdListDemuxer;
 class MoveToFrontDemuxer;
 class SendReceiveCacheDemuxer;
@@ -102,6 +106,9 @@ struct ValidatorTestAccess {
   static PcbList& chain(SequentDemuxer& d, std::uint32_t chain);
   static Pcb*& cache(SequentDemuxer& d, std::uint32_t chain);
   static std::size_t& size(SequentDemuxer& d);
+  /// The PCB slab (leak plant: a slot made but linked nowhere). Undo by
+  /// destroying the planted slot.
+  static PcbSlab& slab(SequentDemuxer& d);
   static PcbList& chain(HashedMtfDemuxer& d, std::uint32_t chain);
   static std::size_t& size(HashedMtfDemuxer& d);
   /// Rebinds `key`'s table entry to `id` (planting a key->slot mismatch).

@@ -19,6 +19,7 @@
 #include "core/hashed_mtf.h"
 #include "core/move_to_front.h"
 #include "core/pcb_list.h"
+#include "core/pcb_slab.h"
 #include "core/rcu_demuxer.h"
 #include "core/send_receive_cache.h"
 #include "core/sequent_hash.h"
@@ -127,16 +128,16 @@ TEST(ValidateTest, SequentPcbOnWrongChainIsReported) {
   std::uint32_t from = 0;
   while (ValidatorTestAccess::chain(demuxer, from).empty()) ++from;
   const std::uint32_t to = (from + 1) % demuxer.chains();
-  Pcb* const moved = ValidatorTestAccess::chain(demuxer, from).extract_front();
+  Pcb* const moved = ValidatorTestAccess::chain(demuxer, from).pop_front();
   ASSERT_NE(moved, nullptr);
-  ValidatorTestAccess::chain(demuxer, to).adopt_front(moved);
+  ValidatorTestAccess::chain(demuxer, to).link_front(moved);
   const ValidationReport report = StructuralValidator::validate(demuxer);
   EXPECT_FALSE(report.ok());
   EXPECT_NE(report.to_string().find("hashes to chain"), std::string::npos)
       << report.to_string();
-  Pcb* const back = ValidatorTestAccess::chain(demuxer, to).extract_front();
+  Pcb* const back = ValidatorTestAccess::chain(demuxer, to).pop_front();
   ASSERT_EQ(back, moved);
-  ValidatorTestAccess::chain(demuxer, from).adopt_front(back);
+  ValidatorTestAccess::chain(demuxer, from).link_front(back);
   EXPECT_TRUE(StructuralValidator::validate(demuxer).ok());
 }
 
@@ -195,13 +196,51 @@ TEST(ValidateTest, DynamicPcbOnWrongChainIsReported) {
   std::uint32_t from = 0;
   while (ValidatorTestAccess::chain(demuxer, from).empty()) ++from;
   const std::uint32_t to = (from + 1) % demuxer.chains();
-  Pcb* const moved = ValidatorTestAccess::chain(demuxer, from).extract_front();
+  Pcb* const moved = ValidatorTestAccess::chain(demuxer, from).pop_front();
   ASSERT_NE(moved, nullptr);
-  ValidatorTestAccess::chain(demuxer, to).adopt_front(moved);
+  ValidatorTestAccess::chain(demuxer, to).link_front(moved);
   EXPECT_FALSE(StructuralValidator::validate(demuxer).ok());
-  Pcb* const back = ValidatorTestAccess::chain(demuxer, to).extract_front();
+  Pcb* const back = ValidatorTestAccess::chain(demuxer, to).pop_front();
   ASSERT_EQ(back, moved);
-  ValidatorTestAccess::chain(demuxer, from).adopt_front(back);
+  ValidatorTestAccess::chain(demuxer, from).link_front(back);
+  EXPECT_TRUE(StructuralValidator::validate(demuxer).ok());
+}
+
+TEST(ValidateTest, DynamicLeakedSlabSlotIsReported) {
+  // A slot taken from the slab but linked nowhere: every chain is intact
+  // and the size counter agrees with them, so only the slab's live count
+  // can expose it. LSan cannot (the chunk holding it is still referenced).
+  SequentDemuxer demuxer(SequentDemuxer::Options{
+      .chains = 5, .hasher = net::HasherKind::kCrc32, .grow = true});
+  populate(demuxer, 40);
+  PcbSlab& slab = ValidatorTestAccess::slab(demuxer);
+  Pcb* const leaked = slab.make(key(99), 99);
+  const ValidationReport report = StructuralValidator::validate(demuxer);
+  EXPECT_FALSE(report.ok());
+  EXPECT_NE(report.to_string().find("leak"), std::string::npos)
+      << report.to_string();
+  slab.destroy(leaked);
+  EXPECT_TRUE(StructuralValidator::validate(demuxer).ok());
+}
+
+TEST(ValidateTest, SequentPcbFromOutsideTheSlabIsReported) {
+  // A PCB linked onto its home chain (size counter bumped to match) that
+  // the demuxer's slab never handed out.
+  SequentDemuxer demuxer;
+  populate(demuxer, 8);
+  Pcb stray(key(99), 99);
+  const std::uint32_t home =
+      net::hash_chain(demuxer.hash_spec(), stray.key, demuxer.chains());
+  PcbList& chain = ValidatorTestAccess::chain(demuxer, home);
+  chain.link_front(&stray);
+  ++ValidatorTestAccess::size(demuxer);
+  const ValidationReport report = StructuralValidator::validate(demuxer);
+  EXPECT_FALSE(report.ok());
+  EXPECT_NE(report.to_string().find("slot of this demuxer's slab"),
+            std::string::npos)
+      << report.to_string();
+  chain.unlink(&stray);
+  --ValidatorTestAccess::size(demuxer);
   EXPECT_TRUE(StructuralValidator::validate(demuxer).ok());
 }
 

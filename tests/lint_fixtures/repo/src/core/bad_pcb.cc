@@ -1,0 +1,14 @@
+// Fixture: pcb-construction — three positives in src/core, one
+// suppressed; a PcbList or a pointer to a slab PCB must NOT count.
+namespace tcpdemux::core {
+
+void construct_outside_the_slab(const FlowKey& key) {
+  Pcb* a = new Pcb(key, 0);  // positive: new Pcb
+  auto b = std::make_unique<Pcb>(key, 1);  // positive: make_unique<Pcb>
+  std::unique_ptr<const Pcb> c;  // positive: unique_ptr<const Pcb>
+  std::unique_ptr<Pcb> d;  // NOLINT(pcb-construction)
+  PcbList list;  // not a finding: linkage, not a PCB
+  Pcb* e = slab.make(key, 2);  // not a finding: the slab path
+}
+
+}  // namespace tcpdemux::core

@@ -14,10 +14,16 @@ Line rules:
   no-random          rand()/srand()/std::rand anywhere: all randomness goes
                      through <random> engines (sim::Rng) so runs are seeded
                      and reproducible.
-  raw-owning-memory  no raw owning new/delete in src/core: PCB ownership
-                     belongs to the intrusive-list/epoch primitives or to
-                     std containers. The sanctioned owners carry an explicit
-                     NOLINT(raw-owning-memory) marker.
+  raw-owning-memory  no raw owning new/delete in src/core: PCB memory
+                     belongs to core/pcb_slab.h (exempt file), the RCU
+                     chain node belongs to the epoch manager (its sites
+                     carry an explicit NOLINT(raw-owning-memory) marker),
+                     and everything else to std containers.
+  pcb-construction   no `new Pcb`, `make_unique<Pcb>` or `unique_ptr<Pcb>`
+                     anywhere in src/ outside core/pcb_slab.h: the slab is
+                     the one PCB allocation path, so every PCB is a
+                     line-aligned slot the validator can account for. (The
+                     RCU node embeds its Pcb and is built as a Node.)
   prefetch-discipline
                      __builtin_prefetch only inside core/prefetch.h
                      (prefetch_read): one audited shim keeps prefetches
@@ -535,9 +541,23 @@ def build_rules(root: str) -> list:
             "raw-owning-memory",
             r"(?<![\w:])(?:new|delete)\b(?!\s*\()",
             ("src/core",),
-            "raw owning new/delete in src/core is reserved for the "
-            "list/epoch primitives; use the owning containers or mark the "
-            "owner with NOLINT(raw-owning-memory)",
+            "raw owning new/delete in src/core is reserved for the PCB "
+            "slab (core/pcb_slab.h) and the epoch-owned RCU node; use the "
+            "owning containers or mark the owner with "
+            "NOLINT(raw-owning-memory)",
+            ("src/core/pcb_slab.h",),
+        ),
+        RegexRule(
+            "pcb-construction",
+            r"\bnew\s*(?:\([^)]*\)\s*)?(?:[\w:]*::)?Pcb\b"
+            r"|\b(?:make_unique|unique_ptr)\s*<\s*(?:const\s+)?"
+            r"(?:[\w:]*::)?Pcb\b",
+            ("src",),
+            "PCBs come from the owning demuxer's PcbSlab "
+            "(core/pcb_slab.h): no new Pcb, make_unique<Pcb> or "
+            "unique_ptr<Pcb> — a PCB outside the slab is misaligned and "
+            "invisible to the validator's slot accounting",
+            ("src/core/pcb_slab.h",),
         ),
         RegexRule(
             "prefetch-discipline",
