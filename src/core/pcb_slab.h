@@ -6,15 +6,21 @@
 // bytes: three PCBs in four then span three lines, and one in four has
 // its key and its chain link on different lines. The slab instead hands
 // out 128-byte slots, 64-byte aligned, carved from fixed-size chunks that
-// never move:
+// never move. A chunk is one 2 MiB-aligned 2 MiB mapping (core/
+// page_memory.h), so once full it can sit on a single huge page:
 //
 //   * a slot is exactly two cache lines, and the fields a chain walk reads
 //     (key, next) share the first (pcb.h asserts the layout);
 //   * fresh slots are bump-allocated in address order, so a chunk's pages
-//     become resident only as its slots are used;
+//     become resident only as its slots are used — which is why a chunk is
+//     not advised huge up front: THP would fault in all 2 MiB on the first
+//     touch, and the last, partly used chunk would cost up to 2 MiB;
+//   * when the next chunk is opened the previous one is full, every page
+//     of it touched, so it is collapsed onto a huge page then
+//     (MADV_COLLAPSE) and a PCB reference stops paying a 4 KiB page walk;
 //   * freed slots are threaded onto an intrusive free list and reused
 //     last-in first-out, so the next insert reuses a line still in cache;
-//   * Pcb* handles stay valid until destroy(): chunks are only released
+//   * Pcb* handles stay valid until destroy(): chunks are only unmapped
 //     when the slab itself is destroyed, and then all at once (no walk
 //     over the live PCBs).
 //
@@ -37,20 +43,9 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/page_memory.h"
 #include "core/pcb.h"
 #include "net/flow_key.h"
-
-#if defined(__SANITIZE_ADDRESS__)
-#define TCPDEMUX_PCB_SLAB_POISONS 1
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer)
-#define TCPDEMUX_PCB_SLAB_POISONS 1
-#endif
-#endif
-
-#ifdef TCPDEMUX_PCB_SLAB_POISONS
-#include <sanitizer/asan_interface.h>
-#endif
 
 namespace tcpdemux::core {
 
@@ -58,16 +53,15 @@ class PcbSlab {
  public:
   /// Slot alignment: a cache line.
   static constexpr std::size_t kSlotAlign = 64;
-  /// Slots per chunk; a chunk is 64 KiB.
-  static constexpr std::size_t kSlotsPerChunk = 512;
-  static constexpr std::size_t kChunkBytes = kSlotsPerChunk * sizeof(Pcb);
+  /// A chunk is one huge page's worth of slots (16384).
+  static constexpr std::size_t kChunkBytes = kHugePageBytes;
+  static constexpr std::size_t kSlotsPerChunk = kChunkBytes / sizeof(Pcb);
 
   PcbSlab() noexcept = default;
   ~PcbSlab() {
     for (Pcb* chunk : chunks_) {
-      unpoison(chunk, kChunkBytes);
-      ::operator delete(static_cast<void*>(chunk),
-                        std::align_val_t{kSlotAlign});
+      unpoison_region(chunk, kChunkBytes);
+      unmap_pages(chunk, kChunkBytes);
     }
   }
 
@@ -81,13 +75,13 @@ class PcbSlab {
   [[nodiscard]] Pcb* make(const net::FlowKey& key, std::uint64_t conn_id) {
     void* slot = nullptr;
     if (free_ != nullptr) {
-      unpoison(free_, sizeof(Pcb));
+      unpoison_region(free_, sizeof(Pcb));
       slot = free_;
       free_ = free_->next;
     } else {
       if (fresh_ == fresh_end_) add_chunk();
       slot = fresh_++;
-      unpoison(slot, sizeof(Pcb));
+      unpoison_region(slot, sizeof(Pcb));
     }
     ++live_;
     return new (slot) Pcb(key, conn_id);
@@ -98,15 +92,22 @@ class PcbSlab {
   void destroy(Pcb* pcb) noexcept {
     pcb->~Pcb();
     free_ = new (static_cast<void*>(pcb)) FreeSlot{free_};
-    poison(pcb, sizeof(Pcb));
+    poison_region(pcb, sizeof(Pcb));
     --live_;
   }
 
   /// PCBs constructed and not yet destroyed.
   [[nodiscard]] std::size_t live() const noexcept { return live_; }
-  /// Bytes of chunk memory held (0 before the first make()).
+  /// Bytes of chunk memory in use: every chunk but the newest is full, and
+  /// the newest counts up to the fresh-slot frontier, rounded up to whole
+  /// pages (untouched pages of a mapping are not resident). 0 before the
+  /// first make().
   [[nodiscard]] std::size_t bytes() const noexcept {
-    return chunks_.size() * kChunkBytes;
+    if (chunks_.empty()) return 0;
+    const Pcb* newest = fresh_end_ - kSlotsPerChunk;
+    return (chunks_.size() - 1) * kChunkBytes +
+           round_to_pages(static_cast<std::size_t>(fresh_ - newest) *
+                          sizeof(Pcb));
   }
   /// True if `pcb` is a slot this slab has handed out: 64-byte aligned, on
   /// a slot boundary inside one of its chunks, and not past the fresh-slot
@@ -132,9 +133,9 @@ class PcbSlab {
   void for_each_free(Fn&& fn) const {
     for (const FreeSlot* s = free_; s != nullptr;) {
       fn(static_cast<const Pcb*>(static_cast<const void*>(s)));
-      unpoison(s, sizeof(FreeSlot));
+      unpoison_region(s, sizeof(FreeSlot));
       const FreeSlot* next = s->next;
-      poison(s, sizeof(FreeSlot));
+      poison_region(s, sizeof(FreeSlot));
       s = next;
     }
   }
@@ -148,31 +149,23 @@ class PcbSlab {
                 "chunks are released without destroying their PCBs");
   static_assert(sizeof(Pcb) % kSlotAlign == 0,
                 "every slot of an aligned chunk must itself be aligned");
+  static_assert(kChunkBytes % sizeof(Pcb) == 0,
+                "a full chunk is every byte of its huge page");
 
   void add_chunk() {
     chunks_.reserve(chunks_.size() + 1);  // may throw before any change
-    auto* chunk = static_cast<Pcb*>(
-        ::operator new(kChunkBytes, std::align_val_t{kSlotAlign}));
-    poison(chunk, kChunkBytes);
+    auto* chunk = static_cast<Pcb*>(map_pages(kChunkBytes));
+    poison_region(chunk, kChunkBytes);
+    // The chunk being left is full: every page of it is resident.
+    if (fresh_end_ != nullptr) {
+      collapse_huge(fresh_end_ - kSlotsPerChunk, kChunkBytes);
+    }
     // Kept in address order, so handed_out() can binary-search.
     chunks_.insert(std::upper_bound(chunks_.begin(), chunks_.end(), chunk,
                                     std::less<Pcb*>()),
                    chunk);
     fresh_ = chunk;
     fresh_end_ = chunk + kSlotsPerChunk;
-  }
-
-  static void poison([[maybe_unused]] const void* p,
-                     [[maybe_unused]] std::size_t n) noexcept {
-#ifdef TCPDEMUX_PCB_SLAB_POISONS
-    ASAN_POISON_MEMORY_REGION(p, n);
-#endif
-  }
-  static void unpoison([[maybe_unused]] const void* p,
-                       [[maybe_unused]] std::size_t n) noexcept {
-#ifdef TCPDEMUX_PCB_SLAB_POISONS
-    ASAN_UNPOISON_MEMORY_REGION(p, n);
-#endif
   }
 
   std::vector<Pcb*> chunks_;  ///< chunk bases, in address order

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "core/demuxer.h"
+#include "core/page_memory.h"
 #include "core/pcb_list.h"
 #include "core/pcb_slab.h"
 #include "core/resize_policy.h"
@@ -129,7 +130,11 @@ class SequentDemuxer final : public Demuxer {
     PcbList list;
     Pcb* cache = nullptr;
   };
-  using Table = std::vector<Bucket>;
+  /// A bucket array is its own mapping: one of 2 MiB or more sits on huge
+  /// pages (it is written in full when built), and a table freed by a
+  /// doubling or a seed rotation goes back to the kernel instead of
+  /// staying resident as a heap hole.
+  using Table = PageVector<Bucket>;
   template <class>
   friend class ResizeEngine;
 

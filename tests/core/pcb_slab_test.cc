@@ -69,7 +69,7 @@ TEST(PcbSlab, PointersStayPutAcrossChunks) {
     pcbs.push_back(slab.make(key(i), i));
     pcbs.back()->segs_in = i;  // touch the second line too
   }
-  EXPECT_EQ(slab.bytes(), 4 * PcbSlab::kChunkBytes);
+  EXPECT_EQ(slab.bytes(), 3 * PcbSlab::kChunkBytes + page_bytes());
   for (std::uint32_t i = 0; i < kCount; ++i) {
     ASSERT_EQ(pcbs[i]->key, key(i)) << i;
     ASSERT_EQ(pcbs[i]->conn_id, i) << i;
@@ -83,32 +83,55 @@ TEST(PcbSlab, NoChunkBeforeTheFirstInsert) {
   EXPECT_EQ(slab.bytes(), 0u);
   EXPECT_EQ(slab.live(), 0u);
   // The same holds for a demuxer: an empty one holds no chunk, and its
-  // first insert costs exactly one (a fixed-H table grows nothing else).
+  // first insert costs exactly the one page it touches (a fixed-H table
+  // grows nothing else).
   const auto d = make_demuxer(*parse_demux_spec("sequent"));
   const std::size_t empty = d->memory_bytes();
   ASSERT_NE(d->insert(key(0)), nullptr);
-  EXPECT_EQ(d->memory_bytes() - empty, PcbSlab::kChunkBytes);
+  EXPECT_EQ(d->memory_bytes() - empty, page_bytes());
 }
 
-TEST(PcbSlab, BytesCountWholeChunks) {
+TEST(PcbSlab, BytesCountFullChunksAndTheUsedPages) {
+  // A chunk is a 2 MiB reservation, but only the pages its slots have
+  // reached are resident: bytes() counts every full chunk and the newest
+  // one up to its fresh-slot frontier, in whole pages.
+  const std::size_t page = page_bytes();
+  const std::size_t per_page = page / sizeof(Pcb);
   PcbSlab slab;
   std::vector<Pcb*> pcbs;
   pcbs.push_back(slab.make(key(0), 0));
-  EXPECT_EQ(slab.bytes(), PcbSlab::kChunkBytes);
+  EXPECT_EQ(slab.bytes(), page);
+  while (pcbs.size() < per_page) {
+    pcbs.push_back(slab.make(key(pcbs.size()), pcbs.size()));
+  }
+  EXPECT_EQ(slab.bytes(), page);
+  pcbs.push_back(slab.make(key(pcbs.size()), pcbs.size()));
+  EXPECT_EQ(slab.bytes(), 2 * page);
   while (pcbs.size() < PcbSlab::kSlotsPerChunk) {
     pcbs.push_back(slab.make(key(pcbs.size()), pcbs.size()));
   }
   EXPECT_EQ(slab.bytes(), PcbSlab::kChunkBytes);
   pcbs.push_back(slab.make(key(pcbs.size()), pcbs.size()));
-  EXPECT_EQ(slab.bytes(), 2 * PcbSlab::kChunkBytes);
+  EXPECT_EQ(slab.bytes(), PcbSlab::kChunkBytes + page);
   EXPECT_EQ(slab.live(), PcbSlab::kSlotsPerChunk + 1);
   // Freed slots stay in their chunk for reuse: bytes do not shrink, and
-  // refilling them allocates nothing.
+  // refilling them touches no new page.
   for (Pcb* pcb : pcbs) slab.destroy(pcb);
   EXPECT_EQ(slab.live(), 0u);
-  EXPECT_EQ(slab.bytes(), 2 * PcbSlab::kChunkBytes);
+  EXPECT_EQ(slab.bytes(), PcbSlab::kChunkBytes + page);
   for (std::uint32_t i = 0; i < pcbs.size(); ++i) (void)slab.make(key(i), i);
-  EXPECT_EQ(slab.bytes(), 2 * PcbSlab::kChunkBytes);
+  EXPECT_EQ(slab.bytes(), PcbSlab::kChunkBytes + page);
+}
+
+TEST(PcbSlab, ChunksAreHugePageAligned) {
+  PcbSlab slab;
+  const Pcb* first = slab.make(key(0), 0);
+  EXPECT_EQ(std::bit_cast<std::uintptr_t>(first) % kHugePageBytes, 0u);
+  for (std::uint32_t i = 1; i < PcbSlab::kSlotsPerChunk; ++i) {
+    (void)slab.make(key(i), i);
+  }
+  const Pcb* next = slab.make(key(0), 0);
+  EXPECT_EQ(std::bit_cast<std::uintptr_t>(next) % kHugePageBytes, 0u);
 }
 
 TEST(PcbSlab, HandedOutRecognizesOnlyItsOwnSlots) {
@@ -216,7 +239,7 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
-#ifdef TCPDEMUX_PCB_SLAB_POISONS
+#ifdef TCPDEMUX_ASAN_POISONS
 // Per-PCB delete let ASan report a stale Pcb*; the slab must not hide it.
 // A freed slot is poisoned, so the read is a use-after-poison.
 TEST(PcbSlabDeathTest, ReadAfterEraseIsReportedUnderAsan) {

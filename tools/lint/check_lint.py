@@ -15,15 +15,20 @@ Line rules:
                      through <random> engines (sim::Rng) so runs are seeded
                      and reproducible.
   raw-owning-memory  no raw owning new/delete in src/core: PCB memory
-                     belongs to core/pcb_slab.h (exempt file), the RCU
-                     chain node belongs to the epoch manager (its sites
-                     carry an explicit NOLINT(raw-owning-memory) marker),
-                     and everything else to std containers.
+                     belongs to core/pcb_slab.h and page memory to
+                     core/page_memory.h (exempt files), the RCU chain node
+                     belongs to the epoch manager (its sites carry an
+                     explicit NOLINT(raw-owning-memory) marker), and
+                     everything else to std containers.
   pcb-construction   no `new Pcb`, `make_unique<Pcb>` or `unique_ptr<Pcb>`
                      anywhere in src/ outside core/pcb_slab.h: the slab is
                      the one PCB allocation path, so every PCB is a
                      line-aligned slot the validator can account for. (The
                      RCU node embeds its Pcb and is built as a Node.)
+  page-mapping       mmap/munmap/madvise only inside core/page_memory.h:
+                     one audited shim owns alignment, huge-page advice,
+                     the non-Linux fallback and the ASan slack poisoning,
+                     so no table or slab grows a private mapping path.
   prefetch-discipline
                      __builtin_prefetch only inside core/prefetch.h
                      (prefetch_read): one audited shim keeps prefetches
@@ -542,10 +547,10 @@ def build_rules(root: str) -> list:
             r"(?<![\w:])(?:new|delete)\b(?!\s*\()",
             ("src/core",),
             "raw owning new/delete in src/core is reserved for the PCB "
-            "slab (core/pcb_slab.h) and the epoch-owned RCU node; use the "
-            "owning containers or mark the owner with "
-            "NOLINT(raw-owning-memory)",
-            ("src/core/pcb_slab.h",),
+            "slab (core/pcb_slab.h), the page shim (core/page_memory.h) "
+            "and the epoch-owned RCU node; use the owning containers or "
+            "mark the owner with NOLINT(raw-owning-memory)",
+            ("src/core/pcb_slab.h", "src/core/page_memory.h"),
         ),
         RegexRule(
             "pcb-construction",
@@ -558,6 +563,16 @@ def build_rules(root: str) -> list:
             "unique_ptr<Pcb> — a PCB outside the slab is misaligned and "
             "invisible to the validator's slot accounting",
             ("src/core/pcb_slab.h",),
+        ),
+        RegexRule(
+            "page-mapping",
+            r"\b(?:mmap|mmap64|munmap|mremap|madvise)\b",
+            ("src", "tests", "bench", "examples", "tools"),
+            "map, unmap and advise pages only through core/page_memory.h "
+            "(map_pages, unmap_pages, advise_huge, collapse_huge, "
+            "PageVector): one shim owns alignment, huge-page policy and "
+            "the ASan slack poisoning",
+            ("src/core/page_memory.h",),
         ),
         RegexRule(
             "prefetch-discipline",
