@@ -217,14 +217,12 @@ Pcb* CuckooDemuxer::insert(const net::FlowKey& key) {
     return nullptr;
   }
   if (options_.max_pcbs != 0 && size_ >= options_.max_pcbs) {
-    ++inserts_shed_;
     telemetry_->on_shed();
     return nullptr;
   }
   if (FaultInjector::instance().poll_alloc()) return nullptr;
   maybe_grow();
   if (resize_.sheds_at_watermark(size_, capacity())) {
-    ++inserts_shed_;
     telemetry_->on_shed();
     return nullptr;
   }
@@ -232,15 +230,14 @@ Pcb* CuckooDemuxer::insert(const net::FlowKey& key) {
   std::size_t effort = 0;
   bool placed = place_entry(table_, h, key, pcb, &effort);
   for (int attempt = 0; attempt < 2 && !placed; ++attempt) {
-    watermark_ = std::max<std::uint64_t>(watermark_, effort);
+    resize_.raise_watermark(effort);
     // Kick search exhausted its budget. A keyed-seed rotation scatters
     // bucket-targeted floods; growth absorbs honest local saturation. A
     // table that stays unplaceable while at most half full is under a
     // crafted full-hash collision set (> 2*kBucketWidth keys sharing both
     // buckets at any geometry), which only shedding answers.
-    if (options_.rehash_on_overload &&
-        inserts_since_rehash_ >= rehash_cooldown_) {
-      rehash_with_fresh_seed();
+    if (options_.rehash_on_overload && resize_.cooled_down()) {
+      resize_.rotate_seed(*this, table_);
       h = hash_of(key);
       placed = place_entry(table_, h, key, pcb, &effort);
       if (placed) break;
@@ -251,13 +248,12 @@ Pcb* CuckooDemuxer::insert(const net::FlowKey& key) {
   }
   if (!placed) {
     slab_.destroy(pcb);
-    ++inserts_shed_;
     telemetry_->on_shed();
     return nullptr;
   }
   ++size_;
   telemetry_->on_insert();
-  note_insert(effort);
+  resize_.note_insert(effort);
   if (resize_.migrating()) [[unlikely]] {
     resize_.migrate_batch(*this, kMigrateBatch);
   }
@@ -272,18 +268,22 @@ void CuckooDemuxer::maybe_grow() {
 }
 
 bool CuckooDemuxer::migrate_unit(Table& old, std::size_t slot,
-                                 DrainMode /*mode*/) {
+                                 DrainMode mode) {
   if (old.tag_at(slot) == 0) return false;
+  const std::uint32_t h =
+      mode == DrainMode::kRehash ? hash_of(old.keys[slot]) : old.hashes[slot];
   std::size_t effort = 0;
-  while (!place_entry(table_, old.hashes[slot], old.keys[slot],
-                      old.pcbs[slot], &effort)) {
+  while (!place_entry(table_, h, old.keys[slot], old.pcbs[slot], &effort)) {
     // Kick search exhausted mid-drain — possible only for degenerate hash
-    // sets (the live array is at most half full here). Double the live
-    // table in place; the entry stays in its old slot meanwhile. The
-    // doubling still enters the resize ledger.
-    rebuild(bucket_count() * 2, options_.hasher);
-    telemetry_->on_resize_start();
-    telemetry_->on_resize_complete();
+    // sets (a growth's live array is at most half full, a rotation's is as
+    // full as the table was). Double the live table in place; the
+    // entry stays in its old slot meanwhile. A growth's extra doubling
+    // enters the resize ledger; a rotation never counts as a resize.
+    double_in_place();
+    if (mode != DrainMode::kRehash) {
+      telemetry_->on_resize_start();
+      telemetry_->on_resize_complete();
+    }
   }
   clear_slot(old, slot);
   return true;
@@ -294,50 +294,21 @@ bool CuckooDemuxer::migration_step() {
   return resize_.migrating();
 }
 
-void CuckooDemuxer::note_insert(std::size_t effort) {
-  watermark_ = std::max<std::uint64_t>(watermark_, effort);
-  ++inserts_since_rehash_;
-}
-
-void CuckooDemuxer::rehash_with_fresh_seed() {
-  // The old array's stored hashes and filters were computed under the
-  // outgoing seed; re-probing it after rotation would miss every
-  // resident. Drain it first (rare: needs an overload mid-migration).
-  resize_.finish_migration(*this);
-  inserts_since_rehash_ = 0;
-  // Hysteresis: even if every key collides under every seed, at most one
-  // rotation attempt per `limit` further inserts — bounded thrash.
-  rehash_cooldown_ = watermark_limit();
-  if (FaultInjector::instance().poll_alloc()) return;
-  net::HashSpec spec = options_.hasher;
-  spec.seed = net::next_seed(spec.seed);
-  try {
-    rebuild(bucket_count(), spec);
-  } catch (const std::bad_alloc&) {
-    return;  // keep serving under the current seed; retry after cooldown
-  }
-  watermark_ = 0;  // search effort restarts under the fresh seed
-  ++overload_rehashes_;
-  telemetry_->on_rehash();
-}
-
-void CuckooDemuxer::rebuild(std::size_t buckets, const net::HashSpec& spec) {
-  while (true) {
+void CuckooDemuxer::double_in_place() {
+  for (std::size_t buckets = bucket_count() * 2;; buckets *= 2) {
     Table fresh(buckets);
     const std::size_t cap = capacity();
     std::size_t slot = 0;
     std::size_t effort = 0;
     for (; slot < cap; ++slot) {
       if (table_.tag_at(slot) == 0) continue;
-      const net::FlowKey& key = table_.keys[slot];
-      if (!place_entry(fresh, hash_with(spec, key), key, table_.pcbs[slot],
-                       &effort)) {
+      if (!place_entry(fresh, table_.hashes[slot], table_.keys[slot],
+                       table_.pcbs[slot], &effort)) {
         break;
       }
     }
     if (slot == cap) {
       table_ = std::move(fresh);
-      options_.hasher = spec;
       return;
     }
     // Re-placement failed (possible only for near-degenerate hash sets at
@@ -346,7 +317,6 @@ void CuckooDemuxer::rebuild(std::size_t buckets, const net::HashSpec& spec) {
     // *every* capacity only by sharing their full hash, and at most
     // 2*kBucketWidth of those ever co-reside — so doubling always
     // separates the rest.
-    buckets *= 2;
   }
 }
 
@@ -510,7 +480,7 @@ std::vector<std::size_t> CuckooDemuxer::occupancy() const {
 }
 
 ResilienceStats CuckooDemuxer::resilience() const {
-  return {overload_rehashes_, inserts_shed_, watermark_, watermark_limit()};
+  return resize_.resilience(*this);
 }
 
 std::size_t CuckooDemuxer::memory_bytes() const {

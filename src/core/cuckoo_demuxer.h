@@ -194,12 +194,8 @@ class CuckooDemuxer final : public Demuxer {
 
   /// Avalanche-finalized hash (same repair as the flat table: the bucket
   /// index masks low bits, the fingerprint takes top bits).
-  [[nodiscard]] static std::uint32_t hash_with(
-      const net::HashSpec& spec, const net::FlowKey& key) noexcept {
-    return net::mix32_avalanche(net::hash_flow(spec, key));
-  }
   [[nodiscard]] std::uint32_t hash_of(const net::FlowKey& key) const noexcept {
-    return hash_with(options_.hasher, key);
+    return net::mix32_avalanche(net::hash_flow(options_.hasher, key));
   }
 
   struct Probe {
@@ -224,12 +220,16 @@ class CuckooDemuxer final : public Demuxer {
   [[nodiscard]] Table grown_table() const {
     return Table(bucket_count() * 2);
   }
-  /// Moves the resident of outgoing slot `slot` into the live table.
+  [[nodiscard]] Table same_size_table() const { return Table(bucket_count()); }
+  /// Moves the resident of outgoing slot `slot` into the live table, under
+  /// its stored hash or, in a rotation's kRehash sweep, a fresh one.
   /// Nothing is ever placed or kicked into the outgoing table, so the
   /// drained prefix [0, cursor) never refills; its counted filters are
   /// kept exact, so old-side negative probes keep the one-bucket
   /// guarantee.
   bool migrate_unit(Table& old, std::size_t slot, DrainMode mode);
+  /// A rotation's watermark: search effort restarts under the fresh seed.
+  [[nodiscard]] static std::uint64_t rotated_watermark() noexcept { return 0; }
 
   /// Installs the (pre-hashed, known-absent) entry into `t`, kicking
   /// residents along a BFS-shortest displacement path if both candidate
@@ -244,26 +244,15 @@ class CuckooDemuxer final : public Demuxer {
                        const net::FlowKey& key, Pcb* pcb) noexcept;
 
   /// Re-places every live resident into a freshly allocated table of
-  /// `buckets` buckets hashed under `spec`, doubling further if placement
-  /// fails (only degenerate hash sets need it), then adopts `spec`.
-  /// Pointer-stable, and the live table stays intact until the swap.
-  void rebuild(std::size_t buckets, const net::HashSpec& spec);
-  /// Watermark bookkeeping after a successful insert.
-  void note_insert(std::size_t effort);
-  /// Rotates the seed and rebuilds at the same capacity (pointer-stable).
-  void rehash_with_fresh_seed();
+  /// twice the buckets, doubling further if placement fails (only
+  /// degenerate hash sets need it). Pointer-stable, and the live table
+  /// stays intact until the swap.
+  void double_in_place();
 
   Options options_;
   Table table_;
   /// Total PCBs across the live and (during migration) outgoing arrays.
   std::size_t size_ = 0;
-
-  // Overload / shedding state (see DESIGN.md "Adversarial resilience").
-  std::uint64_t watermark_ = 0;
-  std::uint64_t overload_rehashes_ = 0;
-  std::uint64_t inserts_shed_ = 0;
-  std::uint64_t inserts_since_rehash_ = 0;
-  std::uint64_t rehash_cooldown_ = 0;  ///< 0 until the first rehash
   std::uint64_t buckets_probed_ = 0;
   ResizeEngine<Table> resize_;
   PcbSlab slab_;

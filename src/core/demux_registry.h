@@ -37,8 +37,10 @@ struct DemuxConfig {
   std::size_t flat_capacity = 1024;  ///< flat/flat16/cuckoo (initial slots)
   // Adversarial-resilience knobs (see DESIGN.md "Adversarial resilience").
   std::uint32_t hash_seed = 0;  ///< 0 = unkeyed (paper-fidelity default)
-  bool rehash_on_overload = false;  ///< sequent/flat: seed-rotating rehash
-  std::size_t max_pcbs = 0;         ///< sequent/dynamic/flat: 0 = unbounded
+  /// sequent/flat/flat16/cuckoo: seed-rotating rehash
+  bool rehash_on_overload = false;
+  /// sequent/dynamic/flat/flat16/cuckoo: 0 = unbounded
+  std::size_t max_pcbs = 0;
   /// dynamic/flat/flat16/cuckoo: grow by bounded-pause incremental
   /// migration instead of a stop-the-world rebuild (see DESIGN.md
   /// "Incremental resize & degradation ladder").

@@ -104,14 +104,12 @@ Pcb* FlatDemuxer::insert(const net::FlowKey& key) {
     return nullptr;
   }
   if (options_.max_pcbs != 0 && size_ >= options_.max_pcbs) {
-    ++inserts_shed_;
     telemetry_->on_shed();
     return nullptr;
   }
   if (FaultInjector::instance().poll_alloc()) return nullptr;
   maybe_grow();
   if (resize_.sheds_at_watermark(size_, capacity())) {
-    ++inserts_shed_;
     telemetry_->on_shed();
     return nullptr;
   }
@@ -137,9 +135,11 @@ bool FlatDemuxer::migrate_unit(Table& old, std::size_t i, DrainMode mode) {
   if (old.tags[i] == 0) return false;
   // Place into the new array first, then clear the old slot; placement
   // into the preallocated array cannot allocate. A step backward-shifts
-  // the old run so lookups can still probe it; the closing sweep discards
+  // the old run so lookups can still probe it; a closing sweep discards
   // the whole array, so clearing the tag is enough.
-  place(table_, old.hashes[i], old.keys[i], old.pcbs[i]);
+  const std::uint32_t h =
+      mode == DrainMode::kRehash ? hash_of(old.keys[i]) : old.hashes[i];
+  place(table_, h, old.keys[i], old.pcbs[i]);
   if (mode == DrainMode::kStep) {
     remove_at(old, i);
   } else {
@@ -181,45 +181,15 @@ std::size_t FlatDemuxer::place(Table& t, std::uint32_t h, net::FlowKey key,
 }
 
 void FlatDemuxer::note_insert(std::size_t place_distance) {
-  watermark_ = std::max<std::uint64_t>(watermark_, place_distance);
-  ++inserts_since_rehash_;
-  if (options_.rehash_on_overload && watermark_ > watermark_limit() &&
-      inserts_since_rehash_ >= rehash_cooldown_) {
-    rehash_with_fresh_seed();
+  resize_.note_insert(place_distance);
+  if (options_.rehash_on_overload && resize_.watermark() > watermark_limit() &&
+      resize_.cooled_down()) {
+    resize_.rotate_seed(*this, table_);
   }
-}
-
-void FlatDemuxer::rehash_with_fresh_seed() {
-  // The old array's stored hashes were computed under the outgoing seed;
-  // re-probing it after rotation would miss every resident. Drain it
-  // first (rare: requires an overload trigger mid-migration).
-  resize_.finish_migration(*this);
-  inserts_since_rehash_ = 0;
-  // Hysteresis: even if every key collides under every seed (full-32-bit
-  // collisions survive the seeded post-mix of non-SipHash kinds), at most
-  // one rotation attempt per `limit` further inserts — bounded thrash.
-  rehash_cooldown_ = watermark_limit();
-  if (FaultInjector::instance().poll_alloc()) return;
-  Table fresh;
-  try {
-    fresh = Table(capacity());
-  } catch (const std::bad_alloc&) {
-    return;  // keep serving under the current seed; retry after cooldown
-  }
-  options_.hasher.seed = net::next_seed(options_.hasher.seed);
-  for (std::size_t i = 0; i < table_.capacity(); ++i) {
-    if (table_.tags[i] == 0) continue;
-    // Hashes must be recomputed: the seed just changed.
-    place(fresh, hash_of(table_.keys[i]), table_.keys[i], table_.pcbs[i]);
-  }
-  table_ = std::move(fresh);
-  watermark_ = max_probe_distance();
-  ++overload_rehashes_;
-  telemetry_->on_rehash();
 }
 
 ResilienceStats FlatDemuxer::resilience() const {
-  return {overload_rehashes_, inserts_shed_, watermark_, watermark_limit()};
+  return resize_.resilience(*this);
 }
 
 bool FlatDemuxer::erase(const net::FlowKey& key) {

@@ -216,29 +216,24 @@ class FlatDemuxer final : public Demuxer {
   /// Growth trigger at 7/8 occupancy; the shared engine does the rest.
   void maybe_grow();
   [[nodiscard]] Table grown_table() const { return Table(capacity() * 2); }
-  /// Moves the resident of outgoing slot `i` into the live table. Nothing
-  /// is ever placed into the outgoing table and a step's backward shift
-  /// only vacates slots, so the drained prefix [0, cursor) never refills.
+  [[nodiscard]] Table same_size_table() const { return Table(capacity()); }
+  /// Moves the resident of outgoing slot `i` into the live table, under
+  /// its stored hash or, in a rotation's kRehash sweep, a fresh one.
+  /// Nothing is ever placed into the outgoing table and a step's backward
+  /// shift only vacates slots, so the drained prefix [0, cursor) never
+  /// refills.
   bool migrate_unit(Table& old, std::size_t i, DrainMode mode);
-  /// Watermark bookkeeping after a successful insert; triggers a
-  /// seed-rotating rehash when the overload policy says so.
+  /// Watermark bookkeeping after a successful insert; triggers a seed
+  /// rotation when the overload policy says so.
   void note_insert(std::size_t place_distance);
-  /// Rotates the seed and re-places every resident into a freshly
-  /// allocated table of the same capacity (pointer-stable). Force-finishes
-  /// any in-flight migration first — the old array's stored hashes would
-  /// go stale under the new seed.
-  void rehash_with_fresh_seed();
+  /// A rotation's watermark: the longest probe distance it left.
+  [[nodiscard]] std::uint64_t rotated_watermark() const noexcept {
+    return max_probe_distance();
+  }
 
   Options options_;
   Table table_;
   std::size_t size_ = 0;   ///< residents across the live and old arrays
-
-  // Overload / shedding state (see DESIGN.md "Adversarial resilience").
-  std::uint64_t watermark_ = 0;
-  std::uint64_t overload_rehashes_ = 0;
-  std::uint64_t inserts_shed_ = 0;
-  std::uint64_t inserts_since_rehash_ = 0;
-  std::uint64_t rehash_cooldown_ = 0;  ///< 0 until the first rehash
   ResizeEngine<Table> resize_;
   PcbSlab slab_;
 };

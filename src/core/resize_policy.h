@@ -1,6 +1,6 @@
-// The resize engine shared by every growing backend (dynamic, flat,
-// flat16, cuckoo; see DESIGN.md "Incremental resize & degradation
-// ladder").
+// The resize engine shared by every growing or seed-rotating backend
+// (sequent/dynamic, flat, flat16, cuckoo; see DESIGN.md "Incremental
+// resize & degradation ladder").
 //
 // A growth is always start_migration(): allocate the whole new table,
 // then swing the live one behind a drain cursor. Stop-the-world and
@@ -10,13 +10,24 @@
 // with exponential backoff, rung 2 sheds inserts at a hard watermark while
 // growth stays blocked.
 //
-// A backend supplies its table type and two hooks, reached through
+// The collision-flood defence (DESIGN.md "Adversarial resilience") is the
+// same machinery at the same size: rotate_seed() allocates a same-size
+// table, swings the seed, and re-places every resident with the closing
+// sweep. The engine keeps the overload watermark and the rotation
+// cooldown; the backend keeps its trigger.
+//
+// A backend supplies its table type and these hooks, reached through
 // friendship:
-//   Table grown_table() const;  // the next doubling, empty; may throw
+//   Table grown_table() const;      // the next doubling, empty; may throw
+//   Table same_size_table() const;  // a rotation's table, empty; may throw
 //   bool migrate_unit(Table& old, std::size_t unit, DrainMode mode);
+//   std::uint64_t watermark_limit() const;    // the overload trigger
+//   std::uint64_t rotated_watermark() const;  // the watermark a rotation
+//                                             // leaves behind
 // migrate_unit moves one resident out of drain unit `unit` (a slot or a
 // chain) of the outgoing table into the live one and returns true, or
-// returns false when the unit is empty.
+// returns false when the unit is empty. The seed a rotation swings is
+// `options_.hasher.seed`.
 #ifndef TCPDEMUX_CORE_RESIZE_POLICY_H_
 #define TCPDEMUX_CORE_RESIZE_POLICY_H_
 
@@ -26,7 +37,9 @@
 #include <memory>
 #include <utility>
 
+#include "core/demuxer.h"
 #include "core/fault_inject.h"
+#include "net/hashers.h"
 #include "report/telemetry.h"
 
 namespace tcpdemux::core {
@@ -52,9 +65,11 @@ inline constexpr std::uint64_t kGrowBackoffMin = 16;
 inline constexpr std::uint64_t kGrowBackoffMax = 4096;
 
 /// How a migrate_unit call may leave the outgoing table. A bounded step
-/// must keep it fully probe-able (lookups and erases still search it); the
+/// must keep it fully probe-able (lookups and erases still search it); a
 /// closing sweep discards it afterwards, so a backend may skip repairs.
-enum class DrainMode : bool { kStep, kSweep };
+/// kRehash is a seed rotation's sweep: the seed has just changed, so a
+/// backend that stores hashes must recompute each one from its key.
+enum class DrainMode : std::uint8_t { kStep, kSweep, kRehash };
 
 /// The outgoing table during a migration: the live table's own type plus
 /// the drain cursor and the residents still waiting in it. Nothing is ever
@@ -143,15 +158,8 @@ class ResizeEngine {
   template <class Backend>
   void finish_migration(Backend& b) {
     if (old_ == nullptr) return;
-    Outgoing<Table>& old = *old_;
-    const std::size_t moved = old.residents;
-    while (old.residents > 0) {
-      if (b.migrate_unit(old.table, old.cursor, DrainMode::kSweep)) {
-        --old.residents;
-      } else {
-        ++old.cursor;
-      }
-    }
+    const std::size_t moved = old_->residents;
+    sweep(b, *old_, DrainMode::kSweep);
     b.telemetry_->on_resize_step(moved, 0);
     complete(b);
   }
@@ -162,23 +170,96 @@ class ResizeEngine {
     if (--old_->residents == 0) complete(b);
   }
 
+  /// The overload watermark: the worst insert signal (chain length, probe
+  /// distance or kick-search effort) since the last rotation.
+  [[nodiscard]] std::uint64_t watermark() const noexcept { return watermark_; }
+  void raise_watermark(std::uint64_t signal) noexcept {
+    watermark_ = std::max(watermark_, signal);
+  }
+  /// An insert landed with overload reading `signal`.
+  void note_insert(std::uint64_t signal) noexcept {
+    raise_watermark(signal);
+    ++since_rotation_;
+  }
+  /// Hysteresis: at most one rotation attempt per watermark_limit() further
+  /// inserts. Even if every key collides under every seed (full 32-bit
+  /// collisions survive the seeded post-mix of non-SipHash kinds), thrash
+  /// stays bounded, and benign traffic that briefly crossed the line gets a
+  /// fresh start.
+  [[nodiscard]] bool cooled_down() const noexcept {
+    return since_rotation_ >= cooldown_;
+  }
+
+  /// Rotates the hash seed. Finishes any drain in flight (its table hashes
+  /// under the outgoing seed), arms the cooldown, and allocates a complete
+  /// same-size table before touching anything: a refused allocation
+  /// (injected or real) keeps the current seed, steps no growth ladder,
+  /// and leaves the retry to the cooldown. Only then does the seed move to
+  /// net::next_seed; the live table swings out and the closing sweep
+  /// re-places every resident in unit order (DrainMode::kRehash). Counts
+  /// once in `rehashes` and in no resize counter.
+  template <class Backend>
+  void rotate_seed(Backend& b, Table& live) {
+    finish_migration(b);
+    since_rotation_ = 0;
+    cooldown_ = b.watermark_limit();
+    Outgoing<Table> old;
+    if (!try_alloc([&] { old.table = b.same_size_table(); })) return;
+    b.options_.hasher.seed = net::next_seed(b.options_.hasher.seed);
+    std::swap(old.table, live);
+    old.residents = b.size();
+    sweep(b, old, DrainMode::kRehash);
+    watermark_ = b.rotated_watermark();
+    b.telemetry_->on_rehash();
+  }
+
+  /// The backend's ResilienceStats: rotations and sheds are views of its
+  /// telemetry registry (one ledger, reset with it), beside the watermark.
+  template <class Backend>
+  [[nodiscard]] ResilienceStats resilience(const Backend& b) const {
+    const report::TelemetryCounters& c = b.telemetry_->counters();
+    return {c.rehashes, c.inserts_shed, watermark_, b.watermark_limit()};
+  }
+
  private:
+  /// Polls the fault injector, then runs `alloc`, which may throw
+  /// std::bad_alloc and must touch nothing live. False on a refusal,
+  /// injected or real.
+  template <class Alloc>
+  static bool try_alloc(Alloc alloc) {
+    if (FaultInjector::instance().poll_alloc()) return false;
+    try {
+      alloc();
+    } catch (const std::bad_alloc&) {
+      return false;
+    }
+    return true;
+  }
+
+  /// Moves every resident of `old` into the live table in unit order.
+  template <class Backend>
+  static void sweep(Backend& b, Outgoing<Table>& old, DrainMode mode) {
+    while (old.residents > 0) {
+      if (b.migrate_unit(old.table, old.cursor, mode)) {
+        --old.residents;
+      } else {
+        ++old.cursor;
+      }
+    }
+  }
+
   /// Allocates the next table, then swings the live one behind the drain
   /// cursor. The allocation comes first and nothing after it can fail, so
   /// a refused allocation (injected or real) leaves the live table
   /// untouched and only steps the ladder.
   template <class Backend>
   bool start_migration(Backend& b, Table& live) {
-    if (FaultInjector::instance().poll_alloc()) {
-      defer_migration(b);
-      return false;
-    }
     std::unique_ptr<Outgoing<Table>> old;
     Table fresh;
-    try {
-      old = std::make_unique<Outgoing<Table>>();
-      fresh = b.grown_table();
-    } catch (const std::bad_alloc&) {
+    if (!try_alloc([&] {
+          old = std::make_unique<Outgoing<Table>>();
+          fresh = b.grown_table();
+        })) {
       defer_migration(b);
       return false;
     }
@@ -210,10 +291,15 @@ class ResizeEngine {
     b.telemetry_->on_resize_complete();
   }
 
+  /// First: SequentDemuxer::lookup() reads it within the 64 bytes after
+  /// the Demuxer base, so new state goes below it.
   std::unique_ptr<Outgoing<Table>> old_;
   bool blocked_ = false;
   std::uint64_t backoff_ = 0;   ///< current retry backoff, in inserts
   std::uint64_t retry_in_ = 0;  ///< inserts until the next retry
+  std::uint64_t watermark_ = 0;
+  std::uint64_t since_rotation_ = 0;  ///< inserts since the last attempt
+  std::uint64_t cooldown_ = 0;        ///< 0 until the first attempt
 };
 
 }  // namespace tcpdemux::core

@@ -45,7 +45,6 @@ Pcb* SequentDemuxer::insert(const net::FlowKey& key) {
     return nullptr;
   }
   if (options_.max_pcbs != 0 && size_ >= options_.max_pcbs) {
-    ++inserts_shed_;
     telemetry_->on_shed();
     return nullptr;
   }
@@ -61,7 +60,6 @@ Pcb* SequentDemuxer::insert(const net::FlowKey& key) {
   if (resize_.sheds_at_load(size_, buckets_.size(), options_.max_load)) {
     maybe_grow();
     if (resize_.blocked()) {
-      ++inserts_shed_;
       telemetry_->on_shed();
       return nullptr;
     }
@@ -76,11 +74,10 @@ Pcb* SequentDemuxer::insert(const net::FlowKey& key) {
 }
 
 void SequentDemuxer::note_insert(const Bucket& b) {
-  watermark_ = std::max<std::uint64_t>(watermark_, b.list.size());
-  ++inserts_since_rehash_;
-  if (options_.rehash_on_overload && watermark_ > watermark_limit() &&
-      inserts_since_rehash_ >= rehash_cooldown_) {
-    rehash_with_fresh_seed();
+  resize_.note_insert(b.list.size());
+  if (options_.rehash_on_overload && resize_.watermark() > watermark_limit() &&
+      resize_.cooled_down()) {
+    resize_.rotate_seed(*this, buckets_);
   }
   if (options_.grow) maybe_grow();
   if (resize_.migrating()) [[unlikely]] {
@@ -88,36 +85,12 @@ void SequentDemuxer::note_insert(const Bucket& b) {
   }
 }
 
-void SequentDemuxer::rehash_with_fresh_seed() {
-  // The outgoing chains hash under the outgoing seed too; drain them
-  // first (rare: needs an overload trigger mid-migration).
-  resize_.finish_migration(*this);
-  inserts_since_rehash_ = 0;
-  // Hysteresis: even if every key collides under every seed (full-32-bit
-  // collisions survive the seeded post-mix of non-SipHash kinds), at most
-  // one rotation attempt per `limit` further inserts — bounded thrash, and
-  // benign workloads that momentarily crossed the line get a fresh start.
-  rehash_cooldown_ = watermark_limit();
-  if (FaultInjector::instance().poll_alloc()) return;
-  Table fresh;
-  try {
-    fresh = Table(chains());
-  } catch (const std::bad_alloc&) {
-    return;  // keep serving under the current seed; retry after cooldown
+std::uint64_t SequentDemuxer::rotated_watermark() const noexcept {
+  std::uint64_t longest = 0;
+  for (const Bucket& b : buckets_) {
+    longest = std::max<std::uint64_t>(longest, b.list.size());
   }
-  options_.hasher.seed = net::next_seed(options_.hasher.seed);
-  for (Bucket& ob : buckets_) {
-    while (Pcb* pcb = ob.list.pop_front()) {
-      fresh[chain_in(fresh, pcb->key)].list.link_front(pcb);
-    }
-  }
-  buckets_ = std::move(fresh);
-  watermark_ = 0;
-  for (const Bucket& nb : buckets_) {
-    watermark_ = std::max<std::uint64_t>(watermark_, nb.list.size());
-  }
-  ++overload_rehashes_;
-  telemetry_->on_rehash();
+  return longest;
 }
 
 void SequentDemuxer::maybe_grow() {
@@ -126,7 +99,7 @@ void SequentDemuxer::maybe_grow() {
     return;
   }
   if (next_table_size(chains()) <= chains()) return;  // ladder exhausted
-  if (resize_.grow(*this, buckets_, options_.incremental)) ++doublings_;
+  resize_.grow(*this, buckets_, options_.incremental);
 }
 
 bool SequentDemuxer::migrate_unit(Table& old, std::size_t c,
@@ -147,7 +120,7 @@ bool SequentDemuxer::migration_step() {
 }
 
 ResilienceStats SequentDemuxer::resilience() const {
-  return {overload_rehashes_, inserts_shed_, watermark_, watermark_limit()};
+  return resize_.resilience(*this);
 }
 
 bool SequentDemuxer::erase(const net::FlowKey& key) {

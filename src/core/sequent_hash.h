@@ -91,10 +91,11 @@ class SequentDemuxer final : public Demuxer {
   [[nodiscard]] std::uint32_t chains() const noexcept {
     return static_cast<std::uint32_t>(buckets_.size());
   }
-  /// Table doublings so far (the paper's "increase H"); seed rotations
-  /// are counted in resilience().overload_rehashes.
+  /// Table doublings so far (the paper's "increase H"): a view of the
+  /// telemetry registry's `resizes_started`, so it resets with it. A seed
+  /// rotation is never a doubling; it counts in `rehashes`.
   [[nodiscard]] std::uint64_t doublings() const noexcept {
-    return doublings_;
+    return telemetry_->counters().resizes_started;
   }
   /// Occupancy of each live chain (test/bench hook).
   [[nodiscard]] std::vector<std::size_t> chain_sizes() const;
@@ -158,20 +159,20 @@ class SequentDemuxer final : public Demuxer {
   void lookup_outgoing(const net::FlowKey& key, LookupResult& r);
 
   /// Watermark bookkeeping after a successful insert into `b`; then the
-  /// overload policy (seed rotation) and the growth policy.
+  /// overload policy (seed rotation: the engine relinks every PCB onto
+  /// fresh chains, pointer-stable, caches cold) and the growth policy.
   void note_insert(const Bucket& b);
-
-  /// Rotates the seed and redistributes every PCB onto fresh chains
-  /// (pointer-stable; caches restart cold). The fresh chains are
-  /// allocated before the seed changes, so a refused allocation leaves the
-  /// table serving under the current seed.
-  void rehash_with_fresh_seed();
 
   void maybe_grow();
   [[nodiscard]] Table grown_table() const {
     return Table(next_table_size(chains()));
   }
-  /// Relinks the head PCB of outgoing chain `c` onto its live chain.
+  [[nodiscard]] Table same_size_table() const { return Table(chains()); }
+  /// The longest live chain: a rotation's watermark.
+  [[nodiscard]] std::uint64_t rotated_watermark() const noexcept;
+  /// Relinks the head PCB of outgoing chain `c` onto its live chain. It
+  /// hashes with the current seed in every mode, which is all a rotation's
+  /// kRehash sweep needs.
   bool migrate_unit(Table& old, std::size_t c, DrainMode mode);
 
   Options options_;
@@ -179,14 +180,6 @@ class SequentDemuxer final : public Demuxer {
   ResizeEngine<Table> resize_;
   /// Total PCBs across the live and (during migration) outgoing chains.
   std::size_t size_ = 0;
-
-  // Overload / shedding state (see DESIGN.md "Adversarial resilience").
-  std::uint64_t watermark_ = 0;
-  std::uint64_t overload_rehashes_ = 0;
-  std::uint64_t inserts_shed_ = 0;
-  std::uint64_t inserts_since_rehash_ = 0;
-  std::uint64_t rehash_cooldown_ = 0;  ///< 0 until the first rehash
-  std::uint64_t doublings_ = 0;
   PcbSlab slab_;
 };
 

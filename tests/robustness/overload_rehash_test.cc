@@ -16,6 +16,7 @@
 #include "core/fault_inject.h"
 #include "core/flat_demuxer.h"
 #include "core/sequent_hash.h"
+#include "core/sharded_demuxer.h"
 #include "core/validate.h"
 #include "net/hashers.h"
 #include "sim/collision_flood.h"
@@ -371,6 +372,173 @@ INSTANTIATE_TEST_SUITE_P(
                       RotationCase{"flat16:64:xor_fold:rehash", xorfold_flood},
                       RotationCase{"cuckoo:64:crc32c:rehash",
                                    cuckoo_pair_flood}),
+    [](const ::testing::TestParamInfo<RotationCase>& info) {
+      std::string name = info.param.spec;
+      for (char& c : name) {
+        if (c == ':') c = '_';
+      }
+      return name;
+    });
+
+// Exact post-rotation behaviour. A rotation re-places every resident in
+// drain-sweep order (chains front to back, slots low to high); any other
+// order reshuffles chains, probe runs and cuckoo placements, which moves
+// the paper's cost metric. Each case replays one seeded flood-plus-benign
+// insert stream through the spec's rotations, then a fixed lookup pass,
+// and pins the totals, the final seed and the resilience view. The values
+// were recorded from the per-backend rotation loops that preceded the
+// shared engine, the way GrowthOrder.StopTheWorldSweepKeepsExactCosts
+// pins the growth sweep.
+struct RotationPin {
+  RotationCase rotation;
+  std::uint64_t examined;
+  std::uint64_t cache_hits;
+  std::uint32_t seed;
+  std::uint64_t rotations;
+  std::uint64_t watermark;
+  std::uint64_t watermark_limit;
+};
+
+void PrintTo(const RotationPin& p, std::ostream* os) { *os << p.rotation.spec; }
+
+class RotationPinTest : public ::testing::TestWithParam<RotationPin> {};
+
+TEST_P(RotationPinTest, FloodThenLookupsKeepExactCosts) {
+  const RotationPin& pin = GetParam();
+  const auto demuxer = make_demuxer(*parse_demux_spec(pin.rotation.spec));
+  ASSERT_NE(demuxer, nullptr);
+  const std::vector<net::FlowKey> flood = pin.rotation.flood();
+  const std::vector<net::FlowKey> benign = random_keys(400, 0x5eed1992);
+  std::vector<net::FlowKey> resident;
+  for (std::size_t i = 0; i < benign.size(); ++i) {
+    if (i < flood.size() && demuxer->insert(flood[i]) != nullptr) {
+      resident.push_back(flood[i]);
+    }
+    if (demuxer->insert(benign[i]) != nullptr) resident.push_back(benign[i]);
+  }
+  ASSERT_GE(demuxer->resilience().overload_rehashes, 1u);
+  std::mt19937 rng(1992);
+  const std::vector<net::FlowKey> absent = random_keys(64, 0xab5e47);
+  for (int i = 0; i < 4000; ++i) {
+    (void)demuxer->lookup(resident[rng() % resident.size()]);
+    if (i % 8 == 0) (void)demuxer->lookup(absent[rng() % absent.size()]);
+  }
+  EXPECT_EQ(demuxer->stats().pcbs_examined, pin.examined);
+  EXPECT_EQ(demuxer->stats().cache_hits, pin.cache_hits);
+  EXPECT_EQ(hash_spec_of(*demuxer).seed, pin.seed);
+  const ResilienceStats r = demuxer->resilience();
+  EXPECT_EQ(r.overload_rehashes, pin.rotations);
+  EXPECT_EQ(r.watermark, pin.watermark);
+  EXPECT_EQ(r.watermark_limit, pin.watermark_limit);
+  EXPECT_EQ(validate_demuxer(*demuxer).to_string(), "");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RotatingTables, RotationPinTest,
+    ::testing::Values(
+        RotationPin{{"sequent:19:xor_fold:rehash", xorfold_flood},
+                    205276, 130, 1468022192, 3, 218, 272},
+        RotationPin{{"flat:64:xor_fold:rehash", xorfold_flood},
+                    141553, 0, 1074599431, 9, 200, 64},
+        RotationPin{{"flat16:64:xor_fold:rehash", xorfold_flood},
+                    141638, 0, 1074599431, 9, 200, 64},
+        RotationPin{{"cuckoo:64:crc32c:rehash", cuckoo_pair_flood},
+                    4117, 0, 1641422808, 1, 19, 64},
+        RotationPin{{"flat:64:xor_fold:rehash:incremental", xorfold_flood},
+                    141585, 0, 1074599431, 9, 200, 64},
+        RotationPin{{"cuckoo:64:crc32c:rehash:incremental", cuckoo_pair_flood},
+                    4138, 0, 1641422808, 1, 19, 64}),
+    [](const ::testing::TestParamInfo<RotationPin>& info) {
+      std::string name = info.param.rotation.spec;
+      for (char& c : name) {
+        if (c == ':') c = '_';
+      }
+      return name;
+    });
+
+// The rotation ledger, mirror of ResizeLadderTest.EachDoublingCountsOnce:
+// every seed change counts exactly once in `rehashes`, and a rotation is
+// never a resize. The flood stays below every table's growth trigger
+// (a flat/cuckoo table of 64 slots grows at 56 residents), then churns —
+// erase one resident, insert it again — so the cooldown keeps expiring
+// while the watermark stays high and the tables rotate repeatedly.
+class RotationLedgerTest : public ::testing::TestWithParam<RotationCase> {};
+
+TEST_P(RotationLedgerTest, EachRotationCountsOnce) {
+  const auto demuxer = make_demuxer(*parse_demux_spec(GetParam().spec));
+  ASSERT_NE(demuxer, nullptr);
+  // The tables that own a seed: the shards of a sharded spec, else the
+  // demuxer itself.
+  std::vector<const Demuxer*> tables{demuxer.get()};
+  const auto* sharded = dynamic_cast<const ShardedDemuxer*>(demuxer.get());
+  if (sharded != nullptr) {
+    tables.clear();
+    for (std::uint32_t s = 0; s < sharded->shard_count(); ++s) {
+      tables.push_back(&sharded->shard(s));
+    }
+  }
+  const auto table_of = [&](const net::FlowKey& key) {
+    return sharded != nullptr ? tables[sharded->home_shard(key)] : tables[0];
+  };
+  std::vector<std::uint32_t> seeds;
+  for (const Demuxer* t : tables) seeds.push_back(hash_spec_of(*t).seed);
+
+  std::uint64_t seed_changes = 0;
+  const auto insert_counted = [&](const net::FlowKey& key) {
+    const std::uint64_t before = demuxer->telemetry().counters().rehashes;
+    const bool placed = demuxer->insert(key) != nullptr;
+    std::uint64_t changed = 0;
+    for (std::size_t t = 0; t < tables.size(); ++t) {
+      const std::uint32_t now = hash_spec_of(*tables[t]).seed;
+      if (now != seeds[t]) ++changed;
+      seeds[t] = now;
+    }
+    EXPECT_EQ(demuxer->telemetry().counters().rehashes - before, changed)
+        << GetParam().spec << " key " << key.to_string();
+    seed_changes += changed;
+    return placed;
+  };
+
+  constexpr std::size_t kPerTableCap = 52;
+  std::vector<net::FlowKey> resident;
+  for (const net::FlowKey& key : GetParam().flood()) {
+    if (table_of(key)->size() >= kPerTableCap) continue;
+    if (insert_counted(key)) resident.push_back(key);
+  }
+  ASSERT_FALSE(resident.empty());
+  for (std::size_t round = 0; round < 400; ++round) {
+    const net::FlowKey key = resident[round % resident.size()];
+    ASSERT_TRUE(demuxer->erase(key)) << GetParam().spec;
+    ASSERT_TRUE(insert_counted(key)) << GetParam().spec;
+  }
+
+  const report::Telemetry telemetry = demuxer->telemetry();
+  const auto& counters = telemetry.counters();
+  EXPECT_GE(seed_changes, 1u) << GetParam().spec;
+  EXPECT_EQ(counters.rehashes, seed_changes) << GetParam().spec;
+  EXPECT_EQ(counters.resizes_started, 0u) << GetParam().spec;
+  EXPECT_EQ(counters.resizes_completed, 0u) << GetParam().spec;
+  EXPECT_EQ(counters.resizes_deferred, 0u) << GetParam().spec;
+  EXPECT_EQ(counters.resize_steps, 0u) << GetParam().spec;
+  EXPECT_EQ(demuxer->resilience().overload_rehashes, counters.rehashes);
+  EXPECT_EQ(demuxer->resilience().inserts_shed, counters.inserts_shed);
+  EXPECT_EQ(validate_demuxer(*demuxer).to_string(), "");
+
+  // One ledger: the resilience counters are views of the telemetry
+  // registry, so they reset with it.
+  demuxer->reset_telemetry();
+  EXPECT_EQ(demuxer->resilience().overload_rehashes, 0u) << GetParam().spec;
+  EXPECT_EQ(demuxer->resilience().inserts_shed, 0u) << GetParam().spec;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RotatingTables, RotationLedgerTest,
+    ::testing::Values(
+        RotationCase{"sequent:19:xor_fold:rehash", xorfold_flood},
+        RotationCase{"flat:64:xor_fold:rehash", xorfold_flood},
+        RotationCase{"flat16:64:xor_fold:rehash", xorfold_flood},
+        RotationCase{"cuckoo:64:crc32c:rehash", cuckoo_pair_flood},
+        RotationCase{"sharded:2:flat:64:xor_fold:rehash", xorfold_flood}),
     [](const ::testing::TestParamInfo<RotationCase>& info) {
       std::string name = info.param.spec;
       for (char& c : name) {

@@ -29,6 +29,13 @@ Line rules:
                      one audited shim owns alignment, huge-page advice,
                      the non-Linux fallback and the ASan slack poisoning,
                      so no table or slab grows a private mapping path.
+  seed-rotation      net::next_seed( is called in src/ only by
+                     core/resize_policy.h (ResizeEngine::rotate_seed, the
+                     one table-seed rotation: allocate first, keep the
+                     seed on refusal, re-place every resident, count once)
+                     and core/sharded_demuxer.cc (the steering seed). Its
+                     declaration and definition (first parameter a type)
+                     are not calls.
   prefetch-discipline
                      __builtin_prefetch only inside core/prefetch.h
                      (prefetch_read): one audited shim keeps prefetches
@@ -573,6 +580,16 @@ def build_rules(root: str) -> list:
             "PageVector): one shim owns alignment, huge-page policy and "
             "the ASan slack poisoning",
             ("src/core/page_memory.h",),
+        ),
+        RegexRule(
+            "seed-rotation",
+            r"\bnext_seed\s*\((?!\s*(?:const\s+)?(?:std::)?u?int\d+_t\b)",
+            ("src",),
+            "rotate a table's hash seed only through "
+            "ResizeEngine::rotate_seed (core/resize_policy.h): one protocol "
+            "allocates first, keeps the seed on refusal, re-places every "
+            "resident and counts the rotation once",
+            ("src/core/resize_policy.h", "src/core/sharded_demuxer.cc"),
         ),
         RegexRule(
             "prefetch-discipline",
