@@ -1,25 +1,23 @@
 // Wall-clock resize pauses: measures the per-operation latency
-// distribution of every growing backend *through* a table doubling, with
-// and without the `incremental` registry token — the experiment behind
-// the bounded-pause claim in DESIGN.md "Incremental resize & degradation
-// ladder".
+// distribution of every growing backend *through* a table doubling — the
+// experiment behind the bounded-relink claim in DESIGN.md "Incremental
+// resize & degradation ladder".
 //
-// Per cell (spec x mode):
+// Per cell (one spec):
 //   1. populate  — insert N PCBs (untimed; any growth here is warmup);
 //   2. steady    — time individual lookups against the settled table and
 //                  take p50/p99 as the steady-state reference;
 //   3. growth    — insert N more PCBs one at a time, each insert followed
 //                  by a few lookups of already-present keys, timing every
 //                  operation individually. This phase crosses the next
-//                  doubling: in baseline mode one insert pays the whole
-//                  stop-the-world rehash; in incremental mode the drain
-//                  rides along in O(batch) slices.
-// Reported: steady p50/p99, growth-phase lookup p99, and the maximum
-// single-operation pause. The growth phase runs `rounds` times on fresh
+//                  doubling, whose drain rides along in O(batch) slices.
+// Reported: steady p50/p99, growth-phase lookup p99, the maximum
+// single-operation pause, and the most entries any one drain step moved
+// (the telemetry `resize_work` histogram's exact max, beside
+// core::kMigrateBatch). The growth phase runs `rounds` times on fresh
 // tables and reports the minimum-over-rounds of the max pause, so a
-// scheduler preemption on a shared host cannot masquerade as a rehash
-// spike (a real stop-the-world pause recurs every round; jitter does
-// not).
+// scheduler preemption on a shared host cannot masquerade as a resize
+// spike (a real pause recurs every round; jitter does not).
 //
 //   wallclock_resize [--smoke] [--json <path>] [--sizes <n[,n...]>]
 //
@@ -46,6 +44,8 @@
 
 #include "bench_util.h"
 #include "core/demux_registry.h"
+#include "core/resize_policy.h"
+#include "report/telemetry.h"
 #include "sim/address_space.h"
 
 namespace {
@@ -90,6 +90,7 @@ struct CellResult {
   double growth_lookup_p99 = 0.0;
   double max_pause = 0.0;  ///< min over rounds of the per-round max op
   std::uint64_t resizes = 0;
+  std::uint64_t resize_work_max = 0;  ///< most entries one step moved
 };
 
 /// One measured cell. `spec` must parse; `n` is the starting population.
@@ -109,6 +110,7 @@ CellResult run_cell(const std::string& spec, std::uint32_t n,
       std::exit(2);
     }
     const auto demuxer = core::make_demuxer(*config);
+    demuxer->enable_telemetry_histograms(true);
     for (std::uint32_t i = 0; i < n; ++i) demuxer->insert(keys[i]);
 
     // Steady-state lookup latencies against the settled table (first
@@ -150,11 +152,11 @@ CellResult run_cell(const std::string& spec, std::uint32_t n,
         *std::max_element(pauses.begin(), pauses.end()));
     out.max_pause =
         round == 0 ? round_max : std::min(out.max_pause, round_max);
-    // Every doubling of the round, populate phase included; both drain
-    // schedules count each one exactly once.
-    if (round == 0) {
-      out.resizes = demuxer->telemetry().counters().resizes_started;
-    }
+    // Every doubling of the round, populate phase included.
+    const report::Telemetry telemetry = demuxer->telemetry();
+    if (round == 0) out.resizes = telemetry.counters().resizes_started;
+    out.resize_work_max =
+        std::max(out.resize_work_max, telemetry.resize_work().max());
   }
   out.steady_p50 = percentile(steady, 0.50);
   out.steady_p99 = percentile(steady, 0.99);
@@ -176,17 +178,17 @@ int main(int argc, char** argv) {
   // proportionally noisier.
   const int rounds = opts.smoke ? 3 : 2;
 
-  // Every growing backend, stop-the-world vs incremental. Initial
-  // capacities are deliberately small: the populate phase grows the table
-  // to fit N, so the growth phase measures a doubling at full size.
-  const std::vector<std::string> bases = {"flat:1024:crc32c",
+  // Every growing backend. Initial capacities are deliberately small: the
+  // populate phase grows the table to fit N, so the growth phase measures
+  // a doubling at full size.
+  const std::vector<std::string> specs = {"flat:1024:crc32c",
                                           "flat16:1024:crc32c",
                                           "cuckoo:1024:crc32c",
                                           "dynamic:1024:crc32c"};
 
-  std::printf("%-38s %8s %7s %10s %10s %12s %12s %8s\n", "cell", "users",
+  std::printf("%-22s %8s %7s %10s %10s %12s %12s %8s %8s\n", "cell", "users",
               "thp", "steady_p50", "steady_p99", "growth_p99", "max_pause",
-              "resizes");
+              "resizes", "work_max");
   for (const std::uint32_t n : sizes) {
     sim::AddressSpaceParams ap;
     ap.clients = 2 * n;
@@ -198,33 +200,29 @@ int main(int argc, char** argv) {
     if (!opts.smoke) thp_cells.push_back(1);
     for (const int thp_off : thp_cells) {
       if (thp_off == 1 && !set_thp_disabled(true)) continue;
-      for (const std::string& base : bases) {
-        for (const bool incremental : {false, true}) {
-          const std::string spec =
-              incremental ? base + ":incremental" : base;
-          const std::string mode =
-              incremental ? "incremental" : "baseline";
-          const CellResult r = run_cell(spec, n, keys, rounds);
-          const std::string cell = base + "/" + mode;
-          std::printf("%-38s %8u %7s %10.0f %10.0f %12.0f %12.0f %8llu\n",
-                      cell.c_str(), n, thp_off != 0 ? "off" : "default",
-                      r.steady_p50, r.steady_p99, r.growth_lookup_p99,
-                      r.max_pause,
-                      static_cast<unsigned long long>(r.resizes));
+      for (const std::string& spec : specs) {
+        const CellResult r = run_cell(spec, n, keys, rounds);
+        std::printf("%-22s %8u %7s %10.0f %10.0f %12.0f %12.0f %8llu %8llu\n",
+                    spec.c_str(), n, thp_off != 0 ? "off" : "default",
+                    r.steady_p50, r.steady_p99, r.growth_lookup_p99,
+                    r.max_pause, static_cast<unsigned long long>(r.resizes),
+                    static_cast<unsigned long long>(r.resize_work_max));
 
-          report::BenchRecord rec;
-          rec.bench = "wallclock_resize";
-          rec.name = cell;
-          rec.add_metric("users", n);
-          rec.add_metric("incremental", incremental ? 1 : 0);
-          rec.add_metric("thp_disabled", thp_off);
-          rec.add_metric("steady_p50_ns", r.steady_p50);
-          rec.add_metric("steady_p99_ns", r.steady_p99);
-          rec.add_metric("growth_lookup_p99_ns", r.growth_lookup_p99);
-          rec.add_metric("max_pause_ns", r.max_pause);
-          rec.add_metric("resizes", static_cast<double>(r.resizes));
-          writer.add(std::move(rec));
-        }
+        report::BenchRecord rec;
+        rec.bench = "wallclock_resize";
+        rec.name = spec;
+        rec.add_metric("users", n);
+        rec.add_metric("thp_disabled", thp_off);
+        rec.add_metric("steady_p50_ns", r.steady_p50);
+        rec.add_metric("steady_p99_ns", r.steady_p99);
+        rec.add_metric("growth_lookup_p99_ns", r.growth_lookup_p99);
+        rec.add_metric("max_pause_ns", r.max_pause);
+        rec.add_metric("resizes", static_cast<double>(r.resizes));
+        rec.add_metric("resize_work_max",
+                       static_cast<double>(r.resize_work_max));
+        rec.add_metric("migrate_batch",
+                       static_cast<double>(core::kMigrateBatch));
+        writer.add(std::move(rec));
       }
       if (thp_off == 1) set_thp_disabled(false);
     }

@@ -16,7 +16,7 @@
 #   stage 10 tidy    clang-tidy over compile_commands   (SKIP_TIDY=1 skips)
 #   stage 11 swar    SWAR-forced rebuild of the group-probe/hash fallbacks
 #                    + core/fuzz/robustness ctest       (SKIP_SWAR=1 skips)
-#   stage 12 resize  wallclock_resize --smoke + bounded-pause
+#   stage 12 resize  wallclock_resize --smoke + bounded-drain
 #                    assertion (validate_resize.py)     (SKIP_RESIZE=1 skips)
 #   stage 13 sharded wallclock_sharded --smoke + zero-miss/scaling
 #                    assertion (validate_sharded.py)    (SKIP_SHARDED=1 skips)
@@ -108,11 +108,13 @@ if [[ "${SKIP_ROBUSTNESS:-0}" != "1" ]]; then
   TCPDEMUX_FUZZ_ALLOC_EVERY=13 \
     ctest --test-dir "$ROOT/build" -R 'Fuzz(Ops|Adversarial)' \
           --output-on-failure -j "$JOBS"
-  # Drain soak: a forced migration step before every op of the
-  # incremental specs, validated at each step, so every drain phase of
-  # the two-table state is checked.
+  # Drain soak: a forced migration step before every op of the growing
+  # specs (dynamic, flat, flat16, cuckoo, and sharded fleets of them),
+  # validated at each step, so every drain phase of the two-table state
+  # is checked.
   TCPDEMUX_FUZZ_RESIZE_EVERY=1 \
-    ctest --test-dir "$ROOT/build" -R 'Fuzz(Ops|Adversarial).*incremental' \
+    ctest --test-dir "$ROOT/build" \
+          -R 'Fuzz(Ops|Adversarial).*(dynamic|flat|cuckoo)' \
           --output-on-failure -j "$JOBS"
   "$ROOT/build/bench/wallclock_attack" --smoke
 else
@@ -205,15 +207,14 @@ else
 fi
 
 if [[ "${SKIP_RESIZE:-0}" != "1" ]]; then
-  stage resize "incremental-resize pause smoke + bounded-pause assertion"
+  stage resize "resize pause smoke + bounded-drain assertion"
   if [[ ! -d "$ROOT/build" ]]; then
     cmake -B "$ROOT/build" -S "$ROOT" -DTCPDEMUX_WERROR=ON
   fi
   cmake --build "$ROOT/build" -j "$JOBS" --target wallclock_resize
-  # Smoke-size growth sweep (64k -> 128k per backend, baseline vs
-  # incremental); the validator asserts the incremental worst-case pause
-  # stays a fixed fraction of the stop-the-world spike and that lookup
-  # p99 stays flat through the doubling.
+  # Smoke-size growth sweep (64k -> 128k per backend); the validator
+  # asserts no drain step moved more than kMigrateBatch entries, that
+  # lookup p99 stays flat through the doubling, and that a doubling ran.
   "$ROOT/build/bench/wallclock_resize" --smoke \
       --json "$ROOT/build/wallclock_resize.smoke.json"
   python3 "$ROOT/tools/bench/validate_resize.py" \

@@ -243,7 +243,7 @@ Pcb* CuckooDemuxer::insert(const net::FlowKey& key) {
       if (placed) break;
     }
     if (size_ * 2 < capacity()) break;
-    resize_.grow(*this, table_, options_.incremental);
+    resize_.grow(*this, table_);
     placed = place_entry(table_, h, key, pcb, &effort);
   }
   if (!placed) {
@@ -264,7 +264,7 @@ void CuckooDemuxer::maybe_grow() {
   // Grow at 7/8 occupancy: 4-way buckets keep kick paths short below
   // that, and the filter bits stay sparse.
   if ((size_ + 1) * 8 <= capacity() * 7) return;
-  resize_.grow(*this, table_, options_.incremental);
+  resize_.grow(*this, table_);
 }
 
 bool CuckooDemuxer::migrate_unit(Table& old, std::size_t slot,
@@ -505,7 +505,6 @@ std::string CuckooDemuxer::name() const {
   n += net::hash_spec_name(options_.hasher);
   if (options_.rehash_on_overload) n += ",rehash";
   if (options_.max_pcbs != 0) n += ",max=" + std::to_string(options_.max_pcbs);
-  if (options_.incremental) n += ",incremental";
   n += ')';
   return n;
 }

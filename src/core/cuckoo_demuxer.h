@@ -23,11 +23,12 @@
 //     mutation in the fuzz suites);
 //   * growth doubles the bucket array at 7/8 occupancy through the shared
 //     resize engine (core/resize_policy.h): allocate the doubled table,
-//     then drain the old one into it, at once or incrementally. An insert
-//     whose kick search exhausts its budget triggers the keyed-seed
-//     rotation (`rehash` option) and then growth, and is shed only if the
-//     table stays unplaceable while half empty — the signature of crafted
-//     full-hash collisions, which no table geometry can absorb.
+//     then drain the old one into it a bounded batch per operation, behind
+//     a slot cursor. An insert whose kick search exhausts its budget
+//     triggers the keyed-seed rotation (`rehash` option) and then growth,
+//     and is shed only if the table stays unplaceable while half empty —
+//     the signature of crafted full-hash collisions, which no table
+//     geometry can absorb.
 //
 // Accounting: `examined` counts key comparisons (fingerprint hits), as in
 // the flat table. Tag and filter probes are free by design. The watermark
@@ -63,10 +64,6 @@ class CuckooDemuxer final : public Demuxer {
     /// Refuse inserts beyond this many PCBs (0 = unbounded). Refused
     /// inserts return nullptr and count in resilience().inserts_shed.
     std::size_t max_pcbs = 0;
-    /// Drain the outgoing bucket array incrementally behind a slot cursor,
-    /// a bounded batch per operation, so no insert ever pays an O(size)
-    /// pause (see DESIGN.md "Incremental resize & degradation ladder").
-    bool incremental = false;
   };
 
   CuckooDemuxer() : CuckooDemuxer(Options()) {}

@@ -51,8 +51,7 @@ std::unique_ptr<Demuxer> make_demuxer(const DemuxConfig& config) {
       return std::make_unique<SequentDemuxer>(SequentDemuxer::Options{
           config.chains, hasher, config.per_chain_cache,
           config.rehash_on_overload, config.max_pcbs,
-          /*grow=*/config.algorithm == Algorithm::kDynamic,
-          config.incremental});
+          /*grow=*/config.algorithm == Algorithm::kDynamic});
     case Algorithm::kHashedMtf:
       return std::make_unique<HashedMtfDemuxer>(
           HashedMtfDemuxer::Options{config.chains, config.hasher});
@@ -65,17 +64,16 @@ std::unique_ptr<Demuxer> make_demuxer(const DemuxConfig& config) {
       return std::make_unique<FlatDemuxer>(
           FlatDemuxer::Options{config.flat_capacity, hasher,
                                config.rehash_on_overload, config.max_pcbs,
-                               /*group_probe=*/false, config.incremental});
+                               /*group_probe=*/false});
     case Algorithm::kFlat16:
       return std::make_unique<FlatDemuxer>(
           FlatDemuxer::Options{config.flat_capacity, hasher,
                                config.rehash_on_overload, config.max_pcbs,
-                               /*group_probe=*/true, config.incremental});
+                               /*group_probe=*/true});
     case Algorithm::kCuckoo:
       return std::make_unique<CuckooDemuxer>(
           CuckooDemuxer::Options{config.flat_capacity, hasher,
-                                 config.rehash_on_overload, config.max_pcbs,
-                                 config.incremental});
+                                 config.rehash_on_overload, config.max_pcbs});
     case Algorithm::kSharded: {
       const auto inner = parse_demux_spec(config.inner_spec);
       if (!inner) return nullptr;  // parse_demux_spec validated it already
@@ -260,12 +258,10 @@ std::optional<DemuxConfig> parse_demux_spec(std::string_view spec,
   const bool rehashable = config.algorithm == Algorithm::kSequent || is_flat;
   const bool cappable = config.algorithm == Algorithm::kSequent ||
                         config.algorithm == Algorithm::kDynamic || is_flat;
-  const bool growable = config.algorithm == Algorithm::kDynamic || is_flat;
   bool saw_hasher = false;
   bool saw_nocache = false;
   bool saw_rehash = false;
   bool saw_max = false;
-  bool saw_incremental = false;
   for (std::size_t idx = 1; idx < parts.size(); ++idx) {
     const std::string_view tok = parts[idx];
     if (const auto count = parse_u32(tok)) {
@@ -334,14 +330,6 @@ std::optional<DemuxConfig> parse_demux_spec(std::string_view spec,
       }
       config.max_pcbs = *cap;
       saw_max = true;
-    } else if (tok == "incremental") {
-      if (!growable) {
-        return fail(error, "'incremental' is not supported by " +
-                               std::string(algorithm_name(config.algorithm)));
-      }
-      if (saw_incremental) return fail(error, "duplicate 'incremental' token");
-      config.incremental = true;
-      saw_incremental = true;
     } else {
       return fail(error, "unknown token " + quoted(tok));
     }

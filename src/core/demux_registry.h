@@ -41,10 +41,6 @@ struct DemuxConfig {
   bool rehash_on_overload = false;
   /// sequent/dynamic/flat/flat16/cuckoo: 0 = unbounded
   std::size_t max_pcbs = 0;
-  /// dynamic/flat/flat16/cuckoo: grow by bounded-pause incremental
-  /// migration instead of a stop-the-world rebuild (see DESIGN.md
-  /// "Incremental resize & degradation ladder").
-  bool incremental = false;
   // Sharded receive path (algorithm == kSharded only; see DESIGN.md
   // "Sharded receive path").
   std::uint32_t shards = 0;   ///< shard count (>= 1 when kSharded)
@@ -74,11 +70,11 @@ struct DemuxConfig {
 ///
 /// The count token, when an algorithm takes one, must come directly after
 /// the algorithm name; the hasher token and the option tokens may then
-/// appear in any order, each at most once. So "dynamic:incremental" and
+/// appear in any order, each at most once. So "dynamic:max=100" and
 /// "flat:rehash:crc32c" are valid, while conflicting duplicates
-/// ("flat:incremental:incremental", two "max=N" tokens, two hasher
-/// tokens) are rejected — nesting specs under sharded makes silent
-/// last-wins unacceptable.
+/// ("flat:rehash:rehash", two "max=N" tokens, two hasher tokens) are
+/// rejected — nesting specs under sharded makes silent last-wins
+/// unacceptable.
 ///
 /// A hasher token may carry a hex seed suffix, "hasher@1f2e" — the keyed
 /// family (seed 0 == "@0" == unkeyed, bit-identical to the plain name).
@@ -91,14 +87,16 @@ struct DemuxConfig {
 ///               overload watermark
 ///   "max=N"     sequent/dynamic/flat/flat16/cuckoo: shed inserts beyond
 ///               N PCBs (N > 0)
-///   "incremental"  dynamic/flat/flat16/cuckoo: bounded-pause incremental
-///               resize with the memory-pressure degradation ladder
+/// There is no growth option: dynamic/flat/flat16/cuckoo always drain a
+/// doubling's outgoing table a bounded batch per operation, with the
+/// memory-pressure degradation ladder (DESIGN.md "Incremental resize &
+/// degradation ladder").
 /// Returns nullopt on any unrecognized, duplicate, or unsupported token.
 [[nodiscard]] std::optional<DemuxConfig> parse_demux_spec(
     std::string_view spec);
 
 /// As above, but on failure writes a human-readable reason into `*error`
-/// (when non-null) naming the offending token — "duplicate 'incremental'
+/// (when non-null) naming the offending token — "duplicate 'rehash'
 /// token", "'nocache' is not supported by flat", ... Callers that surface
 /// spec strings to users (benches, examples, nested sharded specs) use
 /// this overload.

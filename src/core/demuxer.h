@@ -154,13 +154,13 @@ class Demuxer {
   /// machinery (the default).
   [[nodiscard]] virtual ResilienceStats resilience() const { return {}; }
 
-  /// Advances any in-progress incremental table migration by one bounded
-  /// batch (growing backends built with the `incremental` option; see
-  /// DESIGN.md "Incremental resize & degradation ladder"). Returns true
-  /// while migration work remains after the call. Harness hook: the fuzz
-  /// suites (TCPDEMUX_FUZZ_RESIZE_EVERY) and bench/wallclock_resize drive
-  /// migrations to completion with it; normal operation never needs to —
-  /// insert/erase/lookup each retire their own batch.
+  /// Advances any in-progress table migration by one bounded batch (every
+  /// growing backend; see DESIGN.md "Incremental resize & degradation
+  /// ladder"). Returns true while migration work remains after the call.
+  /// Harness hook: the fuzz suites (TCPDEMUX_FUZZ_RESIZE_EVERY) and
+  /// bench/wallclock_resize drive migrations to completion with it; normal
+  /// operation never needs to — insert/erase/lookup each retire their own
+  /// batch.
   virtual bool migration_step() { return false; }
 
   /// The per-demuxer telemetry registry (see report/telemetry.h): event

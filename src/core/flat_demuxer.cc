@@ -69,10 +69,13 @@ FlatDemuxer::Probe FlatDemuxer::find_slot_grouped(
   const std::size_t home = h & t.mask;
   std::size_t base = home & ~(kGroupWidth - 1);
   // The home group starts mid-run: slots before `home` belong to earlier
-  // probe runs, so mask them out of both the match and empty views.
-  std::uint32_t live = 0xffffU << (home - base);
+  // probe runs, so mask them out of both the match and empty views. A run
+  // that wraps the whole array ends in exactly those slots, so the probe
+  // comes back to the home group once more and views only them.
+  const std::uint32_t pre_home = (1U << (home - base)) - 1;
+  std::uint32_t live = 0xffffU & ~pre_home;
   const std::size_t groups = t.capacity() / kGroupWidth;
-  for (std::size_t g = 0; g < groups; ++g) {
+  for (std::size_t g = 0; g <= groups; ++g) {
     std::uint32_t match = group_match(&t.tags[base], tag) & live;
     const std::uint32_t empty = group_empty(&t.tags[base]) & live;
     if (empty != 0) {
@@ -91,7 +94,7 @@ FlatDemuxer::Probe FlatDemuxer::find_slot_grouped(
     }
     if (empty != 0) return r;  // run exhausted without a key match: absent
     base = (base + kGroupWidth) & t.mask;
-    live = 0xffffU;
+    live = g + 1 == groups ? pre_home : 0xffffU;
   }
   return r;  // unreachable: load factor < 1 guarantees an empty slot
 }
@@ -128,7 +131,7 @@ void FlatDemuxer::maybe_grow() {
   // Grow at 7/8 occupancy: beyond that, probe runs lengthen sharply and
   // the tag array stops saving traffic.
   if ((size_ + 1) * 8 <= capacity() * 7) return;
-  resize_.grow(*this, table_, options_.incremental);
+  resize_.grow(*this, table_);
 }
 
 bool FlatDemuxer::migrate_unit(Table& old, std::size_t i, DrainMode mode) {
@@ -417,7 +420,6 @@ std::string FlatDemuxer::name() const {
   n += net::hash_spec_name(options_.hasher);
   if (options_.rehash_on_overload) n += ",rehash";
   if (options_.max_pcbs != 0) n += ",max=" + std::to_string(options_.max_pcbs);
-  if (options_.incremental) n += ",incremental";
   n += ')';
   return n;
 }

@@ -23,15 +23,14 @@
 //     degrades with churn;
 //   * growth doubles the table at 7/8 occupancy (amortized O(1) per
 //     insert): the doubled array is allocated first, then the old one
-//     drains into it — in one sweep by default, or with
-//     Options::incremental a bounded batch per insert/erase/lookup, so
-//     worst-case per-operation work is O(batch), not O(n). Pcb objects
-//     live in the demuxer's PcbSlab and the slot arrays hold only
-//     pointers, so Pcb* stay stable across growth and slot shifts. When the doubled array cannot be allocated the table
-//     degrades down a ladder — defer-and-retry with exponential backoff,
-//     then shed-at-watermark — instead of corrupting state (see
-//     core/resize_policy.h and DESIGN.md "Incremental resize &
-//     degradation ladder").
+//     drains into it a bounded batch per insert/erase/lookup, so no
+//     operation re-places more than O(batch) residents. Pcb objects live
+//     in the demuxer's PcbSlab and the slot arrays hold only pointers, so
+//     Pcb* stay stable across growth and slot shifts. When the doubled
+//     array cannot be allocated the table degrades down a ladder —
+//     defer-and-retry with exponential backoff, then shed-at-watermark —
+//     instead of corrupting state (see core/resize_policy.h and DESIGN.md
+//     "Incremental resize & degradation ladder").
 //
 // Accounting: `examined` counts key comparisons (fingerprint hits), the
 // moments this structure actually touches a connection's identity. Tag
@@ -74,9 +73,6 @@ class FlatDemuxer final : public Demuxer {
     /// robin-hood keeps every probe run contiguous from the home slot to
     /// the first empty slot, which is exactly what group termination needs.
     bool group_probe = false;
-    /// Drain the outgoing array incrementally, a bounded batch per
-    /// operation, instead of all at once at the growth trigger.
-    bool incremental = false;
   };
 
   FlatDemuxer() : FlatDemuxer(Options()) {}
@@ -97,14 +93,14 @@ class FlatDemuxer final : public Demuxer {
   [[nodiscard]] std::size_t memory_bytes() const override;
 
   /// Current slot count (doubles as the table grows). Test/bench hook.
-  /// While an incremental migration is in flight this is the *new* array's
-  /// capacity; the draining old array is extra (see memory_bytes()).
+  /// While a migration is in flight this is the *new* array's capacity;
+  /// the draining old array is extra (see memory_bytes()).
   [[nodiscard]] std::size_t capacity() const noexcept {
     return table_.capacity();
   }
 
   bool migration_step() override;
-  /// True while an incremental migration is draining the old array.
+  /// True while a migration is draining the old array.
   [[nodiscard]] bool migrating() const noexcept { return resize_.migrating(); }
   /// Residents still waiting in the old array (0 when not migrating).
   [[nodiscard]] std::size_t migration_debt() const noexcept {
@@ -199,7 +195,8 @@ class FlatDemuxer final : public Demuxer {
   /// groups with one vector compare each. Capacity is a power of two
   /// >= 16, so groups never straddle the array end and the wrap is a mask
   /// on the group base. Slots before the home slot in its own group are
-  /// masked out — they belong to an earlier probe run.
+  /// masked out — they belong to an earlier probe run — until a final
+  /// pass over just them, where a run that wrapped the whole array ends.
   [[nodiscard]] static Probe find_slot_grouped(
       const Table& t, std::uint32_t h, const net::FlowKey& key) noexcept;
 

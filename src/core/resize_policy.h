@@ -2,13 +2,16 @@
 // (sequent/dynamic, flat, flat16, cuckoo; see DESIGN.md "Incremental
 // resize & degradation ladder").
 //
-// A growth is always start_migration(): allocate the whole new table,
-// then swing the live one behind a drain cursor. Stop-the-world and
-// `incremental` differ only in when that outgoing table drains — at once,
-// in one sweep in unit order, or a bounded batch per operation. The
-// allocation-failure ladder lives here too: rung 1 defers the doubling
-// with exponential backoff, rung 2 sheds inserts at a hard watermark while
-// growth stays blocked.
+// A growth is start_migration(): allocate the whole new table, then swing
+// the live one behind a drain cursor. Every operation then relinks at most
+// a bounded batch (kMigrateBatch per insert or erase, kMigrateLookupBatch
+// per lookup) until the outgoing table is empty. Only a force-finish —
+// the next growth trigger arriving before the drain ends, or a seed
+// rotation — sweeps what is left in one pass. What is bounded is the
+// relinking: building the doubled table (grown_table()) still happens
+// inside the insert that fires the trigger. The allocation-failure ladder
+// lives here too: rung 1 defers the doubling with exponential backoff,
+// rung 2 sheds inserts at a hard watermark while growth stays blocked.
 //
 // The collision-flood defence (DESIGN.md "Adversarial resilience") is the
 // same machinery at the same size: rotate_seed() allocates a same-size
@@ -115,18 +118,16 @@ class ResizeEngine {
 
   /// The growth trigger fired. Finishes a drain still in flight (churn
   /// outpaced migration), honours the retry backoff, then starts the next
-  /// doubling — draining it at once unless `incremental`. Returns true if
-  /// a new table was swung in.
+  /// doubling, whose outgoing table migrate_batch() drains. Returns true
+  /// if a new table was swung in.
   template <class Backend>
-  bool grow(Backend& b, Table& live, bool incremental) {
+  bool grow(Backend& b, Table& live) {
     finish_migration(b);
     if (blocked_ && retry_in_ > 0) {
       --retry_in_;
       return false;
     }
-    if (!start_migration(b, live)) return false;
-    if (!incremental) finish_migration(b);
-    return true;
+    return start_migration(b, live);
   }
 
   /// Moves up to `budget` residents, skipping at most
@@ -153,8 +154,8 @@ class ResizeEngine {
   }
 
   /// Drains the outgoing table completely in one sweep in unit order: the
-  /// stop-the-world schedule, and the force-finish before a second
-  /// doubling or a seed rotation. No-op when not migrating.
+  /// force-finish before a second doubling or a seed rotation. No-op when
+  /// not migrating.
   template <class Backend>
   void finish_migration(Backend& b) {
     if (old_ == nullptr) return;

@@ -99,7 +99,7 @@ void SequentDemuxer::maybe_grow() {
     return;
   }
   if (next_table_size(chains()) <= chains()) return;  // ladder exhausted
-  resize_.grow(*this, buckets_, options_.incremental);
+  resize_.grow(*this, buckets_);
 }
 
 bool SequentDemuxer::migrate_unit(Table& old, std::size_t c,
@@ -286,7 +286,6 @@ std::string SequentDemuxer::name() const {
   if (!options_.per_chain_cache) n += ",nocache";
   if (options_.rehash_on_overload) n += ",rehash";
   if (options_.max_pcbs != 0) n += ",max=" + std::to_string(options_.max_pcbs);
-  if (options_.incremental) n += ",incremental";
   n += ')';
   return n;
 }

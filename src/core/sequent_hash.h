@@ -53,13 +53,12 @@ class SequentDemuxer final : public Demuxer {
     std::size_t max_pcbs = 0;
     /// Grow H when size > max_load * H. Growth dilutes benign skew but not
     /// a collision flood: pair a keyed hasher with the cap (or rotation)
-    /// for hostile deployments.
+    /// for hostile deployments. The outgoing chains drain a bounded batch
+    /// per operation, so no operation relinks more than kMigrateBatch PCBs
+    /// outside a force-finish; the insert that fires the trigger still
+    /// builds the doubled bucket table (see DESIGN.md "Incremental resize
+    /// & degradation ladder").
     bool grow = false;
-    /// Drain the outgoing chains incrementally, a bounded batch per
-    /// operation, instead of relinking them all at the growth trigger, so
-    /// no insert ever pays an O(size) pause (see DESIGN.md "Incremental
-    /// resize & degradation ladder").
-    bool incremental = false;
     /// A float keeps Options at 32 bytes, so everything lookup() reads
     /// (options_, buckets_, the engine's outgoing-table pointer) fits in
     /// the 64 bytes right after the Demuxer base.

@@ -242,10 +242,9 @@ std::string parse_error(std::string_view spec) {
 TEST(Registry, ParseRejectsDuplicateOptionTokensInEveryFamily) {
   // One duplicated-token probe per option, across the families that
   // accept it; all must fail, none may silently keep either copy.
-  EXPECT_FALSE(parse_demux_spec("flat:incremental:incremental").has_value());
-  EXPECT_FALSE(parse_demux_spec("flat16:64:incremental:incremental").has_value());
-  EXPECT_FALSE(parse_demux_spec("cuckoo:incremental:incremental").has_value());
-  EXPECT_FALSE(parse_demux_spec("dynamic:incremental:incremental").has_value());
+  EXPECT_FALSE(parse_demux_spec("flat:rehash:rehash").has_value());
+  EXPECT_FALSE(parse_demux_spec("cuckoo:rehash:rehash").has_value());
+  EXPECT_FALSE(parse_demux_spec("cuckoo:64:max=9:max=9").has_value());
   EXPECT_FALSE(parse_demux_spec("sequent:19:max=5:max=9").has_value());
   EXPECT_FALSE(parse_demux_spec("dynamic:5:max=5:max=5").has_value());
   EXPECT_FALSE(parse_demux_spec("flat:64:max=100:max=200").has_value());
@@ -275,11 +274,11 @@ TEST(Registry, ParseRejectsMisplacedCountToken) {
 
 TEST(Registry, ParseAcceptsHasherAndOptionsInAnyOrder) {
   // The flip side of positional counts: everything after the count slot
-  // may come in any order. "dynamic:incremental" (option in the count
-  // slot) used to be rejected outright.
-  const auto dynamic = parse_demux_spec("dynamic:incremental");
+  // may come in any order. "dynamic:max=100" (option in the count slot)
+  // used to be rejected outright.
+  const auto dynamic = parse_demux_spec("dynamic:max=100");
   ASSERT_TRUE(dynamic.has_value());
-  EXPECT_TRUE(dynamic->incremental);
+  EXPECT_EQ(dynamic->max_pcbs, 100u);
   const auto flat = parse_demux_spec("flat:rehash:crc32c");
   ASSERT_TRUE(flat.has_value());
   EXPECT_TRUE(flat->rehash_on_overload);
@@ -287,11 +286,11 @@ TEST(Registry, ParseAcceptsHasherAndOptionsInAnyOrder) {
   const auto sequent = parse_demux_spec("sequent:nocache:crc32");
   ASSERT_TRUE(sequent.has_value());
   EXPECT_FALSE(sequent->per_chain_cache);
-  const auto capped = parse_demux_spec("flat:64:max=100:crc32:incremental");
+  const auto capped = parse_demux_spec("flat:64:max=100:crc32:rehash");
   ASSERT_TRUE(capped.has_value());
   EXPECT_EQ(capped->flat_capacity, 64u);
   EXPECT_EQ(capped->max_pcbs, 100u);
-  EXPECT_TRUE(capped->incremental);
+  EXPECT_TRUE(capped->rehash_on_overload);
 }
 
 TEST(Registry, ParseRejectsMangledSeedSuffixes) {
@@ -321,12 +320,16 @@ TEST(Registry, ParseShardedGrammar) {
 }
 
 TEST(Registry, ErrorOverloadNamesTheOffendingToken) {
-  EXPECT_EQ(parse_error("flat:incremental:incremental"),
-            "duplicate 'incremental' token");
+  EXPECT_EQ(parse_error("flat:rehash:rehash"), "duplicate 'rehash' token");
   EXPECT_EQ(parse_error("sequent:19:max=5:max=9"), "duplicate 'max=N' token");
   EXPECT_EQ(parse_error("flat:64:nocache"), "'nocache' is not supported by flat");
   EXPECT_EQ(parse_error("sequent:19:turbo"), "unknown token 'turbo'");
-  EXPECT_EQ(parse_error("mtf:incremental"), "mtf takes no ':' parameters");
+  EXPECT_EQ(parse_error("mtf:rehash"), "mtf takes no ':' parameters");
+  // Growth has one schedule, so there is no token that picks one.
+  for (const char* spec : {"dynamic:incremental", "flat:64:incremental",
+                           "flat16:incremental", "cuckoo:crc32c:incremental"}) {
+    EXPECT_EQ(parse_error(spec), "unknown token 'incremental'") << spec;
+  }
   // Inner-spec failures surface wrapped, so a bad token three levels into
   // a sharded spec still names itself.
   const std::string nested = parse_error("sharded:2:flat:64:max=1:max=2");

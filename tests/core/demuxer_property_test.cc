@@ -156,22 +156,23 @@ TEST_P(DemuxerProperty, RepeatedLookupOfSameKeyCostsAtMostFirstCost) {
   }
 }
 
-// Stop-the-world growth drains the outgoing table in one sweep, and the
-// sweep must visit residents in slot/chain order: relinking or re-placing
-// them in any other order reshuffles chains and probe runs, which moves
-// the paper's cost metric. Each growing backend replays one seeded
-// insert + lookup stream across at least three doublings; the exact
-// examined and cache-hit totals are pinned.
-TEST(GrowthOrder, StopTheWorldSweepKeepsExactCosts) {
+// Growth drains the outgoing table a bounded batch per operation behind
+// a cursor, and the drain must visit residents in slot/chain order:
+// relinking or re-placing them in any other order — or at other moments —
+// reshuffles chains and probe runs, which moves the paper's cost metric.
+// Each growing backend replays one seeded insert + lookup stream across
+// at least three doublings; the exact examined and cache-hit totals are
+// pinned.
+TEST(GrowthOrder, DrainKeepsExactCosts) {
   struct Pin {
     const char* spec;
     std::uint64_t examined;
     std::uint64_t cache_hits;
   };
-  const Pin pins[] = {{"dynamic:5:crc32", 8002, 1356},
-                      {"flat:64:crc32", 3640, 0},
-                      {"flat16:64:crc32", 3666, 0},
-                      {"cuckoo:64:crc32c", 3667, 0}};
+  const Pin pins[] = {{"dynamic:5:crc32", 8122, 1254},
+                      {"flat:64:crc32", 3644, 0},
+                      {"flat16:64:crc32", 3670, 0},
+                      {"cuckoo:64:crc32c", 3672, 0}};
   for (const Pin& pin : pins) {
     auto d = make_demuxer(*parse_demux_spec(pin.spec));
     std::mt19937_64 rng(1992);

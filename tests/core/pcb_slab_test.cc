@@ -1,6 +1,6 @@
 // PcbSlab: the one PCB allocator. Unit tests of the slab itself, a
 // registry-wide check that every slab-backed demuxer hands out aligned,
-// address-stable PCBs through growth, incremental drain and seed rotation,
+// address-stable PCBs through growth, its drain and seed rotation,
 // and (under ASan only) a death test proving a stale Pcb* is still caught.
 #include "core/pcb_slab.h"
 
@@ -225,12 +225,10 @@ INSTANTIATE_TEST_SUITE_P(
     EverySlabBackedSpec, PcbSlabRegistry,
     ::testing::Values("bsd", "mtf", "srcache", "sequent",
                       "sequent:19:xor_fold:rehash", "hashed_mtf",
-                      "connection_id", "dynamic", "dynamic:5:incremental",
-                      "flat", "flat:64:incremental",
-                      "flat:64:xor_fold:rehash", "flat16:64:incremental",
-                      "cuckoo", "cuckoo:64:incremental",
-                      "cuckoo:64:crc32c:rehash", "sharded:4:flat16",
-                      "sharded:2:dynamic:5:incremental"),
+                      "connection_id", "dynamic", "dynamic:5", "flat",
+                      "flat:64", "flat:64:xor_fold:rehash", "flat16:64",
+                      "cuckoo", "cuckoo:64", "cuckoo:64:crc32c:rehash",
+                      "sharded:4:flat16", "sharded:2:dynamic:5"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       std::string name = info.param;
       for (char& c : name) {
