@@ -41,7 +41,6 @@ std::vector<std::string> specs_for(std::uint32_t users) {
   const std::string chains = std::to_string(scaled_chains(users));
   const std::string doubled = std::to_string(2 * users);
   return {"flat:" + doubled + ":crc32", "flat:" + doubled,
-          "flat16:" + doubled + ":crc32c", "flat16:" + doubled,
           "cuckoo:" + doubled + ":crc32c",
           "sequent:" + chains + ":crc32", "rcu:" + chains + ":crc32",
           "hashed_mtf:" + chains + ":crc32"};

@@ -109,11 +109,8 @@ std::vector<std::string> specs_for(std::uint32_t users) {
   // Hardware CRC32C on the same structure isolates the hash-instruction
   // gain from the probing-scheme gain...
   specs.push_back("flat:" + doubled + ":crc32c");
-  // ...then SIMD group probing (flat16) and the Cuckoo++ table stack on
-  // top. cuckoo's miss story needs --miss-rate to show; at 0 it documents
-  // the bounded-hit cost instead.
-  specs.push_back("flat16:" + doubled + ":crc32c");
-  specs.push_back("flat16:" + doubled);
+  // ...then the Cuckoo++ table on the same hash. Its miss story needs
+  // --miss-rate to show; at 0 it documents the bounded-hit cost instead.
   specs.push_back("cuckoo:" + doubled + ":crc32c");
   return specs;
 }

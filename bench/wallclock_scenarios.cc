@@ -68,7 +68,6 @@ std::vector<std::string> demux_specs() {
           "dynamic",
           "rcu:251:crc32",
           "flat:4096:crc32",
-          "flat16:4096:crc32",
           "cuckoo:4096:crc32c"};
 }
 

@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
 
   // --- sharded: one fleet per thread count (shards == threads) ---------
   for (const int threads : thread_counts) {
-    core::DemuxConfig inner = *core::parse_demux_spec("flat16");
+    core::DemuxConfig inner = *core::parse_demux_spec("flat");
     // Keep total slot budget constant across shard counts: the fleet as a
     // whole always provisions 2x the population.
     inner.flat_capacity = std::max<std::size_t>(
@@ -211,7 +211,7 @@ int main(int argc, char** argv) {
     for (const std::uint32_t writes : {0u, 64u}) {
       const double ns = threaded_ns_per_op(
           threads, per_thread, reps, sharded_body(d, partition, writes));
-      record("sharded:" + std::to_string(threads) + ":flat16", threads,
+      record("sharded:" + std::to_string(threads) + ":flat", threads,
              writes, ns, occupancy_skew(d));
     }
   }
@@ -221,7 +221,7 @@ int main(int argc, char** argv) {
   {
     auto d = std::make_unique<core::GloballyLockedDemuxer>(
         core::make_demuxer(*core::parse_demux_spec(
-            "flat16:" + std::to_string(2u * connections))));
+            "flat:" + std::to_string(2u * connections))));
     for (const net::FlowKey& k : keys) d->insert(k);
     for (const int threads : thread_counts) {
       const std::uint64_t per_thread =
@@ -229,7 +229,7 @@ int main(int argc, char** argv) {
       for (const std::uint32_t writes : {0u, 64u}) {
         const double ns = threaded_ns_per_op(
             threads, per_thread, reps, shared_body(*d, keys, writes));
-        record("global_lock/flat16", threads, writes, ns, 0.0);
+        record("global_lock/flat", threads, writes, ns, 0.0);
       }
     }
   }
@@ -266,7 +266,7 @@ int main(int argc, char** argv) {
 
   // --- NIC mis-steer telemetry: churn replay with a damaged table ------
   {
-    core::DemuxConfig inner = *core::parse_demux_spec("flat16");
+    core::DemuxConfig inner = *core::parse_demux_spec("flat");
     inner.flat_capacity = std::max<std::size_t>(1024, connections / 2);
     core::ShardedDemuxer d(core::ShardedDemuxer::Options{4, inner});
     sim::NicDispatch nic(d);

@@ -14,13 +14,11 @@
 #   stage 8  scenario workload x demuxer matrix smoke   (SKIP_SCENARIO=1 skips)
 #   stage 9  tsafety Clang -Wthread-safety build        (SKIP_THREAD_SAFETY=1 skips)
 #   stage 10 tidy    clang-tidy over compile_commands   (SKIP_TIDY=1 skips)
-#   stage 11 swar    SWAR-forced rebuild of the group-probe/hash fallbacks
-#                    + core/fuzz/robustness ctest       (SKIP_SWAR=1 skips)
-#   stage 12 resize  wallclock_resize --smoke + bounded-drain
+#   stage 11 resize  wallclock_resize --smoke + bounded-drain
 #                    assertion (validate_resize.py)     (SKIP_RESIZE=1 skips)
-#   stage 13 sharded wallclock_sharded --smoke + zero-miss/scaling
+#   stage 12 sharded wallclock_sharded --smoke + zero-miss/scaling
 #                    assertion (validate_sharded.py)    (SKIP_SHARDED=1 skips)
-#   stage 14 rxbench receive-path benchmark --self-test (SKIP_RXBENCH=1 skips)
+#   stage 13 rxbench receive-path benchmark --self-test (SKIP_RXBENCH=1 skips)
 #
 # Stages 9 and 10 need LLVM tooling (clang++ / clang-tidy) and skip with a
 # notice when it is not installed, so a GCC-only box still passes the gate.
@@ -109,7 +107,7 @@ if [[ "${SKIP_ROBUSTNESS:-0}" != "1" ]]; then
     ctest --test-dir "$ROOT/build" -R 'Fuzz(Ops|Adversarial)' \
           --output-on-failure -j "$JOBS"
   # Drain soak: a forced migration step before every op of the growing
-  # specs (dynamic, flat, flat16, cuckoo, and sharded fleets of them),
+  # specs (dynamic, flat, cuckoo, and sharded fleets of them),
   # validated at each step, so every drain phase of the two-table state
   # is checked.
   TCPDEMUX_FUZZ_RESIZE_EVERY=1 \
@@ -184,26 +182,6 @@ if [[ "${SKIP_TIDY:-0}" != "1" ]]; then
   fi
 else
   skipped tidy SKIP_TIDY
-fi
-
-if [[ "${SKIP_SWAR:-0}" != "1" ]]; then
-  stage swar "SWAR-forced rebuild (no vector intrinsics) + demuxer suites"
-  # The portable fallback must be behaviourally identical to the SIMD
-  # path, not merely compile: rebuild with every vector backend disabled
-  # and run the suites that exercise group probing, the cuckoo table, and
-  # the hashers (the crc32c software table is always tested against the
-  # hardware instruction in-process; this covers the group-probe shim).
-  cmake -B "$ROOT/build-swar" -S "$ROOT" -DTCPDEMUX_WERROR=ON \
-        -DTCPDEMUX_FORCE_SWAR=ON
-  cmake --build "$ROOT/build-swar" -j "$JOBS" \
-        --target core_tests net_tests fuzz_ops_test robustness_tests
-  # Run the binaries directly: only these four targets exist in this tree,
-  # so a full ctest invocation would trip over the undiscovered suites.
-  for t in core_tests net_tests fuzz_ops_test robustness_tests; do
-    "$ROOT/build-swar/tests/$t"
-  done
-else
-  skipped swar SKIP_SWAR
 fi
 
 if [[ "${SKIP_RESIZE:-0}" != "1" ]]; then

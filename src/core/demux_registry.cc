@@ -63,13 +63,7 @@ std::unique_ptr<Demuxer> make_demuxer(const DemuxConfig& config) {
     case Algorithm::kFlat:
       return std::make_unique<FlatDemuxer>(
           FlatDemuxer::Options{config.flat_capacity, hasher,
-                               config.rehash_on_overload, config.max_pcbs,
-                               /*group_probe=*/false});
-    case Algorithm::kFlat16:
-      return std::make_unique<FlatDemuxer>(
-          FlatDemuxer::Options{config.flat_capacity, hasher,
-                               config.rehash_on_overload, config.max_pcbs,
-                               /*group_probe=*/true});
+                               config.rehash_on_overload, config.max_pcbs});
     case Algorithm::kCuckoo:
       return std::make_unique<CuckooDemuxer>(
           CuckooDemuxer::Options{config.flat_capacity, hasher,
@@ -119,7 +113,6 @@ std::string_view algorithm_name(Algorithm algorithm) noexcept {
     case Algorithm::kDynamic: return "dynamic";
     case Algorithm::kRcu: return "rcu";
     case Algorithm::kFlat: return "flat";
-    case Algorithm::kFlat16: return "flat16";
     case Algorithm::kCuckoo: return "cuckoo";
     case Algorithm::kSharded: return "sharded";
   }
@@ -207,8 +200,6 @@ std::optional<DemuxConfig> parse_demux_spec(std::string_view spec,
     config.algorithm = Algorithm::kRcu;
   } else if (head == "flat") {
     config.algorithm = Algorithm::kFlat;
-  } else if (head == "flat16") {
-    config.algorithm = Algorithm::kFlat16;
   } else if (head == "cuckoo") {
     config.algorithm = Algorithm::kCuckoo;
     // A partial-key cuckoo table derives its alternate bucket from the
@@ -238,7 +229,6 @@ std::optional<DemuxConfig> parse_demux_spec(std::string_view spec,
 
   // The slot-array tables share capacity parsing and the resilience gates.
   const bool is_flat = config.algorithm == Algorithm::kFlat ||
-                       config.algorithm == Algorithm::kFlat16 ||
                        config.algorithm == Algorithm::kCuckoo;
   const bool takes_chains = config.algorithm == Algorithm::kSequent ||
                             config.algorithm == Algorithm::kHashedMtf ||

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <stdexcept>
 #include <utility>
 
 #include "core/fault_inject.h"
 #include "core/prefetch.h"
-#include "core/simd.h"
 
 namespace tcpdemux::core {
 namespace {
@@ -36,7 +34,7 @@ FlatDemuxer::Table::Table(std::size_t capacity)
       keys(capacity, net::FlowKey{}),
       pcbs(capacity) {}
 
-FlatDemuxer::Probe FlatDemuxer::find_slot_scalar(
+FlatDemuxer::Probe FlatDemuxer::find_slot(
     const Table& t, std::uint32_t h, const net::FlowKey& key) noexcept {
   Probe r;
   const std::uint8_t tag = tag_of(h);
@@ -62,48 +60,11 @@ FlatDemuxer::Probe FlatDemuxer::find_slot_scalar(
   return r;  // unreachable in a well-formed table (load factor < 1)
 }
 
-FlatDemuxer::Probe FlatDemuxer::find_slot_grouped(
-    const Table& t, std::uint32_t h, const net::FlowKey& key) noexcept {
-  Probe r;
-  const std::uint8_t tag = tag_of(h);
-  const std::size_t home = h & t.mask;
-  std::size_t base = home & ~(kGroupWidth - 1);
-  // The home group starts mid-run: slots before `home` belong to earlier
-  // probe runs, so mask them out of both the match and empty views. A run
-  // that wraps the whole array ends in exactly those slots, so the probe
-  // comes back to the home group once more and views only them.
-  const std::uint32_t pre_home = (1U << (home - base)) - 1;
-  std::uint32_t live = 0xffffU & ~pre_home;
-  const std::size_t groups = t.capacity() / kGroupWidth;
-  for (std::size_t g = 0; g <= groups; ++g) {
-    std::uint32_t match = group_match(&t.tags[base], tag) & live;
-    const std::uint32_t empty = group_empty(&t.tags[base]) & live;
-    if (empty != 0) {
-      // The probe run ends at the first empty slot; fingerprint matches
-      // beyond it are residents of later runs and cannot be our key.
-      match &= (empty & (0U - empty)) - 1;
-    }
-    while (match != 0) {
-      const auto bit = static_cast<std::size_t>(std::countr_zero(match));
-      ++r.examined;
-      if (t.keys[base + bit] == key) {
-        r.slot = base + bit;
-        return r;
-      }
-      match &= match - 1;
-    }
-    if (empty != 0) return r;  // run exhausted without a key match: absent
-    base = (base + kGroupWidth) & t.mask;
-    live = g + 1 == groups ? pre_home : 0xffffU;
-  }
-  return r;  // unreachable: load factor < 1 guarantees an empty slot
-}
-
 Pcb* FlatDemuxer::insert(const net::FlowKey& key) {
   std::uint32_t h = hash_of(key);
-  if (find_slot(h, key).slot != kNpos) return nullptr;
+  if (find_slot(table_, h, key).slot != kNpos) return nullptr;
   if (const auto* old = resize_.old();
-      old != nullptr && find_slot_scalar(old->table, h, key).slot != kNpos) {
+      old != nullptr && find_slot(old->table, h, key).slot != kNpos) {
     return nullptr;
   }
   if (options_.max_pcbs != 0 && size_ >= options_.max_pcbs) {
@@ -197,14 +158,14 @@ ResilienceStats FlatDemuxer::resilience() const {
 
 bool FlatDemuxer::erase(const net::FlowKey& key) {
   const std::uint32_t h = hash_of(key);
-  const Probe p = find_slot(h, key);
+  const Probe p = find_slot(table_, h, key);
   if (p.slot != kNpos) {
     slab_.destroy(table_.pcbs[p.slot]);
     remove_at(table_, p.slot);
   } else {
     auto* old = resize_.old();
     if (old == nullptr) return false;
-    const Probe q = find_slot_scalar(old->table, h, key);
+    const Probe q = find_slot(old->table, h, key);
     if (q.slot == kNpos) return false;
     slab_.destroy(old->table.pcbs[q.slot]);
     remove_at(old->table, q.slot);
@@ -239,7 +200,7 @@ void FlatDemuxer::remove_at(Table& t, std::size_t i) {
 LookupResult FlatDemuxer::lookup(const net::FlowKey& key,
                                  SegmentKind /*kind*/) {
   const std::uint32_t h = hash_of(key);
-  const Probe p = find_slot(h, key);
+  const Probe p = find_slot(table_, h, key);
   LookupResult r;
   r.examined = p.examined;
   if (p.slot != kNpos) {
@@ -249,7 +210,7 @@ LookupResult FlatDemuxer::lookup(const net::FlowKey& key,
     // probes' examined counts are charged (the paper's metric counts every
     // key compared, whichever array holds it).
     const Table& old = resize_.old()->table;
-    const Probe q = find_slot_scalar(old, h, key);
+    const Probe q = find_slot(old, h, key);
     r.examined += q.examined;
     if (q.slot != kNpos) r.pcb = old.pcbs[q.slot];
   }
@@ -291,7 +252,7 @@ void FlatDemuxer::lookup_batch(std::span<const net::FlowKey> keys,
       prefetch_read(&table_.keys[h[i] & table_.mask]);
     }
     for (std::size_t i = 0; i < n; ++i) {
-      const Probe p = find_slot(h[i], keys[base + i]);
+      const Probe p = find_slot(table_, h[i], keys[base + i]);
       LookupResult r;
       r.examined = p.examined;
       if (p.slot != kNpos) r.pcb = table_.pcbs[p.slot];
@@ -307,7 +268,7 @@ LookupResult FlatDemuxer::lookup_wildcard(const net::FlowKey& key) {
   // find them — exactly the chained demuxers' all-chains fallback. Both
   // arrays are probed and swept while a migration drains.
   const std::uint32_t h = hash_of(key);
-  const Probe p = find_slot(h, key);
+  const Probe p = find_slot(table_, h, key);
   LookupResult best;
   best.examined = p.examined;
   if (p.slot != kNpos) {
@@ -316,7 +277,7 @@ LookupResult FlatDemuxer::lookup_wildcard(const net::FlowKey& key) {
   }
   const Table* old = resize_.migrating() ? &resize_.old()->table : nullptr;
   if (old != nullptr) {
-    const Probe q = find_slot_scalar(*old, h, key);
+    const Probe q = find_slot(*old, h, key);
     best.examined += q.examined;
     if (q.slot != kNpos) {
       best.pcb = old->pcbs[q.slot];
@@ -414,7 +375,7 @@ std::size_t FlatDemuxer::memory_bytes() const {
 }
 
 std::string FlatDemuxer::name() const {
-  std::string n = options_.group_probe ? "flat16(cap=" : "flat(cap=";
+  std::string n = "flat(cap=";
   n += std::to_string(capacity());
   n += ',';
   n += net::hash_spec_name(options_.hasher);

@@ -66,13 +66,6 @@ class FlatDemuxer final : public Demuxer {
     /// Refuse inserts beyond this many PCBs (0 = unbounded). Refused
     /// inserts return nullptr and count in resilience().inserts_shed.
     std::size_t max_pcbs = 0;
-    /// Probe the fingerprint-tag array 16 slots at a time (core/simd.h)
-    /// instead of byte-at-a-time: one vector compare filters a whole group
-    /// and one more finds the run-terminating empty slot. Registered as the
-    /// `flat16` spec. Storage, insertion, and deletion are unchanged —
-    /// robin-hood keeps every probe run contiguous from the home slot to
-    /// the first empty slot, which is exactly what group termination needs.
-    bool group_probe = false;
   };
 
   FlatDemuxer() : FlatDemuxer(Options()) {}
@@ -180,25 +173,10 @@ class FlatDemuxer final : public Demuxer {
     std::size_t slot = kNpos;      ///< kNpos when absent
     std::uint32_t examined = 0;    ///< key comparisons performed
   };
-  /// Probes the live table, group-wise when Options::group_probe is set.
-  [[nodiscard]] Probe find_slot(std::uint32_t h,
-                                const net::FlowKey& key) const noexcept {
-    return options_.group_probe ? find_slot_grouped(table_, h, key)
-                                : find_slot_scalar(table_, h, key);
-  }
-  /// Byte-at-a-time robin-hood probe of `t`. The outgoing table of a
-  /// migration always takes this path: it is cold by construction and
-  /// dies within one migration.
-  [[nodiscard]] static Probe find_slot_scalar(const Table& t, std::uint32_t h,
-                                              const net::FlowKey& key) noexcept;
-  /// Group-probed variant (Options::group_probe): examines 16-aligned tag
-  /// groups with one vector compare each. Capacity is a power of two
-  /// >= 16, so groups never straddle the array end and the wrap is a mask
-  /// on the group base. Slots before the home slot in its own group are
-  /// masked out — they belong to an earlier probe run — until a final
-  /// pass over just them, where a run that wrapped the whole array ends.
-  [[nodiscard]] static Probe find_slot_grouped(
-      const Table& t, std::uint32_t h, const net::FlowKey& key) noexcept;
+  /// Byte-at-a-time robin-hood probe of `t`: the live table's, and the
+  /// outgoing table's while a migration drains.
+  [[nodiscard]] static Probe find_slot(const Table& t, std::uint32_t h,
+                                       const net::FlowKey& key) noexcept;
 
   /// Robin-hood placement of a (pre-hashed) entry into `t`; the caller has
   /// already established the key is absent and the load factor is

@@ -1,5 +1,5 @@
 // The resize engine shared by every growing or seed-rotating backend
-// (sequent/dynamic, flat, flat16, cuckoo; see DESIGN.md "Incremental
+// (sequent/dynamic, flat, cuckoo; see DESIGN.md "Incremental
 // resize & degradation ladder").
 //
 // A growth is start_migration(): allocate the whole new table, then swing
@@ -182,27 +182,32 @@ class ResizeEngine {
     raise_watermark(signal);
     ++since_rotation_;
   }
-  /// Hysteresis: at most one rotation attempt per watermark_limit() further
-  /// inserts. Even if every key collides under every seed (full 32-bit
-  /// collisions survive the seeded post-mix of non-SipHash kinds), thrash
-  /// stays bounded, and benign traffic that briefly crossed the line gets a
-  /// fresh start.
+  /// Hysteresis: at most one rotation attempt per cooldown_ further
+  /// inserts. The cooldown is watermark_limit() after a rotation that
+  /// brought the watermark back under the limit, and doubles after each
+  /// one that could not (full 32-bit collisions survive the seeded
+  /// post-mix of non-SipHash kinds). So a flood no seed can break buys
+  /// O(log n) whole-table re-placements over n inserts, not O(n / limit),
+  /// and benign traffic that briefly crossed the line gets a fresh start.
   [[nodiscard]] bool cooled_down() const noexcept {
     return since_rotation_ >= cooldown_;
   }
 
   /// Rotates the hash seed. Finishes any drain in flight (its table hashes
-  /// under the outgoing seed), arms the cooldown, and allocates a complete
-  /// same-size table before touching anything: a refused allocation
-  /// (injected or real) keeps the current seed, steps no growth ladder,
-  /// and leaves the retry to the cooldown. Only then does the seed move to
-  /// net::next_seed; the live table swings out and the closing sweep
-  /// re-places every resident in unit order (DrainMode::kRehash). Counts
-  /// once in `rehashes` and in no resize counter.
+  /// under the outgoing seed), restarts the cooldown, and allocates a
+  /// complete same-size table before touching anything: a refused
+  /// allocation (injected or real) keeps the current seed, steps no growth
+  /// ladder, and leaves the retry to a watermark_limit() cooldown. Only
+  /// then does the seed move to net::next_seed; the live table swings out
+  /// and the closing sweep re-places every resident in unit order
+  /// (DrainMode::kRehash). A rotation that leaves the watermark over the
+  /// limit doubles the cooldown before the next attempt. Counts once in
+  /// `rehashes` and in no resize counter.
   template <class Backend>
   void rotate_seed(Backend& b, Table& live) {
     finish_migration(b);
     since_rotation_ = 0;
+    const std::uint64_t backoff = 2 * cooldown_;
     cooldown_ = b.watermark_limit();
     Outgoing<Table> old;
     if (!try_alloc([&] { old.table = b.same_size_table(); })) return;
@@ -211,6 +216,9 @@ class ResizeEngine {
     old.residents = b.size();
     sweep(b, old, DrainMode::kRehash);
     watermark_ = b.rotated_watermark();
+    if (watermark_ > b.watermark_limit()) {
+      cooldown_ = std::max(backoff, cooldown_);
+    }
     b.telemetry_->on_rehash();
   }
 

@@ -14,9 +14,9 @@
 // special -m flags, and selected at runtime via CPU detection, cached in
 // a function-local static. The portable table fallback is always built
 // and is bit-identical — `crc32c_sw()` stays exposed so tests can assert
-// hw == sw on every input. Like core/simd.h, this header is the single
-// audited home for these intrinsics; the simd-discipline lint bans them
-// elsewhere.
+// hw == sw on every input. This header is the one audited home for
+// vector and hash intrinsics in the tree; the simd-discipline lint bans
+// them everywhere else.
 //
 //   crc32c("123456789") == 0xE3069283   (canonical check value)
 #ifndef TCPDEMUX_NET_CRC32C_H_

@@ -33,7 +33,6 @@ TEST(Registry, ParseSimpleNames) {
            {"connection_id", Algorithm::kConnectionId},
            {"rcu", Algorithm::kRcu},
            {"flat", Algorithm::kFlat},
-           {"flat16", Algorithm::kFlat16},
            {"cuckoo", Algorithm::kCuckoo}}) {
     const auto config = parse_demux_spec(spec);
     ASSERT_TRUE(config.has_value()) << spec;
@@ -170,22 +169,6 @@ TEST(Registry, ParseRejectsBadFlatSpec) {
   EXPECT_FALSE(parse_demux_spec("flat:64:crc32:nocache").has_value());
 }
 
-TEST(Registry, ParseFlat16Spec) {
-  const auto config = parse_demux_spec("flat16:4096:crc32");
-  ASSERT_TRUE(config.has_value());
-  EXPECT_EQ(config->algorithm, Algorithm::kFlat16);
-  EXPECT_EQ(config->flat_capacity, 4096u);
-  EXPECT_EQ(config->hasher, net::HasherKind::kCrc32);
-  const auto d = make_demuxer(*config);
-  EXPECT_EQ(d->name(), "flat16(cap=4096,crc32)");
-}
-
-TEST(Registry, Flat16DefaultConfig) {
-  const auto d = make_demuxer(*parse_demux_spec("flat16"));
-  ASSERT_NE(d, nullptr);
-  EXPECT_EQ(d->name(), "flat16(cap=1024,xor_fold)");
-}
-
 TEST(Registry, ParseCuckooSpec) {
   const auto config = parse_demux_spec("cuckoo:512:jenkins");
   ASSERT_TRUE(config.has_value());
@@ -209,15 +192,6 @@ TEST(Registry, CuckooDefaultsToHardwareCrc32c) {
 TEST(Registry, CuckooCapacityRoundsUpToPowerOfTwo) {
   const auto d = make_demuxer(*parse_demux_spec("cuckoo:1000"));
   EXPECT_EQ(d->name(), "cuckoo(cap=1024,crc32c)");
-}
-
-TEST(Registry, ParseRejectsBadFlat16AndCuckooSpecs) {
-  EXPECT_FALSE(parse_demux_spec("flat16:0").has_value());
-  EXPECT_FALSE(parse_demux_spec("cuckoo:0").has_value());
-  EXPECT_FALSE(parse_demux_spec("flat16:64:sha256").has_value());
-  EXPECT_FALSE(parse_demux_spec("cuckoo:64:sha256").has_value());
-  EXPECT_FALSE(parse_demux_spec("flat16:64:crc32:nocache").has_value());
-  EXPECT_FALSE(parse_demux_spec("cuckoo:64:crc32c:nocache").has_value());
 }
 
 TEST(Registry, ConfiguredDemuxerReflectsSpec) {
@@ -249,9 +223,21 @@ TEST(Registry, ParseRejectsDuplicateOptionTokensInEveryFamily) {
   EXPECT_FALSE(parse_demux_spec("dynamic:5:max=5:max=5").has_value());
   EXPECT_FALSE(parse_demux_spec("flat:64:max=100:max=200").has_value());
   EXPECT_FALSE(parse_demux_spec("sequent:rehash:rehash").has_value());
-  EXPECT_FALSE(parse_demux_spec("flat16:rehash:rehash").has_value());
   EXPECT_FALSE(parse_demux_spec("sequent:nocache:nocache").has_value());
   EXPECT_FALSE(parse_demux_spec("rcu:19:nocache:nocache").has_value());
+}
+
+TEST(Registry, ParseRejectsBadFlat16AndCuckooSpecs) {
+  // The flat table has one probe: the 16-slot group-probe variant and its
+  // spec name are gone, nested under sharded too, with no alias left.
+  EXPECT_EQ(parse_error("flat16"), "unknown algorithm 'flat16'");
+  EXPECT_EQ(parse_error("flat16:64:crc32"), "unknown algorithm 'flat16'");
+  const std::string nested = parse_error("sharded:4:flat16");
+  EXPECT_NE(nested.find("unknown algorithm 'flat16'"), std::string::npos)
+      << nested;
+  EXPECT_FALSE(parse_demux_spec("cuckoo:0").has_value());
+  EXPECT_FALSE(parse_demux_spec("cuckoo:64:sha256").has_value());
+  EXPECT_FALSE(parse_demux_spec("cuckoo:64:crc32c:nocache").has_value());
 }
 
 TEST(Registry, ParseRejectsDuplicateHasherTokens) {
@@ -303,11 +289,11 @@ TEST(Registry, ParseRejectsMangledSeedSuffixes) {
 }
 
 TEST(Registry, ParseShardedGrammar) {
-  const auto ok = parse_demux_spec("sharded:4:flat16:64:crc32");
+  const auto ok = parse_demux_spec("sharded:4:flat:64:crc32");
   ASSERT_TRUE(ok.has_value());
   EXPECT_EQ(ok->algorithm, Algorithm::kSharded);
   EXPECT_EQ(ok->shards, 4u);
-  EXPECT_EQ(ok->inner_spec, "flat16:64:crc32");
+  EXPECT_EQ(ok->inner_spec, "flat:64:crc32");
 
   EXPECT_FALSE(parse_demux_spec("sharded").has_value());
   EXPECT_FALSE(parse_demux_spec("sharded:4").has_value());
@@ -327,7 +313,7 @@ TEST(Registry, ErrorOverloadNamesTheOffendingToken) {
   EXPECT_EQ(parse_error("mtf:rehash"), "mtf takes no ':' parameters");
   // Growth has one schedule, so there is no token that picks one.
   for (const char* spec : {"dynamic:incremental", "flat:64:incremental",
-                           "flat16:incremental", "cuckoo:crc32c:incremental"}) {
+                           "cuckoo:crc32c:incremental"}) {
     EXPECT_EQ(parse_error(spec), "unknown token 'incremental'") << spec;
   }
   // Inner-spec failures surface wrapped, so a bad token three levels into

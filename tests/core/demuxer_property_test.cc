@@ -171,7 +171,6 @@ TEST(GrowthOrder, DrainKeepsExactCosts) {
   };
   const Pin pins[] = {{"dynamic:5:crc32", 8122, 1254},
                       {"flat:64:crc32", 3644, 0},
-                      {"flat16:64:crc32", 3670, 0},
                       {"cuckoo:64:crc32c", 3672, 0}};
   for (const Pin& pin : pins) {
     auto d = make_demuxer(*parse_demux_spec(pin.spec));
@@ -262,8 +261,7 @@ INSTANTIATE_TEST_SUITE_P(
                       "hashed_mtf:101:crc32", "connection_id", "dynamic",
                       "dynamic:41:jenkins", "rcu", "rcu:101:crc32",
                       "rcu:19:xor_fold:nocache", "flat", "flat:64",
-                      "flat:1024:crc32", "flat16", "flat16:64",
-                      "flat16:1024:crc32", "cuckoo", "cuckoo:64",
+                      "flat:1024:crc32", "cuckoo", "cuckoo:64",
                       "cuckoo:1024:crc32c", "cuckoo:64:jenkins"),
     [](const auto& info) {
       std::string name = info.param;

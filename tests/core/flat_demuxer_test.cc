@@ -191,40 +191,31 @@ TEST(FlatDemuxerTest, NameReportsCapacityAndHasher) {
 
 // 56 full-hash collisions fill a 64-slot table to its 7/8 growth trigger
 // with one probe run of 56 slots from the shared home slot. Whenever the
-// home slot sits more than 8 slots into its 16-slot group, that run wraps
-// the whole array and ends in the home group's slots before the home
-// slot. One target hash per home slot covers every wrap offset, for the
-// byte-at-a-time probe and for flat16's group probe alike.
+// home slot sits past slot 8, that run wraps past the array's end. One
+// target hash per home slot covers every wrap offset.
 TEST(FlatDemuxerTest, FullCollisionRunThatWrapsTheArrayStaysFindable) {
   sim::CollisionFloodParams params;
   params.count = 56;
-  for (const bool group_probe : {false, true}) {
-    std::uint32_t target = 0;
-    for (std::uint32_t home = 0; home < 64; ++home) {
-      while ((net::mix32_avalanche(target) & 63) != home) ++target;
-      const std::vector<net::FlowKey> keys =
-          sim::craft_xorfold_collisions(params, target);
-      FlatDemuxer::Options options;
-      options.initial_capacity = 64;
-      options.hasher = net::HasherKind::kXorFold;
-      options.group_probe = group_probe;
-      FlatDemuxer d(options);
-      for (const net::FlowKey& k : keys) ASSERT_NE(d.insert(k), nullptr);
-      ASSERT_EQ(d.capacity(), 64u);
-      SCOPED_TRACE(::testing::Message() << "group_probe=" << group_probe
-                                        << " home=" << home);
-      for (const net::FlowKey& k : keys) {
-        const LookupResult r = d.lookup(k);
-        ASSERT_NE(r.pcb, nullptr) << k.to_string();
-        EXPECT_EQ(r.pcb->key, k);
-      }
-      for (const net::FlowKey& k : keys) {
-        EXPECT_TRUE(d.erase(k)) << k.to_string();
-        EXPECT_EQ(validate_demuxer(d).to_string(), "");
-      }
-      EXPECT_EQ(d.size(), 0u);
-      ++target;
+  std::uint32_t target = 0;
+  for (std::uint32_t home = 0; home < 64; ++home) {
+    while ((net::mix32_avalanche(target) & 63) != home) ++target;
+    const std::vector<net::FlowKey> keys =
+        sim::craft_xorfold_collisions(params, target);
+    FlatDemuxer d(FlatDemuxer::Options{64, net::HasherKind::kXorFold});
+    for (const net::FlowKey& k : keys) ASSERT_NE(d.insert(k), nullptr);
+    ASSERT_EQ(d.capacity(), 64u);
+    SCOPED_TRACE(::testing::Message() << "home=" << home);
+    for (const net::FlowKey& k : keys) {
+      const LookupResult r = d.lookup(k);
+      ASSERT_NE(r.pcb, nullptr) << k.to_string();
+      EXPECT_EQ(r.pcb->key, k);
     }
+    for (const net::FlowKey& k : keys) {
+      EXPECT_TRUE(d.erase(k)) << k.to_string();
+      EXPECT_EQ(validate_demuxer(d).to_string(), "");
+    }
+    EXPECT_EQ(d.size(), 0u);
+    ++target;
   }
 }
 

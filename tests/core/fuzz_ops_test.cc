@@ -316,9 +316,9 @@ TEST_P(FuzzAdversarialTest, CollidedOpsMatchReferenceAndPreserveInvariants) {
 // fresh-key insert polls once, so an insert that gets through always did
 // so on an odd poll, and the growth retry it triggers polls next, on an
 // even one. Blocked growth sheds above 15/16 load, so the table settles
-// at 60 residents in one probe run from home slot 40 — 8 slots into its
-// 16-slot group — that wraps the whole array: flat16's group probe must
-// come back to the home group's first 8 slots to find the run's tail.
+// at 60 residents in one probe run from home slot 40 that wraps the whole
+// array: the probe must follow the run past the array's end to find its
+// tail.
 class FuzzAdversarialFloodTest : public FuzzAdversarialTest {};
 
 TEST_P(FuzzAdversarialFloodTest, BlockedGrowthFloodAtWatermarkStaysExact) {
@@ -348,20 +348,19 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("bsd", "mtf", "srcache", "connection_id:256", "sequent",
                       "sequent:7:crc32:nocache", "hashed_mtf:19",
                       "dynamic:5:crc32", "rcu",
-                      "rcu:7:crc32:nocache", "flat",
-                      "flat:64:crc32", "flat16", "flat16:64:crc32",
+                      "rcu:7:crc32:nocache", "flat", "flat:64:crc32",
                       "cuckoo", "cuckoo:64:crc32",
                       // Small starting tables: the fuzz op mix drives
                       // growth through the two-table drain (see
                       // TCPDEMUX_FUZZ_RESIZE_EVERY for forcing extra
                       // steps); every growing backend runs it, and the
                       // stepped case forces one before every op.
-                      "dynamic:5:crc32:incremental", "flat:64", "flat16:64",
+                      "dynamic:5:crc32:incremental", "flat:64",
                       "cuckoo:64:crc32c",
                       // Sharded fleet: per-shard structures, the cross-shard
                       // no-duplicate-key invariant, and the merged telemetry
                       // ledger must all stay bit-exact under the op mix.
-                      "sharded:4:flat16", "sharded:2:sequent:19:crc32",
+                      "sharded:4:flat", "sharded:2:sequent:19:crc32",
                       "sharded:3:dynamic:5:crc32"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       return sanitize_spec_name(info.param);
@@ -379,8 +378,7 @@ INSTANTIATE_TEST_SUITE_P(
                       "sequent:19:siphash@5eed", "hashed_mtf:19",
                       "dynamic:5:xor_fold", "rcu:19:xor_fold",
                       "flat:64:xor_fold", "flat:64:xor_fold:rehash",
-                      "flat:64:siphash@5eed", "flat16:64:xor_fold",
-                      "flat16:64:xor_fold:rehash", "flat16:64:siphash@5eed",
+                      "flat:64:siphash@5eed",
                       // Cuckoo only under hashes the adversarial pool can't
                       // fully collapse: >8 keys sharing one full hash share
                       // both buckets and shed by design (see the bucket-flood
@@ -394,10 +392,9 @@ INSTANTIATE_TEST_SUITE_P(
       return sanitize_spec_name(info.param);
     });
 
-// Both probes of the flat table: byte-at-a-time, and flat16's groups.
 INSTANTIATE_TEST_SUITE_P(
     FullCollisionFlood, FuzzAdversarialFloodTest,
-    ::testing::Values("flat:64:xor_fold", "flat16:64:xor_fold"),
+    ::testing::Values("flat:64:xor_fold"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       return sanitize_spec_name(info.param);
     });

@@ -33,7 +33,6 @@ const char* kSpecs[] = {
     "hashed_mtf",    "dynamic",
     "connection_id", "rcu:19:crc32",
     "flat:256",      "flat:256:crc32",
-    "flat16:256",    "flat16:256:crc32c",
     "cuckoo:256",    "cuckoo:256:crc32c",
     "cuckoo:256:siphash@5eed",
     "sharded:4:flat:256",

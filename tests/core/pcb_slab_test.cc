@@ -226,9 +226,9 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("bsd", "mtf", "srcache", "sequent",
                       "sequent:19:xor_fold:rehash", "hashed_mtf",
                       "connection_id", "dynamic", "dynamic:5", "flat",
-                      "flat:64", "flat:64:xor_fold:rehash", "flat16:64",
+                      "flat:64", "flat:64:xor_fold:rehash",
                       "cuckoo", "cuckoo:64", "cuckoo:64:crc32c:rehash",
-                      "sharded:4:flat16", "sharded:2:dynamic:5"),
+                      "sharded:4:flat", "sharded:2:dynamic:5"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       std::string name = info.param;
       for (char& c : name) {

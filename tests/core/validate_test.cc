@@ -49,9 +49,8 @@ TEST(ValidateTest, EveryRegistrySpecValidatesCleanAfterMixedOps) {
                          "connection_id", "sequent",  "sequent:7:crc32:nocache",
                          "hashed_mtf", "dynamic:5",   "rcu",
                          "rcu:7:crc32:nocache", "flat", "flat:64:crc32",
-                         "flat16", "flat16:64:crc32", "cuckoo",
-                         "cuckoo:64:crc32", "cuckoo:64:siphash@5eed",
-                         "sharded:4:flat16", "sharded:2:sequent:19:crc32"};
+                         "cuckoo", "cuckoo:64:crc32", "cuckoo:64:siphash@5eed",
+                         "sharded:4:flat", "sharded:2:sequent:19:crc32"};
   for (const char* spec : specs) {
     SCOPED_TRACE(spec);
     const auto config = parse_demux_spec(spec);
@@ -69,7 +68,7 @@ TEST(ValidateTest, EveryRegistrySpecValidatesCleanAfterMixedOps) {
 TEST(ValidateTest, EmptyStructuresValidateClean) {
   const char* specs[] = {"bsd", "mtf", "srcache", "connection_id",
                          "sequent", "hashed_mtf", "dynamic", "rcu", "flat",
-                         "flat16", "cuckoo", "sharded:4:flat16"};
+                         "cuckoo", "sharded:4:flat"};
   for (const char* spec : specs) {
     SCOPED_TRACE(spec);
     const auto demuxer = make_demuxer(*parse_demux_spec(spec));
@@ -455,7 +454,7 @@ TEST(ValidateTest, CuckooResidentOutsideItsTwoBucketsIsReported) {
 
 TEST(ValidateTest, ShardedDuplicateKeyAcrossShardsIsReported) {
   ShardedDemuxer demuxer(
-      ShardedDemuxer::Options{4, *parse_demux_spec("flat16:64")});
+      ShardedDemuxer::Options{4, *parse_demux_spec("flat:64")});
   populate(demuxer, 24);
   // Plant the cross-shard corruption no single shard can see: a key that
   // is resident on two shards at once. Each shard stays internally

@@ -80,10 +80,9 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, WildcardProperty,
                                            "hashed_mtf", "dynamic",
                                            "connection_id", "rcu",
                                            "rcu:101:crc32", "flat",
-                                           "flat:64:crc32", "flat16",
-                                           "flat16:64:crc32", "cuckoo",
+                                           "flat:64:crc32", "cuckoo",
                                            "cuckoo:64:crc32",
-                                           "sharded:4:flat16",
+                                           "sharded:4:flat",
                                            "sharded:2:sequent:19:crc32"),
                          [](const auto& info) {
                            std::string name = info.param;

@@ -1,6 +1,6 @@
-// Fixture copy of the simd-discipline exempt file: the audited group-probe
-// shim deliberately contains banned intrinsic patterns to prove the
-// exemption machinery holds.
+// Fixture: simd-discipline — core/simd.h is not exempt. The real header's
+// bucket match is plain 32-bit SWAR, so a vector group probe planted here
+// must be reported like anywhere else in the tree.
 #ifndef TCPDEMUX_CORE_SIMD_H_
 #define TCPDEMUX_CORE_SIMD_H_
 

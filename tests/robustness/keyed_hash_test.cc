@@ -194,9 +194,6 @@ TEST(KeyedHash, RegistryThreadsSeedsIntoDemuxerNames) {
       {"flat:64:siphash@beef", "flat(cap=64,siphash@beef)"},
       {"flat:256:crc32:rehash:max=128",
        "flat(cap=256,crc32,rehash,max=128)"},
-      {"flat16:64:siphash@beef", "flat16(cap=64,siphash@beef)"},
-      {"flat16:256:crc32c:rehash:max=128",
-       "flat16(cap=256,crc32c,rehash,max=128)"},
       {"cuckoo:64:siphash@beef", "cuckoo(cap=64,siphash@beef)"},
       {"cuckoo:256:crc32c:rehash:max=128",
        "cuckoo(cap=256,crc32c,rehash,max=128)"},
@@ -217,7 +214,6 @@ TEST(KeyedHash, RegistryRejectsSeedAndOptionMisuse) {
   EXPECT_FALSE(core::parse_demux_spec("dynamic:5:crc32:rehash").has_value());
   EXPECT_FALSE(core::parse_demux_spec("rcu:19:crc32:max=4").has_value());
   EXPECT_FALSE(core::parse_demux_spec("flat:64:crc32:nocache").has_value());
-  EXPECT_FALSE(core::parse_demux_spec("flat16:64:crc32:nocache").has_value());
   EXPECT_FALSE(core::parse_demux_spec("cuckoo:64:crc32c:nocache").has_value());
   EXPECT_FALSE(core::parse_demux_spec("bsd:rehash").has_value());
   // Duplicate and malformed options.

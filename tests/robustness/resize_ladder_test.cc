@@ -243,9 +243,8 @@ TEST_P(ResizeLadderTest, EachDoublingCountsOnce) {
 INSTANTIATE_TEST_SUITE_P(
     GrowingBackends, ResizeLadderTest,
     ::testing::Values("dynamic:5:crc32:incremental", "flat:64:incremental",
-                      "flat16:64:incremental", "cuckoo:64:crc32c:incremental",
-                      "dynamic:5:crc32", "flat:64", "flat16:64",
-                      "cuckoo:64:crc32c"),
+                      "cuckoo:64:crc32c:incremental", "dynamic:5:crc32",
+                      "flat:64", "cuckoo:64:crc32c"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       std::string name = info.param;
       for (char& c : name) {

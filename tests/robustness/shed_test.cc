@@ -68,12 +68,6 @@ TEST(Shedding, FlatEnforcesMaxPcbs) {
   expect_cap_enforced(demuxer, 64);
 }
 
-TEST(Shedding, Flat16EnforcesMaxPcbs) {
-  FlatDemuxer demuxer({1024, net::HasherKind::kCrc32, false, /*max_pcbs=*/64,
-                       /*group_probe=*/true});
-  expect_cap_enforced(demuxer, 64);
-}
-
 TEST(Shedding, CuckooEnforcesMaxPcbs) {
   CuckooDemuxer demuxer(
       {1024, net::HasherKind::kCrc32c, false, /*max_pcbs=*/64});

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Gate on the bounded-relink resize claim (ci/check.sh stage 12).
+"""Gate on the bounded-relink resize claim (ci/check.sh stage 11).
 
 Reads a wallclock_resize --json export and asserts, for every
 (backend, users, thp) cell:

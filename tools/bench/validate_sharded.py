@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Gate on the sharded receive path's claims (ci/check.sh stage 13).
+"""Gate on the sharded receive path's claims (ci/check.sh stage 12).
 
 Reads a wallclock_sharded --json export and asserts:
 

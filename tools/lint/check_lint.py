@@ -51,11 +51,12 @@ Line rules:
                      instrumentation goes through DemuxStats /
                      report::Telemetry.
   simd-discipline    vector/hash intrinsics (_mm_*, NEON v*q_*, __crc32*,
-                     and their headers) only inside the audited shims
-                     core/simd.h and net/crc32c.h: every SIMD path must
-                     ship next to its portable SWAR/table fallback and a
-                     runtime-verifiable backend report, not scatter
-                     ifdef'd intrinsics through the tree.
+                     and their headers) only inside the audited shim
+                     net/crc32c.h: its hardware path ships next to its
+                     portable table fallback and a runtime-verifiable
+                     backend report, and no other file scatters ifdef'd
+                     intrinsics through the tree (core/simd.h's bucket
+                     match is plain 32-bit SWAR).
   rng-discipline     no raw std::mt19937 engines in src/sim, src/tcp, or
                      src/net outside sim/rng.h: generators draw through
                      sim::Rng so every trace is reproducible from one seed.
@@ -647,11 +648,10 @@ def build_rules(root: str) -> list:
             r"|\b__crc32c?[bhwd]\b"
             r"|#\s*include\s*<(?:\w*mmintrin|arm_neon|arm_acle)\.h>)",
             ("src", "tests", "bench", "examples"),
-            "vector/hash intrinsics live only in the audited shims "
-            "(core/simd.h group probing, net/crc32c.h hashing): one "
-            "portable header per capability keeps every SIMD path paired "
-            "with its SWAR/table fallback and runtime dispatch",
-            ("src/core/simd.h", "src/net/crc32c.h"),
+            "vector/hash intrinsics live only in the audited shim "
+            "net/crc32c.h: one portable header keeps the hardware path "
+            "paired with its table fallback and runtime dispatch",
+            ("src/net/crc32c.h",),
         ),
         RegexRule(
             "rng-discipline",
