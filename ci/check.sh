@@ -18,7 +18,8 @@
 #                    assertion (validate_resize.py)     (SKIP_RESIZE=1 skips)
 #   stage 12 sharded wallclock_sharded --smoke + zero-miss/scaling
 #                    assertion (validate_sharded.py)    (SKIP_SHARDED=1 skips)
-#   stage 13 rxbench receive-path benchmark --self-test (SKIP_RXBENCH=1 skips)
+#   stage 13 rxbench receive-path benchmark --self-test + exact-count
+#                    pin (check_rxbench_exact.py)       (SKIP_RXBENCH=1 skips)
 #
 # Stages 9 and 10 need LLVM tooling (clang++ / clang-tidy) and skip with a
 # notice when it is not installed, so a GCC-only box still passes the gate.
@@ -221,12 +222,22 @@ else
 fi
 
 if [[ "${SKIP_RXBENCH:-0}" != "1" ]]; then
-  stage rxbench "receive-path benchmark self-test"
+  stage rxbench "receive-path benchmark self-test + exact-count pin"
   # Builds rxbench (Release, from src/) into .bench_build and checks the
   # benchmark itself: one seed gives one frame stream and identical exact
   # counts (examined PCBs, transmitted segments, allocations), another seed
   # another stream, and a corrupted-checksum frame is reported as failed.
   (cd "$ROOT" && python3 rxbench/run.py --self-test)
+  # Then pins the program's exact counts on a fixed oltp and bulk stream
+  # against ci/rxbench_exact.json: a change to chain order, caching,
+  # hashing or the TCP path moves them and must re-record the pin.
+  for w in oltp bulk; do
+    "$ROOT/.bench_build/rxbench/rxbench_traced" --workload "$w" --seed 1 \
+        --frames 400000 --trace 1 > "$ROOT/.bench_build/exact-$w.out"
+  done
+  python3 "$ROOT/tools/bench/check_rxbench_exact.py" \
+      "$ROOT/ci/rxbench_exact.json" \
+      "$ROOT/.bench_build/exact-oltp.out" "$ROOT/.bench_build/exact-bulk.out"
 else
   skipped rxbench SKIP_RXBENCH
 fi

@@ -9,6 +9,7 @@ Pcb* BsdListDemuxer::insert(const net::FlowKey& key) {
   if (FaultInjector::instance().poll_alloc()) return nullptr;
   Pcb* pcb = slab_.make(key, next_conn_id());
   list_.link_front(pcb);
+  ++size_;
   telemetry_->on_insert();
   return pcb;
 }
@@ -19,6 +20,7 @@ bool BsdListDemuxer::erase(const net::FlowKey& key) {
   if (cache_ == scan.pcb) cache_ = nullptr;
   list_.unlink(scan.pcb);
   slab_.destroy(scan.pcb);
+  --size_;
   telemetry_->on_erase();
   return true;
 }

@@ -20,7 +20,7 @@ class BsdListDemuxer final : public Demuxer {
   using Demuxer::lookup;
   LookupResult lookup(const net::FlowKey& key, SegmentKind kind) override;
   LookupResult lookup_wildcard(const net::FlowKey& key) override;
-  [[nodiscard]] std::size_t size() const override { return list_.size(); }
+  [[nodiscard]] std::size_t size() const override { return size_; }
   void for_each_pcb(
       const std::function<void(const Pcb&)>& fn) const override;
   [[nodiscard]] std::string name() const override { return "bsd"; }
@@ -37,6 +37,7 @@ class BsdListDemuxer final : public Demuxer {
 
   PcbList list_;
   Pcb* cache_ = nullptr;
+  std::size_t size_ = 0;
   PcbSlab slab_;
 };
 

@@ -45,7 +45,7 @@ class HashedMtfDemuxer final : public Demuxer {
   [[nodiscard]] std::vector<std::size_t> occupancy() const override {
     std::vector<std::size_t> sizes;
     sizes.reserve(buckets_.size());
-    for (const auto& list : buckets_) sizes.push_back(list.size());
+    for (const auto& list : buckets_) sizes.push_back(list.count());
     return sizes;
   }
 

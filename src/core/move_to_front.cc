@@ -9,6 +9,7 @@ Pcb* MoveToFrontDemuxer::insert(const net::FlowKey& key) {
   if (FaultInjector::instance().poll_alloc()) return nullptr;
   Pcb* pcb = slab_.make(key, next_conn_id());
   list_.link_front(pcb);
+  ++size_;
   telemetry_->on_insert();
   return pcb;
 }
@@ -18,6 +19,7 @@ bool MoveToFrontDemuxer::erase(const net::FlowKey& key) {
   if (scan.pcb == nullptr) return false;
   list_.unlink(scan.pcb);
   slab_.destroy(scan.pcb);
+  --size_;
   telemetry_->on_erase();
   return true;
 }

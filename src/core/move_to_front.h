@@ -23,7 +23,7 @@ class MoveToFrontDemuxer final : public Demuxer {
   using Demuxer::lookup;
   LookupResult lookup(const net::FlowKey& key, SegmentKind kind) override;
   LookupResult lookup_wildcard(const net::FlowKey& key) override;
-  [[nodiscard]] std::size_t size() const override { return list_.size(); }
+  [[nodiscard]] std::size_t size() const override { return size_; }
   void for_each_pcb(
       const std::function<void(const Pcb&)>& fn) const override;
   [[nodiscard]] std::string name() const override { return "mtf"; }
@@ -39,6 +39,7 @@ class MoveToFrontDemuxer final : public Demuxer {
   friend struct ValidatorTestAccess;  // negative validator tests only
 
   PcbList list_;
+  std::size_t size_ = 0;
   PcbSlab slab_;
 };
 

@@ -3,7 +3,7 @@
 //
 // The paper counts PCBs examined because each one is a memory reference.
 // At the populations the receive path runs at (1M PCBs: 128 MB of slab and
-// ~22 MB of bucket array) each of those references is also a TLB miss, and
+// ~11 MB of bucket array) each of those references is also a TLB miss, and
 // on 4 KiB pages every one pays a page walk — a nested one on a VM. A
 // kernel's PCBs live in its direct map, on huge pages. This header hands
 // out anonymous mappings the kernel can back with 2 MiB pages, and returns
@@ -13,12 +13,15 @@
 //     request is at least 2 MiB, so every whole 2 MiB stretch of it is
 //     huge-page eligible. Mapped untouched, so it costs no residency until
 //     a page is written.
-//   * advise_huge: MADV_HUGEPAGE, for an array written in full right after
-//     it is mapped (a fault then brings in a whole 2 MiB page).
+//   * advise_huge: MADV_HUGEPAGE, for an array touched throughout soon
+//     after it is mapped (a fault then brings in a whole 2 MiB page).
 //   * collapse_huge: MADV_COLLAPSE, for a region every page of which is
 //     already resident (a huge page then wastes nothing).
 //   * PageAllocator<T> / PageVector<T>: a std::vector whose storage is one
-//     such mapping, advised huge when it is at least 2 MiB.
+//     such mapping, advised huge when it is at least 2 MiB. A fresh mapping
+//     reads as zero, so an element type whose default value is all-zero
+//     bytes (kZeroDefault) is not constructed element by element: building
+//     a table writes none of it, and its pages fault in as they are used.
 //
 // The advice is only a hint: with THP set to `never`, before Linux 6.1 (no
 // MADV_COLLAPSE) or when the kernel has no huge page to give, the same
@@ -35,7 +38,11 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <new>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #if defined(__linux__)
@@ -82,8 +89,8 @@ inline std::size_t mapping_align(std::size_t bytes) noexcept {
 }
 
 /// Maps round_to_pages(bytes) of anonymous read-write memory, aligned to
-/// mapping_align(bytes). Throws std::bad_alloc when the mapping is refused.
-/// Release it with unmap_pages(p, bytes).
+/// mapping_align(bytes), reading as zero. Throws std::bad_alloc when the
+/// mapping is refused. Release it with unmap_pages(p, bytes).
 [[nodiscard]] inline void* map_pages(std::size_t bytes) {
   const std::size_t len = round_to_pages(bytes);
   const std::size_t align = mapping_align(bytes);
@@ -102,7 +109,9 @@ inline std::size_t mapping_align(std::size_t bytes) noexcept {
   }
   return std::bit_cast<void*>(start);
 #else
-  return ::operator new(len, std::align_val_t{align});
+  void* p = ::operator new(len, std::align_val_t{align});
+  std::memset(p, 0, len);  // as a fresh mapping reads
+  return p;
 #endif
 }
 
@@ -116,8 +125,8 @@ inline void unmap_pages(void* p, std::size_t bytes) noexcept {
 }
 
 /// Asks for huge pages on [p, p + bytes) from its first touch on. For an
-/// array written in full at once: a partly used region would pay a whole
-/// 2 MiB page per touched stretch.
+/// array touched throughout (a hash table's uniform scatter): a partly
+/// used region would pay a whole 2 MiB page per touched stretch.
 inline void advise_huge([[maybe_unused]] void* p,
                         [[maybe_unused]] std::size_t bytes) noexcept {
 #if defined(__linux__) && defined(MADV_HUGEPAGE)
@@ -154,9 +163,18 @@ inline void unpoison_region([[maybe_unused]] const void* p,
 #endif
 }
 
+/// True for a type whose default value is all-zero bytes: it opts in by
+/// declaring `static constexpr bool kZeroDefault = true;`. A type property,
+/// not an option: every PageVector of such a type skips the default
+/// constructor, so the declaration must stay true of the type's members.
+template <class T>
+inline constexpr bool kZeroDefault = requires {
+  requires T::kZeroDefault;
+} && std::is_trivially_destructible_v<T>;
+
 /// A stateless allocator whose every allocation is its own mapping. For
-/// arrays that are written in full when constructed (a bucket table): one
-/// of 2 MiB or more is advised huge before its first touch.
+/// arrays touched throughout soon after they are built (a bucket table):
+/// one of 2 MiB or more is advised huge before its first touch.
 template <class T>
 struct PageAllocator {
   using value_type = T;
@@ -172,6 +190,17 @@ struct PageAllocator {
     poison_region(static_cast<char*>(p) + bytes,
                   round_to_pages(bytes) - bytes);
     return static_cast<T*>(p);
+  }
+
+  /// Default construction of a kZeroDefault type writes nothing: storage
+  /// fresh from map_pages is already zero. The one way to default-construct
+  /// into storage used before — regrowing a shrunk vector within its
+  /// capacity — is never taken by a table, which keeps its size for life.
+  template <class U, class... Args>
+  void construct(U* p, Args&&... args) {
+    if constexpr (!(kZeroDefault<U> && sizeof...(Args) == 0)) {
+      std::construct_at(p, std::forward<Args>(args)...);
+    }
   }
 
   void deallocate(T* p, std::size_t n) noexcept {

@@ -2,20 +2,6 @@
 
 namespace tcpdemux::core {
 
-PcbList::PcbList(PcbList&& other) noexcept
-    : head_(std::exchange(other.head_, nullptr)),
-      tail_(std::exchange(other.tail_, nullptr)),
-      size_(std::exchange(other.size_, 0)) {}
-
-PcbList& PcbList::operator=(PcbList&& other) noexcept {
-  if (this != &other) {
-    head_ = std::exchange(other.head_, nullptr);
-    tail_ = std::exchange(other.tail_, nullptr);
-    size_ = std::exchange(other.size_, 0);
-  }
-  return *this;
-}
-
 PcbList::ScanResult PcbList::find_scan(
     const net::FlowKey& key) const noexcept {
   ScanResult r;
@@ -67,25 +53,15 @@ void PcbList::unlink(Pcb* pcb) noexcept {
   } else {
     head_ = pcb->next;
   }
-  if (pcb->next != nullptr) {
-    pcb->next->prev = pcb->prev;
-  } else {
-    tail_ = pcb->prev;
-  }
+  if (pcb->next != nullptr) pcb->next->prev = pcb->prev;
   pcb->next = pcb->prev = nullptr;
-  --size_;
 }
 
 void PcbList::link_front(Pcb* pcb) noexcept {
   pcb->prev = nullptr;
   pcb->next = head_;
-  if (head_ != nullptr) {
-    head_->prev = pcb;
-  } else {
-    tail_ = pcb;
-  }
+  if (head_ != nullptr) head_->prev = pcb;
   head_ = pcb;
-  ++size_;
 }
 
 }  // namespace tcpdemux::core

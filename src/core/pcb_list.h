@@ -5,12 +5,20 @@
 // send/receive cache, each Sequent hash chain) is built on this primitive.
 // find_scan() returns how many PCBs the linear scan touched — the paper's
 // figure of merit — so the demuxers only add their cache-probe accounting
-// on top. The list is pure linkage: it allocates and frees nothing. The
-// PCBs belong to the owning demuxer's PcbSlab, which is why a rehash can
-// relink them between lists without reallocating one.
+// on top. The list is pure linkage: one head pointer, no tail and no
+// count. It allocates and frees nothing; the PCBs belong to the owning
+// demuxer's PcbSlab, which is why a rehash can relink them between lists
+// without reallocating one.
+//
+// Keeping it one pointer keeps a Sequent bucket (list + cache) at 16 bytes.
+// The owner counts: the single-list demuxers keep their own size, a hash
+// table keeps its total, and a chain's length — wanted by the overload
+// watermark and the occupancy reports — is the scan an insert already did
+// (find_scan().examined on a miss) or, on cold paths, a walk (count()).
 #ifndef TCPDEMUX_CORE_PCB_LIST_H_
 #define TCPDEMUX_CORE_PCB_LIST_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <utility>
 
@@ -32,14 +40,19 @@ class PcbList {
 
   PcbList(const PcbList&) = delete;
   PcbList& operator=(const PcbList&) = delete;
-  PcbList(PcbList&& other) noexcept;
-  PcbList& operator=(PcbList&& other) noexcept;
+  PcbList(PcbList&& other) noexcept
+      : head_(std::exchange(other.head_, nullptr)) {}
+  PcbList& operator=(PcbList&& other) noexcept {
+    if (this != &other) head_ = std::exchange(other.head_, nullptr);
+    return *this;
+  }
 
   /// Links the detached `pcb` at the head (BSD inserts new PCBs at the
   /// front of the list).
   void link_front(Pcb* pcb) noexcept;
 
   /// Linear scan for an exact key match, counting every node inspected.
+  /// A miss examines the whole list, so its count is the list's length.
   [[nodiscard]] ScanResult find_scan(const net::FlowKey& key) const noexcept;
 
   /// Linear scan for the best wildcard match (BSD in_pcblookup semantics):
@@ -62,9 +75,14 @@ class PcbList {
   [[nodiscard]] Pcb* pop_front() noexcept;
 
   [[nodiscard]] Pcb* head() const noexcept { return head_; }
-  [[nodiscard]] Pcb* tail() const noexcept { return tail_; }
-  [[nodiscard]] std::size_t size() const noexcept { return size_; }
-  [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+  [[nodiscard]] bool empty() const noexcept { return head_ == nullptr; }
+  /// The number of linked PCBs, by walking the list: O(length), for cold
+  /// paths (occupancy reports, a rotation's watermark) only.
+  [[nodiscard]] std::size_t count() const noexcept {
+    std::size_t n = 0;
+    for (const Pcb* p = head_; p != nullptr; p = p->next) ++n;
+    return n;
+  }
 
   /// Calls `fn(Pcb&)` for every PCB in list order.
   template <typename Fn>
@@ -76,9 +94,11 @@ class PcbList {
 
  private:
   Pcb* head_ = nullptr;
-  Pcb* tail_ = nullptr;
-  std::size_t size_ = 0;
 };
+
+static_assert(sizeof(PcbList) == sizeof(Pcb*),
+              "a chain header is one pointer: hash buckets pack four to a "
+              "cache line");
 
 }  // namespace tcpdemux::core
 

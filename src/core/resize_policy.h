@@ -9,7 +9,9 @@
 // the next growth trigger arriving before the drain ends, or a seed
 // rotation — sweeps what is left in one pass. What is bounded is the
 // relinking: building the doubled table (grown_table()) still happens
-// inside the insert that fires the trigger. The allocation-failure ladder
+// inside the insert that fires the trigger — only a mapping for the
+// chained tables, whose zero-default buckets are not written, but a full
+// construction for flat and cuckoo. The allocation-failure ladder
 // lives here too: rung 1 defers the doubling with exponential backoff,
 // rung 2 sheds inserts at a hard watermark while growth stays blocked.
 //

@@ -9,6 +9,7 @@ Pcb* SendReceiveCacheDemuxer::insert(const net::FlowKey& key) {
   if (FaultInjector::instance().poll_alloc()) return nullptr;
   Pcb* pcb = slab_.make(key, next_conn_id());
   list_.link_front(pcb);
+  ++size_;
   telemetry_->on_insert();
   return pcb;
 }
@@ -20,6 +21,7 @@ bool SendReceiveCacheDemuxer::erase(const net::FlowKey& key) {
   if (send_cache_ == scan.pcb) send_cache_ = nullptr;
   list_.unlink(scan.pcb);
   slab_.destroy(scan.pcb);
+  --size_;
   telemetry_->on_erase();
   return true;
 }

@@ -25,7 +25,7 @@ class SendReceiveCacheDemuxer final : public Demuxer {
   LookupResult lookup(const net::FlowKey& key, SegmentKind kind) override;
   void note_sent(Pcb* pcb) override { send_cache_ = pcb; }
   LookupResult lookup_wildcard(const net::FlowKey& key) override;
-  [[nodiscard]] std::size_t size() const override { return list_.size(); }
+  [[nodiscard]] std::size_t size() const override { return size_; }
   void for_each_pcb(
       const std::function<void(const Pcb&)>& fn) const override;
   [[nodiscard]] std::string name() const override { return "srcache"; }
@@ -49,6 +49,7 @@ class SendReceiveCacheDemuxer final : public Demuxer {
   PcbList list_;
   Pcb* recv_cache_ = nullptr;
   Pcb* send_cache_ = nullptr;
+  std::size_t size_ = 0;
   PcbSlab slab_;
 };
 

@@ -37,7 +37,11 @@ SequentDemuxer::SequentDemuxer(Options options) : options_(options) {
 
 Pcb* SequentDemuxer::insert(const net::FlowKey& key) {
   Bucket* b = &buckets_[chain_of(key)];
-  if (b->list.find_scan(key).pcb != nullptr) return nullptr;
+  const auto scan = b->list.find_scan(key);
+  if (scan.pcb != nullptr) return nullptr;
+  // The miss walked the whole chain, so the chain's length once this PCB
+  // is linked — the watermark's signal — is already known.
+  std::uint64_t chain_length = scan.examined + 1;
   if (const auto* old = resize_.old();
       old != nullptr &&
       old->table[chain_in(old->table, key)].list.find_scan(key).pcb !=
@@ -64,17 +68,18 @@ Pcb* SequentDemuxer::insert(const net::FlowKey& key) {
       return nullptr;
     }
     b = &buckets_[chain_of(key)];  // a new table was swung in
+    chain_length = b->list.count() + 1;
   }
   Pcb* pcb = slab_.make(key, next_conn_id());
   b->list.link_front(pcb);
   ++size_;
   telemetry_->on_insert();
-  note_insert(*b);
+  note_insert(chain_length);
   return pcb;
 }
 
-void SequentDemuxer::note_insert(const Bucket& b) {
-  resize_.note_insert(b.list.size());
+void SequentDemuxer::note_insert(std::uint64_t chain_length) {
+  resize_.note_insert(chain_length);
   if (options_.rehash_on_overload && resize_.watermark() > watermark_limit() &&
       resize_.cooled_down()) {
     resize_.rotate_seed(*this, buckets_);
@@ -88,7 +93,7 @@ void SequentDemuxer::note_insert(const Bucket& b) {
 std::uint64_t SequentDemuxer::rotated_watermark() const noexcept {
   std::uint64_t longest = 0;
   for (const Bucket& b : buckets_) {
-    longest = std::max<std::uint64_t>(longest, b.list.size());
+    longest = std::max<std::uint64_t>(longest, b.list.count());
   }
   return longest;
 }
@@ -293,14 +298,14 @@ std::string SequentDemuxer::name() const {
 std::vector<std::size_t> SequentDemuxer::chain_sizes() const {
   std::vector<std::size_t> sizes;
   sizes.reserve(buckets_.size());
-  for (const Bucket& b : buckets_) sizes.push_back(b.list.size());
+  for (const Bucket& b : buckets_) sizes.push_back(b.list.count());
   return sizes;
 }
 
 std::vector<std::size_t> SequentDemuxer::occupancy() const {
   std::vector<std::size_t> sizes = chain_sizes();
   if (const auto* old = resize_.old()) {
-    for (const Bucket& b : old->table) sizes.push_back(b.list.size());
+    for (const Bucket& b : old->table) sizes.push_back(b.list.count());
   }
   return sizes;
 }

@@ -55,9 +55,9 @@ class SequentDemuxer final : public Demuxer {
     /// a collision flood: pair a keyed hasher with the cap (or rotation)
     /// for hostile deployments. The outgoing chains drain a bounded batch
     /// per operation, so no operation relinks more than kMigrateBatch PCBs
-    /// outside a force-finish; the insert that fires the trigger still
-    /// builds the doubled bucket table (see DESIGN.md "Incremental resize
-    /// & degradation ladder").
+    /// outside a force-finish; the insert that fires the trigger maps the
+    /// doubled bucket table but writes none of it (see DESIGN.md
+    /// "Incremental resize & degradation ladder").
     bool grow = false;
     /// A float keeps Options at 32 bytes, so everything lookup() reads
     /// (options_, buckets_, the engine's outgoing-table pointer) fits in
@@ -126,13 +126,23 @@ class SequentDemuxer final : public Demuxer {
   friend class StructuralValidator;   // src/core/validate.h
   friend struct ValidatorTestAccess;  // negative validator tests only
 
-  struct Bucket {
+  /// A chain header: the list head and the chain's last-found cache,
+  /// 16 bytes, so four share a cache line and none straddles one — the
+  /// lookup's first miss brings in exactly its own header. All-zero bytes
+  /// is an empty chain with a cold cache (kZeroDefault), so a table is not
+  /// written when it is built.
+  struct alignas(16) Bucket {
+    static constexpr bool kZeroDefault = true;
     PcbList list;
     Pcb* cache = nullptr;
   };
+  static_assert(sizeof(Bucket) == 16 && 64 % alignof(Bucket) == 0,
+                "four bucket headers per cache line");
+  static_assert(core::kZeroDefault<Bucket>,
+                "a fresh bucket table is zero pages, not a constructor loop");
   /// A bucket array is its own mapping: one of 2 MiB or more sits on huge
-  /// pages (it is written in full when built), and a table freed by a
-  /// doubling or a seed rotation goes back to the kernel instead of
+  /// pages (a hash table's inserts touch it throughout), and a table freed
+  /// by a doubling or a seed rotation goes back to the kernel instead of
   /// staying resident as a heap hole.
   using Table = PageVector<Bucket>;
   template <class>
@@ -157,17 +167,19 @@ class SequentDemuxer final : public Demuxer {
   /// drain step.
   void lookup_outgoing(const net::FlowKey& key, LookupResult& r);
 
-  /// Watermark bookkeeping after a successful insert into `b`; then the
-  /// overload policy (seed rotation: the engine relinks every PCB onto
-  /// fresh chains, pointer-stable, caches cold) and the growth policy.
-  void note_insert(const Bucket& b);
+  /// Watermark bookkeeping after a successful insert that left its chain
+  /// `chain_length` long; then the overload policy (seed rotation: the
+  /// engine relinks every PCB onto fresh chains, pointer-stable, caches
+  /// cold) and the growth policy.
+  void note_insert(std::uint64_t chain_length);
 
   void maybe_grow();
   [[nodiscard]] Table grown_table() const {
     return Table(next_table_size(chains()));
   }
   [[nodiscard]] Table same_size_table() const { return Table(chains()); }
-  /// The longest live chain: a rotation's watermark.
+  /// The longest live chain, by walking every chain: a rotation's
+  /// watermark (the rotation has just re-placed every resident anyway).
   [[nodiscard]] std::uint64_t rotated_watermark() const noexcept;
   /// Relinks the head PCB of outgoing chain `c` onto its live chain. It
   /// hashes with the current seed in every mode, which is all a rotation's

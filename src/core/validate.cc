@@ -41,16 +41,18 @@ class Errors {
 };
 
 // Walks `list` checking doubly-linked consistency, and appends every member
-// to `members` (when non-null) for cache/duplicate checks by the caller.
-// The cycle guard caps the walk at size()+1 nodes so a corrupted next
-// pointer cannot hang the validator.
-void check_list(const PcbList& list, const char* what, Errors& errors,
-                std::vector<const Pcb*>* members) {
+// to `members` for the caller's cache, placement and duplicate checks. The
+// list keeps no count, so the owning demuxer's size() bounds the walk: a
+// chain reaching more nodes than the whole structure holds has a cycle (or
+// the size counter lost nodes), and the walk stops there instead of
+// hanging. The caller reconciles each table's reachable total with size().
+void check_list(const PcbList& list, std::size_t limit, const char* what,
+                Errors& errors, std::vector<const Pcb*>& members) {
   std::size_t count = 0;
   const Pcb* prev = nullptr;
   for (const Pcb* p = list.head(); p != nullptr; p = p->next) {
-    if (count > list.size()) {
-      errors.add(what, ": more nodes reachable than size()=", list.size(),
+    if (count == limit) {
+      errors.add(what, ": more nodes reachable than size()=", limit,
                  " (cycle or lost count)");
       return;
     }
@@ -58,19 +60,22 @@ void check_list(const PcbList& list, const char* what, Errors& errors,
       errors.add(what, ": node ", count, " (", p->key.to_string(),
                  ") has prev link inconsistent with walk order");
     }
-    if (members != nullptr) members->push_back(p);
+    members.push_back(p);
     prev = p;
     ++count;
   }
-  if (count != list.size()) {
-    errors.add(what, ": reachable nodes (", count, ") != size() (",
-               list.size(), ")");
-  }
-  if (list.tail() != prev) {
-    errors.add(what, ": tail does not point at the last reachable node");
-  }
   if (list.head() != nullptr && list.head()->prev != nullptr) {
     errors.add(what, ": head node has non-null prev");
+  }
+}
+
+// The single-list demuxers: the one list must reach exactly size() nodes.
+void check_whole_list(const PcbList& list, std::size_t size, const char* what,
+                      Errors& errors, std::vector<const Pcb*>& members) {
+  check_list(list, size, what, errors, members);
+  if (members.size() != size) {
+    errors.add(what, ": reachable nodes (", members.size(), ") != size() (",
+               size, ")");
   }
 }
 
@@ -142,18 +147,11 @@ std::string ValidationReport::to_string() const {
   return out;
 }
 
-ValidationReport StructuralValidator::validate(const PcbList& list) {
-  ValidationReport report;
-  Errors errors(report);
-  check_list(list, "pcb_list", errors, nullptr);
-  return report;
-}
-
 ValidationReport StructuralValidator::validate(const BsdListDemuxer& demuxer) {
   ValidationReport report;
   Errors errors(report);
   std::vector<const Pcb*> members;
-  check_list(demuxer.list_, "bsd", errors, &members);
+  check_whole_list(demuxer.list_, demuxer.size(), "bsd", errors, members);
   check_slab(demuxer.slab_, members, demuxer.size(), "bsd", errors);
   check_unique(members, "bsd", errors);
   check_cache_member(demuxer.cache_, "bsd", members, errors);
@@ -165,7 +163,7 @@ ValidationReport StructuralValidator::validate(
   ValidationReport report;
   Errors errors(report);
   std::vector<const Pcb*> members;
-  check_list(demuxer.list_, "mtf", errors, &members);
+  check_whole_list(demuxer.list_, demuxer.size(), "mtf", errors, members);
   check_slab(demuxer.slab_, members, demuxer.size(), "mtf", errors);
   check_unique(members, "mtf", errors);
   return report;
@@ -176,7 +174,7 @@ ValidationReport StructuralValidator::validate(
   ValidationReport report;
   Errors errors(report);
   std::vector<const Pcb*> members;
-  check_list(demuxer.list_, "srcache", errors, &members);
+  check_whole_list(demuxer.list_, demuxer.size(), "srcache", errors, members);
   check_slab(demuxer.slab_, members, demuxer.size(), "srcache", errors);
   check_unique(members, "srcache", errors);
   check_cache_member(demuxer.recv_cache_, "srcache(recv)", members, errors);
@@ -208,7 +206,7 @@ ValidationReport StructuralValidator::validate(const SequentDemuxer& demuxer) {
       const SequentDemuxer::Bucket& bucket = table[c];
       std::vector<const Pcb*> members;
       const std::string what = label + " chain " + std::to_string(c);
-      check_list(bucket.list, what.c_str(), errors, &members);
+      check_list(bucket.list, demuxer.size_, what.c_str(), errors, members);
       if (c < drained && !members.empty()) {
         errors.add(label, ": chain ", c, " in the drained prefix [0, cursor=",
                    drained, ") is non-empty");
@@ -266,7 +264,8 @@ ValidationReport StructuralValidator::validate(
     std::vector<const Pcb*> members;
     std::ostringstream what;
     what << "hashed_mtf chain " << c;
-    check_list(demuxer.buckets_[c], what.str().c_str(), errors, &members);
+    check_list(demuxer.buckets_[c], demuxer.size_, what.str().c_str(),
+               errors, members);
     for (const Pcb* p : members) {
       if (demuxer.chain_of(p->key) != c) {
         errors.add("hashed_mtf: PCB ", p->key.to_string(),

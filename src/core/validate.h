@@ -7,7 +7,8 @@
 // gets a validator that proves the structure is well-formed:
 //
 //   * every doubly linked chain is consistent (next/prev mirror each other,
-//     head/tail/size agree, no cycles);
+//     the head has no prev, and no walk reaches more nodes than the whole
+//     structure's size(): a cycle is reported, not followed);
 //   * every single-entry cache points at a live member of the structure it
 //     caches for (never a freed or foreign PCB);
 //   * every PCB sits on exactly the chain its key hashes to;
@@ -61,7 +62,6 @@ struct ValidationReport {
 /// declaration per demuxer grants read access to the private structure.
 class StructuralValidator {
  public:
-  static ValidationReport validate(const PcbList& list);
   static ValidationReport validate(const BsdListDemuxer& demuxer);
   static ValidationReport validate(const MoveToFrontDemuxer& demuxer);
   static ValidationReport validate(const SendReceiveCacheDemuxer& demuxer);

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include "core/demux_registry.h"
+#include "core/pcb_slab.h"
+#include "core/sequent_hash.h"
+#include "core/validate.h"
 
 namespace tcpdemux::core {
 namespace {
@@ -33,6 +36,22 @@ TEST(MemoryBytes, MoreChainsCostMoreHeaders) {
   // 1021 chains costs far less than 1002 PCBs would.
   EXPECT_LT(large->memory_bytes() - small->memory_bytes(),
             1002 * sizeof(Pcb));
+}
+
+TEST(MemoryBytes, DynamicPaysSixteenBytesPerChain) {
+  // The host default's whole cost: its PCB slab, one 16-byte bucket (list
+  // head + last-found cache) per chain, and the demuxer itself.
+  const auto d = make_demuxer(*parse_demux_spec("dynamic"));
+  auto& dynamic = dynamic_cast<SequentDemuxer&>(*d);
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    ASSERT_NE(dynamic.insert(key(i)), nullptr);
+  }
+  while (dynamic.migration_step()) {
+  }
+  ASSERT_GE(dynamic.doublings(), 1u);
+  EXPECT_EQ(dynamic.memory_bytes(),
+            ValidatorTestAccess::slab(dynamic).bytes() +
+                16 * std::size_t{dynamic.chains()} + sizeof(SequentDemuxer));
 }
 
 TEST(MemoryBytes, ConnectionIdPaysForItsSlotArray) {

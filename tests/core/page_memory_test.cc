@@ -1,12 +1,14 @@
 // page_memory.h: page mappings for PCB chunks and bucket tables. Alignment,
-// allocate/free round-trips below and above a huge page, proof that a
+// allocate/free round-trips below and above a huge page, zero-default
+// element types built without a constructor loop, proof that a
 // grown-then-destroyed demuxer hands every page back to the kernel, and
-// (under ASan only) a death test proving a read past a table's end is
+// (under ASan only) death tests proving a read past a table's end is
 // still reported.
 #include "core/page_memory.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -30,6 +32,42 @@ TEST(PageMemory, LargeVectorIsHugePageAligned) {
 TEST(PageMemory, SmallVectorIsPageAligned) {
   const PageVector<std::uint64_t> v(19);
   EXPECT_EQ(addr(v.data()) % page_bytes(), 0u);
+}
+
+// All-zero bytes is its default, and it says so; its constructor counts
+// its calls, so a test can see whether a PageVector ran it.
+struct ZeroDefault {
+  static constexpr bool kZeroDefault = true;
+  static inline int constructed = 0;
+  ZeroDefault() noexcept { ++constructed; }
+  std::uint64_t count = 0;
+  const void* link = nullptr;
+};
+static_assert(kZeroDefault<ZeroDefault>);
+
+// Not opted in: its default is not zero, so it must still be constructed.
+struct Sevens {
+  int value = 7;
+};
+static_assert(!kZeroDefault<Sevens>);
+static_assert(!kZeroDefault<std::uint64_t>);
+
+TEST(PageMemory, ZeroDefaultTypeIsNotConstructedElementByElement) {
+  for (const std::size_t n :
+       {std::size_t{19}, kHugePageBytes / sizeof(ZeroDefault) + 3}) {
+    ZeroDefault::constructed = 0;
+    const PageVector<ZeroDefault> v(n);
+    EXPECT_EQ(ZeroDefault::constructed, 0) << n;
+    std::size_t nonzero = 0;
+    for (const ZeroDefault& e : v) {
+      nonzero += (e.count != 0 || e.link != nullptr) ? 1 : 0;
+    }
+    EXPECT_EQ(nonzero, 0u) << n;
+  }
+  const PageVector<Sevens> sevens(100);
+  EXPECT_EQ(std::count_if(sevens.begin(), sevens.end(),
+                          [](const Sevens& e) { return e.value == 7; }),
+            100);
 }
 
 TEST(PageMemory, AllocateFreeRoundTripsBelowAndAboveAHugePage) {
@@ -97,13 +135,22 @@ TEST(PageMemory, GrownDemuxerReturnsEveryPageWhenDestroyed) {
 
 #ifdef TCPDEMUX_ASAN_POISONS
 // On the heap ASan caught a read past a table's end; the slack between
-// the array and the end of its mapping is poisoned so it still does.
+// the array and the end of its mapping is poisoned so it still does,
+// also for a zero-default type whose elements were never constructed.
 TEST(PageMemoryDeathTest, ReadPastAVectorIsReportedUnderAsan) {
   const PageVector<std::uint64_t> v(19);
   const std::uint64_t* past = v.data() + v.size();
   EXPECT_DEATH(
       {
         const volatile std::uint64_t x = *past;
+        (void)x;
+      },
+      "use-after-poison");
+  const PageVector<ZeroDefault> zeroed(19);
+  const ZeroDefault* past_zeroed = zeroed.data() + zeroed.size();
+  EXPECT_DEATH(
+      {
+        const volatile std::uint64_t x = past_zeroed->count;
         (void)x;
       },
       "use-after-poison");

@@ -205,6 +205,27 @@ TEST(ValidateTest, DynamicPcbOnWrongChainIsReported) {
   EXPECT_TRUE(StructuralValidator::validate(demuxer).ok());
 }
 
+TEST(ValidateTest, DynamicChainCycleIsReportedWithoutHanging) {
+  // The list keeps no count, so the walk is bounded by the demuxer's
+  // size(): a chain whose last node points back at its head must be
+  // reported, and the validator must return rather than follow it.
+  SequentDemuxer demuxer(SequentDemuxer::Options{
+      .chains = 5, .hasher = net::HasherKind::kCrc32, .grow = true});
+  populate(demuxer, 40);
+  std::uint32_t c = 0;
+  while (ValidatorTestAccess::chain(demuxer, c).count() < 2) ++c;
+  PcbList& chain = ValidatorTestAccess::chain(demuxer, c);
+  Pcb* last = chain.head();
+  while (last->next != nullptr) last = last->next;
+  last->next = chain.head();
+  const ValidationReport report = StructuralValidator::validate(demuxer);
+  last->next = nullptr;
+  EXPECT_FALSE(report.ok());
+  EXPECT_NE(report.to_string().find("cycle"), std::string::npos)
+      << report.to_string();
+  EXPECT_TRUE(StructuralValidator::validate(demuxer).ok());
+}
+
 TEST(ValidateTest, DynamicLeakedSlabSlotIsReported) {
   // A slot taken from the slab but linked nowhere: every chain is intact
   // and the size counter agrees with them, so only the slab's live count
