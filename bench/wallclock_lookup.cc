@@ -36,7 +36,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/cuckoo_demuxer.h"
 #include "core/demux_registry.h"
 #include "sim/address_space.h"
 #include "sim/tpca_workload.h"
@@ -107,11 +106,10 @@ std::vector<std::string> specs_for(std::uint32_t users) {
   // flat's lookup cost is really the crc32 hash.
   specs.push_back("flat:" + doubled);
   // Hardware CRC32C on the same structure isolates the hash-instruction
-  // gain from the probing-scheme gain...
+  // gain from the probing-scheme gain.
   specs.push_back("flat:" + doubled + ":crc32c");
-  // ...then the Cuckoo++ table on the same hash. Its miss story needs
-  // --miss-rate to show; at 0 it documents the bounded-hit cost instead.
-  specs.push_back("cuckoo:" + doubled + ":crc32c");
+  // The host default as shipped: 19 chains, xor_fold, doubling as it fills.
+  specs.push_back("dynamic");
   return specs;
 }
 
@@ -175,15 +173,6 @@ int main(int argc, char** argv) {
       rec.add_metric("pcbs_examined", examined);
       rec.add_metric("hit_rate", hit_rate);
       rec.add_metric("miss_rate", opts.miss_rate);
-      // The cuckoo table's headline number on the miss axis: mean buckets
-      // (~cache lines) touched per lookup. The Cuckoo++ presence filter
-      // keeps this ~1 when almost every lookup is negative.
-      if (const auto* cuckoo =
-              dynamic_cast<const core::CuckooDemuxer*>(fx.demuxer.get())) {
-        rec.add_metric("buckets_per_lookup",
-                       static_cast<double>(cuckoo->buckets_probed()) /
-                           static_cast<double>(fx.demuxer->stats().lookups));
-      }
       writer.add(std::move(rec));
 
       if (!opts.telemetry_path.empty()) {

@@ -182,7 +182,6 @@ int main(int argc, char** argv) {
   // populate phase grows the table to fit N, so the growth phase measures
   // a doubling at full size.
   const std::vector<std::string> specs = {"flat:1024:crc32c",
-                                          "cuckoo:1024:crc32c",
                                           "dynamic:1024:crc32c"};
 
   std::printf("%-22s %8s %7s %10s %10s %12s %12s %8s %8s\n", "cell", "users",

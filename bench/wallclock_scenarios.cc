@@ -67,8 +67,7 @@ std::vector<std::string> demux_specs() {
           "sequent:251:crc32",
           "dynamic",
           "rcu:251:crc32",
-          "flat:4096:crc32",
-          "cuckoo:4096:crc32c"};
+          "flat:4096:crc32"};
 }
 
 // Synthesizes a capture from a small TPC/A run and writes it where the

@@ -108,12 +108,12 @@ if [[ "${SKIP_ROBUSTNESS:-0}" != "1" ]]; then
     ctest --test-dir "$ROOT/build" -R 'Fuzz(Ops|Adversarial)' \
           --output-on-failure -j "$JOBS"
   # Drain soak: a forced migration step before every op of the growing
-  # specs (dynamic, flat, cuckoo, and sharded fleets of them),
+  # specs (dynamic, flat, and sharded fleets of them),
   # validated at each step, so every drain phase of the two-table state
   # is checked.
   TCPDEMUX_FUZZ_RESIZE_EVERY=1 \
     ctest --test-dir "$ROOT/build" \
-          -R 'Fuzz(Ops|Adversarial).*(dynamic|flat|cuckoo)' \
+          -R 'Fuzz(Ops|Adversarial).*(dynamic|flat)' \
           --output-on-failure -j "$JOBS"
   "$ROOT/build/bench/wallclock_attack" --smoke
 else

@@ -5,7 +5,6 @@
 
 #include "core/bsd_list.h"
 #include "core/connection_id.h"
-#include "core/cuckoo_demuxer.h"
 #include "core/flat_demuxer.h"
 #include "core/hashed_mtf.h"
 #include "core/move_to_front.h"
@@ -64,10 +63,6 @@ std::unique_ptr<Demuxer> make_demuxer(const DemuxConfig& config) {
       return std::make_unique<FlatDemuxer>(
           FlatDemuxer::Options{config.flat_capacity, hasher,
                                config.rehash_on_overload, config.max_pcbs});
-    case Algorithm::kCuckoo:
-      return std::make_unique<CuckooDemuxer>(
-          CuckooDemuxer::Options{config.flat_capacity, hasher,
-                                 config.rehash_on_overload, config.max_pcbs});
     case Algorithm::kSharded: {
       const auto inner = parse_demux_spec(config.inner_spec);
       if (!inner) return nullptr;  // parse_demux_spec validated it already
@@ -113,7 +108,6 @@ std::string_view algorithm_name(Algorithm algorithm) noexcept {
     case Algorithm::kDynamic: return "dynamic";
     case Algorithm::kRcu: return "rcu";
     case Algorithm::kFlat: return "flat";
-    case Algorithm::kCuckoo: return "cuckoo";
     case Algorithm::kSharded: return "sharded";
   }
   return "?";
@@ -200,15 +194,6 @@ std::optional<DemuxConfig> parse_demux_spec(std::string_view spec,
     config.algorithm = Algorithm::kRcu;
   } else if (head == "flat") {
     config.algorithm = Algorithm::kFlat;
-  } else if (head == "cuckoo") {
-    config.algorithm = Algorithm::kCuckoo;
-    // A partial-key cuckoo table derives its alternate bucket from the
-    // fingerprint tag, so both bucket choices inherit the hash's quality —
-    // under a fold that an address schedule can collapse (xor_fold), every
-    // colliding key shares both buckets and the table degrades to an
-    // 8-entry list it must shed from. Default to the hardware CRC32C
-    // family instead; an explicit hasher token still overrides.
-    config.hasher = net::HasherKind::kCrc32c;
   } else {
     return fail(error, "unknown algorithm " + quoted(head));
   }
@@ -227,9 +212,8 @@ std::optional<DemuxConfig> parse_demux_spec(std::string_view spec,
     return config;
   }
 
-  // The slot-array tables share capacity parsing and the resilience gates.
-  const bool is_flat = config.algorithm == Algorithm::kFlat ||
-                       config.algorithm == Algorithm::kCuckoo;
+  // The slot-array table parses a capacity and takes the resilience gates.
+  const bool is_flat = config.algorithm == Algorithm::kFlat;
   const bool takes_chains = config.algorithm == Algorithm::kSequent ||
                             config.algorithm == Algorithm::kHashedMtf ||
                             config.algorithm == Algorithm::kDynamic ||

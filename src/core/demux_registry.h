@@ -23,7 +23,6 @@ enum class Algorithm : std::uint8_t {
   kDynamic,       ///< self-resizing hash chains (post-paper extension)
   kRcu,           ///< lock-free-read hash chains + epoch reclaim (RCU)
   kFlat,          ///< open-addressing robin-hood table, fingerprint tags
-  kCuckoo,        ///< 4-way bucketized cuckoo table, Cuckoo++ filters
   kSharded,       ///< N RSS-steered shards, each wrapping an inner backend
 };
 
@@ -33,12 +32,12 @@ struct DemuxConfig {
   net::HasherKind hasher = net::HasherKind::kXorFold;
   bool per_chain_cache = true;       ///< Sequent only
   std::size_t id_capacity = 65536;   ///< connection-ID only
-  std::size_t flat_capacity = 1024;  ///< flat/cuckoo (initial slots)
+  std::size_t flat_capacity = 1024;  ///< flat (initial slots)
   // Adversarial-resilience knobs (see DESIGN.md "Adversarial resilience").
   std::uint32_t hash_seed = 0;  ///< 0 = unkeyed (paper-fidelity default)
-  /// sequent/flat/cuckoo: seed-rotating rehash
+  /// sequent/flat: seed-rotating rehash
   bool rehash_on_overload = false;
-  /// sequent/dynamic/flat/cuckoo: 0 = unbounded
+  /// sequent/dynamic/flat: 0 = unbounded
   std::size_t max_pcbs = 0;
   // Sharded receive path (algorithm == kSharded only; see DESIGN.md
   // "Sharded receive path").
@@ -57,10 +56,6 @@ struct DemuxConfig {
 ///   "dynamic[:initial_chains[:hasher][:opts...]]"
 ///   "rcu[:chains[:hasher][:opts...]]"        (lock-free-read Sequent)
 ///   "flat[:capacity[:hasher][:opts...]]"     (open-addressing flat table)
-///   "cuckoo[:capacity[:hasher][:opts...]]"   (4-way Cuckoo++ table;
-///                                            defaults to crc32c, since its
-///                                            alt-bucket derivation needs a
-///                                            mixing hash — see registry.cc)
 ///   "sharded:N:<inner-spec>"                 (N RSS-steered shards, each an
 ///                                            instance of the inner spec —
 ///                                            any spec above; sharded itself
@@ -81,11 +76,10 @@ struct DemuxConfig {
 ///
 /// Option tokens, each at most once:
 ///   "nocache"   sequent/rcu: disable the per-chain cache
-///   "rehash"    sequent/flat/cuckoo: rehash with a fresh seed on overload
+///   "rehash"    sequent/flat: rehash with a fresh seed on overload
 ///               watermark
-///   "max=N"     sequent/dynamic/flat/cuckoo: shed inserts beyond N PCBs
-///               (N > 0)
-/// There is no growth option: dynamic/flat/cuckoo always drain a
+///   "max=N"     sequent/dynamic/flat: shed inserts beyond N PCBs (N > 0)
+/// There is no growth option: dynamic/flat always drain a
 /// doubling's outgoing table a bounded batch per operation, with the
 /// memory-pressure degradation ladder (DESIGN.md "Incremental resize &
 /// degradation ladder").

@@ -1,6 +1,6 @@
 // The resize engine shared by every growing or seed-rotating backend
-// (sequent/dynamic, flat, cuckoo; see DESIGN.md "Incremental
-// resize & degradation ladder").
+// (sequent/dynamic, flat; see DESIGN.md "Incremental resize & degradation
+// ladder").
 //
 // A growth is start_migration(): allocate the whole new table, then swing
 // the live one behind a drain cursor. Every operation then relinks at most
@@ -11,7 +11,7 @@
 // relinking: building the doubled table (grown_table()) still happens
 // inside the insert that fires the trigger — only a mapping for the
 // chained tables, whose zero-default buckets are not written, but a full
-// construction for flat and cuckoo. The allocation-failure ladder
+// construction for flat. The allocation-failure ladder
 // lives here too: rung 1 defers the doubling with exponential backoff,
 // rung 2 sheds inserts at a hard watermark while growth stays blocked.
 //
@@ -173,8 +173,8 @@ class ResizeEngine {
     if (--old_->residents == 0) complete(b);
   }
 
-  /// The overload watermark: the worst insert signal (chain length, probe
-  /// distance or kick-search effort) since the last rotation.
+  /// The overload watermark: the worst insert signal (chain length or probe
+  /// distance) since the last rotation.
   [[nodiscard]] std::uint64_t watermark() const noexcept { return watermark_; }
   void raise_watermark(std::uint64_t signal) noexcept {
     watermark_ = std::max(watermark_, signal);

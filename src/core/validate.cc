@@ -9,7 +9,6 @@
 
 #include "core/bsd_list.h"
 #include "core/connection_id.h"
-#include "core/cuckoo_demuxer.h"
 #include "core/demuxer.h"
 #include "core/flat_demuxer.h"
 #include "core/hashed_mtf.h"
@@ -566,179 +565,6 @@ ValidationReport StructuralValidator::validate(const FlatDemuxer& demuxer) {
   return report;
 }
 
-ValidationReport StructuralValidator::validate(const CuckooDemuxer& demuxer) {
-  ValidationReport report;
-  Errors errors(report);
-  constexpr std::size_t kW = CuckooDemuxer::kBucketWidth;
-  const std::size_t buckets = demuxer.bucket_count();
-  const std::size_t capacity = demuxer.capacity();
-  if (buckets < CuckooDemuxer::kMinBuckets ||
-      (buckets & (buckets - 1)) != 0) {
-    errors.add("cuckoo: bucket count ", buckets,
-               " is not a power of two >= 4");
-    return report;
-  }
-  // Every per-bucket and per-slot array of `t` must match its geometry.
-  const auto sized = [](const CuckooDemuxer::Table& t) {
-    const std::size_t b = t.bucket_count();
-    const std::size_t cap = t.capacity();
-    return t.meta.size() == b && t.filter_counts.size() == b &&
-           t.hashes.size() == cap && t.keys.size() == cap &&
-           t.pcbs.size() == cap;
-  };
-  if (!sized(demuxer.table_)) {
-    errors.add("cuckoo: arrays are not all sized to ", buckets, " buckets");
-    return report;
-  }
-
-  // Per-table checks; the key set is shared across the live and (when
-  // migrating) old arrays so a key resident in both is caught as a
-  // duplicate. Expected counted-filter state is recomputed per table from
-  // resident placement. Returns the table's occupied-slot count.
-  std::unordered_set<net::FlowKey> keys;
-  std::vector<const Pcb*> members;
-  const auto check_table =
-      [&](const CuckooDemuxer::Table& t, const char* what) {
-        const auto& [mask, meta, hashes, slot_keys, pcbs, filter_counts] = t;
-        const std::size_t table_buckets = t.bucket_count();
-        const std::size_t table_capacity = t.capacity();
-        std::vector<std::array<std::uint16_t, 16>> expected(table_buckets);
-        std::size_t occupied = 0;
-        for (std::size_t i = 0; i < table_capacity; ++i) {
-          const std::size_t bucket = i / kW;
-          const std::uint8_t tag = meta[bucket].tags[i % kW];
-          if (tag == 0) {
-            if (pcbs[i] != nullptr) {
-              errors.add(what, " slot ", i,
-                         ": empty tag but a PCB is still held");
-            }
-            continue;
-          }
-          ++occupied;
-          const Pcb* const pcb = pcbs[i];
-          if (pcb == nullptr) {
-            errors.add(what, " slot ", i, ": occupied tag but no PCB");
-            continue;
-          }
-          members.push_back(pcb);
-          if (pcb->key != slot_keys[i]) {
-            errors.add(what, " slot ", i, ": PCB key ", pcb->key.to_string(),
-                       " != slot key ", slot_keys[i].to_string());
-          }
-          const std::uint32_t h = demuxer.hash_of(slot_keys[i]);
-          if (hashes[i] != h) {
-            errors.add(what, " slot ", i, ": stored hash ", hashes[i],
-                       " != hash of stored key ", h);
-          }
-          if (tag != CuckooDemuxer::tag_of(hashes[i])) {
-            errors.add(what, " slot ", i, ": tag ",
-                       static_cast<unsigned>(tag),
-                       " disagrees with stored hash's fingerprint ",
-                       static_cast<unsigned>(
-                           CuckooDemuxer::tag_of(hashes[i])));
-          }
-          // Placement: a resident must sit in its primary bucket or the
-          // alternate derived from (primary, tag) — anywhere else it is
-          // unreachable by lookup.
-          const std::size_t primary = hashes[i] & mask;
-          const std::size_t alt =
-              (primary ^ (net::mix32_avalanche(tag) | 1U)) & mask;
-          if (bucket != primary && bucket != alt) {
-            errors.add(what, " slot ", i, ": resident of bucket ", bucket,
-                       " but its candidates are ", primary, " and ", alt);
-          }
-          // Filter soundness: an overflowed resident (living in its
-          // alternate) must be registered in its primary bucket's counted
-          // filter, or a negative-looking probe of the primary bucket
-          // would hide it forever.
-          if (bucket == alt && bucket != primary) {
-            ++expected[primary][CuckooDemuxer::filter_index(tag)];
-          }
-          if (!keys.insert(slot_keys[i]).second) {
-            errors.add(what, ": duplicate key ", slot_keys[i].to_string());
-          }
-        }
-        for (std::size_t b = 0; b < table_buckets; ++b) {
-          for (std::size_t idx = 0; idx < 16; ++idx) {
-            if (filter_counts[b][idx] != expected[b][idx]) {
-              errors.add(what, " bucket ", b, ": filter count[", idx,
-                         "] = ", filter_counts[b][idx],
-                         " but placement implies ", expected[b][idx]);
-            }
-            const bool bit = (meta[b].filter & (1U << idx)) != 0;
-            if (bit != (filter_counts[b][idx] != 0)) {
-              errors.add(what, " bucket ", b, ": filter bit ", idx,
-                         bit ? " set without" : " clear despite",
-                         " a backing count");
-            }
-          }
-        }
-        return occupied;
-      };
-
-  std::size_t occupied = check_table(demuxer.table_, "cuckoo");
-
-  if (const auto* out = demuxer.resize_.old()) {
-    const auto& old = *out;
-    const std::size_t old_buckets = old.table.bucket_count();
-    const std::size_t old_capacity = old.table.capacity();
-    if (!sized(old.table)) {
-      errors.add("cuckoo(old): arrays are not all sized to ", old_buckets,
-                 " buckets");
-      return report;
-    }
-    if (old.residents == 0) {
-      errors.add(
-          "cuckoo(old): migration adjunct present with zero residents");
-    }
-    if (old_buckets * 2 != buckets) {
-      errors.add("cuckoo(old): old bucket count ", old_buckets,
-                 " is not half the live bucket count ", buckets);
-    }
-    // Drained-prefix invariant: the cursor advances only past empty slots
-    // and nothing is ever placed or kicked into the old array, so
-    // [0, cursor) stays empty for the whole migration.
-    if (old.cursor > old_capacity) {
-      errors.add("cuckoo(old): cursor ", old.cursor, " exceeds capacity ",
-                 old_capacity);
-    }
-    for (std::size_t i = 0; i < std::min(old.cursor, old_capacity); ++i) {
-      if (old.table.tag_at(i) != 0) {
-        errors.add("cuckoo(old): slot ", i,
-                   " in the drained prefix [0, cursor=", old.cursor,
-                   ") is occupied");
-        break;
-      }
-    }
-    const std::size_t old_occupied = check_table(old.table, "cuckoo(old)");
-    if (old_occupied != old.residents) {
-      errors.add("cuckoo(old): occupied slots (", old_occupied,
-                 ") != residents counter (", old.residents, ")");
-    }
-    occupied += old_occupied;
-  }
-
-  if (occupied != demuxer.size_) {
-    errors.add("cuckoo: occupied slots (", occupied, ") != size counter (",
-               demuxer.size_, ")");
-  }
-  check_slab(demuxer.slab_, members, demuxer.size_, "cuckoo", errors);
-  // Growth keeps occupancy at or below 7/8; while growth is
-  // allocation-blocked the degradation ladder admits up to the hard 15/16
-  // shed watermark instead.
-  if (demuxer.resize_.blocked()) {
-    if (demuxer.size_ * 16 > capacity * 15) {
-      errors.add("cuckoo: occupancy ", demuxer.size_,
-                 " exceeds the blocked-growth 15/16 watermark of capacity ",
-                 capacity);
-    }
-  } else if (demuxer.size_ * 8 > capacity * 7) {
-    errors.add("cuckoo: occupancy ", demuxer.size_,
-               " exceeds 7/8 of capacity ", capacity);
-  }
-  return report;
-}
-
 ValidationReport StructuralValidator::validate(const ShardedDemuxer& demuxer) {
   ValidationReport report;
   Errors errors(report);
@@ -808,9 +634,6 @@ ValidationReport validate_demuxer(const Demuxer& demuxer) {
     return StructuralValidator::validate(d->inner());
   }
   if (const auto* d = dynamic_cast<const FlatDemuxer*>(&demuxer)) {
-    return StructuralValidator::validate(*d);
-  }
-  if (const auto* d = dynamic_cast<const CuckooDemuxer*>(&demuxer)) {
     return StructuralValidator::validate(*d);
   }
   ValidationReport report;
@@ -912,31 +735,6 @@ void ValidatorTestAccess::flat_move_slot(FlatDemuxer& d, std::size_t from,
   t.keys[to] = t.keys[from];
   t.pcbs[to] = std::exchange(t.pcbs[from], nullptr);
   t.tags[from] = 0;
-}
-
-std::uint8_t& ValidatorTestAccess::cuckoo_tag(CuckooDemuxer& d,
-                                              std::size_t slot) {
-  return d.table_.meta[slot / CuckooDemuxer::kBucketWidth]
-      .tags[slot % CuckooDemuxer::kBucketWidth];
-}
-
-std::uint16_t& ValidatorTestAccess::cuckoo_filter(CuckooDemuxer& d,
-                                                  std::size_t bucket) {
-  return d.table_.meta[bucket].filter;
-}
-
-std::size_t& ValidatorTestAccess::cuckoo_size(CuckooDemuxer& d) {
-  return d.size_;
-}
-
-void ValidatorTestAccess::cuckoo_move_slot(CuckooDemuxer& d, std::size_t from,
-                                           std::size_t to) {
-  cuckoo_tag(d, to) = cuckoo_tag(d, from);
-  CuckooDemuxer::Table& t = d.table_;
-  t.hashes[to] = t.hashes[from];
-  t.keys[to] = t.keys[from];
-  t.pcbs[to] = std::exchange(t.pcbs[from], nullptr);
-  cuckoo_tag(d, from) = 0;
 }
 
 }  // namespace tcpdemux::core

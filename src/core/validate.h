@@ -44,7 +44,6 @@ class HashedMtfDemuxer;
 class ConnectionIdDemuxer;
 class RcuSequentDemuxer;
 class FlatDemuxer;
-class CuckooDemuxer;
 class ShardedDemuxer;
 class Demuxer;
 struct Pcb;
@@ -73,11 +72,6 @@ class StructuralValidator {
   /// Flat table: tag/key/hash agreement per slot, robin-hood probe-distance
   /// ordering, occupancy vs size() vs load-factor bound.
   static ValidationReport validate(const FlatDemuxer& demuxer);
-  /// Cuckoo table: tag/key/hash agreement per slot, bucket/alt-bucket
-  /// placement, counted-filter soundness (every overflowed resident is
-  /// registered in its primary bucket's filter, every bit backed by a
-  /// nonzero count), occupancy vs size() vs load-factor bound.
-  static ValidationReport validate(const CuckooDemuxer& demuxer);
   /// Sharded fleet: every shard's inner structure (recursive, via
   /// validate_demuxer), sum-of-shard-sizes vs size(), the cross-shard
   /// no-duplicate-key invariant, and — while steering has not drifted
@@ -137,16 +131,6 @@ struct ValidatorTestAccess {
   static std::vector<std::uint8_t>& flat_tags(FlatDemuxer& d);
   static std::size_t& flat_size(FlatDemuxer& d);
   static void flat_move_slot(FlatDemuxer& d, std::size_t from, std::size_t to);
-  /// Cuckoo-table plants: the slot-tag byte (flip a fingerprint bit), the
-  /// presence-filter word of a bucket (plant a false negative), the size
-  /// counter, and a raw whole-slot move (from occupied, to empty) that
-  /// skips filter bookkeeping — breaking bucket placement, filter
-  /// membership, or both. Undo by moving back.
-  static std::uint8_t& cuckoo_tag(CuckooDemuxer& d, std::size_t slot);
-  static std::uint16_t& cuckoo_filter(CuckooDemuxer& d, std::size_t bucket);
-  static std::size_t& cuckoo_size(CuckooDemuxer& d);
-  static void cuckoo_move_slot(CuckooDemuxer& d, std::size_t from,
-                               std::size_t to);
 };
 
 }  // namespace tcpdemux::core

@@ -32,8 +32,8 @@ TEST(Registry, ParseSimpleNames) {
            {"hashed_mtf", Algorithm::kHashedMtf},
            {"connection_id", Algorithm::kConnectionId},
            {"rcu", Algorithm::kRcu},
-           {"flat", Algorithm::kFlat},
-           {"cuckoo", Algorithm::kCuckoo}}) {
+           {"dynamic", Algorithm::kDynamic},
+           {"flat", Algorithm::kFlat}}) {
     const auto config = parse_demux_spec(spec);
     ASSERT_TRUE(config.has_value()) << spec;
     EXPECT_EQ(config->algorithm, algo) << spec;
@@ -169,31 +169,6 @@ TEST(Registry, ParseRejectsBadFlatSpec) {
   EXPECT_FALSE(parse_demux_spec("flat:64:crc32:nocache").has_value());
 }
 
-TEST(Registry, ParseCuckooSpec) {
-  const auto config = parse_demux_spec("cuckoo:512:jenkins");
-  ASSERT_TRUE(config.has_value());
-  EXPECT_EQ(config->algorithm, Algorithm::kCuckoo);
-  EXPECT_EQ(config->flat_capacity, 512u);
-  EXPECT_EQ(config->hasher, net::HasherKind::kJenkins);
-  const auto d = make_demuxer(*config);
-  EXPECT_EQ(d->name(), "cuckoo(cap=512,jenkins)");
-}
-
-TEST(Registry, CuckooDefaultsToHardwareCrc32c) {
-  // The alt-bucket derivation needs a mixing hash, so the bare spec picks
-  // the hardware-accelerated CRC32C family rather than xor_fold.
-  const auto config = parse_demux_spec("cuckoo");
-  ASSERT_TRUE(config.has_value());
-  EXPECT_EQ(config->hasher, net::HasherKind::kCrc32c);
-  const auto d = make_demuxer(*config);
-  EXPECT_EQ(d->name(), "cuckoo(cap=1024,crc32c)");
-}
-
-TEST(Registry, CuckooCapacityRoundsUpToPowerOfTwo) {
-  const auto d = make_demuxer(*parse_demux_spec("cuckoo:1000"));
-  EXPECT_EQ(d->name(), "cuckoo(cap=1024,crc32c)");
-}
-
 TEST(Registry, ConfiguredDemuxerReflectsSpec) {
   const auto config = parse_demux_spec("sequent:31:jenkins");
   ASSERT_TRUE(config.has_value());
@@ -217,8 +192,6 @@ TEST(Registry, ParseRejectsDuplicateOptionTokensInEveryFamily) {
   // One duplicated-token probe per option, across the families that
   // accept it; all must fail, none may silently keep either copy.
   EXPECT_FALSE(parse_demux_spec("flat:rehash:rehash").has_value());
-  EXPECT_FALSE(parse_demux_spec("cuckoo:rehash:rehash").has_value());
-  EXPECT_FALSE(parse_demux_spec("cuckoo:64:max=9:max=9").has_value());
   EXPECT_FALSE(parse_demux_spec("sequent:19:max=5:max=9").has_value());
   EXPECT_FALSE(parse_demux_spec("dynamic:5:max=5:max=5").has_value());
   EXPECT_FALSE(parse_demux_spec("flat:64:max=100:max=200").has_value());
@@ -235,15 +208,20 @@ TEST(Registry, ParseRejectsBadFlat16AndCuckooSpecs) {
   const std::string nested = parse_error("sharded:4:flat16");
   EXPECT_NE(nested.find("unknown algorithm 'flat16'"), std::string::npos)
       << nested;
-  EXPECT_FALSE(parse_demux_spec("cuckoo:0").has_value());
-  EXPECT_FALSE(parse_demux_spec("cuckoo:64:sha256").has_value());
-  EXPECT_FALSE(parse_demux_spec("cuckoo:64:crc32c:nocache").has_value());
+  // The cuckoo table is gone the same way: its name parses as any other
+  // unknown algorithm, with or without tokens, nested or not.
+  EXPECT_EQ(parse_error("cuckoo"), "unknown algorithm 'cuckoo'");
+  EXPECT_EQ(parse_error("cuckoo:64:crc32c"), "unknown algorithm 'cuckoo'");
+  const std::string nested_cuckoo = parse_error("sharded:4:cuckoo");
+  EXPECT_NE(nested_cuckoo.find("unknown algorithm 'cuckoo'"),
+            std::string::npos)
+      << nested_cuckoo;
 }
 
 TEST(Registry, ParseRejectsDuplicateHasherTokens) {
   EXPECT_FALSE(parse_demux_spec("sequent:19:crc32:jenkins").has_value());
   EXPECT_FALSE(parse_demux_spec("flat:64:crc32:crc32").has_value());
-  EXPECT_FALSE(parse_demux_spec("cuckoo:64:crc32c@1:crc32c@2").has_value());
+  EXPECT_FALSE(parse_demux_spec("sequent:64:crc32c@1:crc32c@2").has_value());
   EXPECT_FALSE(parse_demux_spec("rcu:19:xor_fold:siphash@5eed").has_value());
   EXPECT_EQ(parse_error("flat:64:crc32:crc32"),
             "duplicate hasher token 'crc32'");
@@ -283,7 +261,7 @@ TEST(Registry, ParseRejectsMangledSeedSuffixes) {
   EXPECT_FALSE(parse_demux_spec("sequent:19:crc32@1f@2e").has_value());
   EXPECT_FALSE(parse_demux_spec("flat:64:crc32@").has_value());
   EXPECT_FALSE(parse_demux_spec("flat:64:crc32@123456789").has_value());
-  EXPECT_FALSE(parse_demux_spec("cuckoo:64:siphash@zz").has_value());
+  EXPECT_FALSE(parse_demux_spec("rcu:64:siphash@zz").has_value());
   EXPECT_EQ(parse_error("sequent:19:crc32@1f@2e"),
             "bad seed suffix in 'crc32@1f@2e' (want one '@' and 1-8 hex digits)");
 }
@@ -313,7 +291,7 @@ TEST(Registry, ErrorOverloadNamesTheOffendingToken) {
   EXPECT_EQ(parse_error("mtf:rehash"), "mtf takes no ':' parameters");
   // Growth has one schedule, so there is no token that picks one.
   for (const char* spec : {"dynamic:incremental", "flat:64:incremental",
-                           "cuckoo:crc32c:incremental"}) {
+                           "sequent:crc32c:incremental"}) {
     EXPECT_EQ(parse_error(spec), "unknown token 'incremental'") << spec;
   }
   // Inner-spec failures surface wrapped, so a bad token three levels into

@@ -170,8 +170,7 @@ TEST(GrowthOrder, DrainKeepsExactCosts) {
     std::uint64_t cache_hits;
   };
   const Pin pins[] = {{"dynamic:5:crc32", 8122, 1254},
-                      {"flat:64:crc32", 3644, 0},
-                      {"cuckoo:64:crc32c", 3672, 0}};
+                      {"flat:64:crc32", 3644, 0}};
   for (const Pin& pin : pins) {
     auto d = make_demuxer(*parse_demux_spec(pin.spec));
     std::mt19937_64 rng(1992);
@@ -261,8 +260,7 @@ INSTANTIATE_TEST_SUITE_P(
                       "hashed_mtf:101:crc32", "connection_id", "dynamic",
                       "dynamic:41:jenkins", "rcu", "rcu:101:crc32",
                       "rcu:19:xor_fold:nocache", "flat", "flat:64",
-                      "flat:1024:crc32", "cuckoo", "cuckoo:64",
-                      "cuckoo:1024:crc32c", "cuckoo:64:jenkins"),
+                      "flat:1024:crc32"),
     [](const auto& info) {
       std::string name = info.param;
       for (char& c : name) {

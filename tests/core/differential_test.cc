@@ -26,10 +26,8 @@ const char* kSpecs[] = {"bsd",           "mtf",
                         "hashed_mtf",    "dynamic",
                         "connection_id", "rcu:19:crc32",
                         "flat",          "flat:64:crc32",
-                        "cuckoo",        "cuckoo:64:crc32",
                         "sharded:4:flat",
-                        "sharded:3:sequent:19:crc32",
-                        "sharded:2:cuckoo"};
+                        "sharded:3:sequent:19:crc32"};
 
 TEST(Differential, AllAlgorithmsAgreeOnMembership) {
   std::vector<std::unique_ptr<Demuxer>> demuxers;

@@ -17,7 +17,8 @@
 //     keyed/rehash configurations fuzz across their defense machinery;
 //   * full-collision flood — only collisions, with every growth refused,
 //     so a 64-slot flat table sits at its 15/16 shed watermark with one
-//     probe run that wraps the whole array.
+//     probe run that wraps the whole array, and a 5-chain growing table
+//     sits at its rung-2 shed point with every resident on one chain.
 //
 // Budget: TCPDEMUX_FUZZ_OPS operations per spec (default 100000, the
 // ci/check.sh acceptance floor). TCPDEMUX_FUZZ_SEED reseeds the whole run
@@ -47,6 +48,7 @@
 #include "core/demux_registry.h"
 #include "core/demuxer.h"
 #include "core/fault_inject.h"
+#include "core/sequent_hash.h"
 #include "core/validate.h"
 #include "drain_case.h"
 #include "net/flow_key.h"
@@ -311,14 +313,18 @@ TEST_P(FuzzAdversarialTest, CollidedOpsMatchReferenceAndPreserveInvariants) {
 }
 
 // The full-collision flood: 160 keys sharing one full xor_fold hash and
-// no benign keys, into a 64-slot flat table whose growth never succeeds.
-// Arming the injector at every 2nd allocation blocks growth for good: a
-// fresh-key insert polls once, so an insert that gets through always did
-// so on an odd poll, and the growth retry it triggers polls next, on an
-// even one. Blocked growth sheds above 15/16 load, so the table settles
-// at 60 residents in one probe run from home slot 40 that wraps the whole
-// array: the probe must follow the run past the array's end to find its
-// tail.
+// no benign keys, into a table whose growth never succeeds. Arming the
+// injector at every 2nd allocation blocks growth for good: a fresh-key
+// insert polls once, so an insert that gets through always did so on an
+// odd poll, and the growth retry it triggers polls next, on an even one.
+//   * flat:64 — blocked growth sheds above 15/16 load, so the table
+//     settles at 60 residents in one probe run from home slot 40 that
+//     wraps the whole array: the probe must follow the run past the
+//     array's end to find its tail.
+//   * dynamic:5 — blocked growth sheds an insert that would take the mean
+//     chain load past twice the growth trigger (rung 2,
+//     ResizeEngine::sheds_at_load), so the table settles at
+//     2 x max_load x 5 residents, all on one chain.
 class FuzzAdversarialFloodTest : public FuzzAdversarialTest {};
 
 TEST_P(FuzzAdversarialFloodTest, BlockedGrowthFloodAtWatermarkStaysExact) {
@@ -329,7 +335,13 @@ TEST_P(FuzzAdversarialFloodTest, BlockedGrowthFloodAtWatermarkStaysExact) {
   std::size_t peak = 0;
   run_fuzz_ops(spec, sim::craft_xorfold_collisions(params, 0x600dcafe),
                /*alloc_every=*/2, env_resize_every(), &peak);
-  EXPECT_EQ(peak, 60u) << "the 64-slot table must sit at 15/16 load";
+  if (spec.starts_with("flat")) {
+    EXPECT_EQ(peak, 60u) << "the 64-slot table must sit at 15/16 load";
+  } else {
+    const double max_load = SequentDemuxer::Options{}.max_load;
+    EXPECT_EQ(peak, static_cast<std::size_t>(2.0 * max_load * 5))
+        << "the 5-chain table must shed at twice its growth trigger";
+  }
 }
 
 std::string sanitize_spec_name(const char* spec) {
@@ -349,14 +361,12 @@ INSTANTIATE_TEST_SUITE_P(
                       "sequent:7:crc32:nocache", "hashed_mtf:19",
                       "dynamic:5:crc32", "rcu",
                       "rcu:7:crc32:nocache", "flat", "flat:64:crc32",
-                      "cuckoo", "cuckoo:64:crc32",
                       // Small starting tables: the fuzz op mix drives
                       // growth through the two-table drain (see
                       // TCPDEMUX_FUZZ_RESIZE_EVERY for forcing extra
                       // steps); every growing backend runs it, and the
                       // stepped case forces one before every op.
                       "dynamic:5:crc32:incremental", "flat:64",
-                      "cuckoo:64:crc32c",
                       // Sharded fleet: per-shard structures, the cross-shard
                       // no-duplicate-key invariant, and the merged telemetry
                       // ledger must all stay bit-exact under the op mix.
@@ -379,11 +389,6 @@ INSTANTIATE_TEST_SUITE_P(
                       "dynamic:5:xor_fold", "rcu:19:xor_fold",
                       "flat:64:xor_fold", "flat:64:xor_fold:rehash",
                       "flat:64:siphash@5eed",
-                      // Cuckoo only under hashes the adversarial pool can't
-                      // fully collapse: >8 keys sharing one full hash share
-                      // both buckets and shed by design (see the bucket-flood
-                      // tests), which would break the fuzz membership model.
-                      "cuckoo:64:siphash@5eed", "cuckoo:64:crc32c:rehash",
                       // Sharded under the collided pool: Toeplitz steering
                       // keeps spreading keys whose inner hash collapses.
                       "sharded:4:flat:64:xor_fold",
@@ -394,7 +399,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 INSTANTIATE_TEST_SUITE_P(
     FullCollisionFlood, FuzzAdversarialFloodTest,
-    ::testing::Values("flat:64:xor_fold"),
+    ::testing::Values("flat:64:xor_fold", "dynamic:5:xor_fold"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       return sanitize_spec_name(info.param);
     });

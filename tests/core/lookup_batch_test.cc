@@ -167,8 +167,7 @@ INSTANTIATE_TEST_SUITE_P(
                       "dynamic:5", "dynamic:5:incremental",
                       "dynamic:5:xor_fold",
                       "rcu", "rcu:7:crc32:nocache", "flat", "flat:64",
-                      "flat:1024:crc32", "cuckoo", "cuckoo:64",
-                      "cuckoo:1024:crc32c", "sharded:4:flat",
+                      "flat:1024:crc32", "sharded:4:flat",
                       "sharded:2:sequent:19:crc32"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       std::string name = info.param;

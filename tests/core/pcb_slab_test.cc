@@ -15,7 +15,6 @@
 
 #include "core/demux_registry.h"
 #include "core/validate.h"
-#include "net/hashers.h"
 #include "sim/collision_flood.h"
 
 namespace tcpdemux::core {
@@ -164,23 +163,9 @@ TEST(PcbSlab, ForEachFreeVisitsExactlyTheFreedSlots) {
 // --- every slab-backed registry spec ---------------------------------------
 
 // Keys that trip the spec's seed-rotation policy: identical full xor_fold
-// hashes for chained and flat tables (one chain / probe run), and keys
-// sharing both candidate buckets and the tag for cuckoo.
-std::vector<net::FlowKey> rotation_flood(const std::string& spec) {
+// hashes, so they share one chain or one probe run.
+std::vector<net::FlowKey> rotation_flood() {
   sim::CollisionFloodParams params;
-  if (spec.starts_with("cuckoo")) {
-    // cuckoo:64 is 16 buckets of 4 slots, hashed by unkeyed crc32c.
-    params.count = 12;  // > 2 buckets * 4 slots
-    const net::HashSpec hash{net::HasherKind::kCrc32c, 0};
-    return sim::craft_colliding_keys(
-        params,
-        [&](const net::FlowKey& k) {
-          const std::uint32_t mix =
-              net::mix32_avalanche(net::hash_flow(hash, k));
-          return (mix & 15U) | ((mix >> 25) << 6);
-        },
-        (0x40U << 6) | 5U);
-  }
   params.count = 120;
   return sim::craft_xorfold_collisions(params, 0x5eed);
 }
@@ -200,7 +185,7 @@ TEST_P(PcbSlabRegistry, PcbsAreAlignedAndKeepTheirAddress) {
   // The flood lands on the initial (small) table, whose geometry it was
   // crafted for; the benign keys after it force several doublings.
   if (spec.find("rehash") != std::string::npos) {
-    for (const net::FlowKey& k : rotation_flood(spec)) insert(k);
+    for (const net::FlowKey& k : rotation_flood()) insert(k);
     EXPECT_GE(d->resilience().overload_rehashes, 1u);
   }
   for (std::uint32_t i = 0; i < 700; ++i) insert(key(i));
@@ -227,7 +212,6 @@ INSTANTIATE_TEST_SUITE_P(
                       "sequent:19:xor_fold:rehash", "hashed_mtf",
                       "connection_id", "dynamic", "dynamic:5", "flat",
                       "flat:64", "flat:64:xor_fold:rehash",
-                      "cuckoo", "cuckoo:64", "cuckoo:64:crc32c:rehash",
                       "sharded:4:flat", "sharded:2:dynamic:5"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       std::string name = info.param;

@@ -13,7 +13,6 @@
 
 #include "core/bsd_list.h"
 #include "core/connection_id.h"
-#include "core/cuckoo_demuxer.h"
 #include "core/demux_registry.h"
 #include "core/flat_demuxer.h"
 #include "core/hashed_mtf.h"
@@ -49,7 +48,6 @@ TEST(ValidateTest, EveryRegistrySpecValidatesCleanAfterMixedOps) {
                          "connection_id", "sequent",  "sequent:7:crc32:nocache",
                          "hashed_mtf", "dynamic:5",   "rcu",
                          "rcu:7:crc32:nocache", "flat", "flat:64:crc32",
-                         "cuckoo", "cuckoo:64:crc32", "cuckoo:64:siphash@5eed",
                          "sharded:4:flat", "sharded:2:sequent:19:crc32"};
   for (const char* spec : specs) {
     SCOPED_TRACE(spec);
@@ -68,7 +66,7 @@ TEST(ValidateTest, EveryRegistrySpecValidatesCleanAfterMixedOps) {
 TEST(ValidateTest, EmptyStructuresValidateClean) {
   const char* specs[] = {"bsd", "mtf", "srcache", "connection_id",
                          "sequent", "hashed_mtf", "dynamic", "rcu", "flat",
-                         "cuckoo", "sharded:4:flat"};
+                         "sharded:4:flat"};
   for (const char* spec : specs) {
     SCOPED_TRACE(spec);
     const auto demuxer = make_demuxer(*parse_demux_spec(spec));
@@ -400,76 +398,6 @@ TEST(ValidateTest, FlatDisplacedSlotBreaksProbeInvariant) {
   }
   ASSERT_TRUE(planted) << "no empty slot broke the probe invariant";
   ValidatorTestAccess::flat_move_slot(demuxer, to, from);
-  EXPECT_TRUE(StructuralValidator::validate(demuxer).ok());
-}
-
-TEST(ValidateTest, CuckooCorruptTagByteIsReported) {
-  CuckooDemuxer demuxer(CuckooDemuxer::Options{64});
-  populate(demuxer, 32);
-  // Flip a fingerprint bit above the filter nibble: the slot stays
-  // occupied and the presence filter stays consistent, so only the
-  // tag-vs-hash recomputation can notice the lookup path would now skip
-  // this live connection.
-  std::size_t slot = 0;
-  while (ValidatorTestAccess::cuckoo_tag(demuxer, slot) == 0) ++slot;
-  ValidatorTestAccess::cuckoo_tag(demuxer, slot) ^= 0x40;
-  const ValidationReport report = StructuralValidator::validate(demuxer);
-  EXPECT_FALSE(report.ok());
-  EXPECT_NE(report.to_string().find("tag"), std::string::npos)
-      << report.to_string();
-  ValidatorTestAccess::cuckoo_tag(demuxer, slot) ^= 0x40;
-  EXPECT_TRUE(StructuralValidator::validate(demuxer).ok());
-}
-
-TEST(ValidateTest, CuckooBadSizeCounterIsReported) {
-  CuckooDemuxer demuxer(CuckooDemuxer::Options{64});
-  populate(demuxer, 16);
-  std::size_t& size = ValidatorTestAccess::cuckoo_size(demuxer);
-  ++size;
-  EXPECT_FALSE(StructuralValidator::validate(demuxer).ok());
-  --size;
-  EXPECT_TRUE(StructuralValidator::validate(demuxer).ok());
-}
-
-TEST(ValidateTest, CuckooStaleFilterBitIsReported) {
-  // A spurious presence-filter bit never makes a lookup wrong, only slow —
-  // which is exactly why it would survive every behavioral test and must
-  // be caught structurally, by recomputing the filter from the residents.
-  CuckooDemuxer demuxer(CuckooDemuxer::Options{64});
-  populate(demuxer, 16);
-  std::uint16_t& filter = ValidatorTestAccess::cuckoo_filter(demuxer, 0);
-  filter ^= 1;
-  const ValidationReport report = StructuralValidator::validate(demuxer);
-  EXPECT_FALSE(report.ok());
-  EXPECT_NE(report.to_string().find("filter"), std::string::npos)
-      << report.to_string();
-  filter ^= 1;
-  EXPECT_TRUE(StructuralValidator::validate(demuxer).ok());
-}
-
-TEST(ValidateTest, CuckooResidentOutsideItsTwoBucketsIsReported) {
-  CuckooDemuxer demuxer(CuckooDemuxer::Options{64});
-  populate(demuxer, 24);
-  // Move one resident to a distant empty slot, raw (tag/hash/key stay
-  // mutually consistent). Only the two-bucket placement invariant — the
-  // property that bounds every lookup at two buckets — can catch it.
-  std::size_t from = 0;
-  while (ValidatorTestAccess::cuckoo_tag(demuxer, from) == 0) ++from;
-  bool planted = false;
-  std::size_t to = 0;
-  for (; to < demuxer.capacity(); ++to) {
-    if (ValidatorTestAccess::cuckoo_tag(demuxer, to) != 0 || to == from) {
-      continue;
-    }
-    ValidatorTestAccess::cuckoo_move_slot(demuxer, from, to);
-    if (!StructuralValidator::validate(demuxer).ok()) {
-      planted = true;
-      break;
-    }
-    ValidatorTestAccess::cuckoo_move_slot(demuxer, to, from);
-  }
-  ASSERT_TRUE(planted) << "no empty slot broke the two-bucket invariant";
-  ValidatorTestAccess::cuckoo_move_slot(demuxer, to, from);
   EXPECT_TRUE(StructuralValidator::validate(demuxer).ok());
 }
 

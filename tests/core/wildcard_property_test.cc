@@ -80,8 +80,7 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, WildcardProperty,
                                            "hashed_mtf", "dynamic",
                                            "connection_id", "rcu",
                                            "rcu:101:crc32", "flat",
-                                           "flat:64:crc32", "cuckoo",
-                                           "cuckoo:64:crc32",
+                                           "flat:64:crc32",
                                            "sharded:4:flat",
                                            "sharded:2:sequent:19:crc32"),
                          [](const auto& info) {

@@ -1,5 +1,5 @@
-// Stepped-drain test cases for the growing tables (dynamic, flat,
-// cuckoo). A growing table drains its outgoing half on its own, a bounded
+// Stepped-drain test cases for the growing tables (dynamic, flat).
+// A growing table drains its outgoing half on its own, a bounded
 // batch per operation (kMigrateBatch per insert or erase,
 // kMigrateLookupBatch per lookup). A suite case written
 // `<spec>:incremental` runs `<spec>` with the drain also advanced by hand:

@@ -1,6 +1,6 @@
-// Fixture: simd-discipline — core/simd.h is not exempt. The real header's
-// bucket match is plain 32-bit SWAR, so a vector group probe planted here
-// must be reported like anywhere else in the tree.
+// Fixture: simd-discipline — core/simd.h is not exempt. The tree has no
+// such header; a vector group probe planted under src/core must be
+// reported like anywhere else in the tree.
 #ifndef TCPDEMUX_CORE_SIMD_H_
 #define TCPDEMUX_CORE_SIMD_H_
 

@@ -129,8 +129,7 @@ INSTANTIATE_TEST_SUITE_P(
                       "dynamic:5:crc32", "rcu", "rcu:7:crc32:nocache", "flat",
                       "flat:64:crc32", "sequent:19:siphash@5eed:rehash",
                       "flat:256:siphash@5eed:rehash",
-                      "cuckoo", "cuckoo:64:crc32",
-                      "cuckoo:256:siphash@5eed:rehash", "sharded:4:flat",
+                      "sharded:4:flat",
                       "sharded:2:sequent:19:crc32"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       std::string name = info.param;

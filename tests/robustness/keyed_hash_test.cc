@@ -194,9 +194,6 @@ TEST(KeyedHash, RegistryThreadsSeedsIntoDemuxerNames) {
       {"flat:64:siphash@beef", "flat(cap=64,siphash@beef)"},
       {"flat:256:crc32:rehash:max=128",
        "flat(cap=256,crc32,rehash,max=128)"},
-      {"cuckoo:64:siphash@beef", "cuckoo(cap=64,siphash@beef)"},
-      {"cuckoo:256:crc32c:rehash:max=128",
-       "cuckoo(cap=256,crc32c,rehash,max=128)"},
   };
   for (const auto& c : kCases) {
     const auto config = core::parse_demux_spec(c.spec);
@@ -214,7 +211,6 @@ TEST(KeyedHash, RegistryRejectsSeedAndOptionMisuse) {
   EXPECT_FALSE(core::parse_demux_spec("dynamic:5:crc32:rehash").has_value());
   EXPECT_FALSE(core::parse_demux_spec("rcu:19:crc32:max=4").has_value());
   EXPECT_FALSE(core::parse_demux_spec("flat:64:crc32:nocache").has_value());
-  EXPECT_FALSE(core::parse_demux_spec("cuckoo:64:crc32c:nocache").has_value());
   EXPECT_FALSE(core::parse_demux_spec("bsd:rehash").has_value());
   // Duplicate and malformed options.
   EXPECT_FALSE(

@@ -11,7 +11,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/cuckoo_demuxer.h"
 #include "core/demux_registry.h"
 #include "core/fault_inject.h"
 #include "core/flat_demuxer.h"
@@ -142,56 +141,6 @@ TEST(OverloadRehash, FlatRotatesSeedAndRebalancesUnderSlotFlood) {
   EXPECT_EQ(validate_demuxer(demuxer).to_string(), "");
 }
 
-TEST(OverloadRehash, CuckooRotatesSeedAndRecoversUnderBucketPairFlood) {
-  // Keys sharing both the bucket index AND the fingerprint tag share both
-  // candidate buckets; past 8 of them the kick search must fail. With the
-  // rehash policy on, the first failure rotates the seed and the re-placed
-  // table absorbs the remainder.
-  CuckooDemuxer demuxer(
-      {256, {net::HasherKind::kCrc32, 0}, /*rehash_on_overload=*/true, 0});
-  ASSERT_FALSE(demuxer.hash_spec().keyed());
-
-  sim::CollisionFloodParams params;
-  params.count = 12;  // > 2 buckets * 4 slots
-  const auto bucket_mask =
-      static_cast<std::uint32_t>(demuxer.bucket_count() - 1);
-  const auto flood = sim::craft_colliding_keys(
-      params,
-      [&](const net::FlowKey& k) {
-        // Bucket bits | tag bits: equal values => same (b1, b2, tag).
-        const std::uint32_t mix =
-            net::mix32_avalanche(net::hash_flow(demuxer.hash_spec(), k));
-        return (mix & bucket_mask) | ((mix >> 25) << 6);
-      },
-      (0x40u << 6) | 5u);
-  ASSERT_EQ(flood.size(), 12u);
-
-  for (const net::FlowKey& key : flood) {
-    ASSERT_NE(demuxer.insert(key), nullptr);
-  }
-  const ResilienceStats r = demuxer.resilience();
-  EXPECT_GE(r.overload_rehashes, 1u);
-  EXPECT_TRUE(demuxer.hash_spec().keyed());
-  EXPECT_EQ(demuxer.size(), flood.size());
-  for (const net::FlowKey& key : flood) {
-    EXPECT_NE(demuxer.lookup(key).pcb, nullptr);
-  }
-  EXPECT_EQ(validate_demuxer(demuxer).to_string(), "");
-}
-
-TEST(OverloadRehash, CuckooNeverFiresOnBenignTraffic) {
-  CuckooDemuxer demuxer(
-      {1024, {net::HasherKind::kCrc32c, 0}, /*rehash_on_overload=*/true, 0});
-  for (const net::FlowKey& key : random_keys(6000, 0xbe9193)) {
-    demuxer.insert(key);
-  }
-  const ResilienceStats r = demuxer.resilience();
-  EXPECT_EQ(r.overload_rehashes, 0u);
-  EXPECT_FALSE(demuxer.hash_spec().keyed());
-  EXPECT_LE(r.watermark, r.watermark_limit);
-  EXPECT_EQ(validate_demuxer(demuxer).to_string(), "");
-}
-
 TEST(OverloadRehash, FlatNeverFiresOnBenignTraffic) {
   FlatDemuxer demuxer(
       {1024, {net::HasherKind::kCrc32, 0}, /*rehash_on_overload=*/true, 0});
@@ -251,30 +200,11 @@ std::vector<net::FlowKey> xorfold_flood() {
   return sim::craft_xorfold_collisions(params, 0x1234abcd);
 }
 
-// Keys sharing the primary bucket's low 7 bits and the fingerprint tag
-// share both cuckoo buckets up to 128 buckets; past 8 of them the kick
-// search fails, which is the cuckoo table's rotation trigger.
-std::vector<net::FlowKey> cuckoo_pair_flood() {
-  sim::CollisionFloodParams params;
-  params.count = 24;
-  return sim::craft_colliding_keys(
-      params,
-      [](const net::FlowKey& k) {
-        const std::uint32_t mix = net::mix32_avalanche(
-            net::hash_flow({net::HasherKind::kCrc32c, 0}, k));
-        return (mix & 0x7fU) | ((mix >> 25) << 7);
-      },
-      (0x2aU << 7) | 0x15U);
-}
-
 net::HashSpec hash_spec_of(const Demuxer& d) {
   if (const auto* s = dynamic_cast<const SequentDemuxer*>(&d)) {
     return s->hash_spec();
   }
-  if (const auto* f = dynamic_cast<const FlatDemuxer*>(&d)) {
-    return f->hash_spec();
-  }
-  return dynamic_cast<const CuckooDemuxer&>(d).hash_spec();
+  return dynamic_cast<const FlatDemuxer&>(d).hash_spec();
 }
 
 class RefusedRotationTest : public ::testing::TestWithParam<RotationCase> {
@@ -338,9 +268,7 @@ TEST_P(RefusedRotationTest, KeepsSeedAndEveryPcbThenRotatesOnRecovery) {
 INSTANTIATE_TEST_SUITE_P(
     RotatingTables, RefusedRotationTest,
     ::testing::Values(RotationCase{"sequent:19:xor_fold:rehash", xorfold_flood},
-                      RotationCase{"flat:64:xor_fold:rehash", xorfold_flood},
-                      RotationCase{"cuckoo:64:crc32c:rehash",
-                                   cuckoo_pair_flood}),
+                      RotationCase{"flat:64:xor_fold:rehash", xorfold_flood}),
     [](const ::testing::TestParamInfo<RotationCase>& info) {
       std::string name = info.param.spec;
       for (char& c : name) {
@@ -351,13 +279,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 // Exact post-rotation behaviour. A rotation re-places every resident in
 // drain-sweep order (chains front to back, slots low to high); any other
-// order reshuffles chains, probe runs and cuckoo placements, which moves
-// the paper's cost metric. Each case replays one seeded flood-plus-benign
-// insert stream through the spec's rotations, then a fixed lookup pass,
-// and pins the totals, the final seed and the resilience view. The flat
-// and cuckoo floods also grow their tables, so their totals pin
-// the growth drain too, as GrowthOrder.DrainKeepsExactCosts does, and two
-// stepped cases pin it with a hand-driven drain step after every op.
+// order reshuffles chains and probe runs, which moves the paper's cost
+// metric. Each case replays one seeded flood-plus-benign insert stream
+// through the spec's rotations, then a fixed lookup pass, and pins the
+// totals, the final seed and the resilience view. The flat flood also
+// grows its table, so its totals pin the growth drain too, as
+// GrowthOrder.DrainKeepsExactCosts does, and a stepped case pins it with
+// a hand-driven drain step after every op.
 struct RotationPin {
   RotationCase rotation;
   std::uint64_t examined;
@@ -420,13 +348,9 @@ INSTANTIATE_TEST_SUITE_P(
                     208121, 130, 1468022192, 3, 218, 272},
         RotationPin{{"flat:64:xor_fold:rehash", xorfold_flood},
                     142928, 0, 3317495081, 4, 199, 64},
-        RotationPin{{"cuckoo:64:crc32c:rehash", cuckoo_pair_flood},
-                    4138, 0, 1641422808, 1, 19, 64},
         // Stepped drain (drain_case.h): a hand step after every operation.
         RotationPin{{"flat:64:xor_fold:rehash:incremental", xorfold_flood},
-                    143399, 0, 3317495081, 4, 199, 64},
-        RotationPin{{"cuckoo:64:crc32c:rehash:incremental", cuckoo_pair_flood},
-                    4118, 0, 1641422808, 1, 19, 64}),
+                    143399, 0, 3317495081, 4, 199, 64}),
     [](const ::testing::TestParamInfo<RotationPin>& info) {
       std::string name = info.param.rotation.spec;
       for (char& c : name) {
@@ -479,7 +403,7 @@ INSTANTIATE_TEST_SUITE_P(
 // The rotation ledger, mirror of ResizeLadderTest.EachDoublingCountsOnce:
 // every seed change counts exactly once in `rehashes`, and a rotation is
 // never a resize. The flood stays below every table's growth trigger
-// (a flat/cuckoo table of 64 slots grows at 56 residents), then churns —
+// (a flat table of 64 slots grows at 56 residents), then churns —
 // erase one resident, insert it again — so the cooldown keeps expiring
 // while the watermark stays high and the tables rotate repeatedly.
 class RotationLedgerTest : public ::testing::TestWithParam<RotationCase> {};
@@ -556,8 +480,8 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(
         RotationCase{"sequent:19:xor_fold:rehash", xorfold_flood},
         RotationCase{"flat:64:xor_fold:rehash", xorfold_flood},
-        RotationCase{"cuckoo:64:crc32c:rehash", cuckoo_pair_flood},
-        RotationCase{"sharded:2:flat:64:xor_fold:rehash", xorfold_flood}),
+        RotationCase{"sharded:2:flat:64:xor_fold:rehash", xorfold_flood},
+        RotationCase{"sharded:2:sequent:19:xor_fold:rehash", xorfold_flood}),
     [](const ::testing::TestParamInfo<RotationCase>& info) {
       std::string name = info.param.spec;
       for (char& c : name) {

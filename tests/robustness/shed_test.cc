@@ -5,7 +5,6 @@
 
 #include <vector>
 
-#include "core/cuckoo_demuxer.h"
 #include "core/demux_registry.h"
 #include "core/flat_demuxer.h"
 #include "core/sequent_hash.h"
@@ -65,12 +64,6 @@ TEST(Shedding, DynamicEnforcesMaxPcbs) {
 TEST(Shedding, FlatEnforcesMaxPcbs) {
   FlatDemuxer demuxer(
       {1024, net::HasherKind::kCrc32, false, /*max_pcbs=*/64});
-  expect_cap_enforced(demuxer, 64);
-}
-
-TEST(Shedding, CuckooEnforcesMaxPcbs) {
-  CuckooDemuxer demuxer(
-      {1024, net::HasherKind::kCrc32c, false, /*max_pcbs=*/64});
   expect_cap_enforced(demuxer, 64);
 }
 

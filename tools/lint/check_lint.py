@@ -55,8 +55,7 @@ Line rules:
                      net/crc32c.h: its hardware path ships next to its
                      portable table fallback and a runtime-verifiable
                      backend report, and no other file scatters ifdef'd
-                     intrinsics through the tree (core/simd.h's bucket
-                     match is plain 32-bit SWAR).
+                     intrinsics through the tree.
   rng-discipline     no raw std::mt19937 engines in src/sim, src/tcp, or
                      src/net outside sim/rng.h: generators draw through
                      sim::Rng so every trace is reproducible from one seed.
