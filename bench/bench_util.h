@@ -151,9 +151,9 @@ Timing time_loop(std::uint64_t ops_per_call, F&& body,
 // Negative lookups (--miss-rate). Arriving segments that match no PCB are
 // real traffic — stray RSTs, packets for just-closed connections, scans —
 // and their cost differs sharply by structure: a linear scan walks the
-// whole list to conclude "no", a hashed table walks one chain, the flat
-// table usually answers from fingerprint tags alone. The helpers below
-// give every wallclock bench the same deterministic way to blend them in.
+// whole list to conclude "no", a hashed table walks one chain. The
+// helpers below give every wallclock bench the same deterministic way to
+// blend them in.
 // ---------------------------------------------------------------------------
 
 /// Fully-specified keys guaranteed absent from `present`: same server half

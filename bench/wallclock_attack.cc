@@ -105,31 +105,21 @@ int main(int argc, char** argv) {
         return net::hash_chain(net::HasherKind::kXorFold, k, 19);
       },
       7);
-  // Full-32-bit collisions: beat the flat table's avalanche finalizer and
-  // every post-mixed xor_fold seed; only siphash scatters them.
+  // Full-32-bit collisions: one chain at every size the host default
+  // grows to, under every post-mixed xor_fold seed; only siphash scatters
+  // them.
   const auto hash_flood = sim::craft_xorfold_collisions(craft, 0xabad1dea);
-  // Slot-targeted crc32 flood for the flat rehash row (a fresh post-mixed
-  // seed DOES re-scatter index-targeted keys; see net/hashers.h).
-  const auto slot_flood = sim::craft_colliding_keys(
-      craft,
-      [](const net::FlowKey& k) {
-        return net::mix32_avalanche(
-                   net::hash_flow(net::HasherKind::kCrc32, k)) &
-               8191u;
-      },
-      42);
 
   const std::vector<Scenario> scenarios = {
       {"sequent-flood-unkeyed", "sequent:19:xor_fold", &chain_flood},
       {"sequent-flood-keyed", "sequent:19:siphash@5eed", &chain_flood},
       {"sequent-flood-rehash", "sequent:19:xor_fold:rehash", &chain_flood},
-      {"flat-flood-unkeyed", "flat:8192:xor_fold", &hash_flood},
-      {"flat-flood-keyed", "flat:8192:siphash@5eed", &hash_flood},
-      {"flat-flood-rehash", "flat:8192:crc32:rehash", &slot_flood},
+      {"dynamic-flood-unkeyed", "dynamic:xor_fold", &hash_flood},
+      {"dynamic-flood-keyed", "dynamic:siphash@5eed", &hash_flood},
       {"sequent-benign-unkeyed", "sequent:19:crc32", nullptr},
       {"sequent-benign-keyed", "sequent:19:siphash@5eed", nullptr},
-      {"flat-benign-unkeyed", "flat:8192:crc32", nullptr},
-      {"flat-benign-keyed", "flat:8192:siphash@5eed", nullptr},
+      {"dynamic-benign-unkeyed", "dynamic:xor_fold", nullptr},
+      {"dynamic-benign-keyed", "dynamic:siphash@5eed", nullptr},
   };
 
   std::printf("%-24s %-32s %12s %14s %9s %10s\n", "scenario", "demuxer",

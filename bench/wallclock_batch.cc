@@ -5,10 +5,10 @@
 // NIC receive bursts have little temporal locality, so the key stream is
 // uniform-random over the population — the regime where every probe is a
 // cache miss and software pipelining has the most to hide. Covered
-// structures: the flat table (SoA + fingerprint tags), the chained
-// sequent table, the growing host default (dynamic, the same pipeline),
-// the RCU demuxer (one epoch guard per burst), and a chained table with no
-// override (hashed_mtf) as the default-loop baseline.
+// structures: the chained sequent table, the growing host default
+// (dynamic, the same pipeline), the RCU demuxer (one epoch guard per
+// burst), and a chained table with no override (hashed_mtf) as the
+// default-loop baseline.
 //
 //   wallclock_batch [--smoke] [--json <path>] [--miss-rate <f>]
 //
@@ -39,9 +39,7 @@ std::uint32_t scaled_chains(std::uint32_t users) {
 
 std::vector<std::string> specs_for(std::uint32_t users) {
   const std::string chains = std::to_string(scaled_chains(users));
-  const std::string doubled = std::to_string(2 * users);
-  return {"flat:" + doubled + ":crc32", "flat:" + doubled,
-          "sequent:" + chains + ":crc32", "dynamic", "rcu:" + chains + ":crc32",
+  return {"sequent:" + chains + ":crc32", "dynamic", "rcu:" + chains + ":crc32",
           "hashed_mtf:" + chains + ":crc32"};
 }
 

@@ -11,7 +11,7 @@
 // 19-chain configurations are capped at 20 k connections: their O(n)
 // duplicate-check inserts make a 200 k population take minutes and the
 // scan cost story is already unambiguous at 20 k. The scaled-chain
-// sequent, connection_id, and the flat table run at every size.
+// sequent, connection_id, and the growing dynamic table run at every size.
 //
 //   wallclock_lookup [--smoke] [--json <path>] [--telemetry <path>]
 //                    [--sizes <a,b,...>] [--miss-rate <f>]
@@ -22,8 +22,8 @@
 //
 // --miss-rate blends negative lookups (keys absent from the table) into
 // the arrival stream at the given fraction — the axis where linear scans
-// pay full population cost to answer "no connection" while the flat
-// table's fingerprint tags answer almost for free.
+// pay full population cost to answer "no connection" while a hashed table
+// walks one chain.
 //
 // --telemetry additionally dumps each measured demuxer's telemetry
 // registry (counters + examined-PCB histograms + occupancy) as a
@@ -79,8 +79,8 @@ std::vector<std::pair<std::uint32_t, core::SegmentKind>> make_sequence(
 }
 
 // Hash-structure sizing per population: a prime near users/8 for chained
-// tables (mean chain ~8, the paper's ballpark), 2x users for the flat
-// table (constructor rounds up to a power of two) and the id array.
+// tables (mean chain ~8, the paper's ballpark), 2x users for the id
+// array.
 std::uint32_t scaled_chains(std::uint32_t users) {
   if (users <= 2000) return 251;
   if (users <= 20000) return 2521;
@@ -101,13 +101,6 @@ std::vector<std::string> specs_for(std::uint32_t users) {
   const std::string doubled = std::to_string(2 * users);
   specs.push_back("sequent:" + chains + ":crc32");
   specs.push_back("connection_id:" + doubled);
-  specs.push_back("flat:" + doubled + ":crc32");
-  // Default xor_fold + the table's avalanche finalizer: shows how much of
-  // flat's lookup cost is really the crc32 hash.
-  specs.push_back("flat:" + doubled);
-  // Hardware CRC32C on the same structure isolates the hash-instruction
-  // gain from the probing-scheme gain.
-  specs.push_back("flat:" + doubled + ":crc32c");
   // The host default as shipped: 19 chains, xor_fold, doubling as it fills.
   specs.push_back("dynamic");
   return specs;

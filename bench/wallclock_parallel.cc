@@ -8,9 +8,9 @@
 // chain-to-chain contention but still pays an atomic acquire/release per
 // lookup and serializes lookups that collide on a chain; the RCU variant
 // (core/rcu_demuxer.h) removes read-side locks entirely, which is the
-// right trade for demux traffic (~100% reads under OLTP). The flat table
-// is single-writer by design, so it appears here under the global lock —
-// the cheapest probe does not excuse a serialized structure.
+// right trade for demux traffic (~100% reads under OLTP). The growing
+// host default (dynamic) is single-writer by design, so it appears here
+// under the global lock.
 //
 // Mix cases run `writes` erase+reinsert pairs per 1024 operations
 // (0 = read-only, 64 = 6.25% connection churn), exercising the RCU
@@ -32,7 +32,6 @@
 #include "bench_util.h"
 #include "core/bsd_list.h"
 #include "core/concurrent_demuxer.h"
-#include "core/flat_demuxer.h"
 #include "core/rcu_demuxer.h"
 #include "core/sequent_hash.h"
 #include "sim/address_space.h"
@@ -151,10 +150,10 @@ int main(int argc, char** argv) {
   }
   {
     auto d = std::make_shared<core::GloballyLockedDemuxer>(
-        std::make_unique<core::FlatDemuxer>(
-            core::FlatDemuxer::Options{4096, net::HasherKind::kCrc32}));
+        std::make_unique<core::SequentDemuxer>(
+            core::SequentDemuxer::Options{.grow = true}));
     populate(*d);
-    cases.push_back({"global_lock/flat:4096",
+    cases.push_back({"global_lock/dynamic",
                      [d](std::uint32_t w) { return mix_body(*d, w); }, d});
   }
   {
@@ -230,7 +229,7 @@ int main(int argc, char** argv) {
     for (const int threads : thread_counts) run_case(c, threads, 0);
   }
   // ...then the churn mix at the top thread count for the contended trio
-  // (bsd/flat under one lock have no special write path to compare).
+  // (bsd/dynamic under one lock have no special write path to compare).
   const int top = thread_counts.back();
   for (const Case& c : cases) {
     if (c.name.rfind("global_lock/sequent", 0) == 0 ||

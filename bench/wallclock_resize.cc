@@ -1,5 +1,5 @@
 // Wall-clock resize pauses: measures the per-operation latency
-// distribution of every growing backend *through* a table doubling — the
+// distribution of the growing table *through* a doubling — the
 // experiment behind the bounded-relink claim in DESIGN.md "Incremental
 // resize & degradation ladder".
 //
@@ -178,11 +178,10 @@ int main(int argc, char** argv) {
   // proportionally noisier.
   const int rounds = opts.smoke ? 3 : 2;
 
-  // Every growing backend. Initial capacities are deliberately small: the
+  // The growing table. Its initial size is deliberately small: the
   // populate phase grows the table to fit N, so the growth phase measures
   // a doubling at full size.
-  const std::vector<std::string> specs = {"flat:1024:crc32c",
-                                          "dynamic:1024:crc32c"};
+  const std::vector<std::string> specs = {"dynamic:1024:crc32c"};
 
   std::printf("%-22s %8s %7s %10s %10s %12s %12s %8s %8s\n", "cell", "users",
               "thp", "steady_p50", "steady_p99", "growth_p99", "max_pause",

@@ -66,8 +66,7 @@ std::vector<std::string> demux_specs() {
           "srcache",
           "sequent:251:crc32",
           "dynamic",
-          "rcu:251:crc32",
-          "flat:4096:crc32"};
+          "rcu:251:crc32"};
 }
 
 // Synthesizes a capture from a small TPC/A run and writes it where the

@@ -193,13 +193,10 @@ int main(int argc, char** argv) {
 
   // --- sharded: one fleet per thread count (shards == threads) ---------
   for (const int threads : thread_counts) {
-    core::DemuxConfig inner = *core::parse_demux_spec("flat");
-    // Keep total slot budget constant across shard counts: the fleet as a
-    // whole always provisions 2x the population.
-    inner.flat_capacity = std::max<std::size_t>(
-        1024, (2u * connections) / static_cast<std::uint32_t>(threads));
+    // Every shard is the host default, grown to fit its share untimed.
     core::ShardedDemuxer d(core::ShardedDemuxer::Options{
-        static_cast<std::uint32_t>(threads), inner});
+        static_cast<std::uint32_t>(threads),
+        *core::parse_demux_spec("dynamic")});
     for (const net::FlowKey& k : keys) d.insert(k);
     std::vector<std::vector<net::FlowKey>> partition(
         static_cast<std::size_t>(threads));
@@ -211,7 +208,7 @@ int main(int argc, char** argv) {
     for (const std::uint32_t writes : {0u, 64u}) {
       const double ns = threaded_ns_per_op(
           threads, per_thread, reps, sharded_body(d, partition, writes));
-      record("sharded:" + std::to_string(threads) + ":flat", threads,
+      record("sharded:" + std::to_string(threads) + ":dynamic", threads,
              writes, ns, occupancy_skew(d));
     }
   }
@@ -220,8 +217,7 @@ int main(int argc, char** argv) {
   const std::uint32_t chains = opts.smoke ? 4099u : 32771u;
   {
     auto d = std::make_unique<core::GloballyLockedDemuxer>(
-        core::make_demuxer(*core::parse_demux_spec(
-            "flat:" + std::to_string(2u * connections))));
+        core::make_demuxer(*core::parse_demux_spec("dynamic")));
     for (const net::FlowKey& k : keys) d->insert(k);
     for (const int threads : thread_counts) {
       const std::uint64_t per_thread =
@@ -229,7 +225,7 @@ int main(int argc, char** argv) {
       for (const std::uint32_t writes : {0u, 64u}) {
         const double ns = threaded_ns_per_op(
             threads, per_thread, reps, shared_body(*d, keys, writes));
-        record("global_lock/flat", threads, writes, ns, 0.0);
+        record("global_lock/dynamic", threads, writes, ns, 0.0);
       }
     }
   }
@@ -266,9 +262,8 @@ int main(int argc, char** argv) {
 
   // --- NIC mis-steer telemetry: churn replay with a damaged table ------
   {
-    core::DemuxConfig inner = *core::parse_demux_spec("flat");
-    inner.flat_capacity = std::max<std::size_t>(1024, connections / 2);
-    core::ShardedDemuxer d(core::ShardedDemuxer::Options{4, inner});
+    core::ShardedDemuxer d(core::ShardedDemuxer::Options{
+        4, *core::parse_demux_spec("dynamic")});
     sim::NicDispatch nic(d);
     const auto& host = d.indirection();
     for (std::uint32_t i = 0; i < host.entries() / 4; ++i) {

@@ -61,7 +61,7 @@ with open(out, "w") as f:
 print(f"merged {len(records)} records -> {out}")
 
 families = {r["name"].split(":")[0] for r in records if "name" in r}
-required = {"flat", "dynamic", "sequent", "connection_id"}
+required = {"bsd", "dynamic", "sequent", "connection_id"}
 missing = sorted(required - families)
 if missing:
     sys.exit(f"bench export is missing backend families: {missing}")

@@ -108,12 +108,11 @@ if [[ "${SKIP_ROBUSTNESS:-0}" != "1" ]]; then
     ctest --test-dir "$ROOT/build" -R 'Fuzz(Ops|Adversarial)' \
           --output-on-failure -j "$JOBS"
   # Drain soak: a forced migration step before every op of the growing
-  # specs (dynamic, flat, and sharded fleets of them),
-  # validated at each step, so every drain phase of the two-table state
-  # is checked.
+  # specs (dynamic, and sharded fleets of it), validated at each step, so
+  # every drain phase of the two-table state is checked.
   TCPDEMUX_FUZZ_RESIZE_EVERY=1 \
     ctest --test-dir "$ROOT/build" \
-          -R 'Fuzz(Ops|Adversarial).*(dynamic|flat)' \
+          -R 'Fuzz(Ops|Adversarial).*dynamic' \
           --output-on-failure -j "$JOBS"
   "$ROOT/build/bench/wallclock_attack" --smoke
 else

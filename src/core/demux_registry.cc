@@ -5,7 +5,6 @@
 
 #include "core/bsd_list.h"
 #include "core/connection_id.h"
-#include "core/flat_demuxer.h"
 #include "core/hashed_mtf.h"
 #include "core/move_to_front.h"
 #include "core/rcu_demuxer.h"
@@ -59,10 +58,6 @@ std::unique_ptr<Demuxer> make_demuxer(const DemuxConfig& config) {
     case Algorithm::kRcu:
       return std::make_unique<RcuDemuxerAdapter>(RcuSequentDemuxer::Options{
           config.chains, hasher, config.per_chain_cache});
-    case Algorithm::kFlat:
-      return std::make_unique<FlatDemuxer>(
-          FlatDemuxer::Options{config.flat_capacity, hasher,
-                               config.rehash_on_overload, config.max_pcbs});
     case Algorithm::kSharded: {
       const auto inner = parse_demux_spec(config.inner_spec);
       if (!inner) return nullptr;  // parse_demux_spec validated it already
@@ -107,7 +102,6 @@ std::string_view algorithm_name(Algorithm algorithm) noexcept {
     case Algorithm::kConnectionId: return "connection_id";
     case Algorithm::kDynamic: return "dynamic";
     case Algorithm::kRcu: return "rcu";
-    case Algorithm::kFlat: return "flat";
     case Algorithm::kSharded: return "sharded";
   }
   return "?";
@@ -192,8 +186,6 @@ std::optional<DemuxConfig> parse_demux_spec(std::string_view spec,
     config.algorithm = Algorithm::kDynamic;
   } else if (head == "rcu") {
     config.algorithm = Algorithm::kRcu;
-  } else if (head == "flat") {
-    config.algorithm = Algorithm::kFlat;
   } else {
     return fail(error, "unknown algorithm " + quoted(head));
   }
@@ -212,13 +204,11 @@ std::optional<DemuxConfig> parse_demux_spec(std::string_view spec,
     return config;
   }
 
-  // The slot-array table parses a capacity and takes the resilience gates.
-  const bool is_flat = config.algorithm == Algorithm::kFlat;
   const bool takes_chains = config.algorithm == Algorithm::kSequent ||
                             config.algorithm == Algorithm::kHashedMtf ||
                             config.algorithm == Algorithm::kDynamic ||
                             config.algorithm == Algorithm::kRcu;
-  if (parts.size() > 1 && !takes_chains && !is_flat) {
+  if (parts.size() > 1 && !takes_chains) {
     return fail(error,
                 std::string(head) + " takes no ':' parameters");
   }
@@ -229,9 +219,9 @@ std::optional<DemuxConfig> parse_demux_spec(std::string_view spec,
   // conflicts are named errors, never silent last-wins.
   const bool cacheable = config.algorithm == Algorithm::kSequent ||
                          config.algorithm == Algorithm::kRcu;
-  const bool rehashable = config.algorithm == Algorithm::kSequent || is_flat;
+  const bool rehashable = config.algorithm == Algorithm::kSequent;
   const bool cappable = config.algorithm == Algorithm::kSequent ||
-                        config.algorithm == Algorithm::kDynamic || is_flat;
+                        config.algorithm == Algorithm::kDynamic;
   bool saw_hasher = false;
   bool saw_nocache = false;
   bool saw_rehash = false;
@@ -246,11 +236,7 @@ std::optional<DemuxConfig> parse_demux_spec(std::string_view spec,
       if (*count == 0) {
         return fail(error, "count must be >= 1");
       }
-      if (is_flat) {
-        config.flat_capacity = *count;
-      } else {
-        config.chains = *count;
-      }
+      config.chains = *count;
       continue;
     }
     if (const auto hs = parse_hash_spec_token(tok)) {

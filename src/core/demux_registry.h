@@ -22,7 +22,6 @@ enum class Algorithm : std::uint8_t {
   kConnectionId,  ///< §3.5 protocol-extension strawman
   kDynamic,       ///< self-resizing hash chains (post-paper extension)
   kRcu,           ///< lock-free-read hash chains + epoch reclaim (RCU)
-  kFlat,          ///< open-addressing robin-hood table, fingerprint tags
   kSharded,       ///< N RSS-steered shards, each wrapping an inner backend
 };
 
@@ -30,14 +29,13 @@ struct DemuxConfig {
   Algorithm algorithm = Algorithm::kSequent;
   std::uint32_t chains = 19;  ///< Sequent / hashed-MTF only
   net::HasherKind hasher = net::HasherKind::kXorFold;
-  bool per_chain_cache = true;       ///< Sequent only
-  std::size_t id_capacity = 65536;   ///< connection-ID only
-  std::size_t flat_capacity = 1024;  ///< flat (initial slots)
+  bool per_chain_cache = true;      ///< Sequent only
+  std::size_t id_capacity = 65536;  ///< connection-ID only
   // Adversarial-resilience knobs (see DESIGN.md "Adversarial resilience").
   std::uint32_t hash_seed = 0;  ///< 0 = unkeyed (paper-fidelity default)
-  /// sequent/flat: seed-rotating rehash
+  /// sequent: seed-rotating rehash
   bool rehash_on_overload = false;
-  /// sequent/dynamic/flat: 0 = unbounded
+  /// sequent/dynamic: 0 = unbounded
   std::size_t max_pcbs = 0;
   // Sharded receive path (algorithm == kSharded only; see DESIGN.md
   // "Sharded receive path").
@@ -55,7 +53,6 @@ struct DemuxConfig {
 ///   "hashed_mtf[:chains[:hasher]]"
 ///   "dynamic[:initial_chains[:hasher][:opts...]]"
 ///   "rcu[:chains[:hasher][:opts...]]"        (lock-free-read Sequent)
-///   "flat[:capacity[:hasher][:opts...]]"     (open-addressing flat table)
 ///   "sharded:N:<inner-spec>"                 (N RSS-steered shards, each an
 ///                                            instance of the inner spec —
 ///                                            any spec above; sharded itself
@@ -64,8 +61,8 @@ struct DemuxConfig {
 /// The count token, when an algorithm takes one, must come directly after
 /// the algorithm name; the hasher token and the option tokens may then
 /// appear in any order, each at most once. So "dynamic:max=100" and
-/// "flat:rehash:crc32c" are valid, while conflicting duplicates
-/// ("flat:rehash:rehash", two "max=N" tokens, two hasher tokens) are
+/// "sequent:rehash:crc32c" are valid, while conflicting duplicates
+/// ("sequent:rehash:rehash", two "max=N" tokens, two hasher tokens) are
 /// rejected — nesting specs under sharded makes silent last-wins
 /// unacceptable.
 ///
@@ -76,10 +73,9 @@ struct DemuxConfig {
 ///
 /// Option tokens, each at most once:
 ///   "nocache"   sequent/rcu: disable the per-chain cache
-///   "rehash"    sequent/flat: rehash with a fresh seed on overload
-///               watermark
-///   "max=N"     sequent/dynamic/flat: shed inserts beyond N PCBs (N > 0)
-/// There is no growth option: dynamic/flat always drain a
+///   "rehash"    sequent: rehash with a fresh seed on overload watermark
+///   "max=N"     sequent/dynamic: shed inserts beyond N PCBs (N > 0)
+/// There is no growth option: dynamic always drains a
 /// doubling's outgoing table a bounded batch per operation, with the
 /// memory-pressure degradation ladder (DESIGN.md "Incremental resize &
 /// degradation ladder").
@@ -89,7 +85,7 @@ struct DemuxConfig {
 
 /// As above, but on failure writes a human-readable reason into `*error`
 /// (when non-null) naming the offending token — "duplicate 'rehash'
-/// token", "'nocache' is not supported by flat", ... Callers that surface
+/// token", "'nocache' is not supported by dynamic", ... Callers that surface
 /// spec strings to users (benches, examples, nested sharded specs) use
 /// this overload.
 [[nodiscard]] std::optional<DemuxConfig> parse_demux_spec(

@@ -73,7 +73,7 @@ struct DemuxStats {
 struct ResilienceStats {
   std::uint64_t overload_rehashes = 0;  ///< seed rotations forced by floods
   std::uint64_t inserts_shed = 0;       ///< inserts refused at max_pcbs cap
-  std::uint64_t watermark = 0;       ///< worst chain length / probe distance
+  std::uint64_t watermark = 0;        ///< longest chain an insert has left
   std::uint64_t watermark_limit = 0;  ///< current overload trigger threshold
 };
 

@@ -1,6 +1,6 @@
-// The resize engine shared by every growing or seed-rotating backend
-// (sequent/dynamic, flat; see DESIGN.md "Incremental resize & degradation
-// ladder").
+// The resize engine of the chained table (sequent/dynamic; see DESIGN.md
+// "Incremental resize & degradation ladder"), the one table that grows or
+// rotates its seed.
 //
 // A growth is start_migration(): allocate the whole new table, then swing
 // the live one behind a drain cursor. Every operation then relinks at most
@@ -9,11 +9,11 @@
 // the next growth trigger arriving before the drain ends, or a seed
 // rotation — sweeps what is left in one pass. What is bounded is the
 // relinking: building the doubled table (grown_table()) still happens
-// inside the insert that fires the trigger — only a mapping for the
-// chained tables, whose zero-default buckets are not written, but a full
-// construction for flat. The allocation-failure ladder
+// inside the insert that fires the trigger, as a mapping whose
+// zero-default buckets are not written. The allocation-failure ladder
 // lives here too: rung 1 defers the doubling with exponential backoff,
-// rung 2 sheds inserts at a hard watermark while growth stays blocked.
+// rung 2 sheds inserts past twice the load trigger while growth stays
+// blocked.
 //
 // The collision-flood defence (DESIGN.md "Adversarial resilience") is the
 // same machinery at the same size: rotate_seed() allocates a same-size
@@ -21,18 +21,18 @@
 // sweep. The engine keeps the overload watermark and the rotation
 // cooldown; the backend keeps its trigger.
 //
-// A backend supplies its table type and these hooks, reached through
+// The backend supplies its table type and these hooks, reached through
 // friendship:
 //   Table grown_table() const;      // the next doubling, empty; may throw
 //   Table same_size_table() const;  // a rotation's table, empty; may throw
-//   bool migrate_unit(Table& old, std::size_t unit, DrainMode mode);
+//   bool migrate_unit(Table& old, std::size_t chain);
 //   std::uint64_t watermark_limit() const;    // the overload trigger
 //   std::uint64_t rotated_watermark() const;  // the watermark a rotation
 //                                             // leaves behind
-// migrate_unit moves one resident out of drain unit `unit` (a slot or a
-// chain) of the outgoing table into the live one and returns true, or
-// returns false when the unit is empty. The seed a rotation swings is
-// `options_.hasher.seed`.
+// migrate_unit moves one resident out of chain `chain` of the outgoing
+// table into the live one, hashing under the current seed, and returns
+// true, or returns false when the chain is empty. The seed a rotation
+// swings is `options_.hasher.seed`.
 #ifndef TCPDEMUX_CORE_RESIZE_POLICY_H_
 #define TCPDEMUX_CORE_RESIZE_POLICY_H_
 
@@ -49,6 +49,8 @@
 
 namespace tcpdemux::core {
 
+struct ValidatorTestAccess;  // src/core/validate.h
+
 /// Entries migrated per insert/erase (the operations that already paid for
 /// a structural write); bounds the tail of the mutation path.
 inline constexpr std::size_t kMigrateBatch = 8;
@@ -57,7 +59,7 @@ inline constexpr std::size_t kMigrateBatch = 8;
 /// latency-critical path the ladder exists to protect.
 inline constexpr std::size_t kMigrateLookupBatch = 1;
 
-/// Empty slots/buckets the drain cursor may skip per unit of batch budget
+/// Empty chains the drain cursor may skip per unit of batch budget
 /// before yielding; bounds a batch's work even over sparse regions.
 inline constexpr std::size_t kMigrateScanFactor = 64;
 
@@ -69,18 +71,11 @@ inline constexpr std::size_t kMigrateScanFactor = 64;
 inline constexpr std::uint64_t kGrowBackoffMin = 16;
 inline constexpr std::uint64_t kGrowBackoffMax = 4096;
 
-/// How a migrate_unit call may leave the outgoing table. A bounded step
-/// must keep it fully probe-able (lookups and erases still search it); a
-/// closing sweep discards it afterwards, so a backend may skip repairs.
-/// kRehash is a seed rotation's sweep: the seed has just changed, so a
-/// backend that stores hashes must recompute each one from its key.
-enum class DrainMode : std::uint8_t { kStep, kSweep, kRehash };
-
 /// The outgoing table during a migration: the live table's own type plus
 /// the drain cursor and the residents still waiting in it. Nothing is ever
-/// inserted into it, units [0, cursor) are drained, and the cursor only
-/// advances past empty units — so `residents > 0` guarantees an occupied
-/// unit at or past the cursor.
+/// inserted into it, chains [0, cursor) are drained, and the cursor only
+/// advances past empty chains — so `residents > 0` guarantees an occupied
+/// chain at or past the cursor.
 template <class Table>
 struct Outgoing {
   Table table;
@@ -96,22 +91,11 @@ class ResizeEngine {
   [[nodiscard]] const Outgoing<Table>* old() const noexcept {
     return old_.get();
   }
-  /// Residents still waiting in the outgoing table (0 when not migrating).
-  [[nodiscard]] std::size_t debt() const noexcept {
-    return old_ == nullptr ? 0 : old_->residents;
-  }
   /// True while growth is allocation-blocked (ladder rung 1 engaged).
   [[nodiscard]] bool blocked() const noexcept { return blocked_; }
 
-  /// Rung 2 for open addressing: blocked growth sheds an insert that would
-  /// take occupancy past 15/16 of `capacity`, rather than let probe runs
-  /// degrade toward a full table.
-  [[nodiscard]] bool sheds_at_watermark(std::size_t size,
-                                        std::size_t capacity) const noexcept {
-    return blocked_ && (size + 1) * 16 > capacity * 15;
-  }
-  /// Rung 2 for chained tables: blocked growth sheds an insert that would
-  /// take the mean chain load past twice the growth trigger.
+  /// Rung 2: blocked growth sheds an insert that would take the mean chain
+  /// load past twice the growth trigger.
   [[nodiscard]] bool sheds_at_load(std::size_t size, std::size_t chains,
                                    double max_load) const noexcept {
     return blocked_ && static_cast<double>(size + 1) >
@@ -133,7 +117,7 @@ class ResizeEngine {
   }
 
   /// Moves up to `budget` residents, skipping at most
-  /// kMigrateScanFactor * budget empty units, so every operation's share
+  /// kMigrateScanFactor * budget empty chains, so every operation's share
   /// of the drain is O(budget). No-op when not migrating.
   template <class Backend>
   void migrate_batch(Backend& b, std::size_t budget) {
@@ -143,7 +127,7 @@ class ResizeEngine {
     std::size_t scanned = 0;
     const std::size_t scan_budget = budget * kMigrateScanFactor;
     while (moved < budget && old.residents > 0) {
-      if (!b.migrate_unit(old.table, old.cursor, DrainMode::kStep)) {
+      if (!b.migrate_unit(old.table, old.cursor)) {
         ++old.cursor;
         if (++scanned >= scan_budget) break;
         continue;
@@ -155,33 +139,18 @@ class ResizeEngine {
     if (old.residents == 0) complete(b);
   }
 
-  /// Drains the outgoing table completely in one sweep in unit order: the
-  /// force-finish before a second doubling or a seed rotation. No-op when
-  /// not migrating.
-  template <class Backend>
-  void finish_migration(Backend& b) {
-    if (old_ == nullptr) return;
-    const std::size_t moved = old_->residents;
-    sweep(b, *old_, DrainMode::kSweep);
-    b.telemetry_->on_resize_step(moved, 0);
-    complete(b);
-  }
-
   /// A resident left the outgoing table by erase.
   template <class Backend>
   void note_erased(Backend& b) {
     if (--old_->residents == 0) complete(b);
   }
 
-  /// The overload watermark: the worst insert signal (chain length or probe
-  /// distance) since the last rotation.
+  /// The overload watermark: the longest chain an insert has left since
+  /// the last rotation.
   [[nodiscard]] std::uint64_t watermark() const noexcept { return watermark_; }
-  void raise_watermark(std::uint64_t signal) noexcept {
-    watermark_ = std::max(watermark_, signal);
-  }
-  /// An insert landed with overload reading `signal`.
-  void note_insert(std::uint64_t signal) noexcept {
-    raise_watermark(signal);
+  /// An insert left its chain `chain_length` long.
+  void note_insert(std::uint64_t chain_length) noexcept {
+    watermark_ = std::max(watermark_, chain_length);
     ++since_rotation_;
   }
   /// Hysteresis: at most one rotation attempt per cooldown_ further
@@ -201,8 +170,8 @@ class ResizeEngine {
   /// allocation (injected or real) keeps the current seed, steps no growth
   /// ladder, and leaves the retry to a watermark_limit() cooldown. Only
   /// then does the seed move to net::next_seed; the live table swings out
-  /// and the closing sweep re-places every resident in unit order
-  /// (DrainMode::kRehash). A rotation that leaves the watermark over the
+  /// and the closing sweep re-places every resident in chain order under
+  /// the new seed. A rotation that leaves the watermark over the
   /// limit doubles the cooldown before the next attempt. Counts once in
   /// `rehashes` and in no resize counter.
   template <class Backend>
@@ -216,7 +185,7 @@ class ResizeEngine {
     b.options_.hasher.seed = net::next_seed(b.options_.hasher.seed);
     std::swap(old.table, live);
     old.residents = b.size();
-    sweep(b, old, DrainMode::kRehash);
+    sweep(b, old);
     watermark_ = b.rotated_watermark();
     if (watermark_ > b.watermark_limit()) {
       cooldown_ = std::max(backoff, cooldown_);
@@ -233,6 +202,8 @@ class ResizeEngine {
   }
 
  private:
+  friend struct ValidatorTestAccess;  // the lookup layout pin
+
   /// Polls the fault injector, then runs `alloc`, which may throw
   /// std::bad_alloc and must touch nothing live. False on a refusal,
   /// injected or real.
@@ -247,11 +218,23 @@ class ResizeEngine {
     return true;
   }
 
-  /// Moves every resident of `old` into the live table in unit order.
+  /// Drains the outgoing table completely in one sweep in chain order: the
+  /// force-finish before a second doubling or a seed rotation. No-op when
+  /// not migrating.
   template <class Backend>
-  static void sweep(Backend& b, Outgoing<Table>& old, DrainMode mode) {
+  void finish_migration(Backend& b) {
+    if (old_ == nullptr) return;
+    const std::size_t moved = old_->residents;
+    sweep(b, *old_);
+    b.telemetry_->on_resize_step(moved, 0);
+    complete(b);
+  }
+
+  /// Moves every resident of `old` into the live table in chain order.
+  template <class Backend>
+  static void sweep(Backend& b, Outgoing<Table>& old) {
     while (old.residents > 0) {
-      if (b.migrate_unit(old.table, old.cursor, mode)) {
+      if (b.migrate_unit(old.table, old.cursor)) {
         --old.residents;
       } else {
         ++old.cursor;
@@ -303,7 +286,8 @@ class ResizeEngine {
   }
 
   /// First: SequentDemuxer::lookup() reads it within the 64 bytes after
-  /// the Demuxer base, so new state goes below it.
+  /// the Demuxer base, so new state goes below it (pinned by
+  /// ValidatorTestAccess::lookup_members).
   std::unique_ptr<Outgoing<Table>> old_;
   bool blocked_ = false;
   std::uint64_t backoff_ = 0;   ///< current retry backoff, in inserts

@@ -107,8 +107,7 @@ void SequentDemuxer::maybe_grow() {
   resize_.grow(*this, buckets_);
 }
 
-bool SequentDemuxer::migrate_unit(Table& old, std::size_t c,
-                                  DrainMode /*mode*/) {
+bool SequentDemuxer::migrate_unit(Table& old, std::size_t c) {
   Bucket& ob = old[c];
   Pcb* pcb = ob.list.pop_front();
   if (pcb == nullptr) return false;

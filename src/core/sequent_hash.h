@@ -17,7 +17,7 @@
 // `Options::grow` turns the paper's "the system administrator may increase
 // the value of H" into policy (the registry's `dynamic`): when the mean
 // load exceeds `max_load`, the table moves to the next prime roughly twice
-// the size through the shared ResizeEngine, relinking the existing PCBs in
+// the size through its ResizeEngine, relinking the existing PCBs in
 // place (no PCB is reallocated, so Pcb* handles stay valid — the same
 // guarantee a kernel needs). This is the direction production stacks took
 // (dynamically sized inpcb hash tables in later BSDs, Linux's ehash).
@@ -61,7 +61,8 @@ class SequentDemuxer final : public Demuxer {
     bool grow = false;
     /// A float keeps Options at 32 bytes, so everything lookup() reads
     /// (options_, buckets_, the engine's outgoing-table pointer) fits in
-    /// the 64 bytes right after the Demuxer base.
+    /// the 64 bytes right after the Demuxer base (pinned by
+    /// Sequent.LookupMembersFitTheLineAfterTheBase).
     float max_load = 2.0F;
   };
 
@@ -181,10 +182,9 @@ class SequentDemuxer final : public Demuxer {
   /// The longest live chain, by walking every chain: a rotation's
   /// watermark (the rotation has just re-placed every resident anyway).
   [[nodiscard]] std::uint64_t rotated_watermark() const noexcept;
-  /// Relinks the head PCB of outgoing chain `c` onto its live chain. It
-  /// hashes with the current seed in every mode, which is all a rotation's
-  /// kRehash sweep needs.
-  bool migrate_unit(Table& old, std::size_t c, DrainMode mode);
+  /// Relinks the head PCB of outgoing chain `c` onto its live chain,
+  /// hashing with the current seed (all a rotation's sweep needs).
+  bool migrate_unit(Table& old, std::size_t c);
 
   Options options_;
   Table buckets_;

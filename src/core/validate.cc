@@ -3,14 +3,11 @@
 #include <algorithm>
 #include <cstddef>
 #include <sstream>
-#include <unordered_map>
 #include <unordered_set>
-#include <utility>
 
 #include "core/bsd_list.h"
 #include "core/connection_id.h"
 #include "core/demuxer.h"
-#include "core/flat_demuxer.h"
 #include "core/hashed_mtf.h"
 #include "core/move_to_front.h"
 #include "core/pcb_list.h"
@@ -414,157 +411,6 @@ ValidationReport StructuralValidator::validate(
   return report;
 }
 
-ValidationReport StructuralValidator::validate(const FlatDemuxer& demuxer) {
-  ValidationReport report;
-  Errors errors(report);
-  const std::size_t capacity = demuxer.capacity();
-  if (capacity == 0 || (capacity & (capacity - 1)) != 0) {
-    errors.add("flat: capacity ", capacity, " is not a power of two");
-    return report;
-  }
-  // Every parallel array of `t` must hold exactly t.capacity() slots.
-  const auto sized = [](const FlatDemuxer::Table& t) {
-    const std::size_t cap = t.capacity();
-    return t.tags.size() == cap && t.hashes.size() == cap &&
-           t.keys.size() == cap && t.pcbs.size() == cap;
-  };
-  if (!sized(demuxer.table_)) {
-    errors.add("flat: slot arrays are not all sized to capacity ", capacity);
-    return report;
-  }
-
-  // Per-table slot checks; the key set is shared across the live and (when
-  // migrating) old arrays so a key resident in both is caught as a
-  // duplicate. Returns the table's occupied-slot count.
-  std::unordered_set<net::FlowKey> keys;
-  std::vector<const Pcb*> members;
-  const auto check_table =
-      [&](const FlatDemuxer::Table& t, const char* what) {
-        const auto& [mask, tags, hashes, slot_keys, pcbs] = t;
-        std::size_t occupied = 0;
-        const std::size_t cap = t.capacity();
-        for (std::size_t i = 0; i < cap; ++i) {
-          if (tags[i] == 0) {
-            if (pcbs[i] != nullptr) {
-              errors.add(what, " slot ", i,
-                         ": empty tag but a PCB is still held");
-            }
-            continue;
-          }
-          ++occupied;
-          const Pcb* const pcb = pcbs[i];
-          if (pcb == nullptr) {
-            errors.add(what, " slot ", i, ": occupied tag but no PCB");
-            continue;
-          }
-          members.push_back(pcb);
-          // Tag <-> hash <-> key agreement: the fingerprint array and the
-          // hash array must both describe the key actually stored in the
-          // slot, or lookups silently stop finding it.
-          if (pcb->key != slot_keys[i]) {
-            errors.add(what, " slot ", i, ": PCB key ", pcb->key.to_string(),
-                       " != slot key ", slot_keys[i].to_string());
-          }
-          const std::uint32_t h = demuxer.hash_of(slot_keys[i]);
-          if (hashes[i] != h) {
-            errors.add(what, " slot ", i, ": stored hash ", hashes[i],
-                       " != hash of stored key ", h);
-          }
-          if (tags[i] != FlatDemuxer::tag_of(hashes[i])) {
-            errors.add(what, " slot ", i, ": tag ",
-                       static_cast<unsigned>(tags[i]),
-                       " disagrees with stored hash's fingerprint ",
-                       static_cast<unsigned>(FlatDemuxer::tag_of(hashes[i])));
-          }
-          // Robin-hood probe invariant: a displaced resident implies an
-          // occupied predecessor at most one step closer to its own home.
-          // A violation breaks the miss early-exit (keys become
-          // unreachable).
-          const std::size_t dist = (i - (hashes[i] & mask)) & mask;
-          if (dist > 0) {
-            const std::size_t prev = (i - 1) & mask;
-            const std::size_t prev_dist =
-                (prev - (hashes[prev] & mask)) & mask;
-            if (tags[prev] == 0) {
-              errors.add(what, " slot ", i, ": probe distance ", dist,
-                         " but predecessor slot is empty");
-            } else if (prev_dist + 1 < dist) {
-              errors.add(what, " slot ", i, ": probe distance ", dist,
-                         " exceeds predecessor's by more than one (",
-                         prev_dist, ")");
-            }
-          }
-          if (!keys.insert(slot_keys[i]).second) {
-            errors.add(what, ": duplicate key ", slot_keys[i].to_string());
-          }
-        }
-        return occupied;
-      };
-
-  std::size_t occupied = check_table(demuxer.table_, "flat");
-
-  if (const auto* out = demuxer.resize_.old()) {
-    const auto& old = *out;
-    const std::size_t old_capacity = old.table.capacity();
-    if (!sized(old.table)) {
-      errors.add("flat(old): slot arrays are not all sized to capacity ",
-                 old_capacity);
-      return report;
-    }
-    // The adjunct exists only while debt remains, and drains into a table
-    // exactly one doubling larger.
-    if (old.residents == 0) {
-      errors.add("flat(old): migration adjunct present with zero residents");
-    }
-    if (old_capacity * 2 != capacity) {
-      errors.add("flat(old): old capacity ", old_capacity,
-                 " is not half the live capacity ", capacity);
-    }
-    // Drained-prefix invariant: the cursor advances only past empty slots
-    // and nothing is ever placed into the old array, so [0, cursor) stays
-    // empty for the whole migration.
-    if (old.cursor > old_capacity) {
-      errors.add("flat(old): cursor ", old.cursor, " exceeds capacity ",
-                 old_capacity);
-    }
-    for (std::size_t i = 0; i < std::min(old.cursor, old_capacity); ++i) {
-      if (old.table.tags[i] != 0) {
-        errors.add("flat(old): slot ", i,
-                   " in the drained prefix [0, cursor=", old.cursor,
-                   ") is occupied");
-        break;
-      }
-    }
-    const std::size_t old_occupied = check_table(old.table, "flat(old)");
-    if (old_occupied != old.residents) {
-      errors.add("flat(old): occupied slots (", old_occupied,
-                 ") != residents counter (", old.residents, ")");
-    }
-    occupied += old_occupied;
-  }
-
-  if (occupied != demuxer.size_) {
-    errors.add("flat: occupied slots (", occupied, ") != size counter (",
-               demuxer.size_, ")");
-  }
-  check_slab(demuxer.slab_, members, demuxer.size_, "flat", errors);
-  // Growth keeps occupancy at or below 7/8; a violation means the next
-  // insert was allowed to degrade probe runs past the design bound. While
-  // growth is allocation-blocked the degradation ladder admits up to the
-  // hard 15/16 shed watermark instead.
-  if (demuxer.resize_.blocked()) {
-    if (demuxer.size_ * 16 > capacity * 15) {
-      errors.add("flat: occupancy ", demuxer.size_,
-                 " exceeds the blocked-growth 15/16 watermark of capacity ",
-                 capacity);
-    }
-  } else if (demuxer.size_ * 8 > capacity * 7) {
-    errors.add("flat: occupancy ", demuxer.size_, " exceeds 7/8 of capacity ",
-               capacity);
-  }
-  return report;
-}
-
 ValidationReport StructuralValidator::validate(const ShardedDemuxer& demuxer) {
   ValidationReport report;
   Errors errors(report);
@@ -633,9 +479,6 @@ ValidationReport validate_demuxer(const Demuxer& demuxer) {
   if (const auto* d = dynamic_cast<const RcuDemuxerAdapter*>(&demuxer)) {
     return StructuralValidator::validate(d->inner());
   }
-  if (const auto* d = dynamic_cast<const FlatDemuxer*>(&demuxer)) {
-    return StructuralValidator::validate(*d);
-  }
   ValidationReport report;
   report.errors.push_back("validate_demuxer: no validator for demuxer '" +
                           demuxer.name() + "'");
@@ -643,6 +486,17 @@ ValidationReport validate_demuxer(const Demuxer& demuxer) {
 }
 
 // --- test-only access ------------------------------------------------------
+
+std::array<ValidatorTestAccess::MemberBytes, 3>
+ValidatorTestAccess::lookup_members(const SequentDemuxer& d) {
+  const auto bytes = [&d](const auto& member) {
+    const auto begin =
+        static_cast<std::size_t>(reinterpret_cast<const std::byte*>(&member) -
+                                 reinterpret_cast<const std::byte*>(&d));
+    return MemberBytes{begin, begin + sizeof(member)};
+  };
+  return {bytes(d.options_), bytes(d.buckets_), bytes(d.resize_.old_)};
+}
 
 PcbList& ValidatorTestAccess::list(BsdListDemuxer& d) { return d.list_; }
 Pcb*& ValidatorTestAccess::cache(BsdListDemuxer& d) { return d.cache_; }
@@ -719,22 +573,6 @@ void ValidatorTestAccess::rcu_adjust_size(RcuSequentDemuxer& d,
   d.size_.store(d.size_.load(std::memory_order_relaxed) +
                     static_cast<std::size_t>(delta),
                 std::memory_order_relaxed);
-}
-
-std::vector<std::uint8_t>& ValidatorTestAccess::flat_tags(FlatDemuxer& d) {
-  return d.table_.tags;
-}
-std::size_t& ValidatorTestAccess::flat_size(FlatDemuxer& d) {
-  return d.size_;
-}
-void ValidatorTestAccess::flat_move_slot(FlatDemuxer& d, std::size_t from,
-                                         std::size_t to) {
-  FlatDemuxer::Table& t = d.table_;
-  t.tags[to] = t.tags[from];
-  t.hashes[to] = t.hashes[from];
-  t.keys[to] = t.keys[from];
-  t.pcbs[to] = std::exchange(t.pcbs[from], nullptr);
-  t.tags[from] = 0;
 }
 
 }  // namespace tcpdemux::core

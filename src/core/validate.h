@@ -28,6 +28,8 @@
 #ifndef TCPDEMUX_CORE_VALIDATE_H_
 #define TCPDEMUX_CORE_VALIDATE_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -43,7 +45,6 @@ class SequentDemuxer;
 class HashedMtfDemuxer;
 class ConnectionIdDemuxer;
 class RcuSequentDemuxer;
-class FlatDemuxer;
 class ShardedDemuxer;
 class Demuxer;
 struct Pcb;
@@ -69,9 +70,6 @@ class StructuralValidator {
   static ValidationReport validate(const ConnectionIdDemuxer& demuxer);
   /// RCU variant: caller must be quiescent (no concurrent readers/writers).
   static ValidationReport validate(const RcuSequentDemuxer& demuxer);
-  /// Flat table: tag/key/hash agreement per slot, robin-hood probe-distance
-  /// ordering, occupancy vs size() vs load-factor bound.
-  static ValidationReport validate(const FlatDemuxer& demuxer);
   /// Sharded fleet: every shard's inner structure (recursive, via
   /// validate_demuxer), sum-of-shard-sizes vs size(), the cross-shard
   /// no-duplicate-key invariant, and — while steering has not drifted
@@ -87,10 +85,20 @@ class StructuralValidator {
 
 /// Test-only mutable access to demuxer internals, used by the negative
 /// validator tests to plant precise corruptions (stale cache pointer,
-/// PCB on the wrong chain, bad size counter) and by nothing else.
-/// Every accessor returns a reference so the test can restore the original
-/// value before the structure is destroyed.
+/// PCB on the wrong chain, bad size counter) and by the layout pin below,
+/// and by nothing else. Every plant returns a reference so the test can
+/// restore the original value before the structure is destroyed.
 struct ValidatorTestAccess {
+  /// A member's bytes [begin, end), counted from the start of its object.
+  struct MemberBytes {
+    std::size_t begin;
+    std::size_t end;
+  };
+  /// Where the members SequentDemuxer::lookup() reads sit: options_,
+  /// buckets_ and the resize engine's outgoing-table pointer, in that
+  /// order. They are meant to share the 64 bytes after the Demuxer base.
+  static std::array<MemberBytes, 3> lookup_members(const SequentDemuxer& d);
+
   static PcbList& list(BsdListDemuxer& d);
   static Pcb*& cache(BsdListDemuxer& d);
   static PcbList& list(MoveToFrontDemuxer& d);
@@ -125,12 +133,6 @@ struct ValidatorTestAccess {
   static bool rcu_toggle_head_retired(RcuSequentDemuxer& d,
                                       std::uint32_t chain);
   static void rcu_adjust_size(RcuSequentDemuxer& d, std::ptrdiff_t delta);
-  /// Flat-table plants: the slot-tag byte (flip a fingerprint bit), the
-  /// size counter, and a whole-slot move (from must be occupied, to empty)
-  /// that breaks the robin-hood probe invariant. Undo by moving back.
-  static std::vector<std::uint8_t>& flat_tags(FlatDemuxer& d);
-  static std::size_t& flat_size(FlatDemuxer& d);
-  static void flat_move_slot(FlatDemuxer& d, std::size_t from, std::size_t to);
 };
 
 }  // namespace tcpdemux::core

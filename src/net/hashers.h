@@ -120,8 +120,8 @@ struct HashSpec {
 [[nodiscard]] std::string hash_spec_name(const HashSpec& spec);
 
 /// 32-bit avalanche finalizer (Prospector's low-bias constants). Used by
-/// the seeded post-mix and by the flat table's index derivation; exposed so
-/// tests and attack-crafting code can reproduce slot indices exactly.
+/// the seeded post-mix; exposed so tests can reproduce seeded chain indices
+/// exactly.
 [[nodiscard]] constexpr std::uint32_t mix32_avalanche(std::uint32_t x) noexcept {
   x ^= x >> 16;
   x *= 0x7feb352dU;

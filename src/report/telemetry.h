@@ -105,7 +105,7 @@ struct TelemetryCounters {
   std::uint64_t inserts_shed = 0;  ///< inserts refused at a max_pcbs cap
   std::uint64_t rehashes = 0;      ///< overload-triggered seed rotations
                                    ///  (never table doublings)
-  // Resize ledger (every growing backend, both drain schedules; see
+  // Resize ledger (the growing chained table; see
   // DESIGN.md "Incremental resize & degradation ladder"). Each table
   // doubling counts exactly once in started and once in completed.
   std::uint64_t resizes_started = 0;    ///< doublings begun (new table up)
@@ -149,7 +149,7 @@ class Telemetry {
   void on_shed() noexcept { ++counters_.inserts_shed; }
   void on_rehash() noexcept { ++counters_.rehashes; }
 
-  // Resize events (every growing backend, both drain schedules).
+  // Resize events (the growing chained table).
   void on_resize_start() noexcept { ++counters_.resizes_started; }
   void on_resize_complete() noexcept { ++counters_.resizes_completed; }
   void on_resize_defer() noexcept { ++counters_.resizes_deferred; }

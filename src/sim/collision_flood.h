@@ -1,14 +1,14 @@
 // Collision-flood adversarial workload: an attacker who knows (or can
 // probe) the victim's demultiplexer crafts 4-tuples that all land in one
-// hash chain or probe run, collapsing the paper's O(N/2H) lookup back to
+// hash chain, collapsing the paper's O(N/2H) lookup back to
 // the BSD linear scan — the hash-flooding DoS of Crosby & Wallach (2003)
 // aimed at a PCB table.
 //
 // Two crafting strengths, matching the two defense tiers in net/hashers.h:
 //
-//   * craft_colliding_keys targets a small *index* range (a chain number
-//     or a masked slot) by brute force against any caller-supplied index
-//     function. This is the attacker who observed which chain is slow.
+//   * craft_colliding_keys targets a small *index* range (a chain number)
+//     by brute force against any caller-supplied index function. This is
+//     the attacker who observed which chain is slow.
 //     A seeded hasher defeats the precomputation: the index function
 //     changes when the seed does.
 //
@@ -47,8 +47,7 @@ struct CollisionFloodParams {
 
 /// Brute-forces `count` distinct fully-specified keys (local = server)
 /// whose `index_of` equals `target`. `index_of` is the victim structure's
-/// placement function — e.g. chain_of for a chained table or the masked
-/// slot index for the flat table. The search walks foreign ports then
+/// placement function — e.g. chain_of for a chained table. The search walks foreign ports then
 /// foreign addresses, so cost is ~count * index_range trials.
 [[nodiscard]] std::vector<net::FlowKey> craft_colliding_keys(
     const CollisionFloodParams& params,

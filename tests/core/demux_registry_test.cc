@@ -12,8 +12,7 @@ TEST(Registry, MakesEveryAlgorithm) {
   for (const Algorithm algo :
        {Algorithm::kBsd, Algorithm::kMtf, Algorithm::kSrCache,
         Algorithm::kSequent, Algorithm::kHashedMtf,
-        Algorithm::kConnectionId, Algorithm::kDynamic, Algorithm::kRcu,
-        Algorithm::kFlat}) {
+        Algorithm::kConnectionId, Algorithm::kDynamic, Algorithm::kRcu}) {
     DemuxConfig config;
     config.algorithm = algo;
     const auto d = make_demuxer(config);
@@ -32,8 +31,7 @@ TEST(Registry, ParseSimpleNames) {
            {"hashed_mtf", Algorithm::kHashedMtf},
            {"connection_id", Algorithm::kConnectionId},
            {"rcu", Algorithm::kRcu},
-           {"dynamic", Algorithm::kDynamic},
-           {"flat", Algorithm::kFlat}}) {
+           {"dynamic", Algorithm::kDynamic}}) {
     const auto config = parse_demux_spec(spec);
     ASSERT_TRUE(config.has_value()) << spec;
     EXPECT_EQ(config->algorithm, algo) << spec;
@@ -136,39 +134,6 @@ TEST(Registry, DynamicDefaultConfig) {
   EXPECT_EQ(d->size(), 0u);
 }
 
-TEST(Registry, ParseFlatSpec) {
-  const auto config = parse_demux_spec("flat:4096:crc32");
-  ASSERT_TRUE(config.has_value());
-  EXPECT_EQ(config->algorithm, Algorithm::kFlat);
-  EXPECT_EQ(config->flat_capacity, 4096u);
-  EXPECT_EQ(config->hasher, net::HasherKind::kCrc32);
-  const auto d = make_demuxer(*config);
-  EXPECT_EQ(d->name(), "flat(cap=4096,crc32)");
-}
-
-TEST(Registry, FlatDefaultConfig) {
-  const auto config = parse_demux_spec("flat");
-  ASSERT_TRUE(config.has_value());
-  EXPECT_EQ(config->flat_capacity, 1024u);
-  const auto d = make_demuxer(*config);
-  ASSERT_NE(d, nullptr);
-  EXPECT_EQ(d->name(), "flat(cap=1024,xor_fold)");
-}
-
-TEST(Registry, FlatCapacityRoundsUpToPowerOfTwo) {
-  // The table enforces power-of-two capacity; the registry passes the
-  // requested value through and the constructor rounds up.
-  const auto d = make_demuxer(*parse_demux_spec("flat:1000"));
-  EXPECT_EQ(d->name(), "flat(cap=1024,xor_fold)");
-}
-
-TEST(Registry, ParseRejectsBadFlatSpec) {
-  EXPECT_FALSE(parse_demux_spec("flat:0").has_value());
-  EXPECT_FALSE(parse_demux_spec("flat:abc").has_value());
-  EXPECT_FALSE(parse_demux_spec("flat:64:sha256").has_value());
-  EXPECT_FALSE(parse_demux_spec("flat:64:crc32:nocache").has_value());
-}
-
 TEST(Registry, ConfiguredDemuxerReflectsSpec) {
   const auto config = parse_demux_spec("sequent:31:jenkins");
   ASSERT_TRUE(config.has_value());
@@ -191,25 +156,30 @@ std::string parse_error(std::string_view spec) {
 TEST(Registry, ParseRejectsDuplicateOptionTokensInEveryFamily) {
   // One duplicated-token probe per option, across the families that
   // accept it; all must fail, none may silently keep either copy.
-  EXPECT_FALSE(parse_demux_spec("flat:rehash:rehash").has_value());
+  EXPECT_FALSE(parse_demux_spec("sequent:19:rehash:rehash").has_value());
   EXPECT_FALSE(parse_demux_spec("sequent:19:max=5:max=9").has_value());
   EXPECT_FALSE(parse_demux_spec("dynamic:5:max=5:max=5").has_value());
-  EXPECT_FALSE(parse_demux_spec("flat:64:max=100:max=200").has_value());
+  EXPECT_FALSE(parse_demux_spec("dynamic:64:max=100:max=200").has_value());
   EXPECT_FALSE(parse_demux_spec("sequent:rehash:rehash").has_value());
   EXPECT_FALSE(parse_demux_spec("sequent:nocache:nocache").has_value());
   EXPECT_FALSE(parse_demux_spec("rcu:19:nocache:nocache").has_value());
 }
 
 TEST(Registry, ParseRejectsBadFlat16AndCuckooSpecs) {
-  // The flat table has one probe: the 16-slot group-probe variant and its
-  // spec name are gone, nested under sharded too, with no alias left.
+  // The slot tables are gone: the flat table, its 16-slot group-probe
+  // variant and the cuckoo table each parse as any other unknown
+  // algorithm, with or without tokens, nested under sharded too, with no
+  // alias left.
+  EXPECT_EQ(parse_error("flat"), "unknown algorithm 'flat'");
+  EXPECT_EQ(parse_error("flat:64:crc32"), "unknown algorithm 'flat'");
+  const std::string nested_flat = parse_error("sharded:4:flat");
+  EXPECT_NE(nested_flat.find("unknown algorithm 'flat'"), std::string::npos)
+      << nested_flat;
   EXPECT_EQ(parse_error("flat16"), "unknown algorithm 'flat16'");
   EXPECT_EQ(parse_error("flat16:64:crc32"), "unknown algorithm 'flat16'");
   const std::string nested = parse_error("sharded:4:flat16");
   EXPECT_NE(nested.find("unknown algorithm 'flat16'"), std::string::npos)
       << nested;
-  // The cuckoo table is gone the same way: its name parses as any other
-  // unknown algorithm, with or without tokens, nested or not.
   EXPECT_EQ(parse_error("cuckoo"), "unknown algorithm 'cuckoo'");
   EXPECT_EQ(parse_error("cuckoo:64:crc32c"), "unknown algorithm 'cuckoo'");
   const std::string nested_cuckoo = parse_error("sharded:4:cuckoo");
@@ -220,10 +190,10 @@ TEST(Registry, ParseRejectsBadFlat16AndCuckooSpecs) {
 
 TEST(Registry, ParseRejectsDuplicateHasherTokens) {
   EXPECT_FALSE(parse_demux_spec("sequent:19:crc32:jenkins").has_value());
-  EXPECT_FALSE(parse_demux_spec("flat:64:crc32:crc32").has_value());
+  EXPECT_FALSE(parse_demux_spec("dynamic:64:crc32:crc32").has_value());
   EXPECT_FALSE(parse_demux_spec("sequent:64:crc32c@1:crc32c@2").has_value());
   EXPECT_FALSE(parse_demux_spec("rcu:19:xor_fold:siphash@5eed").has_value());
-  EXPECT_EQ(parse_error("flat:64:crc32:crc32"),
+  EXPECT_EQ(parse_error("dynamic:64:crc32:crc32"),
             "duplicate hasher token 'crc32'");
 }
 
@@ -231,7 +201,7 @@ TEST(Registry, ParseRejectsMisplacedCountToken) {
   // The count is positional; a number after a non-count token is a
   // different mistake than an unknown token and says so.
   EXPECT_FALSE(parse_demux_spec("sequent:crc32:19").has_value());
-  EXPECT_FALSE(parse_demux_spec("flat:rehash:64").has_value());
+  EXPECT_FALSE(parse_demux_spec("sequent:rehash:64").has_value());
   EXPECT_EQ(parse_error("sequent:crc32:19"),
             "count token '19' must come directly after the algorithm name");
 }
@@ -243,61 +213,62 @@ TEST(Registry, ParseAcceptsHasherAndOptionsInAnyOrder) {
   const auto dynamic = parse_demux_spec("dynamic:max=100");
   ASSERT_TRUE(dynamic.has_value());
   EXPECT_EQ(dynamic->max_pcbs, 100u);
-  const auto flat = parse_demux_spec("flat:rehash:crc32c");
-  ASSERT_TRUE(flat.has_value());
-  EXPECT_TRUE(flat->rehash_on_overload);
-  EXPECT_EQ(flat->hasher, net::HasherKind::kCrc32c);
+  const auto rehashing = parse_demux_spec("sequent:rehash:crc32c");
+  ASSERT_TRUE(rehashing.has_value());
+  EXPECT_TRUE(rehashing->rehash_on_overload);
+  EXPECT_EQ(rehashing->hasher, net::HasherKind::kCrc32c);
   const auto sequent = parse_demux_spec("sequent:nocache:crc32");
   ASSERT_TRUE(sequent.has_value());
   EXPECT_FALSE(sequent->per_chain_cache);
-  const auto capped = parse_demux_spec("flat:64:max=100:crc32:rehash");
+  const auto capped = parse_demux_spec("sequent:64:max=100:crc32:rehash");
   ASSERT_TRUE(capped.has_value());
-  EXPECT_EQ(capped->flat_capacity, 64u);
+  EXPECT_EQ(capped->chains, 64u);
   EXPECT_EQ(capped->max_pcbs, 100u);
   EXPECT_TRUE(capped->rehash_on_overload);
 }
 
 TEST(Registry, ParseRejectsMangledSeedSuffixes) {
   EXPECT_FALSE(parse_demux_spec("sequent:19:crc32@1f@2e").has_value());
-  EXPECT_FALSE(parse_demux_spec("flat:64:crc32@").has_value());
-  EXPECT_FALSE(parse_demux_spec("flat:64:crc32@123456789").has_value());
+  EXPECT_FALSE(parse_demux_spec("dynamic:64:crc32@").has_value());
+  EXPECT_FALSE(parse_demux_spec("dynamic:64:crc32@123456789").has_value());
   EXPECT_FALSE(parse_demux_spec("rcu:64:siphash@zz").has_value());
   EXPECT_EQ(parse_error("sequent:19:crc32@1f@2e"),
             "bad seed suffix in 'crc32@1f@2e' (want one '@' and 1-8 hex digits)");
 }
 
 TEST(Registry, ParseShardedGrammar) {
-  const auto ok = parse_demux_spec("sharded:4:flat:64:crc32");
+  const auto ok = parse_demux_spec("sharded:4:dynamic:64:crc32");
   ASSERT_TRUE(ok.has_value());
   EXPECT_EQ(ok->algorithm, Algorithm::kSharded);
   EXPECT_EQ(ok->shards, 4u);
-  EXPECT_EQ(ok->inner_spec, "flat:64:crc32");
+  EXPECT_EQ(ok->inner_spec, "dynamic:64:crc32");
 
   EXPECT_FALSE(parse_demux_spec("sharded").has_value());
   EXPECT_FALSE(parse_demux_spec("sharded:4").has_value());
-  EXPECT_FALSE(parse_demux_spec("sharded:0:flat").has_value());
-  EXPECT_FALSE(parse_demux_spec("sharded:abc:flat").has_value());
-  EXPECT_FALSE(parse_demux_spec("sharded:2:sharded:2:flat").has_value());
+  EXPECT_FALSE(parse_demux_spec("sharded:0:dynamic").has_value());
+  EXPECT_FALSE(parse_demux_spec("sharded:abc:dynamic").has_value());
+  EXPECT_FALSE(parse_demux_spec("sharded:2:sharded:2:dynamic").has_value());
   EXPECT_FALSE(parse_demux_spec("sharded:2:quantum").has_value());
-  EXPECT_EQ(parse_error("sharded:2:sharded:2:flat"),
+  EXPECT_EQ(parse_error("sharded:2:sharded:2:dynamic"),
             "sharded cannot nest another sharded spec");
 }
 
 TEST(Registry, ErrorOverloadNamesTheOffendingToken) {
-  EXPECT_EQ(parse_error("flat:rehash:rehash"), "duplicate 'rehash' token");
+  EXPECT_EQ(parse_error("sequent:rehash:rehash"), "duplicate 'rehash' token");
   EXPECT_EQ(parse_error("sequent:19:max=5:max=9"), "duplicate 'max=N' token");
-  EXPECT_EQ(parse_error("flat:64:nocache"), "'nocache' is not supported by flat");
+  EXPECT_EQ(parse_error("dynamic:64:nocache"),
+            "'nocache' is not supported by dynamic");
   EXPECT_EQ(parse_error("sequent:19:turbo"), "unknown token 'turbo'");
   EXPECT_EQ(parse_error("mtf:rehash"), "mtf takes no ':' parameters");
   // Growth has one schedule, so there is no token that picks one.
-  for (const char* spec : {"dynamic:incremental", "flat:64:incremental",
+  for (const char* spec : {"dynamic:incremental", "dynamic:64:incremental",
                            "sequent:crc32c:incremental"}) {
     EXPECT_EQ(parse_error(spec), "unknown token 'incremental'") << spec;
   }
   // Inner-spec failures surface wrapped, so a bad token three levels into
   // a sharded spec still names itself.
-  const std::string nested = parse_error("sharded:2:flat:64:max=1:max=2");
-  EXPECT_NE(nested.find("bad inner spec 'flat:64:max=1:max=2'"),
+  const std::string nested = parse_error("sharded:2:dynamic:64:max=1:max=2");
+  EXPECT_NE(nested.find("bad inner spec 'dynamic:64:max=1:max=2'"),
             std::string::npos)
       << nested;
   EXPECT_NE(nested.find("duplicate 'max=N' token"), std::string::npos)

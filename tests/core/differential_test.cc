@@ -25,8 +25,7 @@ const char* kSpecs[] = {"bsd",           "mtf",
                         "sequent:1",     "sequent:101:toeplitz",
                         "hashed_mtf",    "dynamic",
                         "connection_id", "rcu:19:crc32",
-                        "flat",          "flat:64:crc32",
-                        "sharded:4:flat",
+                        "sharded:4:dynamic",
                         "sharded:3:sequent:19:crc32"};
 
 TEST(Differential, AllAlgorithmsAgreeOnMembership) {

@@ -13,12 +13,11 @@
 //   * random pool — benign traffic (the original suite);
 //   * adversarial pool — mostly closed-form xor_fold full-hash collisions
 //     (sim::craft_xorfold_collisions), so chained tables fuzz with one
-//     giant chain and the flat table with one saturated probe run, and the
-//     keyed/rehash configurations fuzz across their defense machinery;
+//     giant chain, and the keyed/rehash configurations fuzz across their
+//     defense machinery;
 //   * full-collision flood — only collisions, with every growth refused,
-//     so a 64-slot flat table sits at its 15/16 shed watermark with one
-//     probe run that wraps the whole array, and a 5-chain growing table
-//     sits at its rung-2 shed point with every resident on one chain.
+//     so a 5-chain growing table sits at its rung-2 shed point with every
+//     resident on one chain.
 //
 // Budget: TCPDEMUX_FUZZ_OPS operations per spec (default 100000, the
 // ci/check.sh acceptance floor). TCPDEMUX_FUZZ_SEED reseeds the whole run
@@ -141,7 +140,7 @@ void run_fuzz_ops(const std::string& spec,
     if (resize_every != 0 && op % resize_every == 0) {
       // Forced drain step: a mutation of the two-table state even when no
       // regular op would touch it, validated on the spot so a cursor that
-      // skipped an occupied slot fails at the step that skipped it.
+      // skipped an occupied chain fails at the step that skipped it.
       demuxer->migration_step();
       ASSERT_EQ(invariant_errors(), "")
           << "after forced migration step at op " << op;
@@ -219,7 +218,7 @@ void run_fuzz_ops(const std::string& spec,
       ASSERT_EQ(invariant_errors(), "") << "after erase op " << op;
     } else {
       // Batch lookup through whatever pipeline the algorithm provides
-      // (default loop, flat/sequent prefetch pipelines, RCU fast path):
+      // (default loop, sequent prefetch pipeline, RCU fast path):
       // results must agree with the reference entry-by-entry.
       std::vector<net::FlowKey> keys(8);
       std::vector<LookupResult> results(keys.size());
@@ -317,14 +316,10 @@ TEST_P(FuzzAdversarialTest, CollidedOpsMatchReferenceAndPreserveInvariants) {
 // injector at every 2nd allocation blocks growth for good: a fresh-key
 // insert polls once, so an insert that gets through always did so on an
 // odd poll, and the growth retry it triggers polls next, on an even one.
-//   * flat:64 — blocked growth sheds above 15/16 load, so the table
-//     settles at 60 residents in one probe run from home slot 40 that
-//     wraps the whole array: the probe must follow the run past the
-//     array's end to find its tail.
-//   * dynamic:5 — blocked growth sheds an insert that would take the mean
-//     chain load past twice the growth trigger (rung 2,
-//     ResizeEngine::sheds_at_load), so the table settles at
-//     2 x max_load x 5 residents, all on one chain.
+// In dynamic:5, blocked growth sheds an insert that would take the mean
+// chain load past twice the growth trigger (rung 2,
+// ResizeEngine::sheds_at_load), so the table settles at 2 x max_load x 5
+// residents, all on one chain.
 class FuzzAdversarialFloodTest : public FuzzAdversarialTest {};
 
 TEST_P(FuzzAdversarialFloodTest, BlockedGrowthFloodAtWatermarkStaysExact) {
@@ -335,13 +330,9 @@ TEST_P(FuzzAdversarialFloodTest, BlockedGrowthFloodAtWatermarkStaysExact) {
   std::size_t peak = 0;
   run_fuzz_ops(spec, sim::craft_xorfold_collisions(params, 0x600dcafe),
                /*alloc_every=*/2, env_resize_every(), &peak);
-  if (spec.starts_with("flat")) {
-    EXPECT_EQ(peak, 60u) << "the 64-slot table must sit at 15/16 load";
-  } else {
-    const double max_load = SequentDemuxer::Options{}.max_load;
-    EXPECT_EQ(peak, static_cast<std::size_t>(2.0 * max_load * 5))
-        << "the 5-chain table must shed at twice its growth trigger";
-  }
+  const double max_load = SequentDemuxer::Options{}.max_load;
+  EXPECT_EQ(peak, static_cast<std::size_t>(2.0 * max_load * 5))
+      << "the 5-chain table must shed at twice its growth trigger";
 }
 
 std::string sanitize_spec_name(const char* spec) {
@@ -360,38 +351,36 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values("bsd", "mtf", "srcache", "connection_id:256", "sequent",
                       "sequent:7:crc32:nocache", "hashed_mtf:19",
                       "dynamic:5:crc32", "rcu",
-                      "rcu:7:crc32:nocache", "flat", "flat:64:crc32",
-                      // Small starting tables: the fuzz op mix drives
+                      "rcu:7:crc32:nocache",
+                      // A small starting table: the fuzz op mix drives
                       // growth through the two-table drain (see
                       // TCPDEMUX_FUZZ_RESIZE_EVERY for forcing extra
-                      // steps); every growing backend runs it, and the
-                      // stepped case forces one before every op.
-                      "dynamic:5:crc32:incremental", "flat:64",
+                      // steps); the stepped case forces one before every
+                      // op.
+                      "dynamic:5:crc32:incremental",
                       // Sharded fleet: per-shard structures, the cross-shard
                       // no-duplicate-key invariant, and the merged telemetry
                       // ledger must all stay bit-exact under the op mix.
-                      "sharded:4:flat", "sharded:2:sequent:19:crc32",
+                      "sharded:4:dynamic", "sharded:2:sequent:19:crc32",
                       "sharded:3:dynamic:5:crc32"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       return sanitize_spec_name(info.param);
     });
 
-// The unkeyed specs fuzz fully degenerate (one chain / one probe run);
-// the keyed and rehash specs fuzz the defense machinery: seed rotation
-// mid-sequence must stay differential-exact and validator-clean. The
-// growing specs drain under the collided pool too: one saturated probe
-// run / one giant chain spanning both tables.
+// The unkeyed specs fuzz fully degenerate (one chain); the keyed and
+// rehash specs fuzz the defense machinery: seed rotation mid-sequence
+// must stay differential-exact and validator-clean. The growing spec
+// drains under the collided pool too: one giant chain spanning both
+// tables.
 INSTANTIATE_TEST_SUITE_P(
     AdversarialKeys, FuzzAdversarialTest,
     ::testing::Values("bsd", "sequent", "sequent:19:xor_fold",
                       "sequent:19:xor_fold:rehash",
                       "sequent:19:siphash@5eed", "hashed_mtf:19",
                       "dynamic:5:xor_fold", "rcu:19:xor_fold",
-                      "flat:64:xor_fold", "flat:64:xor_fold:rehash",
-                      "flat:64:siphash@5eed",
                       // Sharded under the collided pool: Toeplitz steering
                       // keeps spreading keys whose inner hash collapses.
-                      "sharded:4:flat:64:xor_fold",
+                      "sharded:4:sequent:64:xor_fold",
                       "sharded:2:sequent:19:siphash@5eed"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       return sanitize_spec_name(info.param);
@@ -399,7 +388,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 INSTANTIATE_TEST_SUITE_P(
     FullCollisionFlood, FuzzAdversarialFloodTest,
-    ::testing::Values("flat:64:xor_fold", "dynamic:5:xor_fold"),
+    ::testing::Values("dynamic:5:xor_fold"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       return sanitize_spec_name(info.param);
     });

@@ -3,7 +3,7 @@
 // lookups one at a time — found/not-found per key, returned identity,
 // and the full stats ledger (lookups / found / cache_hits / examined).
 // This covers the base-class default loop and every pipelined override
-// (flat, sequent/dynamic, rcu) with the same oracle: a twin demuxer,
+// (sequent/dynamic, rcu) with the same oracle: a twin demuxer,
 // identically populated, driven scalar.
 #include <gtest/gtest.h>
 
@@ -166,8 +166,7 @@ INSTANTIATE_TEST_SUITE_P(
                       // stepped case also drains by hand between ops.
                       "dynamic:5", "dynamic:5:incremental",
                       "dynamic:5:xor_fold",
-                      "rcu", "rcu:7:crc32:nocache", "flat", "flat:64",
-                      "flat:1024:crc32", "sharded:4:flat",
+                      "rcu", "rcu:7:crc32:nocache", "sharded:4:dynamic",
                       "sharded:2:sequent:19:crc32"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       std::string name = info.param;

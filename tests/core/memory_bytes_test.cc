@@ -18,8 +18,8 @@ net::FlowKey key(std::uint32_t i) {
 
 TEST(MemoryBytes, GrowsWithPcbCount) {
   for (const char* spec : {"bsd", "mtf", "srcache", "sequent", "hashed_mtf",
-                           "dynamic", "connection_id", "rcu", "flat",
-                           "sharded:4:flat"}) {
+                           "dynamic", "connection_id", "rcu",
+                           "sharded:4:dynamic"}) {
     const auto d = make_demuxer(*parse_demux_spec(spec));
     const std::size_t empty = d->memory_bytes();
     for (std::uint32_t i = 0; i < 100; ++i) d->insert(key(i));

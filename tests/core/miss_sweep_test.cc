@@ -2,8 +2,7 @@
 // stream with absent keys blended at 0%, 50%, and 100%, and must (a)
 // account every hit and miss exactly in stats(), and (b) produce
 // bit-identical results and stats through lookup_batch — so the miss
-// path (where the flat table's early exit earns its keep) is exercised
-// for every backend, scalar and batched, from day one.
+// path is exercised for every backend, scalar and batched, from day one.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -23,16 +22,14 @@ net::FlowKey key(std::uint32_t i) {
                       20000};
 }
 
-// One spec per registered family (plus a hashed variant of the flat
-// table), so a future algorithm that forgets miss accounting or batch
-// parity fails here by name.
+// One spec per registered family, so a future algorithm that forgets miss
+// accounting or batch parity fails here by name.
 const char* kSpecs[] = {
     "bsd",           "mtf",
     "srcache",       "sequent:19:crc32",
     "hashed_mtf",    "dynamic",
     "connection_id", "rcu:19:crc32",
-    "flat:256",      "flat:256:crc32",
-    "sharded:4:flat:256",
+    "sharded:4:dynamic:256",
     "sharded:2:sequent:19:crc32",
 };
 

@@ -163,7 +163,7 @@ TEST(PcbSlab, ForEachFreeVisitsExactlyTheFreedSlots) {
 // --- every slab-backed registry spec ---------------------------------------
 
 // Keys that trip the spec's seed-rotation policy: identical full xor_fold
-// hashes, so they share one chain or one probe run.
+// hashes, so they share one chain.
 std::vector<net::FlowKey> rotation_flood() {
   sim::CollisionFloodParams params;
   params.count = 120;
@@ -210,9 +210,8 @@ INSTANTIATE_TEST_SUITE_P(
     EverySlabBackedSpec, PcbSlabRegistry,
     ::testing::Values("bsd", "mtf", "srcache", "sequent",
                       "sequent:19:xor_fold:rehash", "hashed_mtf",
-                      "connection_id", "dynamic", "dynamic:5", "flat",
-                      "flat:64", "flat:64:xor_fold:rehash",
-                      "sharded:4:flat", "sharded:2:dynamic:5"),
+                      "connection_id", "dynamic", "dynamic:5",
+                      "sharded:4:dynamic", "sharded:2:dynamic:5"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       std::string name = info.param;
       for (char& c : name) {

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <numeric>
 
+#include "core/validate.h"
+
 namespace tcpdemux::core {
 namespace {
 
@@ -22,6 +24,20 @@ TEST(Sequent, InsertAndLookup) {
   Pcb* p = d.insert(key(1));
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(d.lookup(key(1)).pcb, p);
+}
+
+// Every member lookup() reads (options_, buckets_, the resize engine's
+// outgoing-table pointer) sits in the 64 bytes right after the Demuxer
+// base, as Options::max_load's comment promises.
+TEST(Sequent, LookupMembersFitTheLineAfterTheBase) {
+  const SequentDemuxer d;
+  const char* names[] = {"options_", "buckets_", "resize_.old_"};
+  const auto members = ValidatorTestAccess::lookup_members(d);
+  for (std::size_t i = 0; i < members.size(); ++i) {
+    EXPECT_LE(members[i].end, 128u)
+        << names[i] << " occupies bytes " << members[i].begin << "-"
+        << members[i].end;
+  }
 }
 
 TEST(Sequent, ZeroChainsThrows) {

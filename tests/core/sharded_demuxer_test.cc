@@ -30,7 +30,7 @@ ShardedDemuxer make_sharded(std::uint32_t shards, const char* inner) {
 }
 
 TEST(ShardedDemuxer, EveryKeyLandsOnItsHomeShard) {
-  ShardedDemuxer demuxer = make_sharded(4, "flat:64");
+  ShardedDemuxer demuxer = make_sharded(4, "dynamic");
   for (std::uint32_t i = 0; i < 200; ++i) {
     ASSERT_NE(demuxer.insert(key(i)), nullptr);
   }
@@ -68,7 +68,7 @@ TEST(ShardedDemuxer, SteadyStateLookupTouchesOnlyTheHomeShard) {
 }
 
 TEST(ShardedDemuxer, IndirectionRewriteKeepsReSteeredFlowReachable) {
-  ShardedDemuxer demuxer = make_sharded(4, "flat:64");
+  ShardedDemuxer demuxer = make_sharded(4, "dynamic");
   for (std::uint32_t i = 0; i < 64; ++i) demuxer.insert(key(i));
 
   // Re-steer key(7)'s indirection entry to a different shard — the host
@@ -123,7 +123,7 @@ TEST(ShardedDemuxer, SeedRotationLosesNoConnections) {
 }
 
 TEST(ShardedDemuxer, OccupancyReportsPerShardSizes) {
-  ShardedDemuxer demuxer = make_sharded(4, "flat:64");
+  ShardedDemuxer demuxer = make_sharded(4, "dynamic");
   for (std::uint32_t i = 0; i < 100; ++i) demuxer.insert(key(i));
   const std::vector<std::size_t> occ = demuxer.occupancy();
   ASSERT_EQ(occ.size(), 4u);
@@ -170,7 +170,7 @@ TEST(ShardedDemuxer, MergedTelemetryIsIdempotentAcrossRepeatedReads) {
 }
 
 TEST(ShardedDemuxer, RegistryBuildsShardedSpecs) {
-  const auto config = parse_demux_spec("sharded:4:flat:64:crc32");
+  const auto config = parse_demux_spec("sharded:4:dynamic:64:crc32");
   ASSERT_TRUE(config.has_value());
   EXPECT_EQ(config->algorithm, Algorithm::kSharded);
   EXPECT_EQ(config->shards, 4u);
@@ -196,7 +196,7 @@ TEST(ShardedDemuxer, WildcardLookupResolvesAcrossShards) {
 }
 
 TEST(ShardedDemuxer, ShardCountOneDegeneratesToInner) {
-  ShardedDemuxer demuxer = make_sharded(1, "flat:64");
+  ShardedDemuxer demuxer = make_sharded(1, "dynamic");
   for (std::uint32_t i = 0; i < 50; ++i) demuxer.insert(key(i));
   EXPECT_EQ(demuxer.shard_count(), 1u);
   EXPECT_EQ(demuxer.shard(0).size(), 50u);

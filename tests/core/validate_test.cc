@@ -14,7 +14,6 @@
 #include "core/bsd_list.h"
 #include "core/connection_id.h"
 #include "core/demux_registry.h"
-#include "core/flat_demuxer.h"
 #include "core/hashed_mtf.h"
 #include "core/move_to_front.h"
 #include "core/pcb_list.h"
@@ -47,8 +46,8 @@ TEST(ValidateTest, EveryRegistrySpecValidatesCleanAfterMixedOps) {
   const char* specs[] = {"bsd",        "mtf",         "srcache",
                          "connection_id", "sequent",  "sequent:7:crc32:nocache",
                          "hashed_mtf", "dynamic:5",   "rcu",
-                         "rcu:7:crc32:nocache", "flat", "flat:64:crc32",
-                         "sharded:4:flat", "sharded:2:sequent:19:crc32"};
+                         "rcu:7:crc32:nocache", "sharded:4:dynamic",
+                         "sharded:2:sequent:19:crc32"};
   for (const char* spec : specs) {
     SCOPED_TRACE(spec);
     const auto config = parse_demux_spec(spec);
@@ -65,8 +64,8 @@ TEST(ValidateTest, EveryRegistrySpecValidatesCleanAfterMixedOps) {
 
 TEST(ValidateTest, EmptyStructuresValidateClean) {
   const char* specs[] = {"bsd", "mtf", "srcache", "connection_id",
-                         "sequent", "hashed_mtf", "dynamic", "rcu", "flat",
-                         "sharded:4:flat"};
+                         "sequent", "hashed_mtf", "dynamic", "rcu",
+                         "sharded:4:dynamic"};
   for (const char* spec : specs) {
     SCOPED_TRACE(spec);
     const auto demuxer = make_demuxer(*parse_demux_spec(spec));
@@ -344,66 +343,9 @@ TEST(ValidateTest, RcuBadSizeCounterIsReported) {
   EXPECT_TRUE(StructuralValidator::validate(demuxer).ok());
 }
 
-TEST(ValidateTest, FlatCorruptTagByteIsReported) {
-  FlatDemuxer demuxer(FlatDemuxer::Options{64});
-  populate(demuxer, 32);
-  // Flip one fingerprint bit on an occupied slot: the slot stays occupied
-  // (bit 7 intact) but the tag no longer matches the stored hash, so a
-  // probe would skip a live connection.
-  auto& tags = ValidatorTestAccess::flat_tags(demuxer);
-  std::size_t slot = 0;
-  while (tags[slot] == 0) ++slot;
-  tags[slot] ^= 0x40;
-  const ValidationReport report = StructuralValidator::validate(demuxer);
-  EXPECT_FALSE(report.ok());
-  EXPECT_NE(report.to_string().find("tag"), std::string::npos)
-      << report.to_string();
-  tags[slot] ^= 0x40;
-  EXPECT_TRUE(StructuralValidator::validate(demuxer).ok());
-}
-
-TEST(ValidateTest, FlatBadSizeCounterIsReported) {
-  FlatDemuxer demuxer(FlatDemuxer::Options{64});
-  populate(demuxer, 16);
-  std::size_t& size = ValidatorTestAccess::flat_size(demuxer);
-  ++size;
-  EXPECT_FALSE(StructuralValidator::validate(demuxer).ok());
-  --size;
-  EXPECT_TRUE(StructuralValidator::validate(demuxer).ok());
-}
-
-TEST(ValidateTest, FlatDisplacedSlotBreaksProbeInvariant) {
-  FlatDemuxer demuxer(FlatDemuxer::Options{64});
-  populate(demuxer, 24);
-  // Move one resident to a distant empty slot. Tag, key, and hash all stay
-  // mutually consistent, so only the robin-hood probe-distance invariant
-  // (every slot reachable from its home via an unbroken occupied run) can
-  // catch the displacement — exactly the corruption backward-shift
-  // deletion would cause if it stopped shifting one slot too early.
-  const auto& tags = ValidatorTestAccess::flat_tags(demuxer);
-  std::size_t from = 0;
-  while (tags[from] == 0) ++from;
-  // Try empty destination slots until one actually breaks the invariant (a
-  // destination that happens to be the key's own home slot would be legal).
-  bool planted = false;
-  std::size_t to = 0;
-  for (; to < tags.size(); ++to) {
-    if (tags[to] != 0 || to == from) continue;
-    ValidatorTestAccess::flat_move_slot(demuxer, from, to);
-    if (!StructuralValidator::validate(demuxer).ok()) {
-      planted = true;
-      break;
-    }
-    ValidatorTestAccess::flat_move_slot(demuxer, to, from);
-  }
-  ASSERT_TRUE(planted) << "no empty slot broke the probe invariant";
-  ValidatorTestAccess::flat_move_slot(demuxer, to, from);
-  EXPECT_TRUE(StructuralValidator::validate(demuxer).ok());
-}
-
 TEST(ValidateTest, ShardedDuplicateKeyAcrossShardsIsReported) {
   ShardedDemuxer demuxer(
-      ShardedDemuxer::Options{4, *parse_demux_spec("flat:64")});
+      ShardedDemuxer::Options{4, *parse_demux_spec("dynamic")});
   populate(demuxer, 24);
   // Plant the cross-shard corruption no single shard can see: a key that
   // is resident on two shards at once. Each shard stays internally

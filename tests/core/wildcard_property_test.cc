@@ -79,9 +79,8 @@ INSTANTIATE_TEST_SUITE_P(AllAlgorithms, WildcardProperty,
                                            "sequent", "sequent:101:crc32",
                                            "hashed_mtf", "dynamic",
                                            "connection_id", "rcu",
-                                           "rcu:101:crc32", "flat",
-                                           "flat:64:crc32",
-                                           "sharded:4:flat",
+                                           "rcu:101:crc32",
+                                           "sharded:4:dynamic",
                                            "sharded:2:sequent:19:crc32"),
                          [](const auto& info) {
                            std::string name = info.param;

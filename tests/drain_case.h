@@ -1,4 +1,4 @@
-// Stepped-drain test cases for the growing tables (dynamic, flat).
+// Stepped-drain test cases for the growing table (dynamic).
 // A growing table drains its outgoing half on its own, a bounded
 // batch per operation (kMigrateBatch per insert or erase,
 // kMigrateLookupBatch per lookup). A suite case written

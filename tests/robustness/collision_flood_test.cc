@@ -98,8 +98,8 @@ TEST(CollisionFlood, ReplayDegradesUnkeyedAndSparesKeyedSequent) {
   // Chain-targeted crafting (the attacker watched which chain is slow):
   // a fresh seed re-scatters these, so the rehash-on-detect policy can
   // recover. Full-hash xor_fold collisions would defeat the post-mix tier
-  // — that stronger adversary is covered by the flat-table test below and
-  // needs kSipHash (see net/hashers.h).
+  // — that stronger adversary is covered by the growing-table test below
+  // and needs kSipHash (see net/hashers.h).
   CollisionFloodParams craft;
   craft.count = 1500;
   const auto attack_keys = craft_colliding_keys(
@@ -136,7 +136,7 @@ TEST(CollisionFlood, ReplayDegradesUnkeyedAndSparesKeyedSequent) {
   EXPECT_LT(rehashing.overall.mean(), unkeyed.overall.mean() / 2.0);
 }
 
-TEST(CollisionFlood, ReplayDegradesUnkeyedAndSparesKeyedFlat) {
+TEST(CollisionFlood, ReplayDegradesUnkeyedAndSparesKeyedDynamic) {
   CollisionFloodTraceParams params;
   params.benign.users = 60;
   params.benign.duration = 90.0;
@@ -144,8 +144,9 @@ TEST(CollisionFlood, ReplayDegradesUnkeyedAndSparesKeyedFlat) {
   params.attack_duration = 45.0;
   params.arrivals_per_conn = 8;
 
-  // Full-32-bit-hash collisions defeat the flat table's avalanche
-  // finalizer and every post-mixed seed — only the PRF tier recovers.
+  // Full-32-bit-hash collisions land on one chain at every table size the
+  // host default grows to, and under every post-mixed seed — only the PRF
+  // tier recovers.
   CollisionFloodParams craft;
   craft.count = 1200;
   const auto attack_keys = craft_xorfold_collisions(craft, 0xdead0002);
@@ -158,8 +159,8 @@ TEST(CollisionFlood, ReplayDegradesUnkeyedAndSparesKeyedFlat) {
     return replay_trace(flood.trace, flood.keys, *demuxer);
   };
 
-  const ReplayResult unkeyed = run("flat:4096:xor_fold");
-  const ReplayResult keyed = run("flat:4096:siphash@5eed");
+  const ReplayResult unkeyed = run("dynamic:xor_fold");
+  const ReplayResult keyed = run("dynamic:siphash@5eed");
 
   ASSERT_EQ(unkeyed.misses, 0u);
   ASSERT_EQ(keyed.misses, 0u);

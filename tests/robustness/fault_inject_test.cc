@@ -126,10 +126,8 @@ INSTANTIATE_TEST_SUITE_P(
     AllDemuxers, InsertFaultTest,
     ::testing::Values("bsd", "mtf", "srcache", "connection_id:256", "sequent",
                       "sequent:7:crc32:nocache", "hashed_mtf:19",
-                      "dynamic:5:crc32", "rcu", "rcu:7:crc32:nocache", "flat",
-                      "flat:64:crc32", "sequent:19:siphash@5eed:rehash",
-                      "flat:256:siphash@5eed:rehash",
-                      "sharded:4:flat",
+                      "dynamic:5:crc32", "rcu", "rcu:7:crc32:nocache",
+                      "sequent:19:siphash@5eed:rehash", "sharded:4:dynamic",
                       "sharded:2:sequent:19:crc32"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       std::string name = info.param;

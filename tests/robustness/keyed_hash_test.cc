@@ -191,9 +191,9 @@ TEST(KeyedHash, RegistryThreadsSeedsIntoDemuxerNames) {
        "sequent(h=7,xor_fold@a,rehash,max=500)"},
       {"dynamic:5:jenkins@12:max=100", "dynamic(h=5,jenkins@12,max=100)"},
       {"rcu:101:siphash@2:nocache", "rcu(h=101,siphash@2,nocache)"},
-      {"flat:64:siphash@beef", "flat(cap=64,siphash@beef)"},
-      {"flat:256:crc32:rehash:max=128",
-       "flat(cap=256,crc32,rehash,max=128)"},
+      {"dynamic:64:siphash@beef", "dynamic(h=64,siphash@beef)"},
+      {"sequent:256:crc32:rehash:max=128",
+       "sequent(h=256,crc32,rehash,max=128)"},
   };
   for (const auto& c : kCases) {
     const auto config = core::parse_demux_spec(c.spec);
@@ -210,7 +210,7 @@ TEST(KeyedHash, RegistryRejectsSeedAndOptionMisuse) {
   // Options gated per algorithm.
   EXPECT_FALSE(core::parse_demux_spec("dynamic:5:crc32:rehash").has_value());
   EXPECT_FALSE(core::parse_demux_spec("rcu:19:crc32:max=4").has_value());
-  EXPECT_FALSE(core::parse_demux_spec("flat:64:crc32:nocache").has_value());
+  EXPECT_FALSE(core::parse_demux_spec("dynamic:64:crc32:nocache").has_value());
   EXPECT_FALSE(core::parse_demux_spec("bsd:rehash").has_value());
   // Duplicate and malformed options.
   EXPECT_FALSE(

@@ -13,11 +13,9 @@
 
 #include "core/demux_registry.h"
 #include "core/fault_inject.h"
-#include "core/flat_demuxer.h"
 #include "core/sequent_hash.h"
 #include "core/sharded_demuxer.h"
 #include "core/validate.h"
-#include "drain_case.h"
 #include "net/hashers.h"
 #include "sim/collision_flood.h"
 
@@ -108,50 +106,6 @@ TEST(OverloadRehash, SequentWithoutPolicyOnlyReportsWatermark) {
   EXPECT_FALSE(demuxer.hash_spec().keyed());
 }
 
-TEST(OverloadRehash, FlatRotatesSeedAndRebalancesUnderSlotFlood) {
-  FlatDemuxer demuxer(
-      {4096, {net::HasherKind::kCrc32, 0}, /*rehash_on_overload=*/true, 0});
-
-  // Target one home slot of the open-addressed table: the probe run grows
-  // linearly until the watermark trips.
-  sim::CollisionFloodParams params;
-  params.count = 200;
-  const auto mask = static_cast<std::uint32_t>(demuxer.capacity() - 1);
-  const auto flood = sim::craft_colliding_keys(
-      params,
-      [&](const net::FlowKey& k) {
-        return net::mix32_avalanche(net::hash_flow(demuxer.hash_spec(), k)) &
-               mask;
-      },
-      42);
-
-  for (const net::FlowKey& key : flood) {
-    ASSERT_NE(demuxer.insert(key), nullptr);
-  }
-  const ResilienceStats r = demuxer.resilience();
-  EXPECT_GE(r.overload_rehashes, 1u);
-  EXPECT_LE(r.overload_rehashes, 4u);
-  EXPECT_TRUE(demuxer.hash_spec().keyed());
-  EXPECT_LE(demuxer.max_probe_distance(), demuxer.watermark_limit());
-
-  EXPECT_EQ(demuxer.size(), flood.size());
-  for (const net::FlowKey& key : flood) {
-    EXPECT_NE(demuxer.lookup(key).pcb, nullptr);
-  }
-  EXPECT_EQ(validate_demuxer(demuxer).to_string(), "");
-}
-
-TEST(OverloadRehash, FlatNeverFiresOnBenignTraffic) {
-  FlatDemuxer demuxer(
-      {1024, {net::HasherKind::kCrc32, 0}, /*rehash_on_overload=*/true, 0});
-  for (const net::FlowKey& key : random_keys(6000, 0xbe9192)) {
-    demuxer.insert(key);
-  }
-  const ResilienceStats r = demuxer.resilience();
-  EXPECT_EQ(r.overload_rehashes, 0u);
-  EXPECT_FALSE(demuxer.hash_spec().keyed());
-}
-
 TEST(OverloadRehash, RehashSurvivesChurnAfterRotation) {
   // Insert flood, trigger rotation, then erase half and reinsert fresh
   // benign keys: counters stay sane and the validator stays clean.
@@ -193,7 +147,7 @@ struct RotationCase {
 // Lists the case by its spec, so the test name is the same in every build.
 void PrintTo(const RotationCase& c, std::ostream* os) { *os << c.spec; }
 
-// Full 32-bit xor_fold collisions: one chain / one home slot at any size.
+// Full 32-bit xor_fold collisions: one chain at any size.
 std::vector<net::FlowKey> xorfold_flood() {
   sim::CollisionFloodParams params;
   params.count = 200;
@@ -201,10 +155,7 @@ std::vector<net::FlowKey> xorfold_flood() {
 }
 
 net::HashSpec hash_spec_of(const Demuxer& d) {
-  if (const auto* s = dynamic_cast<const SequentDemuxer*>(&d)) {
-    return s->hash_spec();
-  }
-  return dynamic_cast<const FlatDemuxer&>(d).hash_spec();
+  return dynamic_cast<const SequentDemuxer&>(d).hash_spec();
 }
 
 class RefusedRotationTest : public ::testing::TestWithParam<RotationCase> {
@@ -267,8 +218,7 @@ TEST_P(RefusedRotationTest, KeepsSeedAndEveryPcbThenRotatesOnRecovery) {
 
 INSTANTIATE_TEST_SUITE_P(
     RotatingTables, RefusedRotationTest,
-    ::testing::Values(RotationCase{"sequent:19:xor_fold:rehash", xorfold_flood},
-                      RotationCase{"flat:64:xor_fold:rehash", xorfold_flood}),
+    ::testing::Values(RotationCase{"sequent:19:xor_fold:rehash", xorfold_flood}),
     [](const ::testing::TestParamInfo<RotationCase>& info) {
       std::string name = info.param.spec;
       for (char& c : name) {
@@ -278,14 +228,11 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Exact post-rotation behaviour. A rotation re-places every resident in
-// drain-sweep order (chains front to back, slots low to high); any other
-// order reshuffles chains and probe runs, which moves the paper's cost
-// metric. Each case replays one seeded flood-plus-benign insert stream
-// through the spec's rotations, then a fixed lookup pass, and pins the
-// totals, the final seed and the resilience view. The flat flood also
-// grows its table, so its totals pin the growth drain too, as
-// GrowthOrder.DrainKeepsExactCosts does, and a stepped case pins it with
-// a hand-driven drain step after every op.
+// drain-sweep order (chains front to back); any other order reshuffles
+// chains, which moves the paper's cost metric. Each case replays one
+// seeded flood-plus-benign insert stream through the spec's rotations,
+// then a fixed lookup pass, and pins the totals, the final seed and the
+// resilience view.
 struct RotationPin {
   RotationCase rotation;
   std::uint64_t examined;
@@ -302,13 +249,8 @@ class RotationPinTest : public ::testing::TestWithParam<RotationPin> {};
 
 TEST_P(RotationPinTest, FloodThenLookupsKeepExactCosts) {
   const RotationPin& pin = GetParam();
-  const test::DrainCase drain = test::drain_case(pin.rotation.spec);
-  const auto demuxer = make_demuxer(*parse_demux_spec(drain.spec));
+  const auto demuxer = make_demuxer(*parse_demux_spec(pin.rotation.spec));
   ASSERT_NE(demuxer, nullptr);
-  // The stepped case's hand-driven drain step (drain_case.h).
-  const auto step = [&] {
-    if (drain.stepped) (void)demuxer->migration_step();
-  };
   const std::vector<net::FlowKey> flood = pin.rotation.flood();
   const std::vector<net::FlowKey> benign = random_keys(400, 0x5eed1992);
   std::vector<net::FlowKey> resident;
@@ -316,20 +258,14 @@ TEST_P(RotationPinTest, FloodThenLookupsKeepExactCosts) {
     if (i < flood.size() && demuxer->insert(flood[i]) != nullptr) {
       resident.push_back(flood[i]);
     }
-    step();
     if (demuxer->insert(benign[i]) != nullptr) resident.push_back(benign[i]);
-    step();
   }
   ASSERT_GE(demuxer->resilience().overload_rehashes, 1u);
   std::mt19937 rng(1992);
   const std::vector<net::FlowKey> absent = random_keys(64, 0xab5e47);
   for (int i = 0; i < 4000; ++i) {
     (void)demuxer->lookup(resident[rng() % resident.size()]);
-    step();
-    if (i % 8 == 0) {
-      (void)demuxer->lookup(absent[rng() % absent.size()]);
-      step();
-    }
+    if (i % 8 == 0) (void)demuxer->lookup(absent[rng() % absent.size()]);
   }
   EXPECT_EQ(demuxer->stats().pcbs_examined, pin.examined);
   EXPECT_EQ(demuxer->stats().cache_hits, pin.cache_hits);
@@ -345,12 +281,7 @@ INSTANTIATE_TEST_SUITE_P(
     RotatingTables, RotationPinTest,
     ::testing::Values(
         RotationPin{{"sequent:19:xor_fold:rehash", xorfold_flood},
-                    208121, 130, 1468022192, 3, 218, 272},
-        RotationPin{{"flat:64:xor_fold:rehash", xorfold_flood},
-                    142928, 0, 3317495081, 4, 199, 64},
-        // Stepped drain (drain_case.h): a hand step after every operation.
-        RotationPin{{"flat:64:xor_fold:rehash:incremental", xorfold_flood},
-                    143399, 0, 3317495081, 4, 199, 64}),
+                    208121, 130, 1468022192, 3, 218, 272}),
     [](const ::testing::TestParamInfo<RotationPin>& info) {
       std::string name = info.param.rotation.spec;
       for (char& c : name) {
@@ -391,7 +322,7 @@ TEST_P(RotationStormTest, RotationsGrowWithTheLogOfTheFloodLength) {
 
 INSTANTIATE_TEST_SUITE_P(
     UnbreakableFlood, RotationStormTest,
-    ::testing::Values("flat:64:xor_fold:rehash", "sequent:19:xor_fold:rehash"),
+    ::testing::Values("sequent:19:xor_fold:rehash"),
     [](const ::testing::TestParamInfo<const char*>& info) {
       std::string name = info.param;
       for (char& c : name) {
@@ -402,8 +333,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The rotation ledger, mirror of ResizeLadderTest.EachDoublingCountsOnce:
 // every seed change counts exactly once in `rehashes`, and a rotation is
-// never a resize. The flood stays below every table's growth trigger
-// (a flat table of 64 slots grows at 56 residents), then churns —
+// never a resize. The flood stays below kPerTableCap residents per table,
+// then churns —
 // erase one resident, insert it again — so the cooldown keeps expiring
 // while the watermark stays high and the tables rotate repeatedly.
 class RotationLedgerTest : public ::testing::TestWithParam<RotationCase> {};
@@ -479,8 +410,6 @@ INSTANTIATE_TEST_SUITE_P(
     RotatingTables, RotationLedgerTest,
     ::testing::Values(
         RotationCase{"sequent:19:xor_fold:rehash", xorfold_flood},
-        RotationCase{"flat:64:xor_fold:rehash", xorfold_flood},
-        RotationCase{"sharded:2:flat:64:xor_fold:rehash", xorfold_flood},
         RotationCase{"sharded:2:sequent:19:xor_fold:rehash", xorfold_flood}),
     [](const ::testing::TestParamInfo<RotationCase>& info) {
       std::string name = info.param.spec;

@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/demux_registry.h"
-#include "core/flat_demuxer.h"
 #include "core/sequent_hash.h"
 #include "core/validate.h"
 #include "net/flow_key.h"
@@ -21,8 +20,7 @@ net::FlowKey nth_key(std::uint32_t i) {
                       static_cast<std::uint16_t>(1000 + (i & 0x7fff))};
 }
 
-template <typename D>
-void expect_cap_enforced(D& demuxer, std::size_t cap) {
+void expect_cap_enforced(SequentDemuxer& demuxer, std::size_t cap) {
   for (std::uint32_t i = 0; i < 100; ++i) {
     Pcb* const pcb = demuxer.insert(nth_key(i));
     if (i < cap) {
@@ -58,12 +56,6 @@ TEST(Shedding, DynamicEnforcesMaxPcbs) {
                           .hasher = net::HasherKind::kCrc32,
                           .max_pcbs = 64,
                           .grow = true});
-  expect_cap_enforced(demuxer, 64);
-}
-
-TEST(Shedding, FlatEnforcesMaxPcbs) {
-  FlatDemuxer demuxer(
-      {1024, net::HasherKind::kCrc32, false, /*max_pcbs=*/64});
   expect_cap_enforced(demuxer, 64);
 }
 

@@ -26,7 +26,7 @@ namespace {
 
 core::ShardedDemuxer make_sharded(std::uint32_t shards) {
   return core::ShardedDemuxer(core::ShardedDemuxer::Options{
-      shards, *core::parse_demux_spec("flat:1024")});
+      shards, *core::parse_demux_spec("dynamic")});
 }
 
 // Replays the NIC's frame accounting from the trace alone: which frames
