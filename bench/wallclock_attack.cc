@@ -25,6 +25,7 @@
 // --telemetry dumps each scenario's telemetry registry (counters including
 // shed/rehash events, examined-PCB histograms, occupancy skew) so the
 // flood's distributional damage — not just its mean — is captured.
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -32,6 +33,7 @@
 
 #include "bench_util.h"
 #include "core/demux_registry.h"
+#include "core/sequent_hash.h"
 #include "net/hashers.h"
 #include "sim/address_space.h"
 #include "sim/collision_flood.h"
@@ -145,19 +147,23 @@ int main(int argc, char** argv) {
         opts.timing());
 
     const double examined = fx.demuxer->stats().mean_examined();
-    const core::ResilienceStats r = fx.demuxer->resilience();
+    const std::uint64_t rehashes =
+        fx.demuxer->telemetry().counters().rehashes;
+    // Every scenario is a sequent or dynamic spec.
+    const std::uint64_t watermark =
+        dynamic_cast<const core::SequentDemuxer&>(*fx.demuxer).watermark();
     std::printf("%-24s %-32s %12.1f %14.2f %9llu %10llu\n", s.label.c_str(),
                 fx.demuxer->name().c_str(), t.ns_per_op, examined,
-                static_cast<unsigned long long>(r.overload_rehashes),
-                static_cast<unsigned long long>(r.watermark));
+                static_cast<unsigned long long>(rehashes),
+                static_cast<unsigned long long>(watermark));
 
     report::BenchRecord rec;
     rec.bench = "wallclock_attack";
     rec.name = s.label;
     rec.add_metric("ns_per_lookup", t.ns_per_op);
     rec.add_metric("pcbs_examined", examined);
-    rec.add_metric("rehashes", static_cast<double>(r.overload_rehashes));
-    rec.add_metric("watermark", static_cast<double>(r.watermark));
+    rec.add_metric("rehashes", static_cast<double>(rehashes));
+    rec.add_metric("watermark", static_cast<double>(watermark));
     writer.add(std::move(rec));
 
     if (!opts.telemetry_path.empty()) {

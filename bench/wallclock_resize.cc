@@ -44,7 +44,7 @@
 
 #include "bench_util.h"
 #include "core/demux_registry.h"
-#include "core/resize_policy.h"
+#include "core/sequent_hash.h"
 #include "report/telemetry.h"
 #include "sim/address_space.h"
 

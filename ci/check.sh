@@ -190,9 +190,10 @@ if [[ "${SKIP_RESIZE:-0}" != "1" ]]; then
     cmake -B "$ROOT/build" -S "$ROOT" -DTCPDEMUX_WERROR=ON
   fi
   cmake --build "$ROOT/build" -j "$JOBS" --target wallclock_resize
-  # Smoke-size growth sweep (64k -> 128k per backend); the validator
-  # asserts no drain step moved more than kMigrateBatch entries, that
-  # lookup p99 stays flat through the doubling, and that a doubling ran.
+  # Smoke-size growth sweep of the growing table (dynamic, 64k -> 128k);
+  # the validator asserts no drain step moved more than kMigrateBatch
+  # entries (core/sequent_hash.h), that lookup p99 stays flat through the
+  # doubling, and that a doubling ran.
   "$ROOT/build/bench/wallclock_resize" --smoke \
       --json "$ROOT/build/wallclock_resize.smoke.json"
   python3 "$ROOT/tools/bench/validate_resize.py" \

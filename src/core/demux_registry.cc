@@ -36,7 +36,6 @@ std::optional<std::uint32_t> parse_u32(std::string_view s) {
 }  // namespace
 
 std::unique_ptr<Demuxer> make_demuxer(const DemuxConfig& config) {
-  const net::HashSpec hasher{config.hasher, config.hash_seed};
   switch (config.algorithm) {
     case Algorithm::kBsd:
       return std::make_unique<BsdListDemuxer>();
@@ -47,17 +46,17 @@ std::unique_ptr<Demuxer> make_demuxer(const DemuxConfig& config) {
     case Algorithm::kSequent:
     case Algorithm::kDynamic:  // the Sequent table with growth switched on
       return std::make_unique<SequentDemuxer>(SequentDemuxer::Options{
-          config.chains, hasher, config.per_chain_cache,
+          config.chains, config.hasher, config.per_chain_cache,
           config.rehash_on_overload, config.max_pcbs,
           /*grow=*/config.algorithm == Algorithm::kDynamic});
     case Algorithm::kHashedMtf:
       return std::make_unique<HashedMtfDemuxer>(
-          HashedMtfDemuxer::Options{config.chains, config.hasher});
+          HashedMtfDemuxer::Options{config.chains, config.hasher.kind});
     case Algorithm::kConnectionId:
       return std::make_unique<ConnectionIdDemuxer>(config.id_capacity);
     case Algorithm::kRcu:
       return std::make_unique<RcuDemuxerAdapter>(RcuSequentDemuxer::Options{
-          config.chains, hasher, config.per_chain_cache});
+          config.chains, config.hasher, config.per_chain_cache});
     case Algorithm::kSharded: {
       const auto inner = parse_demux_spec(config.inner_spec);
       if (!inner) return nullptr;  // parse_demux_spec validated it already
@@ -248,8 +247,7 @@ std::optional<DemuxConfig> parse_demux_spec(std::string_view spec,
         return fail(error, "hashed_mtf does not take a keyed hasher (" +
                                quoted(tok) + ")");
       }
-      config.hasher = hs->kind;
-      config.hash_seed = hs->seed;
+      config.hasher = *hs;
       saw_hasher = true;
       continue;
     }

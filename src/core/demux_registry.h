@@ -28,11 +28,12 @@ enum class Algorithm : std::uint8_t {
 struct DemuxConfig {
   Algorithm algorithm = Algorithm::kSequent;
   std::uint32_t chains = 19;  ///< Sequent / hashed-MTF only
-  net::HasherKind hasher = net::HasherKind::kXorFold;
+  /// Seed 0 = unkeyed (the paper-fidelity default); hashed_mtf reads only
+  /// `.kind`.
+  net::HashSpec hasher = net::HasherKind::kXorFold;
   bool per_chain_cache = true;      ///< Sequent only
   std::size_t id_capacity = 65536;  ///< connection-ID only
   // Adversarial-resilience knobs (see DESIGN.md "Adversarial resilience").
-  std::uint32_t hash_seed = 0;  ///< 0 = unkeyed (paper-fidelity default)
   /// sequent: seed-rotating rehash
   bool rehash_on_overload = false;
   /// sequent/dynamic: 0 = unbounded

@@ -68,15 +68,6 @@ struct DemuxStats {
   void reset() noexcept { *this = DemuxStats{}; }
 };
 
-/// Hostile-traffic counters (see DESIGN.md "Adversarial resilience").
-/// Algorithms without overload machinery report all-zero defaults.
-struct ResilienceStats {
-  std::uint64_t overload_rehashes = 0;  ///< seed rotations forced by floods
-  std::uint64_t inserts_shed = 0;       ///< inserts refused at max_pcbs cap
-  std::uint64_t watermark = 0;        ///< longest chain an insert has left
-  std::uint64_t watermark_limit = 0;  ///< current overload trigger threshold
-};
-
 /// Abstract PCB-lookup algorithm. Owns its PCBs.
 class Demuxer {
  public:
@@ -150,13 +141,9 @@ class Demuxer {
   /// drift apart after a reset.
   virtual void reset_stats() noexcept { stats_.reset(); }
 
-  /// Hostile-traffic counters; all-zero for algorithms without overload
-  /// machinery (the default).
-  [[nodiscard]] virtual ResilienceStats resilience() const { return {}; }
-
-  /// Advances any in-progress table migration by one bounded batch (every
-  /// growing backend; see DESIGN.md "Incremental resize & degradation
-  /// ladder"). Returns true while migration work remains after the call.
+  /// Advances any in-progress table migration by one bounded batch (the
+  /// growing chained table, and fleets of it; see DESIGN.md "Incremental
+  /// resize & degradation ladder"). Returns true while migration work remains after the call.
   /// Harness hook: the fuzz suites (TCPDEMUX_FUZZ_RESIZE_EVERY) and
   /// bench/wallclock_resize drive migrations to completion with it; normal
   /// operation never needs to — insert/erase/lookup each retire their own

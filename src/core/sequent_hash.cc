@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <utility>
 
 #include "core/fault_inject.h"
 #include "core/prefetch.h"
@@ -15,6 +16,20 @@ constexpr std::array<std::uint32_t, 20> kPrimes = {
     19,    41,    83,     167,    337,    673,    1361,
     2729,  5471,  10949,  21911,  43853,  87719,  175447,
     350899, 701819, 1403641, 2807303, 5614657, 11229331};
+
+/// Polls the fault injector, then runs `alloc`, which may throw
+/// std::bad_alloc and must touch nothing live. False on a refusal,
+/// injected or real.
+template <class Alloc>
+bool try_alloc(Alloc alloc) {
+  if (FaultInjector::instance().poll_alloc()) return false;
+  try {
+    alloc();
+  } catch (const std::bad_alloc&) {
+    return false;
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -42,9 +57,8 @@ Pcb* SequentDemuxer::insert(const net::FlowKey& key) {
   // The miss walked the whole chain, so the chain's length once this PCB
   // is linked — the watermark's signal — is already known.
   std::uint64_t chain_length = scan.examined + 1;
-  if (const auto* old = resize_.old();
-      old != nullptr &&
-      old->table[chain_in(old->table, key)].list.find_scan(key).pcb !=
+  if (old_ != nullptr &&
+      old_->table[chain_in(old_->table, key)].list.find_scan(key).pcb !=
           nullptr) {
     return nullptr;
   }
@@ -61,9 +75,9 @@ Pcb* SequentDemuxer::insert(const net::FlowKey& key) {
   // doubling. Without it a table wedged at the watermark would stay
   // blocked forever (no insert succeeds, so the post-insert maybe_grow
   // never runs again).
-  if (resize_.sheds_at_load(size_, buckets_.size(), options_.max_load)) {
+  if (sheds_at_load()) {
     maybe_grow();
-    if (resize_.blocked()) {
+    if (blocked_) {
       telemetry_->on_shed();
       return nullptr;
     }
@@ -79,23 +93,16 @@ Pcb* SequentDemuxer::insert(const net::FlowKey& key) {
 }
 
 void SequentDemuxer::note_insert(std::uint64_t chain_length) {
-  resize_.note_insert(chain_length);
-  if (options_.rehash_on_overload && resize_.watermark() > watermark_limit() &&
-      resize_.cooled_down()) {
-    resize_.rotate_seed(*this, buckets_);
+  watermark_ = std::max(watermark_, chain_length);
+  ++since_rotation_;
+  if (options_.rehash_on_overload && watermark_ > watermark_limit() &&
+      since_rotation_ >= cooldown_) {
+    rotate_seed();
   }
   if (options_.grow) maybe_grow();
-  if (resize_.migrating()) [[unlikely]] {
-    resize_.migrate_batch(*this, kMigrateBatch);
+  if (old_ != nullptr) [[unlikely]] {
+    migrate_batch(kMigrateBatch);
   }
-}
-
-std::uint64_t SequentDemuxer::rotated_watermark() const noexcept {
-  std::uint64_t longest = 0;
-  for (const Bucket& b : buckets_) {
-    longest = std::max<std::uint64_t>(longest, b.list.count());
-  }
-  return longest;
 }
 
 void SequentDemuxer::maybe_grow() {
@@ -104,7 +111,57 @@ void SequentDemuxer::maybe_grow() {
     return;
   }
   if (next_table_size(chains()) <= chains()) return;  // ladder exhausted
-  resize_.grow(*this, buckets_);
+  finish_migration();
+  if (blocked_ && retry_in_ > 0) {
+    --retry_in_;
+    return;
+  }
+  start_migration();
+}
+
+void SequentDemuxer::start_migration() {
+  std::unique_ptr<Outgoing> old;
+  Table fresh;
+  if (!try_alloc([&] {
+        old = std::make_unique<Outgoing>();
+        fresh = Table(next_table_size(chains()));
+      })) {
+    blocked_ = true;
+    backoff_ = backoff_ == 0 ? kGrowBackoffMin
+                             : std::min(backoff_ * 2, kGrowBackoffMax);
+    retry_in_ = backoff_;
+    telemetry_->on_resize_defer();
+    return;
+  }
+  old->table = std::move(buckets_);
+  old->residents = size_;
+  buckets_ = std::move(fresh);
+  old_ = std::move(old);
+  blocked_ = false;
+  backoff_ = 0;
+  retry_in_ = 0;
+  telemetry_->on_resize_start();
+}
+
+void SequentDemuxer::rotate_seed() {
+  finish_migration();
+  since_rotation_ = 0;
+  const std::uint64_t backoff = 2 * cooldown_;
+  cooldown_ = watermark_limit();
+  Outgoing old;
+  if (!try_alloc([&] { old.table = Table(chains()); })) return;
+  options_.hasher.seed = net::next_seed(options_.hasher.seed);
+  std::swap(old.table, buckets_);
+  old.residents = size_;
+  sweep(old);
+  watermark_ = 0;
+  for (const Bucket& b : buckets_) {
+    watermark_ = std::max<std::uint64_t>(watermark_, b.list.count());
+  }
+  if (watermark_ > watermark_limit()) {
+    cooldown_ = std::max(backoff, cooldown_);
+  }
+  telemetry_->on_rehash();
 }
 
 bool SequentDemuxer::migrate_unit(Table& old, std::size_t c) {
@@ -118,13 +175,51 @@ bool SequentDemuxer::migrate_unit(Table& old, std::size_t c) {
   return true;
 }
 
-bool SequentDemuxer::migration_step() {
-  resize_.migrate_batch(*this, kMigrateBatch);
-  return resize_.migrating();
+void SequentDemuxer::migrate_batch(std::size_t budget) {
+  if (old_ == nullptr) return;
+  Outgoing& old = *old_;
+  std::size_t moved = 0;
+  std::size_t scanned = 0;
+  const std::size_t scan_budget = budget * kMigrateScanFactor;
+  while (moved < budget && old.residents > 0) {
+    if (!migrate_unit(old.table, old.cursor)) {
+      ++old.cursor;
+      if (++scanned >= scan_budget) break;
+      continue;
+    }
+    --old.residents;
+    ++moved;
+  }
+  telemetry_->on_resize_step(moved, old.residents);
+  if (old.residents == 0) complete_migration();
 }
 
-ResilienceStats SequentDemuxer::resilience() const {
-  return resize_.resilience(*this);
+void SequentDemuxer::sweep(Outgoing& old) {
+  while (old.residents > 0) {
+    if (migrate_unit(old.table, old.cursor)) {
+      --old.residents;
+    } else {
+      ++old.cursor;
+    }
+  }
+}
+
+void SequentDemuxer::finish_migration() {
+  if (old_ == nullptr) return;
+  const std::size_t moved = old_->residents;
+  sweep(*old_);
+  telemetry_->on_resize_step(moved, 0);
+  complete_migration();
+}
+
+void SequentDemuxer::complete_migration() {
+  old_.reset();
+  telemetry_->on_resize_complete();
+}
+
+bool SequentDemuxer::migration_step() {
+  migrate_batch(kMigrateBatch);
+  return old_ != nullptr;
 }
 
 bool SequentDemuxer::erase(const net::FlowKey& key) {
@@ -135,20 +230,19 @@ bool SequentDemuxer::erase(const net::FlowKey& key) {
     b.list.unlink(scan.pcb);
     slab_.destroy(scan.pcb);
   } else {
-    auto* old = resize_.old();
-    if (old == nullptr) return false;
-    Bucket& ob = old->table[chain_in(old->table, key)];
+    if (old_ == nullptr) return false;
+    Bucket& ob = old_->table[chain_in(old_->table, key)];
     const auto old_scan = ob.list.find_scan(key);
     if (old_scan.pcb == nullptr) return false;
     if (ob.cache == old_scan.pcb) ob.cache = nullptr;
     ob.list.unlink(old_scan.pcb);
     slab_.destroy(old_scan.pcb);
-    resize_.note_erased(*this);
+    if (--old_->residents == 0) complete_migration();
   }
   --size_;
   telemetry_->on_erase();
-  if (resize_.migrating()) [[unlikely]] {
-    resize_.migrate_batch(*this, kMigrateBatch);
+  if (old_ != nullptr) [[unlikely]] {
+    migrate_batch(kMigrateBatch);
   }
   return true;
 }
@@ -174,7 +268,7 @@ LookupResult SequentDemuxer::lookup_in_bucket(Bucket& b,
 void SequentDemuxer::lookup_outgoing(const net::FlowKey& key,
                                      LookupResult& r) {
   if (r.pcb == nullptr) {
-    Table& old = resize_.old()->table;
+    Table& old = old_->table;
     Bucket& ob = old[chain_in(old, key)];
     const auto old_scan = ob.list.find_scan(key);
     r.examined += old_scan.examined;
@@ -183,7 +277,7 @@ void SequentDemuxer::lookup_outgoing(const net::FlowKey& key,
       ob.cache = old_scan.pcb;
     }
   }
-  resize_.migrate_batch(*this, kMigrateLookupBatch);
+  migrate_batch(kMigrateLookupBatch);
 }
 
 LookupResult SequentDemuxer::lookup(const net::FlowKey& key,
@@ -191,7 +285,7 @@ LookupResult SequentDemuxer::lookup(const net::FlowKey& key,
   LookupResult r = lookup_in_bucket(buckets_[chain_of(key)], key);
   // A cache hit is final: it neither probes the outgoing chains nor pays
   // a drain step.
-  if (resize_.migrating() && !r.cache_hit) [[unlikely]] {
+  if (old_ != nullptr && !r.cache_hit) [[unlikely]] {
     lookup_outgoing(key, r);
   }
   note_lookup(r);
@@ -201,7 +295,7 @@ LookupResult SequentDemuxer::lookup(const net::FlowKey& key,
 void SequentDemuxer::lookup_batch(std::span<const net::FlowKey> keys,
                                   std::span<LookupResult> results,
                                   SegmentKind kind) {
-  if (resize_.migrating()) [[unlikely]] {
+  if (old_ != nullptr) [[unlikely]] {
     // Mid-migration each lookup may probe the outgoing chains and relink
     // PCBs as it drains them; the scalar loop keeps that order exact.
     Demuxer::lookup_batch(keys, results, kind);
@@ -261,23 +355,23 @@ LookupResult SequentDemuxer::lookup_wildcard(const net::FlowKey& key) {
     return false;
   };
   if (sweep(buckets_)) return best;
-  if (const auto* old = resize_.old()) sweep(old->table);
+  if (old_ != nullptr) sweep(old_->table);
   return best;
 }
 
 void SequentDemuxer::for_each_pcb(
     const std::function<void(const Pcb&)>& fn) const {
   for (const Bucket& b : buckets_) b.list.for_each(fn);
-  if (const auto* old = resize_.old()) {
-    for (const Bucket& b : old->table) b.list.for_each(fn);
+  if (old_ != nullptr) {
+    for (const Bucket& b : old_->table) b.list.for_each(fn);
   }
 }
 
 std::size_t SequentDemuxer::memory_bytes() const {
   std::size_t bytes = slab_.bytes() + sizeof(*this) +
                       buckets_.capacity() * sizeof(Bucket);
-  if (const auto* old = resize_.old()) {
-    bytes += sizeof(*old) + old->table.capacity() * sizeof(Bucket);
+  if (old_ != nullptr) {
+    bytes += sizeof(*old_) + old_->table.capacity() * sizeof(Bucket);
   }
   return bytes;
 }
@@ -303,8 +397,8 @@ std::vector<std::size_t> SequentDemuxer::chain_sizes() const {
 
 std::vector<std::size_t> SequentDemuxer::occupancy() const {
   std::vector<std::size_t> sizes = chain_sizes();
-  if (const auto* old = resize_.old()) {
-    for (const Bucket& b : old->table) sizes.push_back(b.list.count());
+  if (old_ != nullptr) {
+    for (const Bucket& b : old_->table) sizes.push_back(b.list.count());
   }
   return sizes;
 }

@@ -1,6 +1,5 @@
 #include "core/sharded_demuxer.h"
 
-#include <algorithm>
 #include <string>
 
 namespace tcpdemux::core {
@@ -189,18 +188,6 @@ void ShardedDemuxer::for_each_pcb(
 std::string ShardedDemuxer::name() const {
   return "sharded(" + std::to_string(shard_count()) + "x" +
          shards_[0]->name() + ")";
-}
-
-ResilienceStats ShardedDemuxer::resilience() const {
-  ResilienceStats total;
-  for (const auto& shard : shards_) {
-    const ResilienceStats r = shard->resilience();
-    total.overload_rehashes += r.overload_rehashes;
-    total.inserts_shed += r.inserts_shed;
-    total.watermark = std::max(total.watermark, r.watermark);
-    total.watermark_limit = std::max(total.watermark_limit, r.watermark_limit);
-  }
-  return total;
 }
 
 bool ShardedDemuxer::migration_step() {

@@ -68,7 +68,6 @@ class ShardedDemuxer : public Demuxer {
   void for_each_pcb(
       const std::function<void(const Pcb&)>& fn) const override;
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] ResilienceStats resilience() const override;
   bool migration_step() override;
   [[nodiscard]] std::vector<std::size_t> occupancy() const override;
 

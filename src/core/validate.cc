@@ -225,7 +225,7 @@ ValidationReport StructuralValidator::validate(const SequentDemuxer& demuxer) {
   };
 
   std::size_t total = check_table(demuxer.buckets_, tag, 0);
-  if (const auto* old = demuxer.resize_.old()) {
+  if (const auto* old = demuxer.old_.get()) {
     const std::string label = tag + "(old)";
     if (old->residents == 0) {
       errors.add(label, ": migration adjunct present with zero residents");
@@ -495,7 +495,7 @@ ValidatorTestAccess::lookup_members(const SequentDemuxer& d) {
                                  reinterpret_cast<const std::byte*>(&d));
     return MemberBytes{begin, begin + sizeof(member)};
   };
-  return {bytes(d.options_), bytes(d.buckets_), bytes(d.resize_.old_)};
+  return {bytes(d.options_), bytes(d.buckets_), bytes(d.old_)};
 }
 
 PcbList& ValidatorTestAccess::list(BsdListDemuxer& d) { return d.list_; }

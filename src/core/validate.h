@@ -95,7 +95,7 @@ struct ValidatorTestAccess {
     std::size_t end;
   };
   /// Where the members SequentDemuxer::lookup() reads sit: options_,
-  /// buckets_ and the resize engine's outgoing-table pointer, in that
+  /// buckets_ and the outgoing-table pointer old_, in that
   /// order. They are meant to share the 64 bytes after the Demuxer base.
   static std::array<MemberBytes, 3> lookup_members(const SequentDemuxer& d);
 

@@ -186,7 +186,7 @@ void run_fuzz_ops(const std::string& spec,
       const std::uint64_t injected_before = injector.injected();
       const std::uint64_t deferred_before =
           demuxer->telemetry().counters().resizes_deferred;
-      const std::uint64_t shed_before = demuxer->resilience().inserts_shed;
+      const std::uint64_t shed_before = demuxer->telemetry().counters().inserts_shed;
       Pcb* const pcb = demuxer->insert(k);
       const bool injected = injector.injected() != injected_before;
       if (injected) {
@@ -194,7 +194,7 @@ void run_fuzz_ops(const std::string& spec,
       }
       if (pcb == nullptr) {
         const bool blocked_shed =
-            demuxer->resilience().inserts_shed == shed_before + 1 &&
+            demuxer->telemetry().counters().inserts_shed == shed_before + 1 &&
             demuxer->telemetry().counters().resizes_deferred > 0;
         ASSERT_TRUE(expected || injected || blocked_shed)
             << "op " << op << ": new key refused with no injection";
@@ -318,7 +318,7 @@ TEST_P(FuzzAdversarialTest, CollidedOpsMatchReferenceAndPreserveInvariants) {
 // odd poll, and the growth retry it triggers polls next, on an even one.
 // In dynamic:5, blocked growth sheds an insert that would take the mean
 // chain load past twice the growth trigger (rung 2,
-// ResizeEngine::sheds_at_load), so the table settles at 2 x max_load x 5
+// SequentDemuxer::sheds_at_load), so the table settles at 2 x max_load x 5
 // residents, all on one chain.
 class FuzzAdversarialFloodTest : public FuzzAdversarialTest {};
 

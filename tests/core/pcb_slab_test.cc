@@ -186,7 +186,7 @@ TEST_P(PcbSlabRegistry, PcbsAreAlignedAndKeepTheirAddress) {
   // crafted for; the benign keys after it force several doublings.
   if (spec.find("rehash") != std::string::npos) {
     for (const net::FlowKey& k : rotation_flood()) insert(k);
-    EXPECT_GE(d->resilience().overload_rehashes, 1u);
+    EXPECT_GE(d->telemetry().counters().rehashes, 1u);
   }
   for (std::uint32_t i = 0; i < 700; ++i) insert(key(i));
   // Churn: erased slots are reused, and no survivor moves.

@@ -1,7 +1,7 @@
 // Stepped-drain test cases for the growing table (dynamic).
 // A growing table drains its outgoing half on its own, a bounded
 // batch per operation (kMigrateBatch per insert or erase,
-// kMigrateLookupBatch per lookup). A suite case written
+// kMigrateLookupBatch per lookup; both in core/sequent_hash.h). A suite case written
 // `<spec>:incremental` runs `<spec>` with the drain also advanced by hand:
 // one Demuxer::migration_step() after every operation the test issues, so
 // the test's checks also land on the drain phases that the built-in

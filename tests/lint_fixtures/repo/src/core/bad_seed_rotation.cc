@@ -17,8 +17,8 @@ void sanctioned_rotation(HashSpec& spec) {
   spec.seed = next_seed(spec.seed);  // NOLINT(seed-rotation)
 }
 
-void through_the_engine(Engine& engine, Table& live) {
-  engine.rotate_seed(*this, live);  // not a finding: the engine's API
+void through_the_table(SequentDemuxer& table, Table& live) {
+  table.rotate_seed();  // not a finding: the table's own rotation
   const auto s = next_seed_of(live);  // not a finding: another name
 }
 

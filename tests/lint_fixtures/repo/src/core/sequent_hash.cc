@@ -1,0 +1,9 @@
+// Fixture copy of the seed-rotation exempt file: SequentDemuxer's
+// rotate_seed is the one sanctioned home of a table-seed rotation.
+namespace tcpdemux::core {
+
+void SequentDemuxer::rotate_seed() {
+  options_.hasher.seed = net::next_seed(options_.hasher.seed);  // exempt
+}
+
+}  // namespace tcpdemux::core

@@ -35,6 +35,12 @@ std::vector<net::FlowKey> random_keys(std::size_t n, std::uint32_t seed) {
   return keys;
 }
 
+// Seed rotations so far, read from the telemetry registry (a sharded
+// demuxer's merged view sums its shards).
+std::uint64_t rehashes_of(const Demuxer& d) {
+  return d.telemetry().counters().rehashes;
+}
+
 TEST(OverloadRehash, SequentRotatesSeedAndRebalancesUnderChainFlood) {
   SequentDemuxer demuxer(
       {19, {net::HasherKind::kXorFold, 0}, true, /*rehash_on_overload=*/true,
@@ -55,8 +61,8 @@ TEST(OverloadRehash, SequentRotatesSeedAndRebalancesUnderChainFlood) {
   for (const net::FlowKey& key : flood) {
     ASSERT_NE(demuxer.insert(key), nullptr);
   }
-  const ResilienceStats r = demuxer.resilience();
-  EXPECT_GE(r.overload_rehashes, 1u);
+  const std::uint64_t rehashes = rehashes_of(demuxer);
+  EXPECT_GE(rehashes, 1u);
   // The rotation keyed the table; crafted keys now spread across chains.
   EXPECT_TRUE(demuxer.hash_spec().keyed());
   const auto sizes = demuxer.chain_sizes();
@@ -64,7 +70,7 @@ TEST(OverloadRehash, SequentRotatesSeedAndRebalancesUnderChainFlood) {
   EXPECT_LE(longest, demuxer.watermark_limit());
   // Cooldown hysteresis: the flood keeps inserting after the first
   // rotation, but rotations stay rare, not one-per-insert.
-  EXPECT_LE(r.overload_rehashes, 4u);
+  EXPECT_LE(rehashes, 4u);
 
   // Pointer-stable rebuild: every key still found, structure well-formed.
   EXPECT_EQ(demuxer.size(), flood.size());
@@ -81,10 +87,9 @@ TEST(OverloadRehash, SequentNeverFiresOnBenignTraffic) {
   for (const net::FlowKey& key : random_keys(4000, 0xbe9191)) {
     demuxer.insert(key);
   }
-  const ResilienceStats r = demuxer.resilience();
-  EXPECT_EQ(r.overload_rehashes, 0u);
+  EXPECT_EQ(rehashes_of(demuxer), 0u);
   EXPECT_FALSE(demuxer.hash_spec().keyed());
-  EXPECT_LE(r.watermark, r.watermark_limit);
+  EXPECT_LE(demuxer.watermark(), demuxer.watermark_limit());
 }
 
 TEST(OverloadRehash, SequentWithoutPolicyOnlyReportsWatermark) {
@@ -99,10 +104,9 @@ TEST(OverloadRehash, SequentWithoutPolicyOnlyReportsWatermark) {
       },
       3);
   for (const net::FlowKey& key : flood) demuxer.insert(key);
-  const ResilienceStats r = demuxer.resilience();
-  EXPECT_EQ(r.overload_rehashes, 0u);
-  EXPECT_EQ(r.watermark, flood.size());  // the pileup is visible in stats
-  EXPECT_GT(r.watermark, r.watermark_limit);
+  EXPECT_EQ(rehashes_of(demuxer), 0u);
+  EXPECT_EQ(demuxer.watermark(), flood.size());  // the pileup is visible
+  EXPECT_GT(demuxer.watermark(), demuxer.watermark_limit());
   EXPECT_FALSE(demuxer.hash_spec().keyed());
 }
 
@@ -120,7 +124,7 @@ TEST(OverloadRehash, RehashSurvivesChurnAfterRotation) {
       },
       0);
   for (const net::FlowKey& key : flood) demuxer.insert(key);
-  ASSERT_GE(demuxer.resilience().overload_rehashes, 1u);
+  ASSERT_GE(rehashes_of(demuxer), 1u);
 
   for (std::size_t i = 0; i < flood.size(); i += 2) {
     EXPECT_TRUE(demuxer.erase(flood[i]));
@@ -154,8 +158,12 @@ std::vector<net::FlowKey> xorfold_flood() {
   return sim::craft_xorfold_collisions(params, 0x1234abcd);
 }
 
+const SequentDemuxer& sequent_of(const Demuxer& d) {
+  return dynamic_cast<const SequentDemuxer&>(d);
+}
+
 net::HashSpec hash_spec_of(const Demuxer& d) {
-  return dynamic_cast<const SequentDemuxer&>(d).hash_spec();
+  return sequent_of(d).hash_spec();
 }
 
 class RefusedRotationTest : public ::testing::TestWithParam<RotationCase> {
@@ -191,7 +199,7 @@ TEST_P(RefusedRotationTest, KeepsSeedAndEveryPcbThenRotatesOnRecovery) {
 
   EXPECT_EQ(hash_spec_of(*demuxer).kind, before.kind);
   EXPECT_EQ(hash_spec_of(*demuxer).seed, before.seed);
-  EXPECT_EQ(demuxer->resilience().overload_rehashes, 0u);
+  EXPECT_EQ(rehashes_of(*demuxer), 0u);
   EXPECT_EQ(demuxer->size(), placed.size());
   for (const auto& [key, pcb] : placed) {
     EXPECT_EQ(demuxer->lookup(key).pcb, pcb);
@@ -202,13 +210,13 @@ TEST_P(RefusedRotationTest, KeepsSeedAndEveryPcbThenRotatesOnRecovery) {
   // flood keeps coming, with benign arrivals to run the cooldown down.
   const auto benign = random_keys(1024, 0xfeed);
   for (std::size_t i = 0;
-       i < benign.size() && demuxer->resilience().overload_rehashes == 0;
+       i < benign.size() && rehashes_of(*demuxer) == 0;
        ++i) {
     for (const net::FlowKey& key : {flood[next++ % flood.size()], benign[i]}) {
       if (Pcb* pcb = demuxer->insert(key)) placed.emplace_back(key, pcb);
     }
   }
-  EXPECT_GE(demuxer->resilience().overload_rehashes, 1u);
+  EXPECT_GE(rehashes_of(*demuxer), 1u);
   EXPECT_NE(hash_spec_of(*demuxer).seed, before.seed);
   for (const auto& [key, pcb] : placed) {
     EXPECT_EQ(demuxer->lookup(key).pcb, pcb);
@@ -231,8 +239,8 @@ INSTANTIATE_TEST_SUITE_P(
 // drain-sweep order (chains front to back); any other order reshuffles
 // chains, which moves the paper's cost metric. Each case replays one
 // seeded flood-plus-benign insert stream through the spec's rotations,
-// then a fixed lookup pass, and pins the totals, the final seed and the
-// resilience view.
+// then a fixed lookup pass, and pins the totals, the final seed, the
+// rotation count and the watermark.
 struct RotationPin {
   RotationCase rotation;
   std::uint64_t examined;
@@ -260,7 +268,7 @@ TEST_P(RotationPinTest, FloodThenLookupsKeepExactCosts) {
     }
     if (demuxer->insert(benign[i]) != nullptr) resident.push_back(benign[i]);
   }
-  ASSERT_GE(demuxer->resilience().overload_rehashes, 1u);
+  ASSERT_GE(rehashes_of(*demuxer), 1u);
   std::mt19937 rng(1992);
   const std::vector<net::FlowKey> absent = random_keys(64, 0xab5e47);
   for (int i = 0; i < 4000; ++i) {
@@ -270,10 +278,9 @@ TEST_P(RotationPinTest, FloodThenLookupsKeepExactCosts) {
   EXPECT_EQ(demuxer->stats().pcbs_examined, pin.examined);
   EXPECT_EQ(demuxer->stats().cache_hits, pin.cache_hits);
   EXPECT_EQ(hash_spec_of(*demuxer).seed, pin.seed);
-  const ResilienceStats r = demuxer->resilience();
-  EXPECT_EQ(r.overload_rehashes, pin.rotations);
-  EXPECT_EQ(r.watermark, pin.watermark);
-  EXPECT_EQ(r.watermark_limit, pin.watermark_limit);
+  EXPECT_EQ(rehashes_of(*demuxer), pin.rotations);
+  EXPECT_EQ(sequent_of(*demuxer).watermark(), pin.watermark);
+  EXPECT_EQ(sequent_of(*demuxer).watermark_limit(), pin.watermark_limit);
   EXPECT_EQ(validate_demuxer(*demuxer).to_string(), "");
 }
 
@@ -309,14 +316,16 @@ TEST_P(RotationStormTest, RotationsGrowWithTheLogOfTheFloodLength) {
          sim::craft_xorfold_collisions(params, 0x1234abcd)) {
       ASSERT_NE(demuxer->insert(key), nullptr);
     }
-    const ResilienceStats r = demuxer->resilience();
+    const SequentDemuxer& table = sequent_of(*demuxer);
+    const std::uint64_t rehashes = rehashes_of(table);
     SCOPED_TRACE(::testing::Message() << GetParam() << " length " << length);
-    EXPECT_GT(r.watermark, r.watermark_limit);  // no seed broke the flood
-    EXPECT_GE(r.overload_rehashes, 1u);
+    // No seed broke the flood.
+    EXPECT_GT(table.watermark(), table.watermark_limit());
+    EXPECT_GE(rehashes, 1u);
     if (previous != 0) {
-      EXPECT_LE(r.overload_rehashes, previous + 2);
+      EXPECT_LE(rehashes, previous + 2);
     }
-    previous = r.overload_rehashes;
+    previous = rehashes;
   }
 }
 
@@ -395,15 +404,7 @@ TEST_P(RotationLedgerTest, EachRotationCountsOnce) {
   EXPECT_EQ(counters.resizes_completed, 0u) << GetParam().spec;
   EXPECT_EQ(counters.resizes_deferred, 0u) << GetParam().spec;
   EXPECT_EQ(counters.resize_steps, 0u) << GetParam().spec;
-  EXPECT_EQ(demuxer->resilience().overload_rehashes, counters.rehashes);
-  EXPECT_EQ(demuxer->resilience().inserts_shed, counters.inserts_shed);
   EXPECT_EQ(validate_demuxer(*demuxer).to_string(), "");
-
-  // One ledger: the resilience counters are views of the telemetry
-  // registry, so they reset with it.
-  demuxer->reset_telemetry();
-  EXPECT_EQ(demuxer->resilience().overload_rehashes, 0u) << GetParam().spec;
-  EXPECT_EQ(demuxer->resilience().inserts_shed, 0u) << GetParam().spec;
 }
 
 INSTANTIATE_TEST_SUITE_P(

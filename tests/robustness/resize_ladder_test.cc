@@ -19,9 +19,11 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/demux_registry.h"
 #include "core/fault_inject.h"
+#include "core/sequent_hash.h"
 #include "core/validate.h"
 #include "drain_case.h"
 #include "net/flow_key.h"
@@ -120,7 +122,8 @@ TEST_P(ResizeLadderTest, DeferServesShedThenRecovers) {
   // past that it sheds. Keep every backoff retry
   // failing too (same arm_after(2) trick) so the block genuinely holds
   // until we choose to lift it, independent of the backoff constants.
-  const std::uint64_t shed_before = demuxer_->resilience().inserts_shed;
+  const std::uint64_t shed_before =
+      demuxer_->telemetry().counters().inserts_shed;
   std::uint32_t admitted_blocked = 0;
   std::uint32_t shed_seen = 0;
   for (std::uint32_t attempt = 0; attempt < kMaxAttempts; ++attempt) {
@@ -129,7 +132,7 @@ TEST_P(ResizeLadderTest, DeferServesShedThenRecovers) {
     injector.disarm();
     if (admitted) {
       ++admitted_blocked;
-    } else if (demuxer_->resilience().inserts_shed > shed_before) {
+    } else if (demuxer_->telemetry().counters().inserts_shed > shed_before) {
       ++shed_seen;
       if (shed_seen >= 3) break;  // rung 2 is holding, not a one-off
     }
@@ -162,6 +165,64 @@ TEST_P(ResizeLadderTest, DeferServesShedThenRecovers) {
   }
   EXPECT_GE(demuxer_->telemetry().counters().resizes_completed, 1u);
   expect_all_inserted_found("after drain");
+}
+
+// The ladder's exact schedule, pinned where DeferServesShedThenRecovers
+// stays independent of the backoff constants. With every growth allocation
+// refused, rung 1 defers at the first trigger and then retries after
+// kGrowBackoffMin (16) further growth checks, doubling per refusal up to
+// kGrowBackoffMax (4096); rung 2's first shed lands when the next insert
+// would take the mean load past twice the trigger. Lifting the block, the
+// pending 4096-check countdown runs out before the doubling lands. The
+// values were recorded from the templated resize engine that growth used
+// to run through, and hold unchanged for SequentDemuxer's own code.
+TEST_P(ResizeLadderTest, BlockedGrowthKeepsExactSchedule) {
+  InjectorGuard guard;
+  auto& injector = FaultInjector::instance();
+  const auto counters = [&] { return demuxer_->telemetry().counters(); };
+
+  // 1-based insert attempts at which resizes_deferred stepped: the first
+  // trigger at 11 residents, then one retry per backoff 16, 32, ..., 4096,
+  // 4096 (each retry is the check after its countdown).
+  std::vector<std::uint32_t> deferred_at;
+  std::uint32_t first_shed_at = 0;
+  std::uint32_t attempts = 0;
+  while (deferred_at.size() < 11) {
+    ASSERT_LT(attempts, 1U << 15) << GetParam() << ": ladder stalled";
+    injector.arm_after(2);
+    (void)insert_next();
+    injector.disarm();
+    ++attempts;
+    const report::TelemetryCounters c = counters();
+    if (c.resizes_deferred > deferred_at.size()) {
+      deferred_at.push_back(attempts);
+    }
+    if (first_shed_at == 0 && c.inserts_shed > 0) first_shed_at = attempts;
+  }
+  EXPECT_EQ(deferred_at,
+            (std::vector<std::uint32_t>{11, 28, 61, 126, 255, 512, 1025, 2050,
+                                        4099, 8196, 12293}))
+      << GetParam();
+  EXPECT_EQ(first_shed_at, 21u) << GetParam();
+  EXPECT_EQ(next_, 20u) << GetParam();
+  EXPECT_EQ(counters().resizes_started, 0u) << GetParam();
+
+  // Lift the block: the retry waits out the pending 4096-check countdown.
+  std::uint32_t started_at = 0;
+  while (started_at == 0) {
+    ASSERT_LT(attempts, 1U << 15) << GetParam() << ": retry never landed";
+    (void)insert_next();
+    ++attempts;
+    if (counters().resizes_started > 0) started_at = attempts;
+  }
+  EXPECT_EQ(started_at, 16390u) << GetParam();
+  while (demuxer_->migration_step()) {
+  }
+  EXPECT_EQ(dynamic_cast<const SequentDemuxer&>(*demuxer_).chains(), 19u)
+      << GetParam();
+  EXPECT_EQ(counters().resize_steps, 3u) << GetParam();
+  EXPECT_EQ(counters().resizes_deferred, 11u) << GetParam();
+  expect_all_inserted_found("after the pinned ladder");
 }
 
 // ISSUE acceptance: an allocation failure arriving *mid-migration* must
@@ -234,8 +295,6 @@ TEST_P(ResizeLadderTest, EachDoublingCountsOnce) {
   EXPECT_EQ(counters.resizes_completed, doublings) << GetParam();
   EXPECT_EQ(counters.resizes_deferred, 0u) << GetParam();
   EXPECT_EQ(counters.rehashes, 0u) << GetParam();
-  EXPECT_EQ(demuxer_->resilience().overload_rehashes, counters.rehashes)
-      << GetParam();
   expect_all_inserted_found("after four doublings");
 }
 

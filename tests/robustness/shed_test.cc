@@ -30,7 +30,7 @@ void expect_cap_enforced(SequentDemuxer& demuxer, std::size_t cap) {
     }
   }
   EXPECT_EQ(demuxer.size(), cap);
-  EXPECT_EQ(demuxer.resilience().inserts_shed, 100 - cap);
+  EXPECT_EQ(demuxer.telemetry().counters().inserts_shed, 100 - cap);
   EXPECT_EQ(validate_demuxer(demuxer).to_string(), "");
 
   // Capped keys were refused, not half-inserted.
@@ -66,9 +66,9 @@ TEST(Shedding, DuplicateInsertAtCapIsNotShed) {
   ASSERT_NE(demuxer.insert(nth_key(0)), nullptr);
   ASSERT_NE(demuxer.insert(nth_key(1)), nullptr);
   EXPECT_EQ(demuxer.insert(nth_key(0)), nullptr);
-  EXPECT_EQ(demuxer.resilience().inserts_shed, 0u);
+  EXPECT_EQ(demuxer.telemetry().counters().inserts_shed, 0u);
   EXPECT_EQ(demuxer.insert(nth_key(2)), nullptr);
-  EXPECT_EQ(demuxer.resilience().inserts_shed, 1u);
+  EXPECT_EQ(demuxer.telemetry().counters().inserts_shed, 1u);
 }
 
 TEST(Shedding, RegistrySpecSetsCap) {
@@ -78,7 +78,7 @@ TEST(Shedding, RegistrySpecSetsCap) {
   const auto demuxer = make_demuxer(*config);
   for (std::uint32_t i = 0; i < 20; ++i) demuxer->insert(nth_key(i));
   EXPECT_EQ(demuxer->size(), 8u);
-  EXPECT_EQ(demuxer->resilience().inserts_shed, 12u);
+  EXPECT_EQ(demuxer->telemetry().counters().inserts_shed, 12u);
 }
 
 TEST(Shedding, SynCacheShedsGloballyOldestAtBudget) {

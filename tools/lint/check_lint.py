@@ -30,9 +30,10 @@ Line rules:
                      the non-Linux fallback and the ASan slack poisoning,
                      so no table or slab grows a private mapping path.
   seed-rotation      net::next_seed( is called in src/ only by
-                     core/resize_policy.h (ResizeEngine::rotate_seed, the
-                     one table-seed rotation: allocate first, keep the
-                     seed on refusal, re-place every resident, count once)
+                     core/sequent_hash.cc (SequentDemuxer::rotate_seed,
+                     the one table-seed rotation: allocate first, keep
+                     the seed on refusal, re-place every resident, count
+                     once)
                      and core/sharded_demuxer.cc (the steering seed). Its
                      declaration and definition (first parameter a type)
                      are not calls.
@@ -586,10 +587,10 @@ def build_rules(root: str) -> list:
             r"\bnext_seed\s*\((?!\s*(?:const\s+)?(?:std::)?u?int\d+_t\b)",
             ("src",),
             "rotate a table's hash seed only through "
-            "ResizeEngine::rotate_seed (core/resize_policy.h): one protocol "
-            "allocates first, keeps the seed on refusal, re-places every "
-            "resident and counts the rotation once",
-            ("src/core/resize_policy.h", "src/core/sharded_demuxer.cc"),
+            "SequentDemuxer::rotate_seed (core/sequent_hash.cc): one "
+            "protocol allocates first, keeps the seed on refusal, re-places "
+            "every resident and counts the rotation once",
+            ("src/core/sequent_hash.cc", "src/core/sharded_demuxer.cc"),
         ),
         RegexRule(
             "prefetch-discipline",
