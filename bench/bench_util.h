@@ -301,18 +301,6 @@ inline void finish_json(const report::BenchJsonWriter& writer,
   }
 }
 
-/// Snapshots one measured demuxer into a telemetry report (counters,
-/// histograms if the bench enabled them, occupancy at end of run).
-inline report::TelemetryReport telemetry_report_of(
-    const std::string& source, const core::Demuxer& demuxer) {
-  report::TelemetryReport rec;
-  rec.source = source;
-  rec.algorithm = demuxer.name();
-  rec.telemetry = demuxer.telemetry();
-  rec.occupancy = demuxer.occupancy();
-  return rec;
-}
-
 /// Writes the accumulated telemetry reports if --telemetry was given.
 /// Exits non-zero on I/O failure, exactly like finish_json.
 inline void finish_telemetry(std::span<const report::TelemetryReport> reports,

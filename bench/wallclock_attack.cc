@@ -168,7 +168,7 @@ int main(int argc, char** argv) {
 
     if (!opts.telemetry_path.empty()) {
       auto trec =
-          bench::telemetry_report_of("bench/wallclock_attack", *fx.demuxer);
+          core::telemetry_report_of("bench/wallclock_attack", *fx.demuxer);
       trec.algorithm = s.label;
       telemetry.push_back(std::move(trec));
     }

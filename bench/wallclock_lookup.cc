@@ -169,7 +169,7 @@ int main(int argc, char** argv) {
       writer.add(std::move(rec));
 
       if (!opts.telemetry_path.empty()) {
-        auto trec = bench::telemetry_report_of("bench/wallclock_lookup",
+        auto trec = core::telemetry_report_of("bench/wallclock_lookup",
                                                *fx.demuxer);
         trec.algorithm = spec + "@" + std::to_string(users);
         telemetry.push_back(std::move(trec));

@@ -53,11 +53,8 @@ int main(int argc, char** argv) {
   options.latency_sample_every = 64;
   const sim::ReplayResult result = sim::replay_trace(trace, *demuxer, options);
 
-  report::TelemetryReport rec;
-  rec.source = "sim/replay";
-  rec.algorithm = demuxer->name();
-  rec.telemetry = demuxer->telemetry();
-  rec.occupancy = demuxer->occupancy();
+  report::TelemetryReport rec =
+      core::telemetry_report_of("sim/replay", *demuxer);
   rec.series = result.series;
   rec.latency_ns = result.latency_ns;
 
@@ -68,7 +65,7 @@ int main(int argc, char** argv) {
   }
 
   std::cout << "algorithm:    " << rec.algorithm << '\n'
-            << "lookups:      " << rec.telemetry.counters().lookups << '\n'
+            << "lookups:      " << rec.ledger.lookups << '\n'
             << "mean examined " << rec.telemetry.examined().mean() << '\n'
             << "p99 examined  " << rec.telemetry.examined().percentile_upper(0.99)
             << '\n'

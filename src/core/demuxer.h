@@ -21,6 +21,7 @@
 #include "core/pcb.h"
 #include "net/flow_key.h"
 #include "report/telemetry.h"
+#include "report/telemetry_json.h"
 
 namespace tcpdemux::core {
 
@@ -135,10 +136,9 @@ class Demuxer {
   /// Algorithm name, e.g. "sequent(h=19,crc32)".
   [[nodiscard]] virtual std::string name() const = 0;
 
+  /// The one lookup ledger: lookups, found, cache hits and PCBs examined.
   [[nodiscard]] const DemuxStats& stats() const noexcept { return stats_; }
-  /// Virtual so aggregating backends reset their children's ledgers too —
-  /// otherwise the merged telemetry view and the parent stats() would
-  /// drift apart after a reset.
+  /// Virtual so aggregating backends reset their children's ledgers too.
   virtual void reset_stats() noexcept { stats_.reset(); }
 
   /// Advances any in-progress table migration by one bounded batch (the
@@ -150,22 +150,19 @@ class Demuxer {
   /// batch.
   virtual bool migration_step() { return false; }
 
-  /// The per-demuxer telemetry registry (see report/telemetry.h): event
-  /// counters plus opt-in examined-PCB / probe-length histograms. Every
-  /// lookup() override funnels its result through note_lookup(), so the
-  /// registry and stats() can never drift apart. Returned by value: the
-  /// lookup counters (lookups/found/cache_hits) are synced from stats_ at
-  /// read time — they are the same ledger by definition, and keeping one
-  /// copy means the default lookup path touches no telemetry state at all
-  /// (the 2% overhead budget; see DESIGN.md "Observability").
+  /// The per-demuxer telemetry registry (see report/telemetry.h): the
+  /// table-event counters no other ledger holds, plus opt-in examined-PCB
+  /// / probe-length histograms. It keeps no lookup counters — stats() is
+  /// their one ledger — and every lookup() override funnels its result
+  /// through note_lookup(), so with histograms on from the start,
+  /// examined().count() equals stats().lookups and examined().sum() equals
+  /// stats().pcbs_examined.
   ///
   /// Virtual so aggregating backends (sharded) can return a merged view
   /// built from their children; the merge happens into a fresh value on
-  /// every call, so repeated reads never re-add already-synced counters.
+  /// every call, so repeated reads never re-add already-merged counters.
   [[nodiscard]] virtual report::Telemetry telemetry() const {
-    report::Telemetry t = *telemetry_;
-    t.set_lookup_counters(stats_.lookups, stats_.found, stats_.cache_hits);
-    return t;
+    return *telemetry_;
   }
   /// Switches the registry's histograms on/off for this run (default off:
   /// the paper-faithful fast path pays one predictable branch only).
@@ -174,7 +171,6 @@ class Demuxer {
     telemetry_histograms_ = on;
     telemetry_->enable_histograms(on);
   }
-  virtual void reset_telemetry() noexcept { telemetry_->reset(); }
 
   /// Sizes of the structure's natural partitions — hash-chain lengths for
   /// the chained algorithms, the single list length for the linear-scan
@@ -189,12 +185,12 @@ class Demuxer {
   [[nodiscard]] std::uint64_t next_conn_id() noexcept { return conn_seq_++; }
 
   /// Single funnel for lookup accounting: records `r` in stats_ and, when
-  /// histograms are on, in the telemetry registry. Subclasses call this
-  /// instead of touching stats_ directly so the two paths stay bit-exact
-  /// (fuzz-enforced). The gate bool lives HERE, not in telemetry_: it
-  /// shares stats_'s cache line, so the default (histograms-off) path has
-  /// exactly the pre-telemetry memory footprint — one predicted branch,
-  /// zero extra lines touched.
+  /// histograms are on, in the registry's histograms. Subclasses call this
+  /// instead of touching stats_ directly so the histograms cover exactly
+  /// the lookups stats_ counts (fuzz-enforced). The gate bool lives HERE,
+  /// not in telemetry_: it shares stats_'s cache line, so the default
+  /// (histograms-off) path has exactly the pre-telemetry memory footprint
+  /// — one predicted branch, zero extra lines touched.
   void note_lookup(const LookupResult& r) noexcept {
     stats_.record(r);
     if (telemetry_histograms_) [[unlikely]] {
@@ -219,6 +215,12 @@ class Demuxer {
  private:
   std::uint64_t conn_seq_ = 0;
 };
+
+/// Snapshots `demuxer` for a telemetry export: the lookup counters from
+/// its one ledger (stats()), the registry (telemetry()) and its occupancy.
+/// Harness-side extras (series, latency) are the caller's to add.
+[[nodiscard]] report::TelemetryReport telemetry_report_of(
+    const std::string& source, const Demuxer& demuxer);
 
 }  // namespace tcpdemux::core
 

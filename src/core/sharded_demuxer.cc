@@ -86,10 +86,10 @@ LookupResult ShardedDemuxer::lookup(const net::FlowKey& key,
       }
     }
   }
-  // Parent accounting goes to stats_ only; the parent telemetry registry
-  // stays empty by design (telemetry() merges the shard registries, so a
-  // parent-side copy would be counted twice).
-  stats_.record(r);
+  // A fleet lookup is one lookup, however many shards it probed: the
+  // parent's funnel counts it, and telemetry() takes the lookup histograms
+  // from the parent only.
+  note_lookup(r);
   return r;
 }
 
@@ -138,7 +138,7 @@ void ShardedDemuxer::lookup_batch(std::span<const net::FlowKey> keys,
   for (std::size_t slot = 0; slot < n; ++slot) {
     results[batch_index_[slot]] = batch_results_[slot];
   }
-  for (std::size_t i = 0; i < n; ++i) stats_.record(results[i]);
+  for (std::size_t i = 0; i < n; ++i) note_lookup(results[i]);
 }
 
 void ShardedDemuxer::note_sent(Pcb* pcb) {
@@ -208,8 +208,9 @@ std::vector<std::size_t> ShardedDemuxer::occupancy() const {
 }
 
 report::Telemetry ShardedDemuxer::telemetry() const {
-  report::Telemetry merged;
-  merged.enable_histograms(telemetry_histograms_);
+  // The parent's registry holds the fleet's lookup histograms; the shards
+  // contribute their table-side counters and resize histograms.
+  report::Telemetry merged = *telemetry_;
   for (const auto& shard : shards_) {
     merged.merge_from(shard->telemetry());
   }
@@ -217,18 +218,14 @@ report::Telemetry ShardedDemuxer::telemetry() const {
 }
 
 void ShardedDemuxer::enable_telemetry_histograms(bool on) noexcept {
-  telemetry_histograms_ = on;
+  Demuxer::enable_telemetry_histograms(on);
   for (const auto& shard : shards_) shard->enable_telemetry_histograms(on);
-}
-
-void ShardedDemuxer::reset_telemetry() noexcept {
-  for (const auto& shard : shards_) shard->reset_telemetry();
 }
 
 void ShardedDemuxer::reset_stats() noexcept {
   Demuxer::reset_stats();
-  // Shard ledgers feed the merged telemetry view; resetting only the
-  // parent would leave telemetry() reporting lookups stats() forgot.
+  // Keep the shard ledgers a partition of the parent's while steering is
+  // stable, so per-shard counts stay comparable after a reset.
   for (const auto& shard : shards_) shard->reset_stats();
 }
 

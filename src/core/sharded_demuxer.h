@@ -19,9 +19,13 @@
 //     the new home shard and fall back to probing the others. The
 //     `misplaced_possible` flag gates that slow path: until steering
 //     mutates, no lookup ever pays for it;
-//   * aggregation — size/occupancy/telemetry present the shard fleet as
-//     one demuxer. telemetry() merges per-shard registries into a fresh
-//     value on every read (Telemetry::merge_from), so repeated reads never
+//   * aggregation — stats/size/occupancy/telemetry present the shard
+//     fleet as one demuxer. lookup() funnels each fleet lookup once
+//     through the parent's note_lookup(), so stats() and the parent's
+//     lookup histograms count it once however many shards a drifted
+//     lookup probed. telemetry() copies those histograms and merges the
+//     shards' table-side counters and resize histograms into a fresh value
+//     on every read (Telemetry::merge_from), so repeated reads never
 //     double-count; occupancy() reports per-shard sizes, which is exactly
 //     what interval_sample needs to expose cross-shard skew.
 //
@@ -71,13 +75,13 @@ class ShardedDemuxer : public Demuxer {
   bool migration_step() override;
   [[nodiscard]] std::vector<std::size_t> occupancy() const override;
 
-  /// Merged fleet view, built fresh on every call: each shard's synced
-  /// telemetry() snapshot accumulated via Telemetry::merge_from. The
-  /// parent's own registry is never populated, so there is nothing to
-  /// double-count no matter how often shards and parent are read.
+  /// Merged fleet view, built fresh on every call: the parent's lookup
+  /// histograms plus each shard's table-side counters and resize
+  /// histograms (Telemetry::merge_from). The parent records no table
+  /// events and the shards' lookup histograms are not merged, so nothing
+  /// is counted twice no matter how often shards and parent are read.
   [[nodiscard]] report::Telemetry telemetry() const override;
   void enable_telemetry_histograms(bool on) noexcept override;
-  void reset_telemetry() noexcept override;
   void reset_stats() noexcept override;
 
   // --- sharded-specific surface -------------------------------------
@@ -87,6 +91,8 @@ class ShardedDemuxer : public Demuxer {
   }
   /// Direct shard access: bench threads drive shard(i) from core i, and
   /// the NIC dispatch delivers per-queue traffic straight to its shard.
+  /// A lookup issued on a shard is counted by that shard alone, not by
+  /// the fleet's stats() or its lookup histograms.
   [[nodiscard]] Demuxer& shard(std::uint32_t i) noexcept {
     return *shards_[i];
   }

@@ -51,17 +51,16 @@ Log2Histogram Log2Histogram::since(const Log2Histogram& earlier) const {
   return delta;
 }
 
-TelemetrySample interval_sample(std::uint64_t events, const Telemetry& cur,
+TelemetrySample interval_sample(std::uint64_t events, std::uint64_t lookups,
+                                std::uint64_t cache_hits, const Telemetry& cur,
                                 const Telemetry& prev,
                                 std::span<const std::size_t> occupancy) {
   TelemetrySample s;
   s.events = events;
-  const TelemetryCounters& c = cur.counters();
-  const TelemetryCounters& p = prev.counters();
-  s.lookups = c.lookups - p.lookups;
-  if (s.lookups != 0) {
-    s.hit_rate = static_cast<double>(c.cache_hits - p.cache_hits) /
-                 static_cast<double>(s.lookups);
+  s.lookups = lookups;
+  if (lookups != 0) {
+    s.hit_rate =
+        static_cast<double>(cache_hits) / static_cast<double>(lookups);
   }
   const Log2Histogram delta = cur.examined().since(prev.examined());
   s.mean_examined = delta.mean();

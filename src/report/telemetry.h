@@ -1,15 +1,16 @@
-// Per-demuxer telemetry: counters, log2 histograms, occupancy snapshots,
-// and interval time series.
+// Per-demuxer telemetry: table-event counters, log2 histograms, occupancy
+// snapshots, and interval time series.
 //
 // The paper's entire argument rests on one measured quantity — expected
 // PCBs examined per packet — but an end-of-run mean hides exactly what
 // Jain's locality studies [Jai89] say matters: the *distribution* and its
-// evolution over time. This registry gives every demuxer a second,
-// always-consistent accounting path next to DemuxStats:
+// evolution over time. The lookup counters and their mean live in one
+// ledger, core::DemuxStats; this registry keeps only what no other ledger
+// holds:
 //
-//   * event counters (lookups, found, cache hits, shed inserts, overload
-//     rehashes) are maintained unconditionally — a handful of add/or
-//     instructions per event;
+//   * table-event counters (inserts, erases, shed inserts, overload
+//     rehashes, resize events) are maintained unconditionally — a handful
+//     of add instructions per event;
 //   * log2-bucketed histograms of examined PCBs and miss-path probe
 //     lengths are opt-in per run (enable_histograms), so the default
 //     paper-faithful hot path pays one predictable branch and nothing
@@ -95,11 +96,9 @@ class Log2Histogram {
   std::uint64_t max_ = 0;
 };
 
-/// Event counters every demuxer maintains unconditionally.
+/// Table-event counters every demuxer maintains unconditionally. Lookup
+/// counts are not here: core::DemuxStats is their one ledger.
 struct TelemetryCounters {
-  std::uint64_t lookups = 0;
-  std::uint64_t found = 0;
-  std::uint64_t cache_hits = 0;
   std::uint64_t inserts = 0;       ///< successful PCB registrations
   std::uint64_t erases = 0;        ///< successful PCB removals
   std::uint64_t inserts_shed = 0;  ///< inserts refused at a max_pcbs cap
@@ -132,14 +131,11 @@ struct TelemetryCounters {
 /// core/thread_annotations.h and DESIGN.md "Static analysis").
 class Telemetry {
  public:
-  /// Records one completed lookup. Counters always; histograms only when
-  /// enabled. `examined` lands in the examined-PCB histogram, and — for
-  /// lookups the single-entry caches did not absorb — in the miss-path
-  /// probe-length histogram.
-  void on_lookup(std::uint32_t examined, bool found, bool cache_hit) noexcept {
-    ++counters_.lookups;
-    counters_.found += static_cast<std::uint64_t>(found);
-    counters_.cache_hits += static_cast<std::uint64_t>(cache_hit);
+  /// Records one completed lookup in the histograms, when enabled:
+  /// `examined` lands in the examined-PCB histogram, and — for lookups the
+  /// single-entry caches did not absorb — in the miss-path probe-length
+  /// histogram. The lookup's counts belong to the caller's DemuxStats.
+  void on_lookup(std::uint32_t examined, bool cache_hit) noexcept {
     if (!histograms_enabled_) return;
     examined_.add(examined);
     if (!cache_hit) probe_length_.add(examined);
@@ -162,19 +158,6 @@ class Telemetry {
     if (!histograms_enabled_) return;
     resize_work_.add(moved);
     migration_debt_.add(debt);
-  }
-
-  /// Overwrites the three lookup counters. For owners that already keep a
-  /// lookup ledger (core::Demuxer's DemuxStats): they skip on_lookup in
-  /// counters-only mode to keep the fast path at its pre-telemetry memory
-  /// footprint, then sync the shared counters here when the registry is
-  /// read. Owners without such a ledger (tcp::SynCache) just call
-  /// on_lookup and never need this.
-  void set_lookup_counters(std::uint64_t lookups, std::uint64_t found,
-                           std::uint64_t cache_hits) noexcept {
-    counters_.lookups = lookups;
-    counters_.found = found;
-    counters_.cache_hits = cache_hits;
   }
 
   /// Histograms are off by default so the paper-faithful fast path pays
@@ -203,21 +186,20 @@ class Telemetry {
     return migration_debt_;
   }
 
-  /// Accumulates `other`'s counters and histograms into this registry.
+  /// Accumulates `other`'s table side into this registry: every event
+  /// counter and the two resize histograms. The lookup histograms are not
+  /// merged: they belong to the demuxer whose lookup() the caller asked,
+  /// which funnels each lookup into them exactly once however many inner
+  /// tables it probed (a sharded fleet's cross-shard sweep).
   ///
   /// This is the one sanctioned way to aggregate N per-shard registries
-  /// into a fleet view. The contract that makes it safe: the caller
-  /// merges *synced snapshots* (each shard's telemetry() return value,
-  /// whose lookup counters were just overwritten from that shard's
-  /// DemuxStats ledger via set_lookup_counters) into a *fresh* target.
-  /// Merging into persistent state across repeated reads would re-add
-  /// already-synced counters — the aggregation double-count bug this
-  /// method's regression test pins down (see telemetry_test.cc
+  /// into a fleet view. The caller merges snapshots (each shard's
+  /// telemetry() return value) into a *fresh* target; merging into
+  /// persistent state across repeated reads would re-add the same events
+  /// on every read — the aggregation double-count bug this method's
+  /// regression test pins down (see telemetry_test.cc
   /// MergeIsIdempotentAcrossRepeatedReads).
   void merge_from(const Telemetry& other) noexcept {
-    counters_.lookups += other.counters_.lookups;
-    counters_.found += other.counters_.found;
-    counters_.cache_hits += other.counters_.cache_hits;
     counters_.inserts += other.counters_.inserts;
     counters_.erases += other.counters_.erases;
     counters_.inserts_shed += other.counters_.inserts_shed;
@@ -226,8 +208,6 @@ class Telemetry {
     counters_.resizes_completed += other.counters_.resizes_completed;
     counters_.resizes_deferred += other.counters_.resizes_deferred;
     counters_.resize_steps += other.counters_.resize_steps;
-    examined_.merge_from(other.examined_);
-    probe_length_.merge_from(other.probe_length_);
     resize_work_.merge_from(other.resize_work_);
     migration_debt_.merge_from(other.migration_debt_);
   }
@@ -239,11 +219,8 @@ class Telemetry {
   }
 
  private:
-  // Member order is the hot-path cache layout: the flag and the three
-  // lookup counters are touched on EVERY lookup and must stay within one
-  // cache line of the start of the object (which sits right after the
-  // demuxer's DemuxStats). The ~1 KiB histograms go last so the
-  // counters-only default mode never pulls their lines in.
+  // The ~1 KiB histograms go last so the counters-only default mode never
+  // pulls their lines in.
   bool histograms_enabled_ = false;
   TelemetryCounters counters_;
   Log2Histogram examined_;
@@ -274,14 +251,15 @@ struct TelemetrySeries {
   std::vector<TelemetrySample> samples;
 };
 
-/// Builds one sample from the registry state at the interval boundary:
-/// `cur` minus `prev` gives the interval's lookups and distribution,
-/// `occupancy` the instantaneous partition sizes (Demuxer::occupancy()).
-/// Requires cur's histograms enabled for the percentile fields to be
-/// meaningful; with histograms off they are 0 and mean/hit-rate still
-/// come from the counters.
+/// Builds one sample at the interval boundary: `lookups` and `cache_hits`
+/// are the interval's counts from the caller's own lookup ledger, `cur`
+/// minus `prev` gives the interval's distribution, and `occupancy` the
+/// instantaneous partition sizes (Demuxer::occupancy()). Requires cur's
+/// histograms enabled for the examined fields to be meaningful; with
+/// histograms off they are 0 and the hit rate still comes from the counts.
 [[nodiscard]] TelemetrySample interval_sample(
-    std::uint64_t events, const Telemetry& cur, const Telemetry& prev,
+    std::uint64_t events, std::uint64_t lookups, std::uint64_t cache_hits,
+    const Telemetry& cur, const Telemetry& prev,
     std::span<const std::size_t> occupancy);
 
 /// Optional sampled lookup-latency recorder, used by harnesses (replay,

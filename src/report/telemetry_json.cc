@@ -59,8 +59,9 @@ void append_report(std::ostringstream& os, const TelemetryReport& r) {
   append_escaped(os, r.algorithm);
 
   const TelemetryCounters& c = r.telemetry.counters();
-  os << ",\n \"counters\": {\"lookups\": " << c.lookups
-     << ", \"found\": " << c.found << ", \"cache_hits\": " << c.cache_hits
+  os << ",\n \"counters\": {\"lookups\": " << r.ledger.lookups
+     << ", \"found\": " << r.ledger.found
+     << ", \"cache_hits\": " << r.ledger.cache_hits
      << ", \"inserts\": " << c.inserts << ", \"erases\": " << c.erases
      << ", \"inserts_shed\": " << c.inserts_shed
      << ", \"rehashes\": " << c.rehashes

@@ -23,6 +23,11 @@
 //          "occ_max": N, "occ_mean": x, "occ_skew": x}, ...]}
 //   }
 //
+// The first three counters come from TelemetryReport::ledger — the
+// demuxer's DemuxStats, its one lookup ledger — and the rest from the
+// registry, so `examined.count` equals `counters.lookups` whenever the
+// histograms were on for the whole run.
+//
 // Histogram bucket b counts values of bit width b (see Log2Histogram);
 // trailing zero buckets are trimmed. Several reports serialize as a JSON
 // array, mergeable exactly like report/bench_json.h exports. The schema is
@@ -32,6 +37,7 @@
 #define TCPDEMUX_REPORT_TELEMETRY_JSON_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <ostream>
 #include <span>
 #include <string>
@@ -41,13 +47,23 @@
 
 namespace tcpdemux::report {
 
+/// The lookup counts an export reports, copied from the demuxer's
+/// DemuxStats (the registry keeps no lookup counters).
+struct LookupLedger {
+  std::uint64_t lookups = 0;
+  std::uint64_t found = 0;
+  std::uint64_t cache_hits = 0;
+};
+
 /// Everything one export knows about one demuxer run. Plain aggregation:
-/// the caller copies the registry state out of the demuxer (Telemetry is
-/// a value type) plus whatever harness-side extras the run produced.
+/// the caller copies the lookup ledger and the registry state out of the
+/// demuxer (Telemetry is a value type) plus whatever harness-side extras
+/// the run produced.
 struct TelemetryReport {
   std::string source;     ///< producing harness, e.g. "sim/replay"
   std::string algorithm;  ///< Demuxer::name()
-  Telemetry telemetry;    ///< counters + examined/probe histograms
+  LookupLedger ledger;    ///< Demuxer::stats() at export
+  Telemetry telemetry;    ///< table counters + examined/probe histograms
   std::vector<std::size_t> occupancy;  ///< Demuxer::occupancy() at export
   TelemetrySeries series;              ///< may be empty
   Log2Histogram latency_ns;            ///< empty unless a run sampled it

@@ -26,7 +26,21 @@ ReplayResult replay_trace(const Trace& trace,
     demuxer.enable_telemetry_histograms(true);
     result.series.interval = options.telemetry_interval;
   }
+  // Interval boundaries: the registry snapshot for the distribution, the
+  // replay's own running counts for the lookups and hits.
   report::Telemetry prev = demuxer.telemetry();
+  std::uint64_t prev_lookups = 0;
+  std::uint64_t prev_hits = 0;
+  const auto take_sample = [&] {
+    const auto occ = demuxer.occupancy();
+    const report::Telemetry cur = demuxer.telemetry();
+    result.series.samples.push_back(report::interval_sample(
+        result.lookups, result.lookups - prev_lookups,
+        result.cache_hits - prev_hits, cur, prev, occ));
+    prev = cur;
+    prev_lookups = result.lookups;
+    prev_hits = result.cache_hits;
+  };
   report::LatencySampler sampler =
       options.latency_sample_every != 0
           ? report::LatencySampler(options.latency_sample_every)
@@ -104,10 +118,7 @@ ReplayResult replay_trace(const Trace& trace,
         }
         if (want_series &&
             result.lookups % options.telemetry_interval == 0) {
-          const auto occ = demuxer.occupancy();
-          result.series.samples.push_back(report::interval_sample(
-              result.lookups, demuxer.telemetry(), prev, occ));
-          prev = demuxer.telemetry();
+          take_sample();
         }
         break;
       }
@@ -117,9 +128,7 @@ ReplayResult replay_trace(const Trace& trace,
       result.lookups % options.telemetry_interval != 0) {
     // Final partial interval: the tail of the run still shows up in the
     // series instead of silently vanishing.
-    const auto occ = demuxer.occupancy();
-    result.series.samples.push_back(report::interval_sample(
-        result.lookups, demuxer.telemetry(), prev, occ));
+    take_sample();
   }
   if (sampler.enabled()) result.latency_ns = sampler.histogram();
   return result;

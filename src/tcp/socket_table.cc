@@ -156,7 +156,7 @@ SocketTable::DeliverResult SocketTable::deliver(const net::Packet& packet) {
   // A pure ACK that matched no PCB may complete a SYN-cached handshake.
   if (syn_cache_ && pure_ack) {
     SynCache::Entry entry;
-    if (syn_cache_->find(key) != nullptr && syn_cache_->take(key, &entry)) {
+    if (syn_cache_->take(key, &entry)) {
       if (packet.tcp.ack == entry.iss + 1 &&
           packet.tcp.seq == entry.irs + 1) {
         Pcb* child = demuxer_->insert(key);

@@ -45,12 +45,10 @@ const SynCache::Entry* SynCache::add(const net::FlowKey& key,
     bucket.pop_front();  // evict the oldest embryo in this bucket
     --size_;
     ++stats_.evicted;
-    telemetry_.on_erase();
   }
   bucket.push_back(Entry{key, irs, iss, now});
   ++size_;
   ++stats_.added;
-  telemetry_.on_insert();
   return &bucket.back();
 }
 
@@ -69,23 +67,12 @@ void SynCache::shed_oldest() {
   victim->pop_front();
   --size_;
   ++stats_.shed;
-  // Unlike the demuxers' shed (a refused insert), this removes a live
-  // embryo: it is both an erase (ledger) and a shed (reason).
-  telemetry_.on_erase();
-  telemetry_.on_shed();
 }
 
 const SynCache::Entry* SynCache::find(const net::FlowKey& key) const {
-  const Bucket& bucket = bucket_of(key);
-  std::uint32_t examined = 0;
-  for (const Entry& e : bucket) {
-    ++examined;
-    if (e.key == key) {
-      telemetry_.on_lookup(examined, /*found=*/true, /*cache_hit=*/false);
-      return &e;
-    }
+  for (const Entry& e : bucket_of(key)) {
+    if (e.key == key) return &e;
   }
-  telemetry_.on_lookup(examined, /*found=*/false, /*cache_hit=*/false);
   return nullptr;
 }
 
@@ -97,7 +84,6 @@ bool SynCache::take(const net::FlowKey& key, Entry* out) {
       bucket.erase(it);
       --size_;
       ++stats_.promoted;
-      telemetry_.on_erase();
       return true;
     }
   }
@@ -113,7 +99,6 @@ std::size_t SynCache::expire(double now) {
       bucket.pop_front();
       --size_;
       ++dropped;
-      telemetry_.on_erase();
     }
   }
   stats_.expired += dropped;

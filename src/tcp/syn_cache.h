@@ -9,6 +9,8 @@
 //
 // This implementation follows the classic BSD syncache shape: H buckets,
 // per-bucket entry limit with oldest-entry eviction, global timeout.
+// Stats is its one ledger: every embryo that leaves the cache is counted
+// once, as evicted, expired, promoted or shed.
 //
 // Threading: single-owner by design — one SynCache belongs to one tcp
 // machine (and, in the sharded receive path, one shard), so it carries no
@@ -27,7 +29,6 @@
 
 #include "net/flow_key.h"
 #include "net/hashers.h"
-#include "report/telemetry.h"
 
 namespace tcpdemux::tcp {
 
@@ -75,11 +76,12 @@ class SynCache {
   const Entry* add(const net::FlowKey& key, std::uint32_t irs,
                    std::uint32_t iss, double now);
 
-  /// Finds the embryonic entry for `key`, or nullptr.
+  /// Finds the embryonic entry for `key`, or nullptr. A query only: the
+  /// receive path completes a handshake with one take().
   [[nodiscard]] const Entry* find(const net::FlowKey& key) const;
 
-  /// Removes and returns the entry (handshake completed or RST received).
-  /// Returns false if absent.
+  /// Removes and returns the entry (handshake completed or RST received),
+  /// counting it in stats().promoted. Returns false if absent.
   bool take(const net::FlowKey& key, Entry* out = nullptr);
 
   /// Drops entries older than the timeout. Returns how many.
@@ -88,23 +90,6 @@ class SynCache {
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] const Stats& stats() const noexcept { return stats_; }
 
-  /// Registry-typed telemetry, same shape as Demuxer::telemetry():
-  /// lookups/found track find() calls, examined counts embryos scanned,
-  /// inserts/erases track add/take/expire, inserts_shed the global-cap
-  /// kills. Exports through the same tcpdemux.telemetry.v1 schema.
-  [[nodiscard]] const report::Telemetry& telemetry() const noexcept {
-    return telemetry_;
-  }
-  void enable_telemetry_histograms(bool on) noexcept {
-    telemetry_.enable_histograms(on);
-  }
-  /// Per-bucket embryo counts (sums to size()).
-  [[nodiscard]] std::vector<std::size_t> occupancy() const {
-    std::vector<std::size_t> sizes;
-    sizes.reserve(buckets_.size());
-    for (const Bucket& b : buckets_) sizes.push_back(b.size());
-    return sizes;
-  }
 
  private:
   using Bucket = std::deque<Entry>;  ///< oldest at the front
@@ -125,9 +110,6 @@ class SynCache {
   std::vector<Bucket> buckets_;
   std::size_t size_ = 0;
   Stats stats_;
-  /// mutable: find() is logically const but must account the scan, same
-  /// trade DemuxStats makes by keeping Demuxer::lookup non-const.
-  mutable report::Telemetry telemetry_;
 };
 
 }  // namespace tcpdemux::tcp

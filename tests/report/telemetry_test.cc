@@ -72,16 +72,17 @@ TEST(Log2Histogram, SinceSubtractsPerBucket) {
 
 TEST(Telemetry, CountersAlwaysOnHistogramsOptIn) {
   Telemetry t;
-  t.on_lookup(3, /*found=*/true, /*cache_hit=*/false);
-  EXPECT_EQ(t.counters().lookups, 1U);
-  EXPECT_EQ(t.counters().found, 1U);
+  t.on_insert();
+  t.on_resize_step(4, 0);
+  t.on_lookup(3, /*cache_hit=*/false);
+  EXPECT_EQ(t.counters().inserts, 1U);
+  EXPECT_EQ(t.counters().resize_steps, 1U);
   EXPECT_EQ(t.examined().count(), 0U);  // histograms default off
+  EXPECT_EQ(t.resize_work().count(), 0U);
 
   t.enable_histograms(true);
-  t.on_lookup(5, /*found=*/true, /*cache_hit=*/false);
-  t.on_lookup(1, /*found=*/true, /*cache_hit=*/true);
-  EXPECT_EQ(t.counters().lookups, 3U);
-  EXPECT_EQ(t.counters().cache_hits, 1U);
+  t.on_lookup(5, /*cache_hit=*/false);
+  t.on_lookup(1, /*cache_hit=*/true);
   EXPECT_EQ(t.examined().count(), 2U);
   EXPECT_EQ(t.examined().sum(), 6U);
   // Cache hits never enter the miss-path probe-length histogram.
@@ -92,10 +93,9 @@ TEST(Telemetry, CountersAlwaysOnHistogramsOptIn) {
 TEST(Telemetry, ResetKeepsEnableFlag) {
   Telemetry t;
   t.enable_histograms(true);
-  t.on_lookup(2, true, false);
+  t.on_lookup(2, false);
   t.on_insert();
   t.reset();
-  EXPECT_EQ(t.counters().lookups, 0U);
   EXPECT_EQ(t.counters().inserts, 0U);
   EXPECT_EQ(t.examined().count(), 0U);
   EXPECT_TRUE(t.histograms_enabled());
@@ -104,12 +104,12 @@ TEST(Telemetry, ResetKeepsEnableFlag) {
 TEST(Telemetry, IntervalSampleDeltasAndOccupancy) {
   Telemetry t;
   t.enable_histograms(true);
-  for (int i = 0; i < 10; ++i) t.on_lookup(1, true, true);
+  for (int i = 0; i < 10; ++i) t.on_lookup(1, true);
   const Telemetry prev = t;
-  for (int i = 0; i < 10; ++i) t.on_lookup(3, true, false);
+  for (int i = 0; i < 10; ++i) t.on_lookup(3, false);
 
   const std::vector<std::size_t> occ = {4, 0, 8, 4};
-  const TelemetrySample s = interval_sample(20, t, prev, occ);
+  const TelemetrySample s = interval_sample(20, 10, 0, t, prev, occ);
   EXPECT_EQ(s.events, 20U);
   EXPECT_EQ(s.lookups, 10U);
   EXPECT_DOUBLE_EQ(s.mean_examined, 3.0);
@@ -146,18 +146,22 @@ TEST(TelemetryJson, ExportsSchemaFields) {
   r.source = "test";
   r.algorithm = "bsd";
   r.telemetry.enable_histograms(true);
-  r.telemetry.on_lookup(2, true, false);
+  r.ledger = {1, 1, 0};
+  r.telemetry.on_lookup(2, false);
   r.telemetry.on_insert();
   r.occupancy = {1, 3};
   r.series.interval = 8;
   r.series.samples.push_back(
-      interval_sample(8, r.telemetry, Telemetry{}, r.occupancy));
+      interval_sample(8, 1, 0, r.telemetry, Telemetry{}, r.occupancy));
 
   const std::string json = telemetry_to_json(r);
   EXPECT_NE(json.find("\"schema\": \"tcpdemux.telemetry.v1\""),
             std::string::npos);
   EXPECT_NE(json.find("\"algorithm\": \"bsd\""), std::string::npos);
-  EXPECT_NE(json.find("\"counters\""), std::string::npos);
+  // Lookup counts come from the ledger, table events from the registry.
+  EXPECT_NE(json.find("\"counters\": {\"lookups\": 1, \"found\": 1, "
+                      "\"cache_hits\": 0, \"inserts\": 1,"),
+            std::string::npos);
   EXPECT_NE(json.find("\"examined\""), std::string::npos);
   EXPECT_NE(json.find("\"probe_length\""), std::string::npos);
   EXPECT_NE(json.find("\"occupancy\""), std::string::npos);
@@ -235,11 +239,11 @@ TEST(Log2Histogram, MergeFromEmptyAndIntoEmpty) {
   EXPECT_EQ(target.percentile_upper(1.0), loaded.percentile_upper(1.0));
 }
 
-TEST(Telemetry, MergeFromAccumulatesEveryCounterAndHistogram) {
+TEST(Telemetry, MergeFromAccumulatesCountersAndResizeHistograms) {
   Telemetry a;
   a.enable_histograms(true);
-  a.on_lookup(3, true, false);
-  a.on_lookup(1, true, true);
+  a.on_lookup(3, false);
+  a.on_lookup(1, true);
   a.on_insert();
   a.on_erase();
   a.on_shed();
@@ -250,7 +254,7 @@ TEST(Telemetry, MergeFromAccumulatesEveryCounterAndHistogram) {
 
   Telemetry b;
   b.enable_histograms(true);
-  b.on_lookup(7, false, false);
+  b.on_lookup(7, false);
   b.on_insert();
   b.on_insert();
   b.on_resize_defer();
@@ -259,9 +263,6 @@ TEST(Telemetry, MergeFromAccumulatesEveryCounterAndHistogram) {
   merged.enable_histograms(true);
   merged.merge_from(a);
   merged.merge_from(b);
-  EXPECT_EQ(merged.counters().lookups, 3u);
-  EXPECT_EQ(merged.counters().found, 2u);
-  EXPECT_EQ(merged.counters().cache_hits, 1u);
   EXPECT_EQ(merged.counters().inserts, 3u);
   EXPECT_EQ(merged.counters().erases, 1u);
   EXPECT_EQ(merged.counters().inserts_shed, 1u);
@@ -270,25 +271,22 @@ TEST(Telemetry, MergeFromAccumulatesEveryCounterAndHistogram) {
   EXPECT_EQ(merged.counters().resizes_completed, 1u);
   EXPECT_EQ(merged.counters().resizes_deferred, 1u);
   EXPECT_EQ(merged.counters().resize_steps, 1u);
-  EXPECT_EQ(merged.examined().count(), 3u);
-  EXPECT_EQ(merged.examined().sum(), 11u);
-  EXPECT_EQ(merged.probe_length().count(), 2u);  // cache hit excluded
   EXPECT_EQ(merged.resize_work().sum(), 8u);
   EXPECT_EQ(merged.migration_debt().sum(), 24u);
+  // Lookup histograms stay with the demuxer that counted the lookups.
+  EXPECT_EQ(merged.examined().count(), 0u);
+  EXPECT_EQ(merged.probe_length().count(), 0u);
 }
 
 TEST(Telemetry, MergeIsIdempotentAcrossRepeatedReads) {
-  // The shard-aggregation double-count regression. Per-shard registries
-  // sync their lookup counters from the owning demuxer's ledger on every
-  // telemetry() read (set_lookup_counters overwrites — reads are
-  // idempotent per shard). The fleet view must merge those snapshots into
-  // a FRESH target per read; merging into persistent parent state re-adds
-  // every synced counter on each read and drifts without bound.
+  // The shard-aggregation double-count regression. Reading a shard's
+  // telemetry() is idempotent; the fleet view must merge those snapshots
+  // into a FRESH target per read, because merging into persistent parent
+  // state re-adds every counter on each read and drifts without bound.
   Telemetry shard[3];
   for (std::uint64_t s = 0; s < 3; ++s) {
-    // What a shard's telemetry() returns: ledger-synced lookup counters.
-    shard[s].set_lookup_counters(100 * (s + 1), 60 * (s + 1), 10 * (s + 1));
-    shard[s].on_insert();
+    for (std::uint64_t i = 0; i < 100 * (s + 1); ++i) shard[s].on_insert();
+    shard[s].on_rehash();
   }
   const auto read_fleet = [&shard] {
     Telemetry fleet;  // fresh target per read — the fix
@@ -297,13 +295,10 @@ TEST(Telemetry, MergeIsIdempotentAcrossRepeatedReads) {
   };
   const Telemetry first = read_fleet();
   const Telemetry second = read_fleet();
-  EXPECT_EQ(first.counters().lookups, 600u);
-  EXPECT_EQ(first.counters().found, 360u);
-  EXPECT_EQ(first.counters().cache_hits, 60u);
-  EXPECT_EQ(first.counters().inserts, 3u);
-  EXPECT_EQ(second.counters().lookups, first.counters().lookups);
-  EXPECT_EQ(second.counters().found, first.counters().found);
+  EXPECT_EQ(first.counters().inserts, 600u);
+  EXPECT_EQ(first.counters().rehashes, 3u);
   EXPECT_EQ(second.counters().inserts, first.counters().inserts);
+  EXPECT_EQ(second.counters().rehashes, first.counters().rehashes);
 
   // The bug shape this pins down: a persistent accumulator doubles on the
   // second read. Kept as a demonstration that the assertion above is not
@@ -311,7 +306,7 @@ TEST(Telemetry, MergeIsIdempotentAcrossRepeatedReads) {
   Telemetry sticky;
   for (const Telemetry& s : shard) sticky.merge_from(s);
   for (const Telemetry& s : shard) sticky.merge_from(s);
-  EXPECT_EQ(sticky.counters().lookups, 1200u);  // double-counted
+  EXPECT_EQ(sticky.counters().inserts, 1200u);  // double-counted
 }
 
 }  // namespace

@@ -182,43 +182,45 @@ TEST_F(SynCacheTableTest, EmbryonicEntriesExpire) {
   EXPECT_EQ(table_.syn_cache()->size(), 0u);
 }
 
-TEST(SynCacheTelemetry, CountsLookupsInsertsAndErases) {
-  SynCache cache;
-  cache.enable_telemetry_histograms(true);
-  EXPECT_EQ(cache.find(key(1)), nullptr);  // miss: 0 embryos examined
-  ASSERT_NE(cache.add(key(1), 1, 2, 0.0), nullptr);
-  ASSERT_NE(cache.add(key(2), 1, 2, 0.0), nullptr);
-  ASSERT_NE(cache.find(key(1)), nullptr);
-
-  const auto& c = cache.telemetry().counters();
-  EXPECT_EQ(c.lookups, 2u);
-  EXPECT_EQ(c.found, 1u);
-  EXPECT_EQ(c.inserts, 2u);
-  EXPECT_EQ(c.erases, 0u);
-  EXPECT_EQ(cache.telemetry().examined().count(), 2u);
-
-  SynCache::Entry out;
-  EXPECT_TRUE(cache.take(key(1), &out));
-  EXPECT_EQ(cache.telemetry().counters().erases, 1u);
+// Stats is the cache's one ledger: every embryo added is either still
+// resident or counted once by the way it left.
+std::uint64_t departed(const SynCache::Stats& s) {
+  return s.evicted + s.expired + s.promoted + s.shed;
 }
 
-TEST(SynCacheTelemetry, ExpireAndShedFeedTheLedger) {
+TEST(SynCacheStats, CountsAddsEvictsAndPromotes) {
+  SynCache::Options options;
+  options.buckets = 1;
+  options.bucket_limit = 2;
+  SynCache cache(options);
+  ASSERT_NE(cache.add(key(1), 1, 2, 0.0), nullptr);
+  ASSERT_NE(cache.add(key(2), 1, 2, 1.0), nullptr);
+  ASSERT_NE(cache.add(key(3), 1, 2, 2.0), nullptr);  // evicts key(1)
+  EXPECT_EQ(cache.stats().added, 3u);
+  EXPECT_EQ(cache.stats().evicted, 1u);
+
+  // find() is a query: it moves no counter.
+  EXPECT_EQ(cache.find(key(1)), nullptr);
+  ASSERT_NE(cache.find(key(2)), nullptr);
+  SynCache::Entry out;
+  EXPECT_TRUE(cache.take(key(2), &out));
+  EXPECT_FALSE(cache.take(key(1), &out));
+  EXPECT_EQ(cache.stats().promoted, 1u);
+  EXPECT_EQ(cache.stats().added - departed(cache.stats()), cache.size());
+}
+
+TEST(SynCacheStats, ExpireAndShedFeedTheLedger) {
   SynCache::Options options;
   options.max_entries = 2;
   SynCache cache(options);
   ASSERT_NE(cache.add(key(1), 1, 2, 0.0), nullptr);
   ASSERT_NE(cache.add(key(2), 1, 2, 1.0), nullptr);
   ASSERT_NE(cache.add(key(3), 1, 2, 2.0), nullptr);  // sheds oldest
-  EXPECT_EQ(cache.telemetry().counters().inserts_shed, 1u);
+  EXPECT_EQ(cache.stats().shed, 1u);
   EXPECT_EQ(cache.expire(100.0), 2u);
-  EXPECT_EQ(cache.telemetry().counters().erases, 3u);  // 1 shed + 2 expired
-
-  // Insert/erase ledger vs live size, same invariant as the demuxers.
-  const auto& c = cache.telemetry().counters();
-  EXPECT_EQ(c.inserts - c.erases, cache.size());
-  std::size_t total = 0;
-  for (const std::size_t o : cache.occupancy()) total += o;
-  EXPECT_EQ(total, cache.size());
+  EXPECT_EQ(cache.stats().expired, 2u);
+  EXPECT_EQ(cache.stats().added - departed(cache.stats()), cache.size());
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 }  // namespace

@@ -19,7 +19,8 @@ Line rules:
                      core/page_memory.h (exempt files), the RCU chain node
                      belongs to the epoch manager (its sites carry an
                      explicit NOLINT(raw-owning-memory) marker), and
-                     everything else to std containers.
+                     everything else to std containers. Include
+                     directives (`#include <new>`) are not allocations.
   pcb-construction   no `new Pcb`, `make_unique<Pcb>` or `unique_ptr<Pcb>`
                      anywhere in src/ outside core/pcb_slab.h: the slab is
                      the one PCB allocation path, so every PCB is a
@@ -552,7 +553,8 @@ def build_rules(root: str) -> list:
         ),
         DeclRegexRule(
             "raw-owning-memory",
-            r"(?<![\w:])(?:new|delete)\b(?!\s*\()",
+            # An include directive names the header <new>; it owns nothing.
+            r"^(?!\s*#\s*include\b).*(?<![\w:])(?:new|delete)\b(?!\s*\()",
             ("src/core",),
             "raw owning new/delete in src/core is reserved for the PCB "
             "slab (core/pcb_slab.h), the page shim (core/page_memory.h) "
