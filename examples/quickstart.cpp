@@ -57,7 +57,8 @@ int main() {
     return EXIT_FAILURE;
   }
   std::cout << "packet " << packet->receiver_flow_key().to_string()
-            << "\n  -> PCB conn_id=" << result.pcb->conn_id << ", examined "
+            << "\n  -> PCB in state " << core::to_string(result.pcb->state)
+            << ", examined "
             << result.examined << " PCB(s), cache_hit="
             << (result.cache_hit ? "yes" : "no") << '\n';
 

@@ -7,7 +7,7 @@ namespace tcpdemux::core {
 Pcb* BsdListDemuxer::insert(const net::FlowKey& key) {
   if (list_.find_scan(key).pcb != nullptr) return nullptr;
   if (FaultInjector::instance().poll_alloc()) return nullptr;
-  Pcb* pcb = slab_.make(key, next_conn_id());
+  Pcb* pcb = slab_.make(key);
   list_.link_front(pcb);
   ++size_;
   telemetry_->on_insert();
@@ -15,11 +15,12 @@ Pcb* BsdListDemuxer::insert(const net::FlowKey& key) {
 }
 
 bool BsdListDemuxer::erase(const net::FlowKey& key) {
-  const auto scan = list_.find_scan(key);
-  if (scan.pcb == nullptr) return false;
-  if (cache_ == scan.pcb) cache_ = nullptr;
-  list_.unlink(scan.pcb);
-  slab_.destroy(scan.pcb);
+  const auto scan = list_.find_link(key);
+  Pcb* const pcb = scan.pcb();
+  if (pcb == nullptr) return false;
+  if (cache_ == pcb) cache_ = nullptr;
+  list_.unlink(scan.link);
+  slab_.destroy(pcb);
   --size_;
   telemetry_->on_erase();
   return true;

@@ -23,7 +23,7 @@ Pcb* ConcurrentSequentDemuxer::insert(const net::FlowKey& key) {
   Pcb* pcb = nullptr;
   {
     const MutexLock slab_lock(slab_mutex_);
-    pcb = slab_.make(key, conn_seq_.fetch_add(1, std::memory_order_relaxed));
+    pcb = slab_.make(key);
   }
   b.list.link_front(pcb);
   size_.fetch_add(1, std::memory_order_relaxed);
@@ -33,13 +33,14 @@ Pcb* ConcurrentSequentDemuxer::insert(const net::FlowKey& key) {
 bool ConcurrentSequentDemuxer::erase(const net::FlowKey& key) {
   Bucket& b = *buckets_[chain_of(key)];
   const MutexLock lock(b.mutex);
-  const auto scan = b.list.find_scan(key);
-  if (scan.pcb == nullptr) return false;
-  if (b.cache == scan.pcb) b.cache = nullptr;
-  b.list.unlink(scan.pcb);
+  const auto scan = b.list.find_link(key);
+  Pcb* const pcb = scan.pcb();
+  if (pcb == nullptr) return false;
+  if (b.cache == pcb) b.cache = nullptr;
+  b.list.unlink(scan.link);
   {
     const MutexLock slab_lock(slab_mutex_);
-    slab_.destroy(scan.pcb);
+    slab_.destroy(pcb);
   }
   size_.fetch_sub(1, std::memory_order_relaxed);
   return true;

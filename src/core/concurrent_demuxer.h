@@ -81,7 +81,6 @@ class ConcurrentSequentDemuxer {
   std::atomic<std::size_t> size_{0};
   std::atomic<std::uint64_t> lookups_{0};
   std::atomic<std::uint64_t> examined_{0};
-  std::atomic<std::uint64_t> conn_seq_{0};
 };
 
 /// Any single-threaded demuxer behind one big lock — the baseline a naive

@@ -23,7 +23,7 @@ Pcb* ConnectionIdDemuxer::insert(const net::FlowKey& key) {
   if (FaultInjector::instance().poll_alloc()) return nullptr;
   const std::uint32_t id = free_ids_.back();
   free_ids_.pop_back();
-  slots_[id] = slab_.make(key, id);
+  slots_[id] = slab_.make(key);
   id_by_key_.emplace(key, id);
   telemetry_->on_insert();
   return slots_[id];

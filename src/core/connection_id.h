@@ -48,9 +48,9 @@ class ConnectionIdDemuxer final : public Demuxer {
   }
 
   /// The negotiated ID for `pcb` (its slot index), as the peer would carry
-  /// it in packet headers. This demuxer assigns conn_id = slot index.
-  [[nodiscard]] std::uint32_t id_of(const Pcb& pcb) const noexcept {
-    return static_cast<std::uint32_t>(pcb.conn_id);
+  /// it in packet headers. `pcb` must be registered here.
+  [[nodiscard]] std::uint32_t id_of(const Pcb& pcb) const {
+    return id_by_key_.at(pcb.key);
   }
 
   /// Direct array access by negotiated ID. Always examines exactly 1 PCB.

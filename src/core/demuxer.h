@@ -181,9 +181,6 @@ class Demuxer {
   }
 
  protected:
-  /// Next dense connection id; shared by all subclasses' insert paths.
-  [[nodiscard]] std::uint64_t next_conn_id() noexcept { return conn_seq_++; }
-
   /// Single funnel for lookup accounting: records `r` in stats_ and, when
   /// histograms are on, in the registry's histograms. Subclasses call this
   /// instead of touching stats_ directly so the histograms cover exactly
@@ -211,9 +208,6 @@ class Demuxer {
   /// at pre-telemetry size; only mutation hooks and readers dereference.
   std::unique_ptr<report::Telemetry> telemetry_ =
       std::make_unique<report::Telemetry>();
-
- private:
-  std::uint64_t conn_seq_ = 0;
 };
 
 /// Snapshots `demuxer` for a telemetry export: the lookup counters from

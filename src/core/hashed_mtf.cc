@@ -17,7 +17,7 @@ Pcb* HashedMtfDemuxer::insert(const net::FlowKey& key) {
   PcbList& list = buckets_[chain_of(key)];
   if (list.find_scan(key).pcb != nullptr) return nullptr;
   if (FaultInjector::instance().poll_alloc()) return nullptr;
-  Pcb* pcb = slab_.make(key, next_conn_id());
+  Pcb* pcb = slab_.make(key);
   list.link_front(pcb);
   ++size_;
   telemetry_->on_insert();
@@ -26,10 +26,11 @@ Pcb* HashedMtfDemuxer::insert(const net::FlowKey& key) {
 
 bool HashedMtfDemuxer::erase(const net::FlowKey& key) {
   PcbList& list = buckets_[chain_of(key)];
-  const auto scan = list.find_scan(key);
-  if (scan.pcb == nullptr) return false;
-  list.unlink(scan.pcb);
-  slab_.destroy(scan.pcb);
+  const auto scan = list.find_link(key);
+  Pcb* const pcb = scan.pcb();
+  if (pcb == nullptr) return false;
+  list.unlink(scan.link);
+  slab_.destroy(pcb);
   --size_;
   telemetry_->on_erase();
   return true;
@@ -39,11 +40,11 @@ LookupResult HashedMtfDemuxer::lookup(const net::FlowKey& key,
                                       SegmentKind /*kind*/) {
   PcbList& list = buckets_[chain_of(key)];
   LookupResult r;
-  const auto scan = list.find_scan(key);
+  const auto scan = list.find_link(key);
   r.examined = scan.examined;
-  r.pcb = scan.pcb;
-  r.cache_hit = (scan.pcb != nullptr && scan.examined == 1);
-  if (scan.pcb != nullptr) list.move_to_front(scan.pcb);
+  r.pcb = scan.pcb();
+  r.cache_hit = (r.pcb != nullptr && scan.examined == 1);
+  if (r.pcb != nullptr) list.move_to_front(scan.link);
   note_lookup(r);
   return r;
 }

@@ -7,7 +7,7 @@ namespace tcpdemux::core {
 Pcb* MoveToFrontDemuxer::insert(const net::FlowKey& key) {
   if (list_.find_scan(key).pcb != nullptr) return nullptr;
   if (FaultInjector::instance().poll_alloc()) return nullptr;
-  Pcb* pcb = slab_.make(key, next_conn_id());
+  Pcb* pcb = slab_.make(key);
   list_.link_front(pcb);
   ++size_;
   telemetry_->on_insert();
@@ -15,10 +15,11 @@ Pcb* MoveToFrontDemuxer::insert(const net::FlowKey& key) {
 }
 
 bool MoveToFrontDemuxer::erase(const net::FlowKey& key) {
-  const auto scan = list_.find_scan(key);
-  if (scan.pcb == nullptr) return false;
-  list_.unlink(scan.pcb);
-  slab_.destroy(scan.pcb);
+  const auto scan = list_.find_link(key);
+  Pcb* const pcb = scan.pcb();
+  if (pcb == nullptr) return false;
+  list_.unlink(scan.link);
+  slab_.destroy(pcb);
   --size_;
   telemetry_->on_erase();
   return true;
@@ -27,12 +28,12 @@ bool MoveToFrontDemuxer::erase(const net::FlowKey& key) {
 LookupResult MoveToFrontDemuxer::lookup(const net::FlowKey& key,
                                         SegmentKind /*kind*/) {
   LookupResult r;
-  const auto scan = list_.find_scan(key);
+  const auto scan = list_.find_link(key);
   r.examined = scan.examined;
-  r.pcb = scan.pcb;
+  r.pcb = scan.pcb();
   // A hit on the head node is the MTF analogue of a cache hit.
-  r.cache_hit = (scan.pcb != nullptr && scan.examined == 1);
-  if (scan.pcb != nullptr) list_.move_to_front(scan.pcb);
+  r.cache_hit = (r.pcb != nullptr && scan.examined == 1);
+  if (r.pcb != nullptr) list_.move_to_front(scan.link);
   note_lookup(r);
   return r;
 }

@@ -2,7 +2,7 @@
 // (the repo lint's page-mapping rule keeps them here).
 //
 // The paper counts PCBs examined because each one is a memory reference.
-// At the populations the receive path runs at (1M PCBs: 128 MB of slab and
+// At the populations the receive path runs at (1M PCBs: 64 MB of slab and
 // ~11 MB of bucket array) each of those references is also a TLB miss, and
 // on 4 KiB pages every one pays a page walk — a nested one on a VM. A
 // kernel's PCBs live in its direct map, on huge pages. This header hands

@@ -15,6 +15,18 @@ PcbList::ScanResult PcbList::find_scan(
   return r;
 }
 
+PcbList::LinkScan PcbList::find_link(const net::FlowKey& key) noexcept {
+  LinkScan r;
+  for (Pcb** link = &head_; *link != nullptr; link = &(*link)->next) {
+    ++r.examined;
+    if ((*link)->key == key) {
+      r.link = link;
+      return r;
+    }
+  }
+  return r;
+}
+
 PcbList::ScanResult PcbList::find_best_match(
     const net::FlowKey& key) const noexcept {
   ScanResult r;
@@ -35,32 +47,27 @@ PcbList::ScanResult PcbList::find_best_match(
   return r;
 }
 
-void PcbList::move_to_front(Pcb* pcb) noexcept {
-  if (pcb == head_) return;
-  unlink(pcb);
+void PcbList::move_to_front(Pcb** link) noexcept {
+  if (link == &head_) return;
+  Pcb* pcb = *link;
+  *link = pcb->next;
   link_front(pcb);
 }
 
 Pcb* PcbList::pop_front() noexcept {
   Pcb* pcb = head_;
-  if (pcb != nullptr) unlink(pcb);
+  if (pcb != nullptr) unlink(&head_);
   return pcb;
 }
 
-void PcbList::unlink(Pcb* pcb) noexcept {
-  if (pcb->prev != nullptr) {
-    pcb->prev->next = pcb->next;
-  } else {
-    head_ = pcb->next;
-  }
-  if (pcb->next != nullptr) pcb->next->prev = pcb->prev;
-  pcb->next = pcb->prev = nullptr;
+void PcbList::unlink(Pcb** link) noexcept {
+  Pcb* pcb = *link;
+  *link = pcb->next;
+  pcb->next = nullptr;
 }
 
 void PcbList::link_front(Pcb* pcb) noexcept {
-  pcb->prev = nullptr;
   pcb->next = head_;
-  if (head_ != nullptr) head_->prev = pcb;
   head_ = pcb;
 }
 

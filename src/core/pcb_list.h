@@ -1,4 +1,4 @@
-// PcbList: an intrusive, doubly linked list of PCBs with examined-count
+// PcbList: an intrusive, singly linked list of PCBs with examined-count
 // accounting.
 //
 // Every list-structured demuxer in the paper (BSD, move-to-front,
@@ -9,6 +9,11 @@
 // count. It allocates and frees nothing; the PCBs belong to the owning
 // demuxer's PcbSlab, which is why a rehash can relink them between lists
 // without reallocating one.
+//
+// Singly linked, so a PCB spends 8 bytes on linkage, not 16: every unlink
+// and move-to-front follows a scan of the same list, and find_link() hands
+// back the link that points at the PCB (the head pointer or its
+// predecessor's `next`) for the splice to go through.
 //
 // Keeping it one pointer keeps a Sequent bucket (list + cache) at 16 bytes.
 // The owner counts: the single-list demuxers keep their own size, a hash
@@ -36,6 +41,18 @@ class PcbList {
     std::uint32_t examined = 0;
   };
 
+  /// Result of find_link(): the link that points at the PCB found, or
+  /// nullptr on a miss, and the nodes inspected as find_scan() counts
+  /// them. The link is valid only until the list next changes.
+  struct LinkScan {
+    Pcb** link = nullptr;
+    std::uint32_t examined = 0;
+
+    [[nodiscard]] Pcb* pcb() const noexcept {
+      return link == nullptr ? nullptr : *link;
+    }
+  };
+
   PcbList() noexcept = default;
 
   PcbList(const PcbList&) = delete;
@@ -55,6 +72,10 @@ class PcbList {
   /// A miss examines the whole list, so its count is the list's length.
   [[nodiscard]] ScanResult find_scan(const net::FlowKey& key) const noexcept;
 
+  /// find_scan() that also returns the link to the PCB found, for the
+  /// unlink() or move_to_front() that follows it.
+  [[nodiscard]] LinkScan find_link(const net::FlowKey& key) noexcept;
+
   /// Linear scan for the best wildcard match (BSD in_pcblookup semantics):
   /// the matching PCB with the fewest wildcard fields wins; earlier nodes
   /// win ties. Counts every node inspected (always the full list unless an
@@ -62,13 +83,14 @@ class PcbList {
   [[nodiscard]] ScanResult find_best_match(
       const net::FlowKey& key) const noexcept;
 
-  /// Unlinks `pcb` and relinks it at the head (Crowcroft's heuristic).
-  /// `pcb` must be a member of this list.
-  void move_to_front(Pcb* pcb) noexcept;
+  /// Unlinks the PCB `link` points at and relinks it at the head
+  /// (Crowcroft's heuristic). `link` must come from this list's
+  /// find_link(), with no change to the list since.
+  void move_to_front(Pcb** link) noexcept;
 
-  /// Unlinks `pcb`, leaving it detached. `pcb` must be a member of this
-  /// list.
-  void unlink(Pcb* pcb) noexcept;
+  /// Unlinks the PCB `link` points at, leaving it detached. `link` must
+  /// come from this list's find_link(), with no change to the list since.
+  void unlink(Pcb** link) noexcept;
 
   /// Unlinks and returns the head (nullptr when empty). Rehashing demuxers
   /// drain a chain with it.
@@ -96,6 +118,9 @@ class PcbList {
   Pcb* head_ = nullptr;
 };
 
+// Both scans return in two registers, not through memory.
+static_assert(sizeof(PcbList::ScanResult) == 16 &&
+              sizeof(PcbList::LinkScan) == 16);
 static_assert(sizeof(PcbList) == sizeof(Pcb*),
               "a chain header is one pointer: hash buckets pack four to a "
               "cache line");

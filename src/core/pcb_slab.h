@@ -2,15 +2,15 @@
 //
 // The paper's figure of merit, PCBs examined, stands in for cache lines
 // touched — which only holds if examining a PCB costs one line. A PCB
-// allocated by itself lands in a 144-byte malloc chunk aligned to 16
-// bytes: three PCBs in four then span three lines, and one in four has
-// its key and its chain link on different lines. The slab instead hands
-// out 128-byte slots, 64-byte aligned, carved from fixed-size chunks that
-// never move. A chunk is one 2 MiB-aligned 2 MiB mapping (core/
+// allocated by itself lands in an 80-byte malloc chunk aligned to 16
+// bytes: three PCBs in four then straddle two lines. The slab instead
+// hands out 64-byte slots, 64-byte aligned, carved from fixed-size chunks
+// that never move. A chunk is one 2 MiB-aligned 2 MiB mapping (core/
 // page_memory.h), so once full it can sit on a single huge page:
 //
-//   * a slot is exactly two cache lines, and the fields a chain walk reads
-//     (key, next) share the first (pcb.h asserts the layout);
+//   * a slot is exactly one cache line, so a chain walk (key, next) and
+//     the TCP fast path read the same single line (pcb.h asserts the
+//     layout);
 //   * fresh slots are bump-allocated in address order, so a chunk's pages
 //     become resident only as its slots are used — which is why a chunk is
 //     not advised huge up front: THP would fault in all 2 MiB on the first
@@ -53,7 +53,7 @@ class PcbSlab {
  public:
   /// Slot alignment: a cache line.
   static constexpr std::size_t kSlotAlign = 64;
-  /// A chunk is one huge page's worth of slots (16384).
+  /// A chunk is one huge page's worth of slots (32768).
   static constexpr std::size_t kChunkBytes = kHugePageBytes;
   static constexpr std::size_t kSlotsPerChunk = kChunkBytes / sizeof(Pcb);
 
@@ -72,7 +72,7 @@ class PcbSlab {
   /// one, else the next fresh slot, else the first slot of a new chunk
   /// (the only path that allocates; it may throw std::bad_alloc, leaving
   /// the slab unchanged).
-  [[nodiscard]] Pcb* make(const net::FlowKey& key, std::uint64_t conn_id) {
+  [[nodiscard]] Pcb* make(const net::FlowKey& key) {
     void* slot = nullptr;
     if (free_ != nullptr) {
       unpoison_region(free_, sizeof(Pcb));
@@ -84,7 +84,7 @@ class PcbSlab {
       unpoison_region(slot, sizeof(Pcb));
     }
     ++live_;
-    return new (slot) Pcb(key, conn_id);
+    return new (slot) Pcb(key);
   }
 
   /// Returns `pcb`'s slot to the free list. `pcb` must have come from this

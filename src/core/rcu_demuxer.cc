@@ -42,7 +42,7 @@ Pcb* RcuSequentDemuxer::insert(const net::FlowKey& key) {
   }
   if (FaultInjector::instance().poll_alloc()) return nullptr;
   // NOLINTNEXTLINE(raw-owning-memory): chain nodes are epoch-owned.
-  Node* node = new Node(key, conn_seq_.fetch_add(1, std::memory_order_relaxed));
+  Node* node = new Node(key);
   node->next.store(b.head.load(std::memory_order_relaxed),
                    std::memory_order_relaxed);
   // Release-publish: a reader that acquires the new head sees the fully

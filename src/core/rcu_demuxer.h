@@ -130,7 +130,7 @@ class RcuSequentDemuxer {
   friend struct ValidatorTestAccess;  // negative validator tests only
 
   struct Node {
-    Node(const net::FlowKey& k, std::uint64_t id) noexcept : pcb(k, id) {}
+    explicit Node(const net::FlowKey& k) noexcept : pcb(k) {}
     Pcb pcb;
     std::atomic<Node*> next{nullptr};
     // Guarded by the owning Bucket's mutex — a cross-object protocol
@@ -165,7 +165,6 @@ class RcuSequentDemuxer {
   std::atomic<std::size_t> size_{0};
   std::atomic<std::uint64_t> lookups_{0};
   std::atomic<std::uint64_t> examined_{0};
-  std::atomic<std::uint64_t> conn_seq_{0};
 };
 
 /// Registry adapter: presents RcuSequentDemuxer through the Demuxer

@@ -7,7 +7,7 @@ namespace tcpdemux::core {
 Pcb* SendReceiveCacheDemuxer::insert(const net::FlowKey& key) {
   if (list_.find_scan(key).pcb != nullptr) return nullptr;
   if (FaultInjector::instance().poll_alloc()) return nullptr;
-  Pcb* pcb = slab_.make(key, next_conn_id());
+  Pcb* pcb = slab_.make(key);
   list_.link_front(pcb);
   ++size_;
   telemetry_->on_insert();
@@ -15,12 +15,13 @@ Pcb* SendReceiveCacheDemuxer::insert(const net::FlowKey& key) {
 }
 
 bool SendReceiveCacheDemuxer::erase(const net::FlowKey& key) {
-  const auto scan = list_.find_scan(key);
-  if (scan.pcb == nullptr) return false;
-  if (recv_cache_ == scan.pcb) recv_cache_ = nullptr;
-  if (send_cache_ == scan.pcb) send_cache_ = nullptr;
-  list_.unlink(scan.pcb);
-  slab_.destroy(scan.pcb);
+  const auto scan = list_.find_link(key);
+  Pcb* const pcb = scan.pcb();
+  if (pcb == nullptr) return false;
+  if (recv_cache_ == pcb) recv_cache_ = nullptr;
+  if (send_cache_ == pcb) send_cache_ = nullptr;
+  list_.unlink(scan.link);
+  slab_.destroy(pcb);
   --size_;
   telemetry_->on_erase();
   return true;

@@ -84,7 +84,7 @@ Pcb* SequentDemuxer::insert(const net::FlowKey& key) {
     b = &buckets_[chain_of(key)];  // a new table was swung in
     chain_length = b->list.count() + 1;
   }
-  Pcb* pcb = slab_.make(key, next_conn_id());
+  Pcb* pcb = slab_.make(key);
   b->list.link_front(pcb);
   ++size_;
   telemetry_->on_insert();
@@ -224,19 +224,20 @@ bool SequentDemuxer::migration_step() {
 
 bool SequentDemuxer::erase(const net::FlowKey& key) {
   Bucket& b = buckets_[chain_of(key)];
-  const auto scan = b.list.find_scan(key);
-  if (scan.pcb != nullptr) {
-    if (b.cache == scan.pcb) b.cache = nullptr;
-    b.list.unlink(scan.pcb);
-    slab_.destroy(scan.pcb);
+  const auto scan = b.list.find_link(key);
+  if (Pcb* const pcb = scan.pcb()) {
+    if (b.cache == pcb) b.cache = nullptr;
+    b.list.unlink(scan.link);
+    slab_.destroy(pcb);
   } else {
     if (old_ == nullptr) return false;
     Bucket& ob = old_->table[chain_in(old_->table, key)];
-    const auto old_scan = ob.list.find_scan(key);
-    if (old_scan.pcb == nullptr) return false;
-    if (ob.cache == old_scan.pcb) ob.cache = nullptr;
-    ob.list.unlink(old_scan.pcb);
-    slab_.destroy(old_scan.pcb);
+    const auto old_scan = ob.list.find_link(key);
+    Pcb* const old_pcb = old_scan.pcb();
+    if (old_pcb == nullptr) return false;
+    if (ob.cache == old_pcb) ob.cache = nullptr;
+    ob.list.unlink(old_scan.link);
+    slab_.destroy(old_pcb);
     if (--old_->residents == 0) complete_migration();
   }
   --size_;

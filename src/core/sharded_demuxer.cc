@@ -109,31 +109,31 @@ void ShardedDemuxer::lookup_batch(std::span<const net::FlowKey> keys,
   // scatter results back to arrival positions.
   const std::size_t n = keys.size();
   batch_shard_.resize(n);
-  std::vector<std::size_t> shard_n(shard_count(), 0);
+  batch_shard_n_.assign(shard_count(), 0);
   for (std::size_t i = 0; i < n; ++i) {
     batch_shard_[i] = home_shard(keys[i]);
-    ++shard_n[batch_shard_[i]];
+    ++batch_shard_n_[batch_shard_[i]];
   }
   batch_keys_.resize(n);
   batch_results_.resize(n);
   batch_index_.resize(n);
-  std::vector<std::size_t> offset(shard_count(), 0);
+  batch_offset_.assign(shard_count(), 0);
   for (std::uint32_t s = 1; s < shard_count(); ++s) {
-    offset[s] = offset[s - 1] + shard_n[s - 1];
+    batch_offset_[s] = batch_offset_[s - 1] + batch_shard_n_[s - 1];
   }
-  auto cursor = offset;
+  batch_cursor_ = batch_offset_;
   for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t slot = cursor[batch_shard_[i]]++;
+    const std::size_t slot = batch_cursor_[batch_shard_[i]]++;
     batch_keys_[slot] = keys[i];
     batch_index_[slot] = static_cast<std::uint32_t>(i);
   }
   for (std::uint32_t s = 0; s < shard_count(); ++s) {
-    if (shard_n[s] == 0) continue;
+    const std::size_t count = batch_shard_n_[s];
+    if (count == 0) continue;
+    const std::size_t first = batch_offset_[s];
     shards_[s]->lookup_batch(
-        std::span<const net::FlowKey>(batch_keys_).subspan(offset[s],
-                                                           shard_n[s]),
-        std::span<LookupResult>(batch_results_).subspan(offset[s], shard_n[s]),
-        kind);
+        std::span<const net::FlowKey>(batch_keys_).subspan(first, count),
+        std::span<LookupResult>(batch_results_).subspan(first, count), kind);
   }
   for (std::size_t slot = 0; slot < n; ++slot) {
     results[batch_index_[slot]] = batch_results_[slot];

@@ -160,6 +160,9 @@ class ShardedDemuxer : public Demuxer {
   std::vector<net::FlowKey> batch_keys_;
   std::vector<LookupResult> batch_results_;
   std::vector<std::uint32_t> batch_index_;
+  std::vector<std::size_t> batch_shard_n_;  ///< keys per shard
+  std::vector<std::size_t> batch_offset_;   ///< each shard's first slot
+  std::vector<std::size_t> batch_cursor_;   ///< each shard's next slot
 };
 
 }  // namespace tcpdemux::core

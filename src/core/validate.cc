@@ -36,32 +36,24 @@ class Errors {
   ValidationReport& report_;
 };
 
-// Walks `list` checking doubly-linked consistency, and appends every member
-// to `members` for the caller's cache, placement and duplicate checks. The
-// list keeps no count, so the owning demuxer's size() bounds the walk: a
-// chain reaching more nodes than the whole structure holds has a cycle (or
-// the size counter lost nodes), and the walk stops there instead of
-// hanging. The caller reconciles each table's reachable total with size().
+// Walks `list`, appending every member to `members` for the caller's
+// cache, placement and duplicate checks. The list keeps no count, so the
+// owning demuxer's size() bounds the walk: a chain reaching more nodes
+// than the whole structure holds has a cycle (or the size counter lost
+// nodes), and the walk stops there instead of hanging. The caller
+// reconciles each table's reachable total with size(), which is what
+// catches a `next` that skips members.
 void check_list(const PcbList& list, std::size_t limit, const char* what,
                 Errors& errors, std::vector<const Pcb*>& members) {
   std::size_t count = 0;
-  const Pcb* prev = nullptr;
   for (const Pcb* p = list.head(); p != nullptr; p = p->next) {
     if (count == limit) {
       errors.add(what, ": more nodes reachable than size()=", limit,
                  " (cycle or lost count)");
       return;
     }
-    if (p->prev != prev) {
-      errors.add(what, ": node ", count, " (", p->key.to_string(),
-                 ") has prev link inconsistent with walk order");
-    }
     members.push_back(p);
-    prev = p;
     ++count;
-  }
-  if (list.head() != nullptr && list.head()->prev != nullptr) {
-    errors.add(what, ": head node has non-null prev");
   }
 }
 
@@ -287,7 +279,7 @@ ValidationReport StructuralValidator::validate(
   Errors errors(report);
 
   // Side table -> slot array: every mapping must land on a live slot whose
-  // PCB carries the mapped key and whose conn_id is its own slot index.
+  // PCB carries the mapped key.
   std::vector<const Pcb*> members;
   for (const Pcb* slot : demuxer.slots_) {
     if (slot != nullptr) members.push_back(slot);
@@ -304,16 +296,10 @@ ValidationReport StructuralValidator::validate(
     if (pcb == nullptr) {
       errors.add("connection_id: key ", key.to_string(),
                  " maps to empty slot ", id);
-    } else {
-      if (pcb->key != key) {
-        errors.add("connection_id: slot ", id, " holds key ",
-                   pcb->key.to_string(), " but the table maps ",
-                   key.to_string(), " to it");
-      }
-      if (pcb->conn_id != id) {
-        errors.add("connection_id: slot ", id, " PCB carries conn_id ",
-                   pcb->conn_id, " != its slot index");
-      }
+    } else if (pcb->key != key) {
+      errors.add("connection_id: slot ", id, " holds key ",
+                 pcb->key.to_string(), " but the table maps ",
+                 key.to_string(), " to it");
     }
   }
   if (occupied != demuxer.id_by_key_.size()) {

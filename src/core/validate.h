@@ -6,9 +6,9 @@
 // examined" metric the whole reproduction is built on, so each algorithm
 // gets a validator that proves the structure is well-formed:
 //
-//   * every doubly linked chain is consistent (next/prev mirror each other,
-//     the head has no prev, and no walk reaches more nodes than the whole
-//     structure's size(): a cycle is reported, not followed);
+//   * no chain walk reaches more nodes than the whole structure's size()
+//     (a cycle is reported, not followed), and the chains together reach
+//     exactly size() nodes (a `next` that skips members is reported);
 //   * every single-entry cache points at a live member of the structure it
 //     caches for (never a freed or foreign PCB);
 //   * every PCB sits on exactly the chain its key hashes to;

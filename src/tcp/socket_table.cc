@@ -9,6 +9,14 @@ namespace tcpdemux::tcp {
 using core::Pcb;
 using net::TcpFlag;
 
+namespace {
+
+// The window every connection advertises: delivered bytes go straight to
+// the application, so no receive buffer ever fills.
+constexpr std::uint16_t kReceiveWindow = 65535;
+
+}  // namespace
+
 SocketTable::SocketTable(const core::DemuxConfig& demux_config,
                          TransmitFn transmit)
     : demuxer_(core::make_demuxer(demux_config)),
@@ -55,15 +63,15 @@ bool SocketTable::release(Pcb& pcb) {
 std::size_t SocketTable::reap_closed(double msl) {
   if (!clock_) return 0;
   const double now = clock_();
-  std::vector<Pcb*> victims;
+  reap_victims_.clear();
   for (const auto& [pcb, since] : closing_since_) {
     const bool expired = pcb->state == core::TcpState::kClosed ||
                          (pcb->state == core::TcpState::kTimeWait &&
                           now - since >= 2.0 * msl);
-    if (expired) victims.push_back(pcb);
+    if (expired) reap_victims_.push_back(pcb);
   }
   std::size_t reaped = 0;
-  for (Pcb* pcb : victims) {
+  for (Pcb* pcb : reap_victims_) {
     if (release(*pcb)) ++reaped;
   }
   return reaped;
@@ -137,7 +145,7 @@ SocketTable::DeliverResult SocketTable::deliver(const net::Packet& packet) {
           .seq(entry->iss)
           .ack_seq(entry->irs + 1)
           .flags(TcpFlag::kSyn);
-      static thread_local core::Pcb embryo_pcb{net::FlowKey{}, ~0ULL - 1};
+      static thread_local core::Pcb embryo_pcb{net::FlowKey{}};
       embryo_pcb.key = key;
       transmit_(builder.build(), embryo_pcb);
       result.status = Delivery::kSynCached;
@@ -161,13 +169,10 @@ SocketTable::DeliverResult SocketTable::deliver(const net::Packet& packet) {
           packet.tcp.seq == entry.irs + 1) {
         Pcb* child = demuxer_->insert(key);
         if (child != nullptr) {
-          child->iss = entry.iss;
-          child->irs = entry.irs;
           child->snd_una = entry.iss + 1;
           child->snd_nxt = entry.iss + 1;
           child->rcv_nxt = entry.irs + 1;
           child->state = core::TcpState::kEstablished;
-          ++child->segs_in;
           accept_queue_.push_back(child);
           ++counters_.new_connections;
           result.status = Delivery::kNewConnection;
@@ -226,11 +231,10 @@ void SocketTable::retransmit_segment(Pcb& pcb,
       .seq(segment.seq)
       .ack_seq(pcb.rcv_nxt)
       .flags(TcpFlag::kPsh)
-      .window(pcb.rcv_wnd)
+      .window(kReceiveWindow)
       .payload_size(segment.len);
   demuxer_->note_sent(&pcb);
   transmit_(builder.build(), pcb);
-  ++pcb.segs_out;
   ++counters_.retransmissions;
 }
 
@@ -264,7 +268,7 @@ void SocketTable::transmit_segment(Pcb& pcb, const Emit& emit) {
       .to({pcb.key.foreign_addr, pcb.key.foreign_port})
       .seq(emit.seq)
       .flags(emit.flags)
-      .window(pcb.rcv_wnd)
+      .window(kReceiveWindow)
       .payload_size(emit.payload_len);
   if ((emit.flags & static_cast<std::uint8_t>(TcpFlag::kAck)) != 0) {
     builder.ack_seq(emit.ack);
@@ -295,7 +299,7 @@ void SocketTable::transmit_rst(const net::Packet& packet) {
                            syn_fin);
   }
   // A RST belongs to no PCB; report it against a synthetic closed one.
-  static thread_local Pcb rst_pcb{net::FlowKey{}, ~0ULL};
+  static thread_local Pcb rst_pcb{net::FlowKey{}};
   rst_pcb.key = key;
   transmit_(builder.build(), rst_pcb);
 }

@@ -182,6 +182,8 @@ class SocketTable {
   std::function<double()> clock_;
   RetransmitQueue retransmit_;  ///< every connection's, reached via Pcb::rtx
   std::unordered_map<core::Pcb*, double> closing_since_;
+  /// reap_closed()'s victims: cleared on every call, capacity kept.
+  std::vector<core::Pcb*> reap_victims_;
   std::optional<SynCache> syn_cache_;
 };
 

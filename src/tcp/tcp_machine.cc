@@ -11,8 +11,6 @@ using net::TcpHeader;
 
 void TcpMachine::emit(Pcb& pcb, std::uint8_t flags, std::uint32_t seq,
                       std::uint32_t ack, std::uint32_t payload_len) {
-  ++pcb.segs_out;
-  pcb.bytes_out += payload_len;
   send_(pcb, Emit{flags, seq, ack, payload_len});
 }
 
@@ -22,22 +20,20 @@ void TcpMachine::emit_ack(Pcb& pcb) {
 }
 
 void TcpMachine::open_active(Pcb& pcb) {
-  pcb.iss = next_iss();
-  pcb.snd_una = pcb.iss;
-  pcb.snd_nxt = pcb.iss + 1;  // SYN consumes one sequence number
+  const std::uint32_t iss = next_iss();
+  pcb.snd_una = iss;
+  pcb.snd_nxt = iss + 1;  // SYN consumes one sequence number
   pcb.state = TcpState::kSynSent;
-  emit(pcb, static_cast<std::uint8_t>(TcpFlag::kSyn), pcb.iss, 0);
+  emit(pcb, static_cast<std::uint8_t>(TcpFlag::kSyn), iss, 0);
 }
 
 void TcpMachine::open_passive(Pcb& pcb, const TcpHeader& syn) {
-  pcb.irs = syn.seq;
   pcb.rcv_nxt = syn.seq + 1;
-  pcb.iss = next_iss();
-  pcb.snd_una = pcb.iss;
-  pcb.snd_nxt = pcb.iss + 1;
+  const std::uint32_t iss = next_iss();
+  pcb.snd_una = iss;
+  pcb.snd_nxt = iss + 1;
   pcb.state = TcpState::kSynReceived;
-  ++pcb.segs_in;
-  emit(pcb, TcpFlag::kSyn | TcpFlag::kAck, pcb.iss, pcb.rcv_nxt);
+  emit(pcb, TcpFlag::kSyn | TcpFlag::kAck, iss, pcb.rcv_nxt);
 }
 
 bool TcpMachine::send_data(Pcb& pcb, std::uint32_t len) {
@@ -75,7 +71,6 @@ void TcpMachine::process_ack(Pcb& pcb, const TcpHeader& seg) {
   if (seq_gt(seg.ack, pcb.snd_una) && seq_leq(seg.ack, pcb.snd_nxt)) {
     pcb.snd_una = seg.ack;
   }
-  pcb.snd_wnd = seg.window;
 }
 
 void TcpMachine::process_data(Pcb& pcb, const TcpHeader& seg,
@@ -107,8 +102,6 @@ bool TcpMachine::flush_delayed_acks(Pcb& pcb) {
 
 void TcpMachine::process(Pcb& pcb, const TcpHeader& seg,
                          std::uint32_t payload_len) {
-  ++pcb.segs_in;
-
   if (seg.has(TcpFlag::kRst)) {
     pcb.state = TcpState::kClosed;
     return;
@@ -121,17 +114,16 @@ void TcpMachine::process(Pcb& pcb, const TcpHeader& seg,
           emit(pcb, static_cast<std::uint8_t>(TcpFlag::kRst), seg.ack, 0);
           return;
         }
-        pcb.irs = seg.seq;
         pcb.rcv_nxt = seg.seq + 1;
         pcb.snd_una = seg.ack;
         pcb.state = TcpState::kEstablished;
         emit_ack(pcb);
       } else if (seg.has(TcpFlag::kSyn)) {
-        // Simultaneous open.
-        pcb.irs = seg.seq;
+        // Simultaneous open. Nothing is acknowledged in SYN-SENT, so
+        // snd_una is still the ISS the SYN-ACK repeats.
         pcb.rcv_nxt = seg.seq + 1;
         pcb.state = TcpState::kSynReceived;
-        emit(pcb, TcpFlag::kSyn | TcpFlag::kAck, pcb.iss, pcb.rcv_nxt);
+        emit(pcb, TcpFlag::kSyn | TcpFlag::kAck, pcb.snd_una, pcb.rcv_nxt);
       }
       return;
 

@@ -37,7 +37,6 @@ UdpTable::DeliverResult UdpTable::deliver_wire(
   const auto lookup = demuxer_->lookup(key, core::SegmentKind::kData);
   result.pcbs_examined = lookup.examined;
   if (lookup.pcb != nullptr) {
-    ++lookup.pcb->segs_in;
     lookup.pcb->bytes_in += udp->length - net::UdpHeader::kSize;
     result.status = Delivery::kConnected;
     result.pcb = lookup.pcb;

@@ -2,6 +2,10 @@
 // for the hash-chain headers".
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <unordered_set>
+
 #include "core/demux_registry.h"
 #include "core/pcb_slab.h"
 #include "core/sequent_hash.h"
@@ -63,11 +67,26 @@ TEST(MemoryBytes, ConnectionIdPaysForItsSlotArray) {
   EXPECT_GT(d->memory_bytes(), 65536u * sizeof(void*));
 }
 
-TEST(MemoryBytes, PcbIsRealisticallyLarge) {
-  // The paper's premise: PCBs are big enough that thousands of them blow
-  // out on-chip caches. Keep ours honest (a classic inpcb+tcpcb pair runs
-  // a few hundred bytes).
-  EXPECT_GE(sizeof(Pcb), 100u);
+TEST(MemoryBytes, PcbIsOneCacheLine) {
+  // The paper's surrogate: examining a PCB is one memory reference. That
+  // holds when a PCB is exactly one 64-byte line, every slot starts a
+  // line, and no two PCBs share one — across a chunk boundary too.
+  static_assert(sizeof(Pcb) == PcbSlab::kSlotAlign);
+  const auto d = make_demuxer(*parse_demux_spec("sequent"));
+  const std::uint32_t n = PcbSlab::kSlotsPerChunk + 100;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const net::FlowKey k{net::Ipv4Addr(10, 0, 0, 1), 1521,
+                         net::Ipv4Addr(0x0a010000 + (i >> 12)),
+                         static_cast<std::uint16_t>(1024 + (i & 0xfff))};
+    ASSERT_NE(d->insert(k), nullptr) << i;
+  }
+  std::unordered_set<std::uintptr_t> lines;
+  d->for_each_pcb([&](const Pcb& pcb) {
+    const auto addr = std::bit_cast<std::uintptr_t>(&pcb);
+    EXPECT_EQ(addr % PcbSlab::kSlotAlign, 0u);
+    EXPECT_TRUE(lines.insert(addr / PcbSlab::kSlotAlign).second);
+  });
+  EXPECT_EQ(lines.size(), n);
 }
 
 }  // namespace

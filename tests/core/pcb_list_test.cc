@@ -17,15 +17,20 @@ net::FlowKey key(std::uint16_t port) {
 // The list is pure linkage — one head pointer, no count — so the tests
 // count by walking (count()). The PCBs it links come from a slab, as in
 // every demuxer. Each test's slab is declared before its lists.
-Pcb* link(PcbSlab& slab, PcbList& list, const net::FlowKey& k,
-          std::uint64_t id) {
-  Pcb* pcb = slab.make(k, id);
+Pcb* link(PcbSlab& slab, PcbList& list, const net::FlowKey& k) {
+  Pcb* pcb = slab.make(k);
   list.link_front(pcb);
   return pcb;
 }
 
 Pcb* link(PcbSlab& slab, PcbList& list, std::uint16_t port) {
-  return link(slab, list, key(port), port);
+  return link(slab, list, key(port));
+}
+
+std::vector<std::uint16_t> order_of(const PcbList& list) {
+  std::vector<std::uint16_t> order;
+  list.for_each([&](const Pcb& p) { order.push_back(p.key.foreign_port); });
+  return order;
 }
 
 TEST(PcbList, StartsEmpty) {
@@ -38,11 +43,10 @@ TEST(PcbList, StartsEmpty) {
 TEST(PcbList, LinkFrontLinksAtHead) {
   PcbSlab slab;
   PcbList list;
-  Pcb* a = link(slab, list, key(1), 0);
-  Pcb* b = link(slab, list, key(2), 1);
+  Pcb* a = link(slab, list, key(1));
+  Pcb* b = link(slab, list, key(2));
   EXPECT_EQ(list.head(), b);
   EXPECT_EQ(b->next, a);
-  EXPECT_EQ(a->prev, b);
   EXPECT_EQ(a->next, nullptr);
   EXPECT_EQ(list.count(), 2u);
 }
@@ -66,13 +70,35 @@ TEST(PcbList, FindScanMissExaminesAll) {
   EXPECT_EQ(r.examined, 5u);
 }
 
+TEST(PcbList, FindLinkReturnsTheLinkToThePcb) {
+  PcbSlab slab;
+  PcbList list;
+  for (std::uint16_t p = 1; p <= 5; ++p) link(slab, list, p);
+  // List order is 5,4,3,2,1. The head's link is the list's own pointer;
+  // every other node's is its predecessor's `next`.
+  const auto head = list.find_link(key(5));
+  ASSERT_NE(head.link, nullptr);
+  EXPECT_EQ(head.pcb(), list.head());
+  EXPECT_EQ(head.examined, 1u);
+  Pcb* const four = list.head()->next;
+  const auto three = list.find_link(key(3));
+  EXPECT_EQ(three.link, &four->next);
+  EXPECT_EQ(three.pcb()->key, key(3));
+  EXPECT_EQ(three.examined, list.find_scan(key(3)).examined);
+  const auto miss = list.find_link(key(99));
+  EXPECT_EQ(miss.link, nullptr);
+  EXPECT_EQ(miss.pcb(), nullptr);
+  EXPECT_EQ(miss.examined, 5u);
+}
+
 TEST(PcbList, MoveToFrontReorders) {
   PcbSlab slab;
   PcbList list;
   for (std::uint16_t p = 1; p <= 4; ++p) link(slab, list, p);
-  Pcb* target = list.find_scan(key(1)).pcb;  // at the tail
+  const auto scan = list.find_link(key(1));  // the tail
+  Pcb* target = scan.pcb();
   ASSERT_NE(target, nullptr);
-  list.move_to_front(target);
+  list.move_to_front(scan.link);
   EXPECT_EQ(list.head(), target);
   EXPECT_EQ(list.count(), 4u);
   EXPECT_EQ(list.find_scan(key(1)).examined, 1u);
@@ -84,21 +110,18 @@ TEST(PcbList, MoveToFrontOfHeadIsNoop) {
   PcbList list;
   link(slab, list, 1);
   Pcb* b = link(slab, list, 2);
-  list.move_to_front(b);
+  list.move_to_front(list.find_link(key(2)).link);
   EXPECT_EQ(list.head(), b);
   EXPECT_EQ(list.count(), 2u);
+  EXPECT_EQ(order_of(list), (std::vector<std::uint16_t>{2, 1}));
 }
 
 TEST(PcbList, MoveToFrontFromMiddle) {
   PcbSlab slab;
   PcbList list;
   for (std::uint16_t p = 1; p <= 5; ++p) link(slab, list, p);
-  Pcb* middle = list.find_scan(key(3)).pcb;
-  list.move_to_front(middle);
-  // Expected order now: 3,5,4,2,1.
-  std::vector<std::uint16_t> order;
-  list.for_each([&](const Pcb& p) { order.push_back(p.key.foreign_port); });
-  EXPECT_EQ(order, (std::vector<std::uint16_t>{3, 5, 4, 2, 1}));
+  list.move_to_front(list.find_link(key(3)).link);
+  EXPECT_EQ(order_of(list), (std::vector<std::uint16_t>{3, 5, 4, 2, 1}));
 }
 
 TEST(PcbList, EraseHead) {
@@ -106,14 +129,12 @@ TEST(PcbList, EraseHead) {
   PcbList list;
   link(slab, list, 1);
   Pcb* b = link(slab, list, 2);
-  list.unlink(b);
+  list.unlink(list.find_link(key(2)).link);
   EXPECT_EQ(list.count(), 1u);
   EXPECT_EQ(list.head()->key, key(1));
-  EXPECT_EQ(list.head()->prev, nullptr);
   // Unlinking only detaches: the PCB itself is intact until its slab
   // destroys it.
   EXPECT_EQ(b->next, nullptr);
-  EXPECT_EQ(b->prev, nullptr);
   EXPECT_EQ(b->key, key(2));
 }
 
@@ -121,19 +142,30 @@ TEST(PcbList, EraseTailAndMiddle) {
   PcbSlab slab;
   PcbList list;
   for (std::uint16_t p = 1; p <= 3; ++p) link(slab, list, p);
-  list.unlink(list.find_scan(key(1)).pcb);  // tail
-  list.unlink(list.find_scan(key(2)).pcb);  // now tail (was middle)
+  list.unlink(list.find_link(key(1)).link);  // tail
+  list.unlink(list.find_link(key(2)).link);  // now tail (was middle)
   EXPECT_EQ(list.count(), 1u);
   EXPECT_EQ(list.head()->key, key(3));
   EXPECT_EQ(list.head()->next, nullptr);
-  EXPECT_EQ(list.head()->prev, nullptr);
+}
+
+TEST(PcbList, EraseMiddleKeepsBothNeighbours) {
+  PcbSlab slab;
+  PcbList list;
+  for (std::uint16_t p = 1; p <= 5; ++p) link(slab, list, p);
+  Pcb* const middle = list.find_scan(key(3)).pcb;
+  list.unlink(list.find_link(key(3)).link);
+  EXPECT_EQ(middle->next, nullptr);
+  EXPECT_EQ(order_of(list), (std::vector<std::uint16_t>{5, 4, 2, 1}));
+  EXPECT_EQ(list.find_scan(key(2)).examined, 3u);
+  EXPECT_EQ(list.find_scan(key(3)).pcb, nullptr);
 }
 
 TEST(PcbList, EraseOnlyElement) {
   PcbSlab slab;
   PcbList list;
-  Pcb* a = link(slab, list, 1);
-  list.unlink(a);
+  link(slab, list, 1);
+  list.unlink(list.find_link(key(1)).link);
   EXPECT_TRUE(list.empty());
   EXPECT_EQ(list.head(), nullptr);
   EXPECT_EQ(list.count(), 0u);
@@ -148,9 +180,7 @@ TEST(PcbList, PopFrontDrainsInListOrder) {
   EXPECT_TRUE(list.empty());
   EXPECT_EQ(list.pop_front(), nullptr);
   // Relinking reverses the order: 3,2,1 becomes 1,2,3.
-  std::vector<std::uint16_t> order;
-  other.for_each([&](const Pcb& p) { order.push_back(p.key.foreign_port); });
-  EXPECT_EQ(order, (std::vector<std::uint16_t>{1, 2, 3}));
+  EXPECT_EQ(order_of(other), (std::vector<std::uint16_t>{1, 2, 3}));
 }
 
 TEST(PcbList, MoveConstructorTransfersOwnership) {
@@ -180,9 +210,8 @@ TEST(PcbList, FindBestMatchPrefersExact) {
   PcbList list;
   link(slab, list,
        net::FlowKey{net::Ipv4Addr(10, 0, 0, 1), 1521, net::Ipv4Addr::any(),
-                    0},
-       0);  // listener
-  link(slab, list, key(7), 1);  // exact connection, at head
+                    0});        // listener
+  link(slab, list, key(7));  // exact connection, at head
   const auto r = list.find_best_match(key(7));
   ASSERT_NE(r.pcb, nullptr);
   EXPECT_EQ(r.pcb->key, key(7));
@@ -193,11 +222,10 @@ TEST(PcbList, FindBestMatchFallsBackToWildcard) {
   PcbSlab slab;
   PcbList list;
   link(slab, list,
-       net::FlowKey{net::Ipv4Addr::any(), 1521, net::Ipv4Addr::any(), 0}, 0);
+       net::FlowKey{net::Ipv4Addr::any(), 1521, net::Ipv4Addr::any(), 0});
   link(slab, list,
        net::FlowKey{net::Ipv4Addr(10, 0, 0, 1), 1521, net::Ipv4Addr::any(),
-                    0},
-       1);
+                    0});
   const auto r = list.find_best_match(key(9));
   ASSERT_NE(r.pcb, nullptr);
   // The single-wildcard (local-addr-specified) listener must win over the
@@ -210,20 +238,22 @@ TEST(PcbList, FindBestMatchNoMatch) {
   PcbSlab slab;
   PcbList list;
   link(slab, list,
-       net::FlowKey{net::Ipv4Addr(10, 0, 0, 1), 80, net::Ipv4Addr::any(), 0},
-       0);
+       net::FlowKey{net::Ipv4Addr(10, 0, 0, 1), 80, net::Ipv4Addr::any(), 0});
   const auto r = list.find_best_match(key(9));  // port 1521, no listener
   EXPECT_EQ(r.pcb, nullptr);
 }
 
-TEST(PcbList, ConnIdsArePreserved) {
+TEST(PcbList, RelinkingPreservesPcbState) {
   PcbSlab slab;
   PcbList list;
-  Pcb* a = link(slab, list, key(1), 42);
-  link(slab, list, key(2), 43);
-  list.move_to_front(a);
-  list.unlink(a);
-  EXPECT_EQ(a->conn_id, 42u);
+  Pcb* a = link(slab, list, key(1));
+  link(slab, list, key(2));
+  a->bytes_in = 42;
+  list.move_to_front(list.find_link(key(1)).link);
+  EXPECT_EQ(list.head(), a);
+  list.unlink(list.find_link(key(1)).link);
+  EXPECT_EQ(a->key, key(1));
+  EXPECT_EQ(a->bytes_in, 42u);
 }
 
 }  // namespace

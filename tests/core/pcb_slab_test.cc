@@ -34,7 +34,7 @@ TEST(PcbSlab, SlotsAreCacheLineAligned) {
   PcbSlab slab;
   std::unordered_set<const Pcb*> seen;
   for (std::uint32_t i = 0; i < 1000; ++i) {
-    const Pcb* pcb = slab.make(key(i), i);
+    const Pcb* pcb = slab.make(key(i));
     EXPECT_TRUE(line_aligned(pcb)) << i;
     EXPECT_TRUE(seen.insert(pcb).second) << i;
   }
@@ -42,20 +42,20 @@ TEST(PcbSlab, SlotsAreCacheLineAligned) {
 
 TEST(PcbSlab, FreedSlotsAreReusedLastInFirstOut) {
   PcbSlab slab;
-  Pcb* a = slab.make(key(1), 1);
-  Pcb* b = slab.make(key(2), 2);
-  Pcb* c = slab.make(key(3), 3);
+  Pcb* a = slab.make(key(1));
+  Pcb* b = slab.make(key(2));
+  Pcb* c = slab.make(key(3));
   slab.destroy(a);
   slab.destroy(c);
-  EXPECT_EQ(slab.make(key(4), 4), c);
-  EXPECT_EQ(slab.make(key(5), 5), a);
-  Pcb* fresh = slab.make(key(6), 6);
+  EXPECT_EQ(slab.make(key(4)), c);
+  EXPECT_EQ(slab.make(key(5)), a);
+  Pcb* fresh = slab.make(key(6));
   EXPECT_NE(fresh, a);
   EXPECT_NE(fresh, b);
   EXPECT_NE(fresh, c);
   // A reused slot is a freshly constructed PCB.
   EXPECT_EQ(a->key, key(5));
-  EXPECT_EQ(a->conn_id, 5u);
+  EXPECT_EQ(a->bytes_in, 0u);
   EXPECT_EQ(a->next, nullptr);
   EXPECT_EQ(a->state, TcpState::kClosed);
 }
@@ -65,14 +65,13 @@ TEST(PcbSlab, PointersStayPutAcrossChunks) {
   constexpr std::uint32_t kCount = 3 * PcbSlab::kSlotsPerChunk + 10;
   std::vector<Pcb*> pcbs;
   for (std::uint32_t i = 0; i < kCount; ++i) {
-    pcbs.push_back(slab.make(key(i), i));
-    pcbs.back()->segs_in = i;  // touch the second line too
+    pcbs.push_back(slab.make(key(i)));
+    pcbs.back()->bytes_in = i;  // the last word of the slot
   }
   EXPECT_EQ(slab.bytes(), 3 * PcbSlab::kChunkBytes + page_bytes());
   for (std::uint32_t i = 0; i < kCount; ++i) {
     ASSERT_EQ(pcbs[i]->key, key(i)) << i;
-    ASSERT_EQ(pcbs[i]->conn_id, i) << i;
-    ASSERT_EQ(pcbs[i]->segs_in, i) << i;
+    ASSERT_EQ(pcbs[i]->bytes_in, i) << i;
     ASSERT_TRUE(slab.handed_out(pcbs[i])) << i;
   }
 }
@@ -98,19 +97,19 @@ TEST(PcbSlab, BytesCountFullChunksAndTheUsedPages) {
   const std::size_t per_page = page / sizeof(Pcb);
   PcbSlab slab;
   std::vector<Pcb*> pcbs;
-  pcbs.push_back(slab.make(key(0), 0));
+  pcbs.push_back(slab.make(key(0)));
   EXPECT_EQ(slab.bytes(), page);
   while (pcbs.size() < per_page) {
-    pcbs.push_back(slab.make(key(pcbs.size()), pcbs.size()));
+    pcbs.push_back(slab.make(key(pcbs.size())));
   }
   EXPECT_EQ(slab.bytes(), page);
-  pcbs.push_back(slab.make(key(pcbs.size()), pcbs.size()));
+  pcbs.push_back(slab.make(key(pcbs.size())));
   EXPECT_EQ(slab.bytes(), 2 * page);
   while (pcbs.size() < PcbSlab::kSlotsPerChunk) {
-    pcbs.push_back(slab.make(key(pcbs.size()), pcbs.size()));
+    pcbs.push_back(slab.make(key(pcbs.size())));
   }
   EXPECT_EQ(slab.bytes(), PcbSlab::kChunkBytes);
-  pcbs.push_back(slab.make(key(pcbs.size()), pcbs.size()));
+  pcbs.push_back(slab.make(key(pcbs.size())));
   EXPECT_EQ(slab.bytes(), PcbSlab::kChunkBytes + page);
   EXPECT_EQ(slab.live(), PcbSlab::kSlotsPerChunk + 1);
   // Freed slots stay in their chunk for reuse: bytes do not shrink, and
@@ -118,27 +117,27 @@ TEST(PcbSlab, BytesCountFullChunksAndTheUsedPages) {
   for (Pcb* pcb : pcbs) slab.destroy(pcb);
   EXPECT_EQ(slab.live(), 0u);
   EXPECT_EQ(slab.bytes(), PcbSlab::kChunkBytes + page);
-  for (std::uint32_t i = 0; i < pcbs.size(); ++i) (void)slab.make(key(i), i);
+  for (std::uint32_t i = 0; i < pcbs.size(); ++i) (void)slab.make(key(i));
   EXPECT_EQ(slab.bytes(), PcbSlab::kChunkBytes + page);
 }
 
 TEST(PcbSlab, ChunksAreHugePageAligned) {
   PcbSlab slab;
-  const Pcb* first = slab.make(key(0), 0);
+  const Pcb* first = slab.make(key(0));
   EXPECT_EQ(std::bit_cast<std::uintptr_t>(first) % kHugePageBytes, 0u);
   for (std::uint32_t i = 1; i < PcbSlab::kSlotsPerChunk; ++i) {
-    (void)slab.make(key(i), i);
+    (void)slab.make(key(i));
   }
-  const Pcb* next = slab.make(key(0), 0);
+  const Pcb* next = slab.make(key(0));
   EXPECT_EQ(std::bit_cast<std::uintptr_t>(next) % kHugePageBytes, 0u);
 }
 
 TEST(PcbSlab, HandedOutRecognizesOnlyItsOwnSlots) {
   PcbSlab slab;
   PcbSlab other;
-  Pcb* mine = slab.make(key(1), 1);
-  Pcb* theirs = other.make(key(2), 2);
-  const Pcb stack(key(3), 3);
+  Pcb* mine = slab.make(key(1));
+  Pcb* theirs = other.make(key(2));
+  const Pcb stack(key(3));
   EXPECT_TRUE(slab.handed_out(mine));
   EXPECT_FALSE(slab.handed_out(theirs));
   EXPECT_FALSE(slab.handed_out(&stack));
@@ -146,13 +145,13 @@ TEST(PcbSlab, HandedOutRecognizesOnlyItsOwnSlots) {
   EXPECT_FALSE(slab.handed_out(mine + 1));
   // Inside a slot but off its boundary.
   EXPECT_FALSE(slab.handed_out(reinterpret_cast<const Pcb*>(
-      reinterpret_cast<const char*>(mine) + PcbSlab::kSlotAlign)));
+      reinterpret_cast<const char*>(mine) + sizeof(net::FlowKey))));
 }
 
 TEST(PcbSlab, ForEachFreeVisitsExactlyTheFreedSlots) {
   PcbSlab slab;
   std::vector<Pcb*> pcbs;
-  for (std::uint32_t i = 0; i < 8; ++i) pcbs.push_back(slab.make(key(i), i));
+  for (std::uint32_t i = 0; i < 8; ++i) pcbs.push_back(slab.make(key(i)));
   slab.destroy(pcbs[1]);
   slab.destroy(pcbs[6]);
   std::vector<const Pcb*> freed;

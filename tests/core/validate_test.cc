@@ -79,7 +79,7 @@ TEST(ValidateTest, EmptyStructuresValidateClean) {
 TEST(ValidateTest, BsdStaleCachePointerIsReported) {
   BsdListDemuxer demuxer;
   populate(demuxer, 8);
-  Pcb foreign(key(99), 99);  // never a member of the demuxer's list
+  Pcb foreign(key(99));  // never a member of the demuxer's list
   Pcb*& cache = ValidatorTestAccess::cache(demuxer);
   Pcb* const saved = cache;
   cache = &foreign;
@@ -88,23 +88,28 @@ TEST(ValidateTest, BsdStaleCachePointerIsReported) {
   EXPECT_TRUE(StructuralValidator::validate(demuxer).ok());
 }
 
-TEST(ValidateTest, BrokenPrevLinkIsReported) {
+TEST(ValidateTest, NextLinkSkippingAMemberIsReported) {
   MoveToFrontDemuxer demuxer;
   populate(demuxer, 8);
   PcbList& list = ValidatorTestAccess::list(demuxer);
   Pcb* const second = list.head()->next;
   ASSERT_NE(second, nullptr);
-  Pcb* const saved = second->prev;
-  second->prev = second;  // next/prev no longer mirror each other
-  EXPECT_FALSE(StructuralValidator::validate(demuxer).ok());
-  second->prev = saved;
+  Pcb* const third = second->next;
+  ASSERT_NE(third, nullptr);
+  second->next = third->next;  // the walk no longer reaches `third`
+  const ValidationReport report = StructuralValidator::validate(demuxer);
+  EXPECT_FALSE(report.ok());
+  EXPECT_NE(report.to_string().find("reachable nodes (7) != size() (8)"),
+            std::string::npos)
+      << report.to_string();
+  second->next = third;
   EXPECT_TRUE(StructuralValidator::validate(demuxer).ok());
 }
 
 TEST(ValidateTest, SrcacheForeignCachePointersAreReported) {
   SendReceiveCacheDemuxer demuxer;
   populate(demuxer, 8);
-  Pcb foreign(key(99), 99);
+  Pcb foreign(key(99));
   for (Pcb** slot : {&ValidatorTestAccess::recv_cache(demuxer),
                      &ValidatorTestAccess::send_cache(demuxer)}) {
     Pcb* const saved = *slot;
@@ -231,7 +236,7 @@ TEST(ValidateTest, DynamicLeakedSlabSlotIsReported) {
       .chains = 5, .hasher = net::HasherKind::kCrc32, .grow = true});
   populate(demuxer, 40);
   PcbSlab& slab = ValidatorTestAccess::slab(demuxer);
-  Pcb* const leaked = slab.make(key(99), 99);
+  Pcb* const leaked = slab.make(key(99));
   const ValidationReport report = StructuralValidator::validate(demuxer);
   EXPECT_FALSE(report.ok());
   EXPECT_NE(report.to_string().find("leak"), std::string::npos)
@@ -245,7 +250,7 @@ TEST(ValidateTest, SequentPcbFromOutsideTheSlabIsReported) {
   // the demuxer's slab never handed out.
   SequentDemuxer demuxer;
   populate(demuxer, 8);
-  Pcb stray(key(99), 99);
+  Pcb stray(key(99));
   const std::uint32_t home =
       net::hash_chain(demuxer.hash_spec(), stray.key, demuxer.chains());
   PcbList& chain = ValidatorTestAccess::chain(demuxer, home);
@@ -256,7 +261,7 @@ TEST(ValidateTest, SequentPcbFromOutsideTheSlabIsReported) {
   EXPECT_NE(report.to_string().find("slot of this demuxer's slab"),
             std::string::npos)
       << report.to_string();
-  chain.unlink(&stray);
+  ASSERT_EQ(chain.pop_front(), &stray);
   --ValidatorTestAccess::size(demuxer);
   EXPECT_TRUE(StructuralValidator::validate(demuxer).ok());
 }
@@ -267,14 +272,13 @@ TEST(ValidateTest, ConnectionIdKeySlotMismatchIsReported) {
   Pcb* const b = demuxer.insert(key(2));
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
+  const std::uint32_t a_id = demuxer.id_of(*a);
   // Rebind a's key to b's slot: the table now maps a's key to a slot whose
   // PCB carries a different key.
-  ValidatorTestAccess::rebind_id(demuxer, *a,
-                                 static_cast<std::uint32_t>(b->conn_id));
+  ValidatorTestAccess::rebind_id(demuxer, *a, demuxer.id_of(*b));
   const ValidationReport report = StructuralValidator::validate(demuxer);
   EXPECT_FALSE(report.ok());
-  ValidatorTestAccess::rebind_id(demuxer, *a,
-                                 static_cast<std::uint32_t>(a->conn_id));
+  ValidatorTestAccess::rebind_id(demuxer, *a, a_id);
   EXPECT_TRUE(StructuralValidator::validate(demuxer).ok());
 }
 
@@ -282,8 +286,7 @@ TEST(ValidateTest, ConnectionIdFreeListOverOccupiedSlotIsReported) {
   ConnectionIdDemuxer demuxer(64);
   Pcb* const a = demuxer.insert(key(1));
   ASSERT_NE(a, nullptr);
-  ValidatorTestAccess::push_free_id(demuxer,
-                                    static_cast<std::uint32_t>(a->conn_id));
+  ValidatorTestAccess::push_free_id(demuxer, demuxer.id_of(*a));
   EXPECT_FALSE(StructuralValidator::validate(demuxer).ok());
   ValidatorTestAccess::pop_free_id(demuxer);
   EXPECT_TRUE(StructuralValidator::validate(demuxer).ok());
@@ -401,7 +404,7 @@ TEST(ValidateTest, ReportJoinsAllErrors) {
   populate(demuxer, 16);
   std::size_t& size = ValidatorTestAccess::size(demuxer);
   size += 2;
-  Pcb foreign(key(99), 99);
+  Pcb foreign(key(99));
   std::uint32_t c = 0;
   while (ValidatorTestAccess::chain(demuxer, c).empty()) ++c;
   Pcb*& cache = ValidatorTestAccess::cache(demuxer, c);

@@ -6,7 +6,7 @@
 namespace tcpdemux::core {
 
 inline Pcb* slab_make(const FlowKey& key) {
-  return new Pcb(key, 0);  // exempt: pcb-construction
+  return new Pcb(key);  // exempt: pcb-construction
 }
 
 inline void slab_release(Pcb* pcb) {

@@ -3,7 +3,7 @@
 namespace tcpdemux::tcp {
 
 void placement(void* storage, const FlowKey& key) {
-  new (storage) core::Pcb(key, 0);  // positive: placement new outside
+  new (storage) core::Pcb(key);  // positive: placement new outside
 }
 
 }  // namespace tcpdemux::tcp

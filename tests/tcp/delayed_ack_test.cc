@@ -18,8 +18,7 @@ class DelayedAckTest : public ::testing::Test {
       : machine_([this](Pcb&, const Emit& e) { sent_.push_back(e); },
                  TcpMachine::Options{true}),
         pcb_(net::FlowKey{net::Ipv4Addr(10, 0, 0, 1), 1521,
-                          net::Ipv4Addr(10, 1, 0, 2), 40001},
-             0) {
+                          net::Ipv4Addr(10, 1, 0, 2), 40001}) {
     TcpHeader syn;
     syn.flags = static_cast<std::uint8_t>(TcpFlag::kSyn);
     syn.seq = 100;
@@ -105,8 +104,7 @@ TEST_F(DelayedAckTest, DisabledOptionAcksEverySegment) {
   std::vector<Emit> sent;
   TcpMachine immediate([&](Pcb&, const Emit& e) { sent.push_back(e); });
   Pcb pcb(net::FlowKey{net::Ipv4Addr(10, 0, 0, 1), 1521,
-                       net::Ipv4Addr(10, 1, 0, 3), 40002},
-          1);
+                       net::Ipv4Addr(10, 1, 0, 3), 40002});
   TcpHeader syn;
   syn.flags = static_cast<std::uint8_t>(TcpFlag::kSyn);
   syn.seq = 500;

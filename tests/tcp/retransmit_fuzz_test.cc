@@ -127,7 +127,7 @@ TEST(RetransmitFuzz, PoolMatchesPerConnectionDeques) {
   // queues wrap past zero.
   auto restart = [&](Connection& c, std::uint16_t port) {
     c.pcb = std::make_unique<core::Pcb>(
-        net::FlowKey{{10, 0, 0, 1}, 80, {10, 1, 0, 2}, port}, port);
+        net::FlowKey{{10, 0, 0, 1}, 80, {10, 1, 0, 2}, port});
     c.ref.clear();
     c.snd_nxt = (port % 2 == 0) ? 0xffff0000u + rng() % 0x10000u : rng();
     c.snd_una = c.snd_nxt;

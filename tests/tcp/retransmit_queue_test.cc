@@ -6,8 +6,7 @@ namespace tcpdemux::tcp {
 namespace {
 
 core::Pcb make_pcb(std::uint16_t port) {
-  return core::Pcb(net::FlowKey{{10, 0, 0, 1}, 80, {10, 1, 0, 2}, port},
-                   port);
+  return core::Pcb(net::FlowKey{{10, 0, 0, 1}, 80, {10, 1, 0, 2}, port});
 }
 
 TEST(RetransmitQueue, StartsEmpty) {

@@ -73,7 +73,7 @@ TEST(RttEstimator, CustomConfigRespected) {
 }
 
 TEST(UpdatePcbRtt, FirstAndFollowingSamples) {
-  core::Pcb pcb(net::FlowKey{}, 0);
+  core::Pcb pcb(net::FlowKey{});
   pcb.srtt_us = 0;  // mark "no samples"
   update_pcb_rtt(pcb, 300'000);
   EXPECT_EQ(pcb.srtt_us, 300'000u);
@@ -87,7 +87,7 @@ TEST(UpdatePcbRtt, FirstAndFollowingSamples) {
 }
 
 TEST(UpdatePcbRtt, MatchesEstimatorSequence) {
-  core::Pcb pcb(net::FlowKey{}, 0);
+  core::Pcb pcb(net::FlowKey{});
   pcb.srtt_us = 0;
   RttEstimator e;
   const std::uint32_t samples[] = {120'000, 80'000, 90'000, 400'000, 110'000};

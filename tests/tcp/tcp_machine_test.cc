@@ -13,7 +13,7 @@ using net::TcpFlag;
 using net::TcpHeader;
 
 struct Sent {
-  std::uint64_t conn;
+  const Pcb* conn;
   Emit emit;
 };
 
@@ -21,11 +21,10 @@ class TcpMachineTest : public ::testing::Test {
  protected:
   TcpMachineTest()
       : machine_([this](Pcb& pcb, const Emit& e) {
-          sent_.push_back(Sent{pcb.conn_id, e});
+          sent_.push_back(Sent{&pcb, e});
         }),
         pcb_(net::FlowKey{net::Ipv4Addr(10, 0, 0, 1), 1521,
-                          net::Ipv4Addr(10, 1, 0, 2), 40001},
-             0) {}
+                          net::Ipv4Addr(10, 1, 0, 2), 40001}) {}
 
   const Emit& last() const { return sent_.back().emit; }
   bool last_has(TcpFlag f) const {
@@ -64,8 +63,9 @@ TEST_F(TcpMachineTest, ActiveOpenSendsSyn) {
   ASSERT_EQ(sent_.size(), 1u);
   EXPECT_TRUE(last_has(TcpFlag::kSyn));
   EXPECT_FALSE(last_has(TcpFlag::kAck));
-  EXPECT_EQ(last().seq, pcb_.iss);
-  EXPECT_EQ(pcb_.snd_nxt, pcb_.iss + 1);
+  // Nothing is acknowledged yet: snd_una is the ISS the SYN carries.
+  EXPECT_EQ(last().seq, pcb_.snd_una);
+  EXPECT_EQ(pcb_.snd_nxt, pcb_.snd_una + 1);
 }
 
 TEST_F(TcpMachineTest, PassiveOpenSendsSynAck) {
@@ -85,8 +85,8 @@ TEST_F(TcpMachineTest, ThreeWayHandshakeClientSide) {
       make_seg(TcpFlag::kSyn | TcpFlag::kAck, 5000, pcb_.snd_nxt);
   machine_.process(pcb_, synack, 0);
   EXPECT_EQ(pcb_.state, TcpState::kEstablished);
-  EXPECT_EQ(pcb_.rcv_nxt, 5001u);
-  EXPECT_EQ(pcb_.irs, 5000u);
+  EXPECT_EQ(pcb_.rcv_nxt, 5001u);  // the peer's ISS + 1
+  EXPECT_EQ(pcb_.snd_una, pcb_.snd_nxt);
   // Final ACK of the handshake was emitted.
   EXPECT_TRUE(last_has(TcpFlag::kAck));
   EXPECT_EQ(last().ack, 5001u);
@@ -108,11 +108,14 @@ TEST_F(TcpMachineTest, ThreeWayHandshakeServerSide) {
 
 TEST_F(TcpMachineTest, SimultaneousOpen) {
   machine_.open_active(pcb_);
+  const std::uint32_t iss = last().seq;
   TcpHeader syn = make_seg(static_cast<std::uint8_t>(TcpFlag::kSyn), 7000, 0);
   machine_.process(pcb_, syn, 0);
   EXPECT_EQ(pcb_.state, TcpState::kSynReceived);
   EXPECT_TRUE(last_has(TcpFlag::kSyn));
   EXPECT_TRUE(last_has(TcpFlag::kAck));
+  EXPECT_EQ(last().seq, iss) << "the SYN-ACK repeats our SYN's ISS";
+  EXPECT_EQ(last().ack, 7001u);
 }
 
 TEST_F(TcpMachineTest, InOrderDataIsAckedCumulatively) {
@@ -252,21 +255,31 @@ TEST_F(TcpMachineTest, RetransmittedFinInTimeWaitReAcked) {
 }
 
 TEST_F(TcpMachineTest, CountersTrackSegments) {
+  // Segments out are the emitted-segment log; segments in show in the
+  // receive sequence space and the delivered-byte count.
   establish_passive();
-  EXPECT_GT(pcb_.segs_in, 0u);
-  EXPECT_GT(pcb_.segs_out, 0u);
-  const auto in_before = pcb_.segs_in;
+  ASSERT_EQ(sent_.size(), 1u);  // the SYN-ACK; the handshake ACK needs none
+  EXPECT_EQ(sent_[0].conn, &pcb_);
+  EXPECT_EQ(pcb_.rcv_nxt, 101u);
   TcpHeader data = make_seg(TcpFlag::kAck | TcpFlag::kPsh, pcb_.rcv_nxt,
                             pcb_.snd_nxt);
   machine_.process(pcb_, data, 10);
-  EXPECT_EQ(pcb_.segs_in, in_before + 1);
+  EXPECT_EQ(pcb_.rcv_nxt, 111u);
+  EXPECT_EQ(pcb_.bytes_in, 10u);
+  ASSERT_EQ(sent_.size(), 2u);  // its ACK
+  EXPECT_EQ(sent_.back().conn, &pcb_);
+  EXPECT_EQ(last().ack, 111u);
 }
 
 TEST_F(TcpMachineTest, DistinctIssPerConnection) {
-  Pcb other(pcb_.key.reversed(), 1);
+  Pcb other(pcb_.key.reversed());
   machine_.open_active(pcb_);
   machine_.open_active(other);
-  EXPECT_NE(pcb_.iss, other.iss);
+  ASSERT_EQ(sent_.size(), 2u);
+  EXPECT_EQ(sent_[0].conn, &pcb_);
+  EXPECT_EQ(sent_[1].conn, &other);
+  EXPECT_NE(sent_[0].emit.seq, sent_[1].emit.seq);
+  EXPECT_NE(pcb_.snd_una, other.snd_una);
 }
 
 }  // namespace
