@@ -43,36 +43,15 @@ bool ConnectionIdDemuxer::erase(const net::FlowKey& key) {
 
 LookupResult ConnectionIdDemuxer::lookup(const net::FlowKey& key,
                                          SegmentKind /*kind*/) {
-  LookupResult r;
-  r.examined = 1;  // the single array slot the carried ID indexes
-  const auto it = id_by_key_.find(key);
-  if (it != id_by_key_.end()) {
-    r.pcb = slots_[it->second];
-  }
+  // One examined PCB: the single array slot the carried ID indexes.
+  const LookupResult r{find(key), 1, false};
   note_lookup(r);
   return r;
 }
 
-LookupResult ConnectionIdDemuxer::lookup_wildcard(const net::FlowKey& key) {
-  // Connection-ID protocols have no wildcard path (connection setup carries
-  // the ID explicitly); fall back to scanning the slot table.
-  LookupResult best;
-  int best_score = -1;
-  for (Pcb* const slot : slots_) {
-    if (slot == nullptr) continue;
-    ++best.examined;
-    const int score = slot->key.match_score(key);
-    if (score < 0) continue;
-    if (score == 0) {
-      best.pcb = slot;
-      return best;
-    }
-    if (best_score < 0 || score < best_score) {
-      best_score = score;
-      best.pcb = slot;
-    }
-  }
-  return best;
+Pcb* ConnectionIdDemuxer::find(const net::FlowKey& key) const {
+  const auto it = id_by_key_.find(key);
+  return it == id_by_key_.end() ? nullptr : slots_[it->second];
 }
 
 Pcb* ConnectionIdDemuxer::lookup_by_id(std::uint32_t id) const noexcept {

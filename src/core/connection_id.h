@@ -34,7 +34,7 @@ class ConnectionIdDemuxer final : public Demuxer {
   bool erase(const net::FlowKey& key) override;
   using Demuxer::lookup;
   LookupResult lookup(const net::FlowKey& key, SegmentKind kind) override;
-  LookupResult lookup_wildcard(const net::FlowKey& key) override;
+  [[nodiscard]] Pcb* find(const net::FlowKey& key) const override;
   [[nodiscard]] std::size_t size() const override { return id_by_key_.size(); }
   void for_each_pcb(
       const std::function<void(const Pcb&)>& fn) const override;

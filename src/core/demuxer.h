@@ -113,10 +113,14 @@ class Demuxer {
   /// side); the default is a no-op.
   virtual void note_sent(Pcb* pcb) { (void)pcb; }
 
-  /// Best wildcard match for `key` (BSD in_pcblookup semantics), used for
-  /// SYN delivery to listening sockets. Does not update caches and is not
-  /// part of the measured fast path; `examined` is still reported.
-  virtual LookupResult lookup_wildcard(const net::FlowKey& key) = 0;
+  /// The PCB with exactly `key`, or nullptr: the probe lookup() makes,
+  /// without its side effects. Moves no cache, no list order, no drain
+  /// cursor and no stats() counter (hence const), so control paths —
+  /// membership checks, owner searches, diagnostics — can ask without
+  /// distorting the measured fast path. Listening sockets never reach a
+  /// demuxer (the socket tables keep them), so this is exact match only,
+  /// as the paper models it.
+  [[nodiscard]] virtual Pcb* find(const net::FlowKey& key) const = 0;
 
   /// Number of PCBs currently registered.
   [[nodiscard]] virtual std::size_t size() const = 0;

@@ -49,26 +49,6 @@ LookupResult HashedMtfDemuxer::lookup(const net::FlowKey& key,
   return r;
 }
 
-LookupResult HashedMtfDemuxer::lookup_wildcard(const net::FlowKey& key) {
-  LookupResult best;
-  int best_score = -1;
-  for (PcbList& list : buckets_) {
-    const auto scan = list.find_best_match(key);
-    best.examined += scan.examined;
-    if (scan.pcb == nullptr) continue;
-    const int score = scan.pcb->key.match_score(key);
-    if (score == 0) {
-      best.pcb = scan.pcb;
-      return best;
-    }
-    if (best_score < 0 || score < best_score) {
-      best_score = score;
-      best.pcb = scan.pcb;
-    }
-  }
-  return best;
-}
-
 void HashedMtfDemuxer::for_each_pcb(
     const std::function<void(const Pcb&)>& fn) const {
   for (const PcbList& list : buckets_) {

@@ -38,11 +38,6 @@ LookupResult MoveToFrontDemuxer::lookup(const net::FlowKey& key,
   return r;
 }
 
-LookupResult MoveToFrontDemuxer::lookup_wildcard(const net::FlowKey& key) {
-  const auto scan = list_.find_best_match(key);
-  return LookupResult{scan.pcb, scan.examined, false};
-}
-
 void MoveToFrontDemuxer::for_each_pcb(
     const std::function<void(const Pcb&)>& fn) const {
   list_.for_each(fn);

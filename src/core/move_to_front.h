@@ -22,7 +22,9 @@ class MoveToFrontDemuxer final : public Demuxer {
   bool erase(const net::FlowKey& key) override;
   using Demuxer::lookup;
   LookupResult lookup(const net::FlowKey& key, SegmentKind kind) override;
-  LookupResult lookup_wildcard(const net::FlowKey& key) override;
+  [[nodiscard]] Pcb* find(const net::FlowKey& key) const override {
+    return list_.find_scan(key).pcb;
+  }
   [[nodiscard]] std::size_t size() const override { return size_; }
   void for_each_pcb(
       const std::function<void(const Pcb&)>& fn) const override;

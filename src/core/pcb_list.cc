@@ -27,26 +27,6 @@ PcbList::LinkScan PcbList::find_link(const net::FlowKey& key) noexcept {
   return r;
 }
 
-PcbList::ScanResult PcbList::find_best_match(
-    const net::FlowKey& key) const noexcept {
-  ScanResult r;
-  int best_score = -1;
-  for (Pcb* p = head_; p != nullptr; p = p->next) {
-    ++r.examined;
-    const int score = p->key.match_score(key);
-    if (score < 0) continue;
-    if (score == 0) {  // exact match: cannot be beaten
-      r.pcb = p;
-      return r;
-    }
-    if (best_score < 0 || score < best_score) {
-      best_score = score;
-      r.pcb = p;
-    }
-  }
-  return r;
-}
-
 void PcbList::move_to_front(Pcb** link) noexcept {
   if (link == &head_) return;
   Pcb* pcb = *link;

@@ -5,7 +5,7 @@
 // send/receive cache, each Sequent hash chain) is built on this primitive.
 // find_scan() returns how many PCBs the linear scan touched — the paper's
 // figure of merit — so the demuxers only add their cache-probe accounting
-// on top. The list is pure linkage: one head pointer, no tail and no
+// on top; Demuxer::find() is the same scan with the count dropped. The list is pure linkage: one head pointer, no tail and no
 // count. It allocates and frees nothing; the PCBs belong to the owning
 // demuxer's PcbSlab, which is why a rehash can relink them between lists
 // without reallocating one.
@@ -75,13 +75,6 @@ class PcbList {
   /// find_scan() that also returns the link to the PCB found, for the
   /// unlink() or move_to_front() that follows it.
   [[nodiscard]] LinkScan find_link(const net::FlowKey& key) noexcept;
-
-  /// Linear scan for the best wildcard match (BSD in_pcblookup semantics):
-  /// the matching PCB with the fewest wildcard fields wins; earlier nodes
-  /// win ties. Counts every node inspected (always the full list unless an
-  /// exact match short-circuits).
-  [[nodiscard]] ScanResult find_best_match(
-      const net::FlowKey& key) const noexcept;
 
   /// Unlinks the PCB `link` points at and relinks it at the head
   /// (Crowcroft's heuristic). `link` must come from this list's

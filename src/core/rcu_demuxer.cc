@@ -160,39 +160,14 @@ void RcuSequentDemuxer::lookup_batch(std::span<const net::FlowKey> keys,
   examined_.fetch_add(examined, std::memory_order_relaxed);
 }
 
-LookupResult RcuSequentDemuxer::lookup_wildcard(const net::FlowKey& key) {
-  // Mirrors SequentDemuxer::lookup_wildcard: the packet's home chain is
-  // consulted first so an exact match short-circuits; wildcard-bearing
-  // PCBs hash elsewhere, so all chains must be scanned otherwise.
+Pcb* RcuSequentDemuxer::find(const net::FlowKey& key) const {
   const EpochManager::Guard guard(epoch_);
-  LookupResult best;
-  int best_score = -1;
-  const std::uint32_t home = chain_of(key);
-  for (std::uint32_t i = 0; i < options_.chains; ++i) {
-    Bucket& b = *buckets_[(home + i) % options_.chains];
-    Node* chain_best = nullptr;
-    int chain_score = -1;
-    for (Node* n = b.head.load(std::memory_order_acquire); n != nullptr;
-         n = n->next.load(std::memory_order_acquire)) {
-      ++best.examined;
-      const int score = n->pcb.key.match_score(key);
-      if (score < 0) continue;
-      if (score == 0) {
-        best.pcb = &n->pcb;
-        return best;
-      }
-      if (chain_score < 0 || score < chain_score) {
-        chain_score = score;
-        chain_best = n;
-      }
-    }
-    if (chain_best == nullptr) continue;
-    if (best_score < 0 || chain_score < best_score) {
-      best_score = chain_score;
-      best.pcb = &chain_best->pcb;
-    }
+  const Bucket& b = *buckets_[chain_of(key)];
+  for (Node* n = b.head.load(std::memory_order_acquire); n != nullptr;
+       n = n->next.load(std::memory_order_acquire)) {
+    if (n->pcb.key == key) return &n->pcb;
   }
-  return best;
+  return nullptr;
 }
 
 void RcuSequentDemuxer::for_each_pcb(

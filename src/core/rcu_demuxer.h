@@ -94,9 +94,10 @@ class RcuSequentDemuxer {
                     std::span<LookupResult> results,
                     SegmentKind kind = SegmentKind::kData);
 
-  /// Best wildcard match (BSD in_pcblookup semantics) across all chains,
-  /// mirroring SequentDemuxer::lookup_wildcard. Lock-free.
-  LookupResult lookup_wildcard(const net::FlowKey& key);
+  /// The PCB with exactly `key`, or nullptr: the home chain walked under
+  /// an epoch guard, with no cache install and no counter touched.
+  /// Lock-free; the returned pointer follows lookup()'s lifetime contract.
+  [[nodiscard]] Pcb* find(const net::FlowKey& key) const;
 
   /// Snapshot iteration under an epoch guard: sees every PCB present for
   /// the whole call; concurrent inserts/erases may or may not appear.
@@ -199,8 +200,8 @@ class RcuDemuxerAdapter final : public Demuxer {
     inner_.lookup_batch(keys, results, kind);
     for (std::size_t i = 0; i < keys.size(); ++i) note_lookup(results[i]);
   }
-  LookupResult lookup_wildcard(const net::FlowKey& key) override {
-    return inner_.lookup_wildcard(key);
+  [[nodiscard]] Pcb* find(const net::FlowKey& key) const override {
+    return inner_.find(key);
   }
   [[nodiscard]] std::size_t size() const override { return inner_.size(); }
   void for_each_pcb(

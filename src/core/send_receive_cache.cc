@@ -58,12 +58,6 @@ LookupResult SendReceiveCacheDemuxer::lookup(const net::FlowKey& key,
   return r;
 }
 
-LookupResult SendReceiveCacheDemuxer::lookup_wildcard(
-    const net::FlowKey& key) {
-  const auto scan = list_.find_best_match(key);
-  return LookupResult{scan.pcb, scan.examined, false};
-}
-
 void SendReceiveCacheDemuxer::for_each_pcb(
     const std::function<void(const Pcb&)>& fn) const {
   list_.for_each(fn);

@@ -24,7 +24,9 @@ class SendReceiveCacheDemuxer final : public Demuxer {
   using Demuxer::lookup;
   LookupResult lookup(const net::FlowKey& key, SegmentKind kind) override;
   void note_sent(Pcb* pcb) override { send_cache_ = pcb; }
-  LookupResult lookup_wildcard(const net::FlowKey& key) override;
+  [[nodiscard]] Pcb* find(const net::FlowKey& key) const override {
+    return list_.find_scan(key).pcb;
+  }
   [[nodiscard]] std::size_t size() const override { return size_; }
   void for_each_pcb(
       const std::function<void(const Pcb&)>& fn) const override;

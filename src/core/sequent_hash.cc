@@ -330,34 +330,13 @@ void SequentDemuxer::lookup_batch(std::span<const net::FlowKey> keys,
   }
 }
 
-LookupResult SequentDemuxer::lookup_wildcard(const net::FlowKey& key) {
-  // A wildcard-bearing PCB may live on a different chain than the packet's
-  // hash (its foreign half is zero), so all chains must be consulted; exact
-  // matches still short-circuit within the packet's own chain first.
-  LookupResult best;
-  int best_score = -1;
-  const auto sweep = [&](const Table& table) {
-    const auto n = static_cast<std::uint32_t>(table.size());
-    const std::uint32_t home = chain_in(table, key);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const auto scan = table[(home + i) % n].list.find_best_match(key);
-      best.examined += scan.examined;
-      if (scan.pcb == nullptr) continue;
-      const int score = scan.pcb->key.match_score(key);
-      if (score == 0) {
-        best.pcb = scan.pcb;
-        return true;
-      }
-      if (best_score < 0 || score < best_score) {
-        best_score = score;
-        best.pcb = scan.pcb;
-      }
-    }
-    return false;
-  };
-  if (sweep(buckets_)) return best;
-  if (old_ != nullptr) sweep(old_->table);
-  return best;
+Pcb* SequentDemuxer::find(const net::FlowKey& key) const {
+  if (Pcb* const pcb = buckets_[chain_of(key)].list.find_scan(key).pcb) {
+    return pcb;
+  }
+  if (old_ == nullptr) return nullptr;
+  const Table& old = old_->table;
+  return old[chain_in(old, key)].list.find_scan(key).pcb;
 }
 
 void SequentDemuxer::for_each_pcb(

@@ -118,7 +118,8 @@ class SequentDemuxer final : public Demuxer {
   void lookup_batch(std::span<const net::FlowKey> keys,
                     std::span<LookupResult> results,
                     SegmentKind kind) override;
-  LookupResult lookup_wildcard(const net::FlowKey& key) override;
+  /// The key's live chain, then, mid-drain, its outgoing chain.
+  [[nodiscard]] Pcb* find(const net::FlowKey& key) const override;
   [[nodiscard]] std::size_t size() const override { return size_; }
   void for_each_pcb(
       const std::function<void(const Pcb&)>& fn) const override;

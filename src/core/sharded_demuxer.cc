@@ -15,39 +15,24 @@ ShardedDemuxer::ShardedDemuxer(const Options& options)
   }
 }
 
-bool ShardedDemuxer::present_on(std::uint32_t s,
-                                const net::FlowKey& key) const {
-  // lookup_wildcard touches neither caches nor stats (contract, test-
-  // enforced), so this membership probe leaves the shard ledgers honest.
-  const LookupResult r = shards_[s]->lookup_wildcard(key);
-  return r.pcb != nullptr && r.pcb->key == key;
-}
-
 std::uint32_t ShardedDemuxer::owning_shard(const Pcb* pcb,
                                            const net::FlowKey& key) const {
   const std::uint32_t home = home_shard(key);
   if (!misplaced_possible_) return home;
-  const LookupResult r = shards_[home]->lookup_wildcard(key);
-  if (r.pcb == pcb) return home;
-  for (std::uint32_t s = 0; s < shard_count(); ++s) {
-    if (s == home) continue;
-    if (shards_[s]->lookup_wildcard(key).pcb == pcb) return s;
+  for (std::uint32_t i = 0; i < shard_count(); ++i) {
+    const std::uint32_t s = (home + i) % shard_count();
+    if (shards_[s]->find(key) == pcb) return s;
   }
   return shard_count();
 }
 
 Pcb* ShardedDemuxer::insert(const net::FlowKey& key) {
-  const std::uint32_t home = home_shard(key);
-  if (misplaced_possible_) {
-    // Steering has drifted: the key may already live on the shard an
-    // earlier table steered it to. A home-shard-only duplicate check
-    // would then admit a second PCB for the same flow — the cross-shard
-    // no-duplicate-key invariant the validator enforces.
-    for (std::uint32_t s = 0; s < shard_count(); ++s) {
-      if (s != home && present_on(s, key)) return nullptr;
-    }
-  }
-  return shards_[home]->insert(key);
+  // Once steering has drifted, the key may already live on the shard an
+  // earlier table steered it to. A home-shard-only duplicate check would
+  // then admit a second PCB for the same flow — the cross-shard
+  // no-duplicate-key invariant the validator enforces.
+  if (misplaced_possible_ && find(key) != nullptr) return nullptr;
+  return shards_[home_shard(key)]->insert(key);
 }
 
 bool ShardedDemuxer::erase(const net::FlowKey& key) {
@@ -147,24 +132,17 @@ void ShardedDemuxer::note_sent(Pcb* pcb) {
   if (s < shard_count()) shards_[s]->note_sent(pcb);
 }
 
-LookupResult ShardedDemuxer::lookup_wildcard(const net::FlowKey& key) {
-  // BSD best-match across the fleet: every shard may hold listeners, so
-  // all are consulted and the lowest-wildcard match wins. Neither parent
-  // nor shard stats move (wildcard contract).
-  LookupResult best{};
-  int best_score = -1;
-  for (const auto& shard : shards_) {
-    const LookupResult r = shard->lookup_wildcard(key);
-    best.examined += r.examined;
-    if (r.pcb == nullptr) continue;
-    const int score = r.pcb->key.match_score(key);
-    if (score >= 0 && (best_score < 0 || score < best_score)) {
-      best.pcb = r.pcb;
-      best_score = score;
-      if (score == 0) break;  // exact match cannot be beaten
+Pcb* ShardedDemuxer::find(const net::FlowKey& key) const {
+  // Every shard's find() is ledger-free, so neither the fleet's nor any
+  // shard's stats move, however many shards a drifted key costs.
+  const std::uint32_t home = home_shard(key);
+  const std::uint32_t probes = misplaced_possible_ ? shard_count() : 1;
+  for (std::uint32_t i = 0; i < probes; ++i) {
+    if (Pcb* const pcb = shards_[(home + i) % shard_count()]->find(key)) {
+      return pcb;
     }
   }
-  return best;
+  return nullptr;
 }
 
 std::size_t ShardedDemuxer::size() const {

@@ -17,8 +17,9 @@
 //     migrating established TCP state is the expensive path the handoff
 //     protocol exists to avoid — so lookups for re-steered flows miss on
 //     the new home shard and fall back to probing the others. The
-//     `misplaced_possible` flag gates that slow path: until steering
-//     mutates, no lookup ever pays for it;
+//     `misplaced_possible` flag gates that slow path — and the same
+//     fallback in find(), erase and insert's duplicate check: until
+//     steering mutates, no operation ever pays for it;
 //   * aggregation — stats/size/occupancy/telemetry present the shard
 //     fleet as one demuxer. lookup() funnels each fleet lookup once
 //     through the parent's note_lookup(), so stats() and the parent's
@@ -66,7 +67,8 @@ class ShardedDemuxer : public Demuxer {
                     std::span<LookupResult> results,
                     SegmentKind kind = SegmentKind::kData) override;
   void note_sent(Pcb* pcb) override;
-  LookupResult lookup_wildcard(const net::FlowKey& key) override;
+  /// The home shard, then — only once steering has drifted — the others.
+  [[nodiscard]] Pcb* find(const net::FlowKey& key) const override;
   [[nodiscard]] std::size_t size() const override;
   [[nodiscard]] std::size_t memory_bytes() const override;
   void for_each_pcb(
@@ -138,14 +140,9 @@ class ShardedDemuxer : public Demuxer {
   // home-placement invariants from the inside, like every backend.
   friend class StructuralValidator;
 
-  /// Ledger-free exact-key membership probe on shard `s` (used to keep the
-  /// no-duplicate-key invariant when steering has drifted): wildcard
-  /// lookups touch neither caches nor stats, so probing does not distort
-  /// the per-shard accounting.
-  [[nodiscard]] bool present_on(std::uint32_t s, const net::FlowKey& key) const;
-
-  /// The shard that owns `pcb` (home shard in steady state; a sweep when
-  /// steering has drifted). Returns shard_count() when not found.
+  /// The shard that owns `pcb` (home shard in steady state; a find() on
+  /// each shard, home first, when steering has drifted). Returns
+  /// shard_count() when not found.
   [[nodiscard]] std::uint32_t owning_shard(const Pcb* pcb,
                                            const net::FlowKey& key) const;
 

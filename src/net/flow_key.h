@@ -7,10 +7,9 @@
 //
 // Keys are expressed from the receiving host's point of view:
 // (local addr, local port, foreign addr, foreign port). In the classic BSD
-// PCB these are (inp_laddr, inp_lport, inp_faddr, inp_fport). A listening
-// socket stores wildcards (0.0.0.0 / port 0) in the foreign half and
-// possibly a wildcard local address; `match()` implements BSD
-// in_pcblookup()'s best-match semantics.
+// PCB these are (inp_laddr, inp_lport, inp_faddr, inp_fport). Demuxers
+// match keys exactly; listening sockets, whose keys would carry wildcards,
+// are kept beside the demuxer by the socket tables.
 #ifndef TCPDEMUX_NET_FLOW_KEY_H_
 #define TCPDEMUX_NET_FLOW_KEY_H_
 
@@ -36,37 +35,6 @@ struct FlowKey {
   [[nodiscard]] constexpr bool fully_specified() const noexcept {
     return !local_addr.is_any() && local_port != 0 &&
            !foreign_addr.is_any() && foreign_port != 0;
-  }
-
-  /// Number of wildcard fields that `packet_key` would have to tolerate to
-  /// match this (stored) key, or -1 if no match at all. 0 means exact match.
-  ///
-  /// `packet_key` must be fully specified (it comes from a real packet);
-  /// `this` is a stored PCB key which may contain wildcards. Lower scores
-  /// are better matches — BSD keeps searching for a lower-wildcard match
-  /// after finding a wildcard one.
-  [[nodiscard]] constexpr int match_score(
-      const FlowKey& packet_key) const noexcept {
-    if (local_port != packet_key.local_port) return -1;
-    int wildcards = 0;
-    if (local_addr.is_any()) {
-      ++wildcards;
-    } else if (local_addr != packet_key.local_addr) {
-      return -1;
-    }
-    if (foreign_addr.is_any() && foreign_port == 0) {
-      ++wildcards;
-    } else if (foreign_addr != packet_key.foreign_addr ||
-               foreign_port != packet_key.foreign_port) {
-      return -1;
-    }
-    return wildcards;
-  }
-
-  /// Exact (non-wildcard) equality with a packet's key.
-  [[nodiscard]] constexpr bool exact_match(
-      const FlowKey& packet_key) const noexcept {
-    return *this == packet_key;
   }
 
   /// The same flow seen from the peer: local and foreign halves swapped.

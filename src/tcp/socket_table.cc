@@ -48,8 +48,8 @@ Pcb* SocketTable::accept() {
 }
 
 bool SocketTable::erase(const net::FlowKey& key) {
-  if (Pcb* pcb = find(key)) return release(*pcb);
-  return demuxer_->erase(key);
+  Pcb* const pcb = find(key);
+  return pcb != nullptr && release(*pcb);
 }
 
 bool SocketTable::release(Pcb& pcb) {

@@ -136,10 +136,9 @@ class SocketTable {
   }
 
   /// Finds a connection without disturbing the demuxer's caches or stats
-  /// (diagnostic path; uses the unmeasured wildcard lookup).
-  [[nodiscard]] core::Pcb* find(const net::FlowKey& key) {
-    const auto r = demuxer_->lookup_wildcard(key);
-    return (r.pcb != nullptr && r.pcb->key == key) ? r.pcb : nullptr;
+  /// (Demuxer::find, the ledger-free exact probe).
+  [[nodiscard]] core::Pcb* find(const net::FlowKey& key) const {
+    return demuxer_->find(key);
   }
 
   [[nodiscard]] core::Demuxer& demuxer() noexcept { return *demuxer_; }

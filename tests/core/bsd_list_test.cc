@@ -105,15 +105,6 @@ TEST(BsdList, StatsAccumulate) {
   EXPECT_NEAR(s.hit_rate(), 1.0 / 3.0, 1e-12);
 }
 
-TEST(BsdList, WildcardLookupFindsListener) {
-  BsdListDemuxer d;
-  d.insert(net::FlowKey{net::Ipv4Addr(10, 0, 0, 1), 1521,
-                        net::Ipv4Addr::any(), 0});
-  const auto r = d.lookup_wildcard(key(5));
-  ASSERT_NE(r.pcb, nullptr);
-  EXPECT_TRUE(r.pcb->key.foreign_addr.is_any());
-}
-
 TEST(BsdList, NewestInsertSitsAtHead) {
   BsdListDemuxer d;
   for (std::uint16_t p = 1; p <= 3; ++p) d.insert(key(p));

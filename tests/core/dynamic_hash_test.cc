@@ -102,15 +102,5 @@ TEST(DynamicHash, NameReflectsCurrentSize) {
   EXPECT_EQ(d.name(), "dynamic(h=41,crc32)");
 }
 
-TEST(DynamicHash, WildcardLookupAcrossChains) {
-  SequentDemuxer d(opts());
-  d.insert(net::FlowKey{net::Ipv4Addr(10, 0, 0, 1), 1521,
-                        net::Ipv4Addr::any(), 0});
-  for (std::uint32_t i = 0; i < 50; ++i) d.insert(key(i));
-  const auto r = d.lookup_wildcard(key(7777));
-  ASSERT_NE(r.pcb, nullptr);
-  EXPECT_TRUE(r.pcb->key.foreign_addr.is_any());
-}
-
 }  // namespace
 }  // namespace tcpdemux::core

@@ -1,7 +1,7 @@
 // Invariant-validated differential fuzzing for every registry-listed
 // demuxer.
 //
-// Drives long randomized insert/lookup/erase/lookup_wildcard/lookup_batch
+// Drives long randomized insert/lookup/erase/find/lookup_batch
 // sequences through each algorithm against a
 // naive reference map, asserting exact behavioural parity on every
 // operation and running the StructuralValidator after every mutation —
@@ -166,14 +166,15 @@ void run_fuzz_ops(const std::string& spec,
         ASSERT_EQ(invariant_errors(), "") << "after lookup op " << op;
       }
     } else if (roll < 50) {
-      // Exact-key wildcard lookup: a fully-specified stored key must be
-      // found exactly; absence must not conjure a match (the pool holds no
-      // wildcard PCBs).
-      const LookupResult r = demuxer->lookup_wildcard(k);
-      ASSERT_EQ(r.pcb != nullptr, expected) << "op " << op;
-      if (r.pcb != nullptr) {
-        ASSERT_EQ(r.pcb->key, k);
+      // find: the same found-ness and identity as a lookup, and no
+      // lookup recorded (it is the ledger-free probe).
+      const std::uint64_t lookups_before = demuxer->stats().lookups;
+      const Pcb* const pcb = demuxer->find(k);
+      ASSERT_EQ(pcb != nullptr, expected) << "op " << op;
+      if (pcb != nullptr) {
+        ASSERT_EQ(pcb->key, k);
       }
+      ASSERT_EQ(demuxer->stats().lookups, lookups_before) << "op " << op;
     } else if (roll < 75) {
       // An insert of a new key is refused only by an injected allocation
       // failure, or by the ladder's rung-2 shed while an earlier injection

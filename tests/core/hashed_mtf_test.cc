@@ -84,14 +84,5 @@ TEST(HashedMtf, ForEachVisitsAll) {
   EXPECT_EQ(count, 23u);
 }
 
-TEST(HashedMtf, WildcardLookupWorks) {
-  HashedMtfDemuxer d(opts(19));
-  d.insert(net::FlowKey{net::Ipv4Addr(10, 0, 0, 1), 1521,
-                        net::Ipv4Addr::any(), 0});
-  const auto r = d.lookup_wildcard(key(9));
-  ASSERT_NE(r.pcb, nullptr);
-  EXPECT_TRUE(r.pcb->key.foreign_addr.is_any());
-}
-
 }  // namespace
 }  // namespace tcpdemux::core

@@ -95,16 +95,5 @@ TEST(MoveToFront, DuplicateInsertRejected) {
   EXPECT_EQ(d.insert(key(1)), nullptr);
 }
 
-TEST(MoveToFront, WildcardLookupDoesNotReorder) {
-  MoveToFrontDemuxer d;
-  d.insert(net::FlowKey{net::Ipv4Addr(10, 0, 0, 1), 1521,
-                        net::Ipv4Addr::any(), 0});
-  d.insert(key(5));
-  const auto r = d.lookup_wildcard(key(7));
-  ASSERT_NE(r.pcb, nullptr);
-  EXPECT_TRUE(r.pcb->key.foreign_addr.is_any());
-  EXPECT_EQ(d.front()->key, key(5));  // order unchanged
-}
-
 }  // namespace
 }  // namespace tcpdemux::core

@@ -205,44 +205,6 @@ TEST(PcbList, MoveAssignmentReleasesOldContents) {
   EXPECT_EQ(a.find_scan(key(1)).pcb, nullptr);
 }
 
-TEST(PcbList, FindBestMatchPrefersExact) {
-  PcbSlab slab;
-  PcbList list;
-  link(slab, list,
-       net::FlowKey{net::Ipv4Addr(10, 0, 0, 1), 1521, net::Ipv4Addr::any(),
-                    0});        // listener
-  link(slab, list, key(7));  // exact connection, at head
-  const auto r = list.find_best_match(key(7));
-  ASSERT_NE(r.pcb, nullptr);
-  EXPECT_EQ(r.pcb->key, key(7));
-  EXPECT_EQ(r.examined, 1u);  // exact match short-circuits at the head
-}
-
-TEST(PcbList, FindBestMatchFallsBackToWildcard) {
-  PcbSlab slab;
-  PcbList list;
-  link(slab, list,
-       net::FlowKey{net::Ipv4Addr::any(), 1521, net::Ipv4Addr::any(), 0});
-  link(slab, list,
-       net::FlowKey{net::Ipv4Addr(10, 0, 0, 1), 1521, net::Ipv4Addr::any(),
-                    0});
-  const auto r = list.find_best_match(key(9));
-  ASSERT_NE(r.pcb, nullptr);
-  // The single-wildcard (local-addr-specified) listener must win over the
-  // double-wildcard one.
-  EXPECT_EQ(r.pcb->key.local_addr, net::Ipv4Addr(10, 0, 0, 1));
-  EXPECT_EQ(r.examined, 2u);  // no exact match: full scan
-}
-
-TEST(PcbList, FindBestMatchNoMatch) {
-  PcbSlab slab;
-  PcbList list;
-  link(slab, list,
-       net::FlowKey{net::Ipv4Addr(10, 0, 0, 1), 80, net::Ipv4Addr::any(), 0});
-  const auto r = list.find_best_match(key(9));  // port 1521, no listener
-  EXPECT_EQ(r.pcb, nullptr);
-}
-
 TEST(PcbList, RelinkingPreservesPcbState) {
   PcbSlab slab;
   PcbList list;

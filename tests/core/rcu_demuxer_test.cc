@@ -152,22 +152,6 @@ TEST(RcuDemuxer, ReclamationIsDeferredWhileAReaderIsPinned) {
   EXPECT_EQ(em.freed_count(), 1u);
 }
 
-TEST(RcuDemuxer, WildcardMirrorsSequentSemantics) {
-  RcuSequentDemuxer d(opts(19));
-  const net::FlowKey listener{net::Ipv4Addr(10, 0, 0, 1), 1521,
-                              net::Ipv4Addr::any(), 0};
-  ASSERT_NE(d.insert(listener), nullptr);
-  Pcb* exact = d.insert(key(5));
-  ASSERT_NE(exact, nullptr);
-  EXPECT_EQ(d.lookup_wildcard(key(5)).pcb, exact);
-  const auto wild = d.lookup_wildcard(key(900));
-  ASSERT_NE(wild.pcb, nullptr);
-  EXPECT_EQ(wild.pcb->key, listener);
-  net::FlowKey other_port = key(5);
-  other_port.local_port = 80;
-  EXPECT_EQ(d.lookup_wildcard(other_port).pcb, nullptr);
-}
-
 TEST(RcuDemuxer, ForEachSeesExactlyStoredKeys) {
   RcuSequentDemuxer d(opts(19));
   for (std::uint32_t i = 0; i < 50; ++i) d.insert(key(i));

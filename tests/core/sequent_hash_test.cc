@@ -140,27 +140,6 @@ TEST(Sequent, NameReflectsConfiguration) {
   EXPECT_EQ(nc.name(), "sequent(h=7,xor_fold,nocache)");
 }
 
-TEST(Sequent, WildcardLookupFindsListenerAcrossChains) {
-  SequentDemuxer d(opts(19));
-  d.insert(net::FlowKey{net::Ipv4Addr(10, 0, 0, 1), 1521,
-                        net::Ipv4Addr::any(), 0});
-  for (std::uint16_t p = 1; p <= 20; ++p) d.insert(key(p));
-  const auto r = d.lookup_wildcard(
-      net::FlowKey{net::Ipv4Addr(10, 0, 0, 1), 1521,
-                   net::Ipv4Addr(99, 9, 9, 9), 555});
-  ASSERT_NE(r.pcb, nullptr);
-  EXPECT_TRUE(r.pcb->key.foreign_addr.is_any());
-}
-
-TEST(Sequent, WildcardLookupPrefersExactMatch) {
-  SequentDemuxer d(opts(19));
-  d.insert(net::FlowKey{net::Ipv4Addr(10, 0, 0, 1), 1521,
-                        net::Ipv4Addr::any(), 0});
-  Pcb* exact = d.insert(key(3));
-  const auto r = d.lookup_wildcard(key(3));
-  EXPECT_EQ(r.pcb, exact);
-}
-
 TEST(Sequent, ForEachVisitsAllChains) {
   SequentDemuxer d(opts(19));
   for (std::uint16_t p = 1; p <= 57; ++p) d.insert(key(p));

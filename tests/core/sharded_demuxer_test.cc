@@ -193,18 +193,6 @@ TEST(ShardedDemuxer, RegistryBuildsShardedSpecs) {
       << sharded->name();
 }
 
-TEST(ShardedDemuxer, WildcardLookupResolvesAcrossShards) {
-  ShardedDemuxer demuxer = make_sharded(4, "sequent:19:crc32");
-  for (std::uint32_t i = 0; i < 32; ++i) demuxer.insert(key(i));
-  // A fully wildcarded listener probe has no meaningful steering hash;
-  // the sweep must still find the best (exact) match wherever it lives.
-  const LookupResult exact = demuxer.lookup_wildcard(key(5));
-  ASSERT_NE(exact.pcb, nullptr);
-  EXPECT_EQ(exact.pcb->key, key(5));
-  const LookupResult miss = demuxer.lookup_wildcard(key(9999));
-  EXPECT_EQ(miss.pcb, nullptr);
-}
-
 TEST(ShardedDemuxer, ShardCountOneDegeneratesToInner) {
   ShardedDemuxer demuxer = make_sharded(1, "dynamic");
   for (std::uint32_t i = 0; i < 50; ++i) demuxer.insert(key(i));

@@ -28,47 +28,6 @@ TEST(FlowKey, FullySpecified) {
   EXPECT_FALSE(no_fport.fully_specified());
 }
 
-TEST(FlowKey, ExactMatchScoreIsZero) {
-  EXPECT_EQ(concrete().match_score(concrete()), 0);
-}
-
-TEST(FlowKey, PortMismatchNeverMatches) {
-  FlowKey stored = concrete();
-  FlowKey packet = concrete();
-  packet.local_port = 80;
-  EXPECT_EQ(stored.match_score(packet), -1);
-}
-
-TEST(FlowKey, WildcardForeignMatchesWithScoreOne) {
-  FlowKey listener{Ipv4Addr(10, 0, 0, 1), 1521, Ipv4Addr::any(), 0};
-  EXPECT_EQ(listener.match_score(concrete()), 1);
-}
-
-TEST(FlowKey, DoubleWildcardScoresTwo) {
-  FlowKey listener{Ipv4Addr::any(), 1521, Ipv4Addr::any(), 0};
-  EXPECT_EQ(listener.match_score(concrete()), 2);
-}
-
-TEST(FlowKey, ForeignHalfWildcardRequiresBothFieldsWild) {
-  // A stored key with concrete foreign address but port 0 is not a listen
-  // wildcard; it must not match a packet with a different port.
-  FlowKey stored = concrete();
-  stored.foreign_port = 0;
-  EXPECT_EQ(stored.match_score(concrete()), -1);
-}
-
-TEST(FlowKey, WrongForeignAddrDoesNotMatch) {
-  FlowKey stored = concrete();
-  stored.foreign_addr = Ipv4Addr(10, 9, 9, 9);
-  EXPECT_EQ(stored.match_score(concrete()), -1);
-}
-
-TEST(FlowKey, WrongLocalAddrDoesNotMatch) {
-  FlowKey stored = concrete();
-  stored.local_addr = Ipv4Addr(10, 9, 9, 9);
-  EXPECT_EQ(stored.match_score(concrete()), -1);
-}
-
 TEST(FlowKey, ReversedSwapsHalves) {
   const FlowKey k = concrete();
   const FlowKey r = k.reversed();

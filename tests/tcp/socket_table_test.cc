@@ -173,6 +173,25 @@ TEST_F(SocketTableTest, EraseRemovesConnection) {
   EXPECT_EQ(r.status, SocketTable::Delivery::kReset);
 }
 
+TEST_F(SocketTableTest, EraseOfAbsentKeyChangesNothing) {
+  ASSERT_TRUE(table_.listen(kServer, kPort));
+  for (std::uint16_t port = 40001; port <= 40005; ++port) {
+    table_.deliver_wire(client_packet(
+        port, static_cast<std::uint8_t>(TcpFlag::kSyn), 100, 0));
+  }
+  const core::Demuxer& demuxer = table_.demuxer();
+  const core::DemuxStats stats = demuxer.stats();
+  const std::uint64_t erases = demuxer.telemetry().counters().erases;
+  const net::FlowKey absent{kServer, kPort, Ipv4Addr(10, 1, 0, 2), 40099};
+  EXPECT_FALSE(table_.erase(absent));
+  EXPECT_EQ(demuxer.size(), 5u);
+  EXPECT_EQ(demuxer.stats().lookups, stats.lookups);
+  EXPECT_EQ(demuxer.stats().found, stats.found);
+  EXPECT_EQ(demuxer.stats().cache_hits, stats.cache_hits);
+  EXPECT_EQ(demuxer.stats().pcbs_examined, stats.pcbs_examined);
+  EXPECT_EQ(demuxer.telemetry().counters().erases, erases);
+}
+
 TEST_F(SocketTableTest, DuplicateSynForExistingConnectionIsDelivered) {
   ASSERT_TRUE(table_.listen(kServer, kPort));
   table_.deliver_wire(
