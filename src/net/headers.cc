@@ -1,5 +1,7 @@
 #include "net/headers.h"
 
+#include <algorithm>
+
 #include "net/byte_order.h"
 #include "net/checksum.h"
 
@@ -60,9 +62,7 @@ std::size_t TcpHeader::serialize(std::span<std::uint8_t> out) const {
   store_be16(out.data() + 14, window);
   store_be16(out.data() + 16, 0);  // checksum patched by caller
   store_be16(out.data() + 18, urgent_pointer);
-  for (std::size_t i = 0; i < options.size(); ++i) {
-    out[kMinSize + i] = options[i];
-  }
+  std::copy(options.begin(), options.end(), out.begin() + kMinSize);
   return size();
 }
 
@@ -81,8 +81,7 @@ std::optional<TcpHeader> TcpHeader::parse(std::span<const std::uint8_t> bytes) {
   h.flags = bytes[13];
   h.window = load_be16(bytes.data() + 14);
   h.urgent_pointer = load_be16(bytes.data() + 18);
-  h.options.assign(bytes.begin() + kMinSize,
-                   bytes.begin() + static_cast<std::ptrdiff_t>(data_offset));
+  h.options = bytes.subspan(kMinSize, data_offset - kMinSize);
   return h;
 }
 

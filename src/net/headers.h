@@ -3,8 +3,9 @@
 //
 // Only the fields a demultiplexer and a minimal TCP machine need are modeled
 // as first-class members; IPv4 options are rejected on parse (the simulated
-// stack never emits them) and TCP options are carried as an opaque blob so
-// data offset round-trips exactly.
+// stack never emits them) and TCP options are a view of the segment's
+// option bytes, so the data offset round-trips exactly and a parsed header
+// owns no memory.
 #ifndef TCPDEMUX_NET_HEADERS_H_
 #define TCPDEMUX_NET_HEADERS_H_
 
@@ -12,7 +13,7 @@
 #include <optional>
 #include <span>
 #include <string>
-#include <vector>
+#include <type_traits>
 
 #include "net/ip_addr.h"
 
@@ -63,7 +64,9 @@ struct Ipv4Header {
       std::span<const std::uint8_t> bytes);
 };
 
-/// TCP header. `options` must be a multiple of 4 bytes (pre-padded).
+/// TCP header. `options` must be a multiple of 4 bytes (pre-padded). It is
+/// a view: parse() points it into the segment, serialize() copies it out
+/// (lifetime: see Packet).
 struct TcpHeader {
   static constexpr std::size_t kMinSize = 20;
   static constexpr std::size_t kMaxSize = 60;
@@ -75,7 +78,7 @@ struct TcpHeader {
   std::uint8_t flags = 0;
   std::uint16_t window = 65535;
   std::uint16_t urgent_pointer = 0;
-  std::vector<std::uint8_t> options;  ///< padded to 4-byte multiple
+  std::span<const std::uint8_t> options;  ///< padded to 4-byte multiple
 
   [[nodiscard]] bool has(TcpFlag f) const noexcept {
     return (flags & static_cast<std::uint8_t>(f)) != 0;
@@ -102,6 +105,8 @@ struct TcpHeader {
   /// Human-readable flag string, e.g. "SYN|ACK".
   [[nodiscard]] std::string flags_to_string() const;
 };
+static_assert(std::is_trivially_copyable_v<TcpHeader>,
+              "a parsed header views its segment; parse copies nothing");
 
 }  // namespace tcpdemux::net
 

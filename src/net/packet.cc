@@ -19,7 +19,7 @@ std::optional<Packet> Packet::parse(std::span<const std::uint8_t> wire) {
 
   Packet p;
   p.ip = *ip;
-  p.tcp = std::move(*tcp);
+  p.tcp = *tcp;
   p.payload = segment.subspan(p.tcp.size());
   return p;
 }

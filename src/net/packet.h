@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "net/flow_key.h"
@@ -15,9 +16,10 @@ namespace tcpdemux::net {
 
 /// A fully parsed and checksum-verified TCP/IPv4 packet.
 ///
-/// `payload` is a view into the bytes given to parse(), not a copy: a
-/// Packet must not outlive them. On the receive path those are the frame
-/// itself, or the Reassembler's buffer until its next offer()/expire().
+/// `payload` and `tcp.options` are views into the bytes given to parse(),
+/// not copies: a Packet must not outlive them. On the receive path those
+/// are the frame itself, or the Reassembler's buffer until its next
+/// offer()/expire().
 struct Packet {
   Ipv4Header ip;
   TcpHeader tcp;
@@ -37,6 +39,8 @@ struct Packet {
   /// A temporary buffer would die while the payload view still points in.
   static std::optional<Packet> parse(std::vector<std::uint8_t>&& wire) = delete;
 };
+static_assert(std::is_trivially_copyable_v<Packet>,
+              "a Packet views its datagram and owns no memory");
 
 /// Builds wire-format TCP/IPv4 packets with correct lengths and checksums.
 ///

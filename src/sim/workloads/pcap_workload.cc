@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "net/ethernet.h"
@@ -67,7 +66,7 @@ Workload make_pcap_workload(std::istream& is,
     }
     if (auto packet = net::Packet::parse(datagram)) {
       ++port_votes[packet->tcp.dst_port];
-      packets.push_back(TimedPacketView{record.timestamp, std::move(*packet)});
+      packets.push_back(TimedPacketView{record.timestamp, *packet});
     } else {
       ++st.unparseable;
     }

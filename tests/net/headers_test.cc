@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <vector>
 
@@ -112,13 +113,16 @@ TEST(TcpHeader, SerializeParseRoundTrip) {
 
 TEST(TcpHeader, OptionsRoundTrip) {
   TcpHeader t = sample_tcp();
-  t.options = {0x02, 0x04, 0x05, 0xb4};  // MSS 1460
+  const std::array<std::uint8_t, 4> mss = {0x02, 0x04, 0x05, 0xb4};  // 1460
+  t.options = mss;
   std::array<std::uint8_t, 24> buf{};
   EXPECT_EQ(t.serialize(buf), 24u);
   EXPECT_EQ(buf[12] >> 4, 6);  // data offset 6 words
   const auto parsed = TcpHeader::parse(buf);
   ASSERT_TRUE(parsed.has_value());
-  EXPECT_EQ(parsed->options, t.options);
+  EXPECT_TRUE(std::ranges::equal(parsed->options, mss));
+  // serialize() copied the bytes out; parse() views them in place.
+  EXPECT_EQ(parsed->options.data(), buf.data() + TcpHeader::kMinSize);
 }
 
 TEST(TcpHeader, ParseRejectsShortBuffer) {
@@ -153,7 +157,9 @@ TEST(TcpHeader, FlagsToStringEmpty) {
 TEST(TcpHeader, SizeIncludesOptions) {
   TcpHeader t;
   EXPECT_EQ(t.size(), 20u);
-  t.options.assign(8, 1);
+  std::array<std::uint8_t, 8> nops;
+  nops.fill(1);
+  t.options = nops;
   EXPECT_EQ(t.size(), 28u);
 }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
+
+#include "tcp_option_wire.h"
 
 namespace tcpdemux::net {
 namespace {
@@ -136,6 +139,31 @@ TEST(Packet, PayloadAliasesTheParsedBytes) {
   ASSERT_TRUE(p.has_value());
   EXPECT_EQ(p->payload.data(), wire.data() + 20 + 20);
   EXPECT_EQ(p->payload.size(), 64u);
+}
+
+TEST(Packet, OptionsAliasTheSegment) {
+  // Options are a view like the payload: 12 option bytes sit right behind
+  // the fixed 20-byte TCP header, and the payload starts right after them.
+  const auto wire = test::with_tcp_options(sample_wire(64),
+                                           test::kTimestampOptions);
+  const auto p = Packet::parse(wire);
+  ASSERT_TRUE(p.has_value());
+  const std::uint8_t* segment = wire.data() + Ipv4Header::kSize;
+  EXPECT_EQ(p->tcp.options.size(), 12u);
+  EXPECT_EQ(p->tcp.options.data(), segment + TcpHeader::kMinSize);
+  EXPECT_TRUE(std::ranges::equal(p->tcp.options, test::kTimestampOptions));
+  EXPECT_EQ(p->tcp.size(), 32u);
+  EXPECT_EQ(p->payload.data(), segment + 32);
+  EXPECT_EQ(p->payload.size(), 64u);
+
+  // A segment cut anywhere short of its data offset has no complete
+  // header, so the TCP parser must reject it rather than view past it.
+  const std::span<const std::uint8_t> tcp_bytes(segment, 32 + 64);
+  for (std::size_t len = 0; len < p->tcp.size(); ++len) {
+    EXPECT_FALSE(TcpHeader::parse(tcp_bytes.first(len)).has_value())
+        << "prefix " << len;
+  }
+  EXPECT_TRUE(TcpHeader::parse(tcp_bytes.first(p->tcp.size())).has_value());
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Truncation and garbling sweep over the wire parsers — the regression
-// lock for the OOB audit of headers.cc / tcp_options.cc / packet.cc: every
+// lock for the OOB audit of headers.cc / packet.cc: every
 // prefix length of a valid frame, and seeded burst-damaged variants, must
 // parse (i.e. be rejected or accepted) without reading out of bounds.
 // ci/check.sh runs this suite under ASan/UBSan, which turns any OOB read
@@ -9,13 +9,14 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "net/ethernet.h"
 #include "net/frame_fault.h"
 #include "net/headers.h"
 #include "net/packet.h"
-#include "net/tcp_options.h"
+#include "tcp_option_wire.h"
 
 namespace tcpdemux::net {
 namespace {
@@ -91,24 +92,27 @@ TEST(TruncationSweep, HeaderParsersRejectEveryShortPrefix) {
   }
 }
 
-TEST(TruncationSweep, TcpOptionsRejectTruncationMidOption) {
-  const TcpOption mss{TcpOptionKind::kMss, 1460, 0, 0, 0};
-  const TcpOption wscale{TcpOptionKind::kWindowScale, 0, 7, 0, 0};
-  const TcpOption ts{TcpOptionKind::kTimestamps, 0, 0, 0x11223344,
-                     0x55667788};
-  const std::vector<TcpOption> options = {mss, wscale, ts};
-  const auto blob = serialize_tcp_options(options);
-  ASSERT_TRUE(parse_tcp_options(blob).has_value());
-  for (const auto& prefix : all_prefixes(blob)) {
-    // No prefix may crash; truncating inside an option's advertised
-    // length must be rejected, never read past the buffer.
-    (void)parse_tcp_options(prefix);
+TEST(TruncationSweep, OptionBearingHeaderRejectsEveryShortPrefix) {
+  // A 20-byte SYN option block takes the data offset to 40 bytes: the TCP
+  // parser bounds the option view by that offset, so every prefix that
+  // ends inside the options (or the fixed header) must be rejected, and
+  // every prefix of the datagram must fail Packet::parse.
+  const auto wire = test::with_tcp_options(valid_wire(16), test::kSynOptions);
+  const auto packet = Packet::parse(wire);
+  ASSERT_TRUE(packet.has_value());
+  ASSERT_EQ(packet->tcp.size(), 40u);
+  const auto segment = std::span(wire).subspan(Ipv4Header::kSize);
+  for (std::size_t len = 0; len <= segment.size(); ++len) {
+    const auto tcp = TcpHeader::parse(segment.first(len));
+    EXPECT_EQ(tcp.has_value(), len >= 40u) << "prefix " << len;
+    if (tcp.has_value()) {
+      EXPECT_EQ(tcp->options.size(), 20u);
+    }
   }
-  // A length byte pointing past the end is the classic OOB trigger.
-  std::vector<std::uint8_t> overrun = {2 /*kMss*/, 44};
-  EXPECT_FALSE(parse_tcp_options(overrun).has_value());
-  overrun = {3 /*kWindowScale*/, 0};
-  EXPECT_FALSE(parse_tcp_options(overrun).has_value());
+  for (const auto& prefix : all_prefixes(wire)) {
+    EXPECT_EQ(Packet::parse(prefix).has_value(), prefix.size() == wire.size())
+        << "prefix " << prefix.size();
+  }
 }
 
 TEST(TruncationSweep, EthernetFramesRejectEveryShortPrefix) {
@@ -158,7 +162,6 @@ TEST(GarbleSweep, GarbledTruncatedCombinationsSurviveParsing) {
       (void)Packet::parse(frame);
       (void)Ipv4Header::parse(frame);
       (void)TcpHeader::parse(frame);
-      (void)parse_tcp_options(frame);
     }
   }
   SUCCEED();

@@ -96,6 +96,16 @@ Semantic passes:
                      covers them (TCPDEMUX_THREAD_SAFETY=ON), and
                      migration start/finish coordination must not grow
                      ad-hoc sync primitives invisible to that analysis.
+  test-only-module   every src/ header is reached from the sources of a
+                     non-test binary: the walk starts at every file under
+                     bench/, examples/ and rxbench/, follows quoted
+                     #includes (resolved beside the including file, then
+                     under src/), and lets each src/**/X.h pull in its own
+                     X.cc. A header no benchmark, example or rxbench
+                     source reaches is a module only tests call, which
+                     the paper's measurements never run. The deliberate
+                     test tools core/validate.h and net/frame_fault.h are
+                     exempt by name.
 
 Usage: check_lint.py [repo-root] [--json FILE]
 Exit codes: 0 = clean, 1 = violations, 2 = lint configuration broken
@@ -372,6 +382,19 @@ class IncludeFirstRule(Rule):
         return []
 
 
+def quoted_includes(ctx: FileContext):
+    """Yields (lineno, path) for each live `#include "path"` in ctx."""
+    # Paths live inside string literals, which strip_code blanks — find
+    # the directive in stripped text, read the path from raw.
+    for lineno, (raw, code) in enumerate(
+            zip(ctx.raw_lines, ctx.stripped_lines), 1):
+        if not re.match(r"\s*#\s*include\b", code):
+            continue
+        m = re.search(r'#\s*include\s*"([^"]+)"', raw)
+        if m is not None:
+            yield lineno, m.group(1)
+
+
 class IncludeLayeringRule(Rule):
     """src modules include only downward along the architecture DAG."""
 
@@ -385,14 +408,8 @@ class IncludeLayeringRule(Rule):
         module = parts[1]
         allowed = LAYERING[module]
         findings = []
-        for lineno, (raw, code) in enumerate(
-                zip(ctx.raw_lines, ctx.stripped_lines), 1):
-            if not re.match(r"\s*#\s*include\b", code):
-                continue
-            m = re.search(r'#\s*include\s*"([^"]+)"', raw)
-            if m is None:
-                continue  # system include
-            target = m.group(1).split("/")[0]
+        for lineno, path in quoted_includes(ctx):
+            target = path.split("/")[0]
             if target in LAYERING and target not in allowed:
                 order = " > ".join(
                     ("sim", "tcp", "core", "net|report|analytic"))
@@ -528,6 +545,62 @@ class LockDisciplineRule(Rule):
                             "method discipline (DESIGN.md, incremental "
                             "resize), never a side-channel primitive"))
         return findings
+
+
+class TestOnlyModuleRule(Rule):
+    """Every src header is reached from a non-test binary's sources."""
+
+    name = "test-only-module"
+    scopes = ("src",)
+    exempt = ("src/core/validate.h", "src/net/frame_fault.h")
+    ROOT_DIRS = ("bench", "examples", "rxbench")
+
+    def __init__(self, root: str):
+        self.root = root
+        self._reached = None
+
+    def applies_to(self, rel: str) -> bool:
+        return super().applies_to(rel) and rel.endswith(".h")
+
+    def check(self, ctx: FileContext) -> list:
+        if self._reached is None:
+            self._reached = self._walk()
+        if ctx.rel in self._reached:
+            return []
+        return [
+            Finding(ctx.rel, 1, self.name,
+                    "no bench/, examples/ or rxbench/ source reaches this "
+                    "header through quoted #includes: a module only tests "
+                    "call is code no measurement runs — delete it, or "
+                    "exempt a deliberate test tool by name")
+        ]
+
+    def _walk(self) -> set:
+        """Repo-relative paths reached from the ROOT_DIRS sources."""
+        pending = []
+        for top in self.ROOT_DIRS:
+            for dirpath, _, files in os.walk(os.path.join(self.root, top)):
+                pending.extend(
+                    os.path.relpath(os.path.join(dirpath, name), self.root)
+                    for name in files
+                    if name.endswith((".h", ".cc", ".cpp")))
+        reached = set()
+        while pending:
+            rel = pending.pop()
+            if rel in reached:
+                continue
+            reached.add(rel)
+            for _, path in quoted_includes(FileContext(self.root, rel)):
+                for cand in (os.path.join(os.path.dirname(rel), path),
+                             os.path.join("src", path)):
+                    if os.path.isfile(os.path.join(self.root, cand)):
+                        pending.append(os.path.normpath(cand))
+                        break
+            own_cc = rel[:-len(".h")] + ".cc"
+            if (rel.startswith("src/") and rel.endswith(".h")
+                    and os.path.isfile(os.path.join(self.root, own_cc))):
+                pending.append(own_cc)
+        return reached
 
 
 def build_rules(root: str) -> list:
@@ -669,6 +742,7 @@ def build_rules(root: str) -> list:
         IncludeLayeringRule(),
         AtomicsDisciplineRule(),
         LockDisciplineRule(),
+        TestOnlyModuleRule(root),
     ]
 
 
